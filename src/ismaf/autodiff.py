@@ -4,7 +4,8 @@ A ``Tape`` records every differentiable operation in execution order.  A
 ``Tensor`` is an immutable value wrapper: either a constant (``tape is None``)
 or bound to the tape that produced it.  ``Tape.backward`` walks the record
 list in reverse, accumulating vector-Jacobian products into per-node gradient
-buffers keyed by node id.
+buffers keyed by node id, and consumes the records as it goes, so a tape
+runs backward once.
 
 Single-threaded by design: one tape per training context.  Tensors are safe
 to share read-only across threads; a tape must never be mutated concurrently.
@@ -111,25 +112,37 @@ class Tape:
     def emit(self, data, parents, vjp) -> Tensor:
         """Record one op.  ``vjp(grad_out)`` must return one gradient (or
         None) per parent, aligned with ``parents``."""
+        if self._records is None:
+            raise ValueError("backward already ran on this tape; record a new tape")
         out = Tensor(data, tape=self, node_id=self._new_id())
         self._records.append((out.node_id, tuple(p.node_id for p in parents), vjp))
         return out
 
     def backward(self, loss: Tensor) -> dict[int, np.ndarray]:
-        """Accumulate gradients of a scalar loss w.r.t. every reachable node."""
+        """Accumulate gradients of a scalar loss w.r.t. every reachable node.
+
+        A tape runs backward once: its records are dropped by the pass.
+        """
         if loss.tape is not self:
             raise ValueError("loss tensor was not recorded on this tape")
         if loss.data.size != 1:
             raise ValueError(
                 f"backward requires a scalar loss, got shape {loss.data.shape}"
             )
+        records = self._records
+        if records is None:
+            raise ValueError("backward already ran on this tape; record a new tape")
+        # The vjp closures hold the forward tensors, which point back to this
+        # tape; dropping each record as the reverse pass consumes it breaks
+        # that cycle, so the step's graph is freed without the cyclic GC.
+        self._records = None
         grads = self._grads
-        grads.clear()
         grads[loss.node_id] = np.ones_like(loss.data)
         # First stores keep the vjp output without copying; such buffers may
         # alias another node's gradient, so they are never mutated in place.
         borrowed: set[int] = set()
-        for out_id, parent_ids, vjp in reversed(self._records):
+        while records:
+            out_id, parent_ids, vjp = records.pop()
             g = grads.get(out_id)
             if g is None:
                 continue

@@ -2,8 +2,10 @@
 signed graph attention.
 
 All encoders emit vectors of the shared feature dimension d.  Graph
-construction is a pure numpy function over fixed node embeddings; the GAT
-layers run on tape tensors so gradients reach the embedding table.
+construction is a pure numpy function over fixed node embeddings.  The GAT
+layers run on tape tensors, so gradients reach the embedding table, and each
+layer runs over an edge block: the edges whose messages can reach the rows
+the caller needs (``receptive_blocks``), or every edge of the graph.
 """
 
 from __future__ import annotations
@@ -184,10 +186,11 @@ class SocialGraph:
     def n_nodes(self) -> int:
         return len(self.node_ids)
 
-    def edges(self):
-        """Iterate (src_id, dst_id, weight) over directed edges."""
-        for s, t, w in zip(self.src, self.dst, self.weights):
-            yield self.node_ids[s], self.node_ids[t], float(w)
+    @property
+    def targets(self) -> np.ndarray:
+        """Output row i is input row i: the whole graph is the edge block
+        (``EdgeBlock``) that keeps every edge."""
+        return np.arange(self.n_nodes)
 
     def validate(self):
         n = self.n_nodes
@@ -300,94 +303,106 @@ def create_gat_params(store: ParamStore, d: int, cfg: GatConfig, prefix: str = "
         store.create(f"{prefix}.l{layer}.wo", (width, d))
 
 
-_HEAD_BLOCK_CACHE: dict[tuple[int, int], tuple[Tensor, Tensor]] = {}
+@dataclass(frozen=True)
+class EdgeBlock:
+    """The edges one GAT layer runs over.
+
+    ``src`` indexes the layer's input rows and ``dst`` its output rows;
+    output row i is the node of input row ``targets[i]``.  A ``SocialGraph``
+    is the block with every edge and ``targets = arange(n_nodes)``.
+    """
+
+    src: np.ndarray
+    dst: np.ndarray
+    targets: np.ndarray
 
 
-def _head_blocks(heads: int, head_dim: int) -> tuple[Tensor, Tensor]:
-    """Constant indicators: collapse [*, heads*head_dim] to [*, heads] and
-    expand back."""
-    key = (heads, head_dim)
-    if key not in _HEAD_BLOCK_CACHE:
-        collapse = np.zeros((heads * head_dim, heads))
-        for h in range(heads):
-            collapse[h * head_dim : (h + 1) * head_dim, h] = 1.0
-        _HEAD_BLOCK_CACHE[key] = (Tensor(collapse), Tensor(collapse.T.copy()))
-    return _HEAD_BLOCK_CACHE[key]
+def receptive_blocks(graph: SocialGraph, rows: np.ndarray, layers: int) -> tuple[np.ndarray, list[EdgeBlock]]:
+    """Edge blocks of a ``layers``-deep GAT stack whose last layer outputs
+    the graph rows ``rows`` (sorted, unique).
+
+    Walks back one layer at a time: a layer keeps the in-edges of its output
+    rows, in graph order, so each per-node sum adds its terms in the same
+    order as over the whole graph; their sources (and the output rows
+    themselves) are the layer's input rows and the outputs of the layer
+    below.  Returns the first layer's input rows and the blocks, first layer
+    first.
+    """
+    blocks = []
+    outputs = np.asarray(rows, dtype=np.int64)
+    wanted = np.zeros(graph.n_nodes, dtype=bool)
+    for _ in range(layers):
+        wanted[:] = False
+        wanted[outputs] = True
+        keep = wanted[graph.dst]
+        src, dst = graph.src[keep], graph.dst[keep]
+        inputs = np.union1d(src, outputs)
+        blocks.append(
+            EdgeBlock(
+                src=np.searchsorted(inputs, src),
+                dst=np.searchsorted(outputs, dst),
+                targets=np.searchsorted(inputs, outputs),
+            )
+        )
+        outputs = inputs
+    return outputs, blocks[::-1]
 
 
 def signed_gat_layer(
     feats: Tensor,
-    graph: SocialGraph,
+    graph: EdgeBlock | SocialGraph,
     params,
     cfg: GatConfig,
     layer: int = 0,
     prefix: str = "gat",
 ) -> Tensor:
-    """One signed multi-head GAT layer over all nodes.
+    """One signed multi-head GAT layer over the edges of one block.
 
-    Per head: e_ij = leaky_relu(a_src.Wh_i + a_dst.Wh_j) over directed edges
-    j -> i; alpha_ij = sign(e_ij) * softmax_j(|e_ij|); node output aggregates
-    alpha-weighted Wh_j, heads are concatenated, projected back to d, tanh.
+    ``feats`` holds the block's input rows; the result holds its output rows.
+    Per head: e_ij = leaky_relu(a_src.Wh_j + a_dst.Wh_i) over directed edges
+    j -> i; alpha_ij = sign(e_ij) * softmax_j(|e_ij|); output row i
+    aggregates alpha-weighted Wh_j, heads are concatenated, projected back to
+    d, tanh.
     """
-    n = graph.n_nodes
-    if feats.shape[0] != n:
-        raise ShapeError(f"feature rows {feats.shape[0]} != node count {n}")
-    covered = np.zeros(n, dtype=bool)
+    d = feats.shape[1]
+    n_out = graph.targets.size
+    covered = np.zeros(n_out, dtype=bool)
     covered[graph.dst] = True
     if not covered.all():
         raise ValueError("node without any in-edge; self-loops are required")
 
-    d = feats.shape[1]
-    head_dim = cfg.head_dim(d)
-    collapse, expand = _head_blocks(cfg.heads, head_dim)
+    heads, head_dim = cfg.heads, cfg.head_dim(d)
     w = params[f"{prefix}.l{layer}.w"]
     a_src = params[f"{prefix}.l{layer}.a_src"]
     a_dst = params[f"{prefix}.l{layer}.a_dst"]
     wo = params[f"{prefix}.l{layer}.wo"]
 
-    hw = ad.matmul(feats, w)  # [n, heads*head_dim]
-    s_src = ad.matmul(ad.mul(hw, a_src), collapse)  # [n, heads]
-    s_dst = ad.matmul(ad.mul(hw, a_dst), collapse)
+    def per_head_sum(x: Tensor) -> Tensor:  # [rows, heads*head_dim] -> [rows, heads]
+        return ad.sum_(ad.reshape(x, (x.shape[0], heads, head_dim)), axis=2)
+
+    hw = ad.matmul(feats, w)  # [n_in, heads*head_dim]
+    s_src = per_head_sum(ad.mul(hw, a_src))
+    s_dst = per_head_sum(ad.mul(hw, a_dst))
     e = ad.leaky_relu(
-        ad.add(ad.gather_rows(s_src, graph.src), ad.gather_rows(s_dst, graph.dst)),
+        ad.add(
+            ad.gather_rows(s_src, graph.src),
+            ad.gather_rows(s_dst, graph.targets[graph.dst]),
+        ),
         cfg.leaky_slope,
     )  # [E, heads], scores for edge src -> dst grouped by dst
 
     sign = np.sign(e.data)  # piecewise constant, detached
     mag = ad.abs_(e)
-    shift = np.full((n, cfg.heads), -np.inf)
+    shift = np.full((n_out, heads), -np.inf)
     np.maximum.at(shift, graph.dst, mag.data)
     ex = ad.exp(ad.sub(mag, Tensor(shift[graph.dst])))
-    denom = ad.segment_sum(ex, graph.dst, n)
+    denom = ad.segment_sum(ex, graph.dst, n_out)
     alpha = ad.mul(ad.div(ex, ad.gather_rows(denom, graph.dst)), Tensor(sign))
 
-    alpha_full = ad.matmul(alpha, expand)  # [E, heads*head_dim]
-    msg = ad.mul(ad.gather_rows(hw, graph.src), alpha_full)
-    agg = ad.segment_sum(msg, graph.dst, n)
+    n_edges = graph.src.size
+    msg = ad.mul(
+        ad.reshape(ad.gather_rows(hw, graph.src), (n_edges, heads, head_dim)),
+        ad.reshape(alpha, (n_edges, heads, 1)),
+    )
+    agg = ad.segment_sum(ad.reshape(msg, (n_edges, heads * head_dim)), graph.dst, n_out)
     return ad.tanh(ad.matmul(agg, wo))
-
-
-def social_context(feats: Tensor, graph: SocialGraph, params, cfg: GatConfig, prefix: str = "gat") -> Tensor:
-    """Stack the configured number of signed GAT layers."""
-    out = feats
-    for layer in range(cfg.layers):
-        out = signed_gat_layer(out, graph, params, cfg, layer=layer, prefix=prefix)
-    return out
-
-
-def extract_social(node_feats: Tensor, graph: SocialGraph, post_id: str) -> Tensor:
-    """Social context vector of one post after the GAT stack."""
-    if post_id not in graph.index:
-        raise KeyError(f"unknown post id {post_id!r}")
-    row = graph.index[post_id]
-    out = ad.gather_rows(node_feats, [row])
-    return ad.reshape(out, (node_feats.shape[1],))
-
-
-def extract_social_batch(node_feats: Tensor, graph: SocialGraph, post_ids) -> Tensor:
-    rows = []
-    for pid in post_ids:
-        if pid not in graph.index:
-            raise KeyError(f"unknown post id {pid!r}")
-        rows.append(graph.index[pid])
-    return ad.gather_rows(node_feats, rows)

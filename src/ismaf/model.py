@@ -110,9 +110,22 @@ class IsmafModel:
         return ad.concat([text_feats, user_feats], axis=0)
 
     def social_batch(self, params, post_ids) -> Tensor:
-        feats = self._node_features(params)
-        nodes = encoders.social_context(feats, self.graph, params, self.gat_cfg)
-        return encoders.extract_social_batch(nodes, self.graph, post_ids)
+        """Social vectors [N, d] of the given nodes after the GAT stack.
+
+        The layers run only over the edges whose messages can reach these
+        rows, which gives the same rows as running them over every edge.
+        """
+        rows = []
+        for pid in post_ids:
+            if pid not in self.graph.index:
+                raise KeyError(f"unknown post id {pid!r}")
+            rows.append(self.graph.index[pid])
+        outputs, positions = np.unique(rows, return_inverse=True)
+        inputs, blocks = encoders.receptive_blocks(self.graph, outputs, self.gat_cfg.layers)
+        out = ad.gather_rows(self._node_features(params), inputs)
+        for layer, block in enumerate(blocks):
+            out = encoders.signed_gat_layer(out, block, params, self.gat_cfg, layer=layer)
+        return ad.gather_rows(out, positions)
 
     # -- forward passes ------------------------------------------------------
 

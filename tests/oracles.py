@@ -1,10 +1,15 @@
 """Independent brute-force reference implementations used to freeze expected
 values.  Everything here is deliberately scalar-loop / direct-formula numpy,
-sharing no code with the package under test."""
+sharing no code with the package under test, except the plain versions of
+optimised paths (``social_batch_full_graph``), which reuse the package's
+building blocks and differ from the optimised path only in what it skips."""
 
 import math
 
 import numpy as np
+
+from ismaf import autodiff as ad
+from ismaf.encoders import signed_gat_layer
 
 
 def matmul_triple_loop(a, b):
@@ -182,3 +187,13 @@ def central_diff(f, x, h=1e-4):
         flat[i] = orig
         gf[i] = (fp - fm) / (2 * h)
     return g
+
+
+def social_batch_full_graph(model, params, post_ids):
+    """What ``IsmafModel.social_batch`` computes, the plain way: every GAT
+    layer over every edge of the graph, then the batch rows gathered."""
+    graph = model.graph
+    out = model._node_features(params)
+    for layer in range(model.gat_cfg.layers):
+        out = signed_gat_layer(out, graph, params, model.gat_cfg, layer=layer)
+    return ad.gather_rows(out, [graph.index[pid] for pid in post_ids])

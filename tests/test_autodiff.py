@@ -141,6 +141,15 @@ class TestBackward:
         tape.backward(y)
         assert tape.grad(x) == pytest.approx(5.0)
 
+    def test_second_backward_rejected(self):
+        tape = Tape()
+        x = tape.watch(np.ones(3))
+        loss = ad.sum_(ad.mul(x, x))
+        tape.backward(loss)
+        with pytest.raises(ValueError, match="already ran"):
+            tape.backward(loss)
+        np.testing.assert_array_equal(tape.grad(x), 2 * np.ones(3))
+
     def test_mixed_tapes_rejected(self):
         t1, t2 = Tape(), Tape()
         a = t1.watch(np.ones(2))

@@ -1,9 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
 
 from ismaf import autodiff as ad
 from ismaf.autodiff import ParamStore, Tensor
-from ismaf.data import CommentRecord, PostRecord, UserRecord
+from ismaf.config import TrainConfig
+from ismaf.data import CommentRecord, PostRecord, UserRecord, generate_synthetic, split_dataset
 from ismaf.encoders import (
     GatConfig,
     SocialGraph,
@@ -14,11 +17,11 @@ from ismaf.encoders import (
     create_visual_params,
     encode_text,
     encode_text_batch,
-    extract_social,
     project_visual,
+    receptive_blocks,
     signed_gat_layer,
-    social_context,
 )
+from ismaf.model import IsmafModel
 
 import oracles
 
@@ -416,16 +419,20 @@ class TestSignedGat:
         assert ad.grad_check(loss, store) < 1e-4
 
 
+def _social_model(n=40, d=8, heads=2, gat_layers=1, theta=0.6):
+    data = generate_synthetic(n=n, d=d, separation=2.0, seed=31)
+    cfg = TrainConfig(d=d, heads=heads, token_len=4, theta=theta, gat_layers=gat_layers)
+    return IsmafModel(cfg, split_dataset(data, cfg.fractions, cfg.seed))
+
+
 class TestExtractSocial:
     def test_zero_layers_returns_initial_embedding(self):
-        d = 4
-        cfg = GatConfig(heads=2, layers=0)
-        store = ParamStore(seed=7)
-        graph = _manual_graph(3, [(0, 1)], d=d)
-        h = _rng(22).normal(size=(3, d))
-        out_nodes = social_context(Tensor(h), graph, store.constants(), cfg)
-        got = extract_social(out_nodes, graph, "p1")
-        np.testing.assert_array_equal(got.data, h[1])
+        model = _social_model(gat_layers=0)
+        params = model.store.constants()
+        pid = model.dataset.posts[1].id
+        got = model.social_batch(params, [pid])
+        expected = model._node_features(params).data[model.graph.index[pid]]
+        np.testing.assert_array_equal(got.data[0], expected)
 
     def test_identity_layer_on_isolated_node_is_nonlinearity(self):
         d = 3
@@ -438,9 +445,8 @@ class TestExtractSocial:
         store.assign("gat.l0.a_dst", np.full(d, 0.5))
         graph = _manual_graph(1, [], d=d)
         h = np.abs(_rng(23).normal(size=(1, d)))  # positive: e > 0, alpha = 1
-        out_nodes = social_context(Tensor(h), graph, store.constants(), cfg)
-        got = extract_social(out_nodes, graph, "p0")
-        np.testing.assert_allclose(got.data, np.tanh(h[0]), atol=1e-12)
+        got = signed_gat_layer(Tensor(h), graph, store.constants(), cfg)
+        np.testing.assert_allclose(got.data[graph.index["p0"]], np.tanh(h[0]), atol=1e-12)
 
     def test_matches_layer_oracle_fixture(self):
         d, heads = 4, 2
@@ -449,7 +455,7 @@ class TestExtractSocial:
         create_gat_params(store, d, cfg)
         graph = _manual_graph(4, [(0, 1), (1, 2), (2, 3)], d=d)
         h = _rng(24).normal(size=(4, d))
-        out_nodes = social_context(Tensor(h), graph, store.constants(), cfg)
+        out_nodes = signed_gat_layer(Tensor(h), graph, store.constants(), cfg)
         neighbors = [[j for j, i in zip(graph.src, graph.dst) if i == node] for node in range(4)]
         expected = oracles.signed_gat_enumerated(
             h, neighbors,
@@ -457,13 +463,76 @@ class TestExtractSocial:
             store.value("gat.l0.a_dst"), store.value("gat.l0.wo"),
             heads, cfg.leaky_slope,
         )
-        got = extract_social(out_nodes, graph, "p2")
-        assert np.abs(got.data - expected[2]).max() < 1e-10
+        got = out_nodes.data[graph.index["p2"]]
+        assert np.abs(got - expected[2]).max() < 1e-10
 
     def test_unknown_post_rejected(self):
-        graph = _manual_graph(2, [(0, 1)])
+        model = _social_model()
+        pid = model.dataset.posts[0].id
         with pytest.raises(KeyError, match="nope"):
-            extract_social(Tensor(np.zeros((2, 4))), graph, "nope")
+            model.social_batch(model.store.constants(), [pid, "nope"])
+
+
+# Corpora shaped like the benchmark's training workloads, at test size: the
+# default similarity threshold gives a dense graph with hub users; 0.9 leaves
+# a mostly structural one.
+_RECEPTIVE_CORPORA = {
+    "dense": dict(n=60, d=16, heads=8, theta=0.5),
+    "sparse": dict(n=60, d=16, heads=2, theta=0.9),
+}
+
+
+def _shared_neighbour_batches(model):
+    """A plain batch, one that repeats a post, and two whose posts share a
+    neighbour (the same author; comments by one user)."""
+    posts = model.dataset.posts
+    by_user = {}
+    for p in posts:
+        by_user.setdefault(p.user_id, []).append(p.id)
+    same_author = max(by_user.values(), key=len)
+    assert len(same_author) > 1
+    commented = {c.post_id for c in model.dataset.comments if c.user_id == posts[0].user_id}
+    ids = [p.id for p in posts]
+    return {
+        "plain": ids[:16],
+        "repeated": [ids[3], ids[7], ids[3], ids[3]],
+        "same-author": same_author,
+        "same-commenter": sorted(commented | {posts[0].id}),
+    }
+
+
+def _rows_and_grads(model, social, batch, probe):
+    tape = ad.Tape()
+    params = model.store.watch(tape)
+    out = social(params, batch)
+    tape.backward(ad.sum_(ad.mul(out, probe)))
+    return out.data, {name: tape.grad(t) for name, t in params.items()}
+
+
+class TestReceptiveField:
+    @pytest.mark.parametrize("corpus", sorted(_RECEPTIVE_CORPORA))
+    @pytest.mark.parametrize("gat_layers", [0, 1, 2, 3])
+    def test_rows_and_gradients_match_full_graph(self, corpus, gat_layers):
+        model = _social_model(gat_layers=gat_layers, **_RECEPTIVE_CORPORA[corpus])
+        full_graph = functools.partial(oracles.social_batch_full_graph, model)
+        for batch in _shared_neighbour_batches(model).values():
+            probe = Tensor(_rng(40).normal(size=(len(batch), model.config.d)))
+            got, got_grads = _rows_and_grads(model, model.social_batch, batch, probe)
+            want, want_grads = _rows_and_grads(model, full_graph, batch, probe)
+            assert np.abs(got - want).max() <= 1e-12
+            for name in want_grads:
+                assert np.abs(got_grads[name] - want_grads[name]).max() <= 1e-12, name
+
+    def test_each_layer_keeps_only_the_in_edges_of_its_outputs(self):
+        model = _social_model(gat_layers=2, **_RECEPTIVE_CORPORA["sparse"])
+        graph = model.graph
+        row = graph.index[model.dataset.posts[0].id]
+        inputs, (first, last) = receptive_blocks(graph, np.array([row]), 2)
+        into_post = graph.dst == row
+        assert last.src.size == into_post.sum()
+        into_hop = np.isin(graph.dst, graph.src[into_post])
+        assert first.src.size == into_hop.sum() < graph.src.size
+        np.testing.assert_array_equal(inputs, np.unique(graph.src[into_hop]))
 
 
 def test_encoder_outputs_have_dimension_d():
@@ -477,6 +546,6 @@ def test_encoder_outputs_have_dimension_d():
     r_t = encode_text(rng.integers(1, 15, size=8), params, cfg)
     r_v = project_visual(rng.normal(size=5), params["visual.w"], params["visual.b"])
     graph = _manual_graph(3, [(0, 1), (1, 2)], d=d)
-    nodes = social_context(Tensor(rng.normal(size=(3, d))), graph, params, gat_cfg)
-    r_g = extract_social(nodes, graph, "p0")
+    nodes = signed_gat_layer(Tensor(rng.normal(size=(3, d))), graph, params, gat_cfg)
+    r_g = nodes.data[graph.index["p0"]]
     assert r_t.shape == (d,) and r_v.shape == (d,) and r_g.shape == (d,)
