@@ -5,7 +5,9 @@ A ``Tape`` records every differentiable operation in execution order.  A
 or bound to the tape that produced it.  ``Tape.backward`` walks the record
 list in reverse, accumulating vector-Jacobian products into per-node gradient
 buffers keyed by node id, and consumes the records as it goes, so a tape
-runs backward once.
+runs backward once.  A record's vector-Jacobian product keeps only the arrays
+it reads (an input's shape, not its values, where the shape is enough), since
+the tape holds every record until backward.
 
 Single-threaded by design: one tape per training context.  Tensors are safe
 to share read-only across threads; a tape must never be mutated concurrently.
@@ -222,9 +224,10 @@ def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     tape = _tape_of(a, b)
     out = a.data + b.data
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return _emit(tape, out, (_Parent(a), _Parent(b)), vjp)
 
@@ -233,9 +236,10 @@ def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     tape = _tape_of(a, b)
     out = a.data - b.data
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)
 
     return _emit(tape, out, (_Parent(a), _Parent(b)), vjp)
 
@@ -259,10 +263,11 @@ def div(a, b) -> Tensor:
     ad = a.data
     bsafe = np.where(b.data >= 0, b.data + EPS, b.data - EPS)
     out = ad / bsafe
+    b_shape = b.data.shape
 
     def vjp(g):
         ga = _unbroadcast(g / bsafe, ad.shape)
-        gb = _unbroadcast(-g * ad / (bsafe * bsafe), b.data.shape)
+        gb = _unbroadcast(-g * ad / (bsafe * bsafe), b_shape)
         return ga, gb
 
     return _emit(tape, out, (_Parent(a), _Parent(b)), vjp)
@@ -316,15 +321,36 @@ def matmul(a, b) -> Tensor:
     return _emit(tape, out, (_Parent(a), _Parent(b)), vjp)
 
 
-def transpose(a) -> Tensor:
-    a = as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose expects a 2-D tensor, got {a.data.shape}")
+def batched_matmul(a, b) -> Tensor:
+    """Matrix product of matching 3-D stacks: [B, m, k] x [B, k, n] -> [B, m, n]."""
+    a, b = as_tensor(a), as_tensor(b)
+    if a.data.ndim != 3 or b.data.ndim != 3:
+        raise ShapeError(
+            f"batched_matmul expects 3-D operands, got {a.data.shape} x {b.data.shape}"
+        )
+    if a.data.shape[0] != b.data.shape[0] or a.data.shape[2] != b.data.shape[1]:
+        raise ShapeError(
+            f"batched_matmul batch or inner dimensions disagree: "
+            f"{a.data.shape} x {b.data.shape}"
+        )
+    tape = _tape_of(a, b)
 
     def vjp(g):
-        return (g.T,)
+        return g @ b.data.swapaxes(1, 2), a.data.swapaxes(1, 2) @ g
 
-    return _emit(a.tape, a.data.T, (_Parent(a),), vjp)
+    return _emit(tape, a.data @ b.data, (_Parent(a), _Parent(b)), vjp)
+
+
+def transpose(a) -> Tensor:
+    """Swap the last two axes of a 2-D or 3-D tensor."""
+    a = as_tensor(a)
+    if a.data.ndim not in (2, 3):
+        raise ShapeError(f"transpose expects a 2-D or 3-D tensor, got {a.data.shape}")
+
+    def vjp(g):
+        return (g.swapaxes(-1, -2),)
+
+    return _emit(a.tape, a.data.swapaxes(-1, -2), (_Parent(a),), vjp)
 
 
 def reshape(a, shape) -> Tensor:
@@ -353,30 +379,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return _emit(tape, out, tuple(_Parent(t) for t in tensors), vjp)
 
 
-def split(a, sizes, axis: int = 0) -> list[Tensor]:
-    """Inverse of concat: split into pieces of the given sizes along axis."""
-    a = as_tensor(a)
-    if sum(sizes) != a.data.shape[axis]:
-        raise ShapeError(
-            f"split sizes {tuple(sizes)} do not cover axis {axis} of {a.data.shape}"
-        )
-    pieces = []
-    start = 0
-    for size in sizes:
-        sl = [slice(None)] * a.data.ndim
-        sl[axis] = slice(start, start + size)
-        sl = tuple(sl)
-
-        def vjp(g, sl=sl):
-            buf = np.zeros_like(a.data)
-            buf[sl] = g
-            return (buf,)
-
-        pieces.append(_emit(a.tape, a.data[sl], (_Parent(a),), vjp))
-        start += size
-    return pieces
-
-
 def slice_rows(a, start: int, stop: int) -> Tensor:
     a = as_tensor(a)
 
@@ -398,8 +400,10 @@ def gather_rows(a, indices) -> Tensor:
             f"min {idx.min()}, max {idx.max()}"
         )
 
+    shape = a.data.shape
+
     def vjp(g):
-        buf = np.zeros_like(a.data)
+        buf = np.zeros(shape)
         np.add.at(buf, idx, g)
         return (buf,)
 
@@ -528,16 +532,17 @@ def mean(a, axis=None) -> Tensor:
 def softmax_rows(a) -> Tensor:
     """Row-wise softmax, stabilized by row-max subtraction."""
     a = as_tensor(a)
-    x = a.data if a.data.ndim == 2 else a.data[None, :]
+    rows = a.data.ndim == 2
+    x = a.data if rows else a.data[None, :]
     shifted = x - x.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=1, keepdims=True)
-    out = s if a.data.ndim == 2 else s[0]
+    out = s if rows else s[0]
 
     def vjp(g):
         g2 = g if g.ndim == 2 else g[None, :]
         gx = s * (g2 - (g2 * s).sum(axis=1, keepdims=True))
-        return (gx if a.data.ndim == 2 else gx[0],)
+        return (gx if rows else gx[0],)
 
     return _emit(a.tape, out, (_Parent(a),), vjp)
 

@@ -4,8 +4,9 @@ consistency alignment, and mutual learning between the two branch classifiers.
 
 Attention operates on a token lift: each d-vector is reshaped into
 ``token_len`` tokens of d/token_len entries, attended, and mean-pooled back
-to d.  Heads are realized as a block-diagonal mask over a (token, head) axis
-so a single softmax covers all heads.
+to d.  It takes a batch of rows at once and attends within each row only.
+Heads are realized as a block-diagonal mask over a (token, head) axis, so a
+single softmax covers all heads of all rows.
 """
 
 from __future__ import annotations
@@ -20,18 +21,6 @@ from . import autodiff as ad
 from .autodiff import NEG_MASK, ParamStore, Tensor
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class ContrastiveConfig:
-    tau_scl: float = 0.5
-    tau_cmca: float = 0.5
-
-    def __post_init__(self):
-        if self.tau_scl <= 0 or self.tau_cmca <= 0:
-            raise ValueError(
-                f"temperatures must be positive, got ({self.tau_scl}, {self.tau_cmca})"
-            )
 
 
 @dataclass(frozen=True)
@@ -79,45 +68,41 @@ def create_fusion_attention_params(store: ParamStore, cfg: AttentionConfig, pref
     store.create(f"{prefix}.F.wo", (cfg.inner_dim, cfg.d))
 
 
-_MASK_CACHE: dict[tuple[int, int], Tensor] = {}
-_POOL_CACHE: dict[int, Tensor] = {}
-
-
-def _head_mask(token_len: int, heads: int) -> Tensor:
-    key = (token_len, heads)
-    if key not in _MASK_CACHE:
-        idx = np.arange(token_len * heads) % heads
-        mask = np.where(idx[:, None] == idx[None, :], 0.0, NEG_MASK)
-        _MASK_CACHE[key] = Tensor(mask)
-    return _MASK_CACHE[key]
-
-
-def _mean_pool_row(token_len: int) -> Tensor:
-    if token_len not in _POOL_CACHE:
-        _POOL_CACHE[token_len] = Tensor(np.full((1, token_len), 1.0 / token_len))
-    return _POOL_CACHE[token_len]
-
-
 def attend(x_query, x_kv, wq, wk, wv, wo, cfg: AttentionConfig) -> Tensor:
-    """Multi-head scaled dot-product attention between two token-lifted
-    d-vectors; returns a d-vector (token mean of projected head outputs)."""
+    """Multi-head scaled dot-product attention between token-lifted rows.
+
+    ``x_query`` and ``x_kv`` are [N, d] batches (a [d] vector is one row);
+    row i of the queries attends to the tokens of row i of ``x_kv`` only.
+    Returns one d-vector per row, the token mean of the projected head
+    outputs, in the shape of ``x_query``.
+    """
+    x_query, x_kv = ad.as_tensor(x_query), ad.as_tensor(x_kv)
+    if x_query.shape != x_kv.shape or x_query.shape[-1] != cfg.d:
+        raise ad.ShapeError(
+            f"attention expects two matching batches of {cfg.d}-vectors, "
+            f"got {x_query.shape} and {x_kv.shape}"
+        )
     L, dt, H, dh = cfg.token_len, cfg.token_dim, cfg.heads, cfg.head_dim
-    tq = ad.reshape(x_query, (L, dt))
-    tkv = ad.reshape(x_kv, (L, dt))
-    # [L, inner] -> [(L*H), dh]: row t*H+h holds token t's head-h block, so a
-    # same-head mask turns one softmax into H independent ones.
-    q = ad.reshape(ad.matmul(tq, wq), (L * H, dh))
-    k = ad.reshape(ad.matmul(tkv, wk), (L * H, dh))
-    v = ad.reshape(ad.matmul(tkv, wv), (L * H, dh))
-    scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(dh))
-    attn = ad.softmax_rows(ad.add(scores, _head_mask(L, H)))
-    ctx = ad.reshape(ad.matmul(attn, v), (L, cfg.inner_dim))
-    out_tokens = ad.matmul(ctx, wo)  # [L, d]
-    return ad.reshape(ad.matmul(_mean_pool_row(L), out_tokens), (cfg.d,))
+    n = x_query.size // cfg.d
+    tq = ad.reshape(x_query, (n * L, dt))
+    tkv = ad.reshape(x_kv, (n * L, dt))
+    # [N*L, inner] -> [N, L*H, dh]: row t*H+h of post i holds token t's
+    # head-h block, so a same-head mask turns one softmax into H per post.
+    q = ad.reshape(ad.matmul(tq, wq), (n, L * H, dh))
+    k = ad.reshape(ad.matmul(tkv, wk), (n, L * H, dh))
+    v = ad.reshape(ad.matmul(tkv, wv), (n, L * H, dh))
+    scores = ad.scale(ad.batched_matmul(q, ad.transpose(k)), 1.0 / math.sqrt(dh))
+    head = np.arange(L * H) % H
+    mask = Tensor(np.where(head[:, None] == head[None, :], 0.0, NEG_MASK))
+    attn = ad.softmax_rows(ad.reshape(ad.add(scores, mask), (n * L * H, L * H)))
+    ctx = ad.batched_matmul(ad.reshape(attn, (n, L * H, L * H)), v)
+    out_tokens = ad.matmul(ad.reshape(ctx, (n * L, cfg.inner_dim)), wo)
+    return ad.mean(ad.reshape(out_tokens, x_query.shape[:-1] + (L, cfg.d)), axis=-2)
 
 
 def self_attention(r_m, modality: str, params, cfg: AttentionConfig, prefix: str = "attn") -> Tensor:
-    """Augment one unimodal d-vector with multi-head self-attention."""
+    """Augment unimodal d-vectors ([N, d] or one [d]) with multi-head
+    self-attention."""
     if modality not in ("T", "V"):
         raise ValueError(f"modality must be 'T' or 'V', got {modality!r}")
     p = f"{prefix}.{modality}"
@@ -277,6 +262,4 @@ def mutual_learning_loss(p_z, p_g) -> Tensor:
     if p_z.shape != p_g.shape:
         raise ad.ShapeError(f"distributions disagree in shape: {p_z.shape} vs {p_g.shape}")
     n = p_z.shape[0] if p_z.ndim == 2 else 1
-    kl_zg = ad.sum_(ad.mul(p_z, ad.sub(ad.log(p_z), ad.log(p_g))))
-    kl_gz = ad.sum_(ad.mul(p_g, ad.sub(ad.log(p_g), ad.log(p_z))))
-    return ad.scale(ad.add(kl_zg, kl_gz), 0.5 / n)
+    return ad.scale(ad.add(kl_divergence(p_z, p_g), kl_divergence(p_g, p_z)), 0.5 / n)

@@ -92,17 +92,10 @@ def fuse_alternate(kind: str, z, r_g, params, attn_cfg: AttentionConfig, prefix:
     if kind == "is-concat":
         joined = ad.concat([z, r_g], axis=1)
         return ad.linear(joined, params[f"{prefix}.cat_w"], params[f"{prefix}.cat_b"])
-    rows = []
-    n = z.shape[0]
-    for i in range(n):
-        z_i = ad.reshape(ad.slice_rows(z, i, i + 1), (z.shape[1],))
-        g_i = ad.reshape(ad.slice_rows(r_g, i, i + 1), (r_g.shape[1],))
-        out = attend(
-            z_i, g_i, params["attn.F.wq"], params["attn.F.wk"],
-            params["attn.F.wv"], params["attn.F.wo"], attn_cfg,
-        )
-        rows.append(ad.reshape(out, (1, attn_cfg.d)))
-    return ad.concat(rows, axis=0)
+    return attend(
+        z, r_g, params["attn.F.wq"], params["attn.F.wk"],
+        params["attn.F.wv"], params["attn.F.wo"], attn_cfg,
+    )
 
 
 def classify(x_fuse, params, prefix: str = "clf") -> Tensor:

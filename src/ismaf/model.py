@@ -145,21 +145,6 @@ class IsmafModel:
             r_g = ad.dropout(r_g, cfg.dropout, rng, training)
         return r_t, r_v, r_g
 
-    def _attend_batch(self, params, r_t, r_v):
-        """Per-post self- and co-attention, restacked into batch matrices."""
-        d = self.config.d
-        n = r_t.shape[0]
-        tv_rows, vt_rows = [], []
-        for i in range(n):
-            rt_i = ad.slice_rows(r_t, i, i + 1)
-            rv_i = ad.slice_rows(r_v, i, i + 1)
-            z_t = bridging.self_attention(rt_i, "T", params, self.attn_cfg)
-            z_v = bridging.self_attention(rv_i, "V", params, self.attn_cfg)
-            z_tv, z_vt = bridging.co_attention(z_t, z_v, params, self.attn_cfg)
-            tv_rows.append(ad.reshape(z_tv, (1, d)))
-            vt_rows.append(ad.reshape(z_vt, (1, d)))
-        return ad.concat(tv_rows, axis=0), ad.concat(vt_rows, axis=0)
-
     def forward(
         self,
         params,
@@ -172,13 +157,15 @@ class IsmafModel:
         cfg = self.config
         labels = np.array([self.dataset.post(pid).label for pid in post_ids])
         r_t, r_v, r_g = self._unimodal(params, post_ids, training, rng, zero_social)
-        z_tv_b, z_vt_b = self._attend_batch(params, r_t, r_v)
+        z_t = bridging.self_attention(r_t, "T", params, self.attn_cfg)
+        z_v = bridging.self_attention(r_v, "V", params, self.attn_cfg)
+        z_tv_b, z_vt_b = bridging.co_attention(z_t, z_v, params, self.attn_cfg)
+        z_b = bridging.intrinsic_rep(z_tv_b, z_vt_b)
 
         kind = cfg.effective_fusion()
         if kind == "af":
             x_fuse, l_af = fusion.adaptive_fuse(z_tv_b, z_vt_b, r_g, params)
         else:
-            z_b = bridging.intrinsic_rep(z_tv_b, z_vt_b)
             x_fuse = fusion.fuse_alternate(kind, z_b, r_g, params, self.attn_cfg)
             l_af = None
         if training:
@@ -195,15 +182,13 @@ class IsmafModel:
             fused_initial = ad.concat([r_t, r_v, r_g], axis=1)
             l_scl = bridging.scl_loss(fused_initial, labels, cfg.tau_scl)
         l_cmca = None
+        if not cfg.ablate_cmca:
+            l_cmca = bridging.cmca_loss(z_b, r_g, cfg.tau_cmca)
         l_ml = None
-        if not (cfg.ablate_cmca and cfg.ablate_ml):
-            z_b = bridging.intrinsic_rep(z_tv_b, z_vt_b)
-            if not cfg.ablate_cmca:
-                l_cmca = bridging.cmca_loss(z_b, r_g, cfg.tau_cmca)
-            if not cfg.ablate_ml:
-                e_z, e_g = bridging.project_common(z_b, r_g, params)
-                p_z, p_g = bridging.label_distributions(e_z, e_g, params)
-                l_ml = bridging.mutual_learning_loss(p_z, p_g)
+        if not cfg.ablate_ml:
+            e_z, e_g = bridging.project_common(z_b, r_g, params)
+            p_z, p_g = bridging.label_distributions(e_z, e_g, params)
+            l_ml = bridging.mutual_learning_loss(p_z, p_g)
 
         lambdas = cfg.effective_lambdas()
         total = fusion.overall_loss(l_ce, l_scl, l_cmca, l_ml, l_af, lambdas)

@@ -133,14 +133,10 @@ def _mean_breakdown(parts: list[LossBreakdown]) -> LossBreakdown:
     )
 
 
-def train(config: TrainConfig, dataset: DatasetBundle, post_step_hook=None) -> TrainResult:
+def train(config: TrainConfig, dataset: DatasetBundle) -> TrainResult:
     """Run the full objective for the configured number of epochs and return
     the parameter state with the best validation accuracy (ties keep the
     earlier epoch).
-
-    ``post_step_hook(model, grads)`` runs after each optimizer step; the
-    default is a no-op (the hook point where adversarial perturbation would
-    attach).
     """
     if dataset.split is None:
         dataset = split_dataset(dataset, config.fractions, config.seed)
@@ -179,8 +175,6 @@ def train(config: TrainConfig, dataset: DatasetBundle, post_step_hook=None) -> T
             grads = {name: tape.grad(t) for name, t in params.items()}
             optimizer.step(grads, lr)
             model.pin_constants()
-            if post_step_hook is not None:
-                post_step_hook(model, grads)
             step_parts.append(result.breakdown)
 
         val_report = evaluate(model, dataset, "val")

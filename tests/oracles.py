@@ -1,14 +1,16 @@
 """Independent brute-force reference implementations used to freeze expected
 values.  Everything here is deliberately scalar-loop / direct-formula numpy,
 sharing no code with the package under test, except the plain versions of
-optimised paths (``social_batch_full_graph``), which reuse the package's
-building blocks and differ from the optimised path only in what it skips."""
+optimised paths (``social_batch_full_graph``, ``attention_per_post``,
+``is_att_per_post``), which reuse the package's building blocks and differ
+from the optimised path only in what it skips or batches."""
 
 import math
 
 import numpy as np
 
 from ismaf import autodiff as ad
+from ismaf.bridging import attend, co_attention, self_attention
 from ismaf.encoders import signed_gat_layer
 
 
@@ -197,3 +199,33 @@ def social_batch_full_graph(model, params, post_ids):
     for layer in range(model.gat_cfg.layers):
         out = signed_gat_layer(out, graph, params, model.gat_cfg, layer=layer)
     return ad.gather_rows(out, [graph.index[pid] for pid in post_ids])
+
+
+def _row(batch, i):
+    return ad.reshape(ad.slice_rows(batch, i, i + 1), (batch.shape[1],))
+
+
+def attention_per_post(params, r_t, r_v, cfg):
+    """What ``IsmafModel.forward`` computes with self- and co-attention, the
+    plain way: one post at a time, restacked into [N, d] matrices.  Returns
+    (z_t, z_v, z_tv, z_vt)."""
+    outs = ([], [], [], [])
+    for i in range(r_t.shape[0]):
+        z_t = self_attention(_row(r_t, i), "T", params, cfg)
+        z_v = self_attention(_row(r_v, i), "V", params, cfg)
+        z_tv, z_vt = co_attention(z_t, z_v, params, cfg)
+        for rows, z in zip(outs, (z_t, z_v, z_tv, z_vt)):
+            rows.append(ad.reshape(z, (1, cfg.d)))
+    return tuple(ad.concat(rows, axis=0) for rows in outs)
+
+
+def is_att_per_post(z, r_g, params, cfg):
+    """What ``fuse_alternate("is-att")`` computes, one post at a time."""
+    rows = []
+    for i in range(z.shape[0]):
+        out = attend(
+            _row(z, i), _row(r_g, i), params["attn.F.wq"], params["attn.F.wk"],
+            params["attn.F.wv"], params["attn.F.wo"], cfg,
+        )
+        rows.append(ad.reshape(out, (1, cfg.d)))
+    return ad.concat(rows, axis=0)

@@ -1,3 +1,6 @@
+import re
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,6 +43,19 @@ class TestMatmul:
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(3, 4\).*\(5, 2\)"):
             ad.matmul(Tensor(np.zeros((3, 4))), Tensor(np.zeros((5, 2))))
+
+    def test_batched_against_triple_loop(self):
+        rng = _rng(4)
+        a, b = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 4, 2))
+        out = ad.batched_matmul(Tensor(a), Tensor(b))
+        for i in range(2):
+            assert np.abs(out.data[i] - oracles.matmul_triple_loop(a[i], b[i])).max() < 1e-12
+
+    @pytest.mark.parametrize("b_shape", [(3, 4, 2), (2, 5, 2), (4, 2)])
+    def test_batched_shape_mismatch_names_both_shapes(self, b_shape):
+        pattern = r"\(2, 3, 4\).*" + re.escape(str(b_shape))
+        with pytest.raises(ShapeError, match=pattern):
+            ad.batched_matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros(b_shape)))
 
     def test_vector_promotion(self):
         rng = _rng(3)
@@ -150,6 +166,26 @@ class TestBackward:
             tape.backward(loss)
         np.testing.assert_array_equal(tape.grad(x), 2 * np.ones(3))
 
+    # Each op reads only its input's shape in backward, so its record must
+    # not keep the input's values alive until the backward pass.
+    @pytest.mark.parametrize("op", [
+        lambda t: ad.add(t, Tensor(np.ones(4))),
+        lambda t: ad.sub(t, Tensor(np.ones(4))),
+        lambda t: ad.div(Tensor(np.ones(4)), t),
+        lambda t: ad.gather_rows(t, [0, 2, 2]),
+        ad.softmax_rows,
+    ], ids=["add", "sub", "div", "gather_rows", "softmax_rows"])
+    def test_record_does_not_hold_unread_input(self, op):
+        tape = Tape()
+        x = tape.watch(_rng(11).uniform(1.0, 2.0, size=(3, 4)))
+        inner = ad.scale(x, 2.0)
+        values = weakref.ref(inner.data)
+        out = op(inner)
+        del inner
+        assert values() is None
+        tape.backward(ad.sum_(ad.mul(out, out)))
+        assert np.abs(tape.grad(x)).sum() > 0
+
     def test_mixed_tapes_rejected(self):
         t1, t2 = Tape(), Tape()
         a = t1.watch(np.ones(2))
@@ -163,7 +199,7 @@ class TestLayoutOps:
         rng = _rng(8)
         parts = [rng.normal(size=(n, 3)) for n in (2, 1, 4)]
         joined = ad.concat([Tensor(p) for p in parts], axis=0)
-        back = ad.split(joined, [2, 1, 4], axis=0)
+        back = [ad.slice_rows(joined, 0, 2), ad.slice_rows(joined, 2, 3), ad.slice_rows(joined, 3, 7)]
         for orig, piece in zip(parts, back):
             np.testing.assert_array_equal(piece.data, orig)
 
@@ -202,10 +238,6 @@ class TestLayoutOps:
         tape.backward(ad.sum_(out))
         np.testing.assert_array_equal(tape.grad(x), [[0, 1], [1, 0], [1, 1]])
 
-    def test_split_bad_sizes(self):
-        with pytest.raises(ShapeError):
-            ad.split(Tensor(np.zeros((5, 2))), [2, 2], axis=0)
-
 
 # ---------------------------------------------------------------------------
 # grad_check on individual ops
@@ -234,12 +266,16 @@ _OP_CASES = {
     "mean_axis0": ({"a": (4, 3)}, lambda p: ad.mean(p["a"], axis=0)),
     "sum_axis1": ({"a": (4, 3)}, lambda p: ad.sum_(p["a"], axis=1)),
     "transpose": ({"a": (3, 4)}, lambda p: ad.transpose(p["a"])),
+    "transpose_3d": ({"a": (2, 3, 4)}, lambda p: ad.transpose(p["a"])),
+    "batched_matmul": (
+        {"a": (2, 3, 4), "b": (2, 4, 2)},
+        lambda p: ad.batched_matmul(p["a"], p["b"]),
+    ),
     "reshape": ({"a": (3, 4)}, lambda p: ad.reshape(p["a"], (2, 6))),
     "concat": (
         {"a": (2, 3), "b": (2, 3)},
         lambda p: ad.concat([p["a"], p["b"]], axis=1),
     ),
-    "split": ({"a": (5, 2)}, lambda p: ad.split(p["a"], [2, 3], axis=0)[1]),
     "slice_rows": ({"a": (5, 3)}, lambda p: ad.slice_rows(p["a"], 1, 4)),
     "gather_rows": (
         {"a": (4, 3)},

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from ismaf import autodiff as ad
-from ismaf.autodiff import ParamStore, Tensor
+from ismaf.autodiff import ParamStore, Tape, Tensor
 from ismaf.bridging import (
     AttentionConfig,
-    ContrastiveConfig,
     cmca_loss,
     co_attention,
     create_attention_params,
+    create_fusion_attention_params,
     create_mutual_params,
     intrinsic_rep,
     kl_divergence,
@@ -21,6 +21,8 @@ from ismaf.bridging import (
     scl_loss,
     self_attention,
 )
+from ismaf.config import TrainConfig
+from ismaf.fusion import fuse_alternate
 
 import oracles
 
@@ -198,6 +200,123 @@ class TestCoAttention:
         )
         assert np.abs(z_tv.data - exp_tv).max() < 1e-10
         assert np.abs(z_vt.data - exp_vt).max() < 1e-10
+
+
+# The paper point (d=300, 6 tokens of 50 entries, 8 heads padding the
+# projection up to 56) and the CI point's width with one entry per head.
+_BATCH_CONFIGS = {
+    "d32": AttentionConfig(d=32, heads=8, token_len=4),
+    "d300": AttentionConfig(d=300, heads=8, token_len=6),
+}
+
+
+def _self_pair(p, x, y, cfg):
+    return self_attention(x, "T", p, cfg), self_attention(y, "V", p, cfg)
+
+
+def _self_then_co(p, x, y, cfg):
+    return co_attention(*_self_pair(p, x, y, cfg), p, cfg)
+
+
+# case -> (batched path, plain per-post path); each maps (params, x, y, cfg)
+# to a tuple of [N, d] outputs.
+_ATTENTION_PATHS = {
+    "self": (_self_pair, lambda p, x, y, cfg: oracles.attention_per_post(p, x, y, cfg)[:2]),
+    "co": (_self_then_co, lambda p, x, y, cfg: oracles.attention_per_post(p, x, y, cfg)[2:]),
+    "is-att": (
+        lambda p, x, y, cfg: (fuse_alternate("is-att", x, y, p, cfg),),
+        lambda p, x, y, cfg: (oracles.is_att_per_post(x, y, p, cfg),),
+    ),
+}
+
+
+def _enumerated(store, case, x, y, cfg):
+    """Expected outputs for one post from the per-head loop oracle."""
+
+    def att(q, kv, wq, wk, wv, wo):
+        w = [store.value(f"attn.{name}") for name in (wq, wk, wv, wo)]
+        return oracles.attention_enumerated(q, kv, *w, cfg.token_len, cfg.heads)
+
+    if case == "is-att":
+        return (att(x, y, "F.wq", "F.wk", "F.wv", "F.wo"),)
+    z_t = att(x, x, "T.wq", "T.wk", "T.wv", "T.wo")
+    z_v = att(y, y, "V.wq", "V.wk", "V.wv", "V.wo")
+    if case == "self":
+        return z_t, z_v
+    return (
+        att(z_t, z_v, "T.wq", "V.wk", "V.wv", "TV.wo"),
+        att(z_v, z_t, "V.wq", "T.wk", "T.wv", "VT.wo"),
+    )
+
+
+def _batch(n, d, seed):
+    rng = _rng(seed)
+    if n == "repeated":
+        return np.stack([rng.normal(size=d)] * 2)
+    return rng.normal(size=(n, d))
+
+
+def _attention_store(cfg):
+    store = ParamStore(seed=40)
+    create_attention_params(store, cfg)
+    create_fusion_attention_params(store, cfg)
+    return store
+
+
+def _outputs_and_grads(store, path, x, y, cfg):
+    """Outputs of ``path`` and the gradients of a fixed random contraction
+    of them with respect to every parameter and both inputs."""
+    tape = Tape()
+    params = store.watch(tape)
+    tx, ty = tape.watch(x), tape.watch(y)
+    outs = path(params, tx, ty, cfg)
+    probe = _rng(43)
+    loss = ad.sum_(ad.concat(
+        [ad.mul(o, Tensor(probe.normal(size=o.shape))) for o in outs], axis=1
+    ))
+    tape.backward(loss)
+    grads = {name: tape.grad(t) for name, t in params.items()}
+    grads["x"], grads["y"] = tape.grad(tx), tape.grad(ty)
+    return [o.data for o in outs], grads
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, "repeated"])
+@pytest.mark.parametrize("shape", sorted(_BATCH_CONFIGS))
+@pytest.mark.parametrize("case", sorted(_ATTENTION_PATHS))
+class TestBatchedAttention:
+    """One attention call over a batch of rows against the per-post loop it
+    replaced, and each row against the per-head enumeration oracle."""
+
+    def test_rows_and_gradients_match_per_post_loop(self, case, shape, n):
+        cfg = _BATCH_CONFIGS[shape]
+        store = _attention_store(cfg)
+        x, y = _batch(n, cfg.d, 41), _batch(n, cfg.d, 42)
+        batched, plain = _ATTENTION_PATHS[case]
+        outs, grads = _outputs_and_grads(store, batched, x, y, cfg)
+        want_outs, want_grads = _outputs_and_grads(store, plain, x, y, cfg)
+        for out, want in zip(outs, want_outs, strict=True):
+            assert out.shape == x.shape
+            np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
+        assert grads.keys() == want_grads.keys()
+        for name, g in grads.items():
+            np.testing.assert_allclose(g, want_grads[name], rtol=0, atol=1e-12, err_msg=name)
+
+    def test_rows_match_enumeration_oracle(self, case, shape, n):
+        cfg = _BATCH_CONFIGS[shape]
+        store = _attention_store(cfg)
+        x, y = _batch(n, cfg.d, 41), _batch(n, cfg.d, 42)
+        batched, _ = _ATTENTION_PATHS[case]
+        outs = batched(store.constants(), Tensor(x), Tensor(y), cfg)
+        for i in range(x.shape[0]):
+            expected = _enumerated(store, case, x[i], y[i], cfg)
+            for out, want in zip(outs, expected, strict=True):
+                assert np.abs(out.data[i] - want).max() < 1e-6
+
+
+def test_attention_rejects_mismatched_batches():
+    cfg, store = _attn_setup()
+    with pytest.raises(ad.ShapeError, match=r"\(3, 12\).*\(2, 12\)"):
+        co_attention(Tensor(np.zeros((3, 12))), Tensor(np.zeros((2, 12))), store.constants(), cfg)
 
 
 class TestIntrinsicRep:
@@ -410,7 +529,7 @@ class TestMutualLearningLoss:
 
 
 def test_contrastive_config_validation():
-    with pytest.raises(ValueError, match="positive"):
-        ContrastiveConfig(tau_scl=0.0)
+    with pytest.raises(ValueError, match="tau_scl must be > 0"):
+        TrainConfig(tau_scl=0.0)
     with pytest.raises(ValueError, match="divide"):
         AttentionConfig(d=10, heads=2, token_len=3)
