@@ -562,34 +562,6 @@ def row_l2_normalize(a) -> Tensor:
     return _emit(a.tape, x / denom, (_Parent(a),), vjp)
 
 
-def cosine_sim(a, b) -> Tensor:
-    """Cosine similarity of two 1-D vectors; returns 0 when both are zero.
-
-    Denominator carries a 1e-12 guard, so the value stays inside [-1, 1].
-    The gradient at a zero vector follows the documented zero convention.
-    """
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 1 or b.data.ndim != 1 or a.data.shape != b.data.shape:
-        raise ShapeError(
-            f"cosine_sim expects matching 1-D vectors, got {a.data.shape} and {b.data.shape}"
-        )
-    tape = _tape_of(a, b)
-    na = np.sqrt((a.data * a.data).sum())
-    nb = np.sqrt((b.data * b.data).sum())
-    dot = float(a.data @ b.data)
-    denom = na * nb + EPS
-    c = dot / denom
-
-    def vjp(g):
-        if na < EPS or nb < EPS:
-            return np.zeros_like(a.data), np.zeros_like(b.data)
-        ga = g * (b.data - c * nb * a.data / na) / denom
-        gb = g * (a.data - c * na * b.data / nb) / denom
-        return ga, gb
-
-    return _emit(tape, np.float64(c), (_Parent(a), _Parent(b)), vjp)
-
-
 def dropout(a, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
     """Inverted dropout: seeded mask scaled by 1/(1-rate) in training mode,
     identity in eval mode."""

@@ -248,8 +248,9 @@ def label_distributions(e_z, e_g, params, prefix: str = "ml") -> tuple[Tensor, T
 
 
 def kl_divergence(p, q) -> Tensor:
-    """KL(P || Q) over one distribution; entries are clamped at 1e-12 inside
-    log, giving the 0*log(0) = 0 convention."""
+    """Sum of KL(P_i || Q_i) over the rows of matching [N, k] (or [k])
+    distribution arrays; entries are clamped at 1e-12 inside log, giving the
+    0*log(0) = 0 convention."""
     p, q = ad.as_tensor(p), ad.as_tensor(q)
     if p.shape != q.shape:
         raise ad.ShapeError(f"distributions disagree in shape: {p.shape} vs {q.shape}")

@@ -38,6 +38,10 @@ class CommentRecord:
     user_id: str
     post_id: str
 
+    def __post_init__(self):
+        if any(t < 0 for t in self.tokens):
+            raise ValueError(f"comment {self.id}: negative token id")
+
 
 @dataclass
 class UserRecord:

@@ -2,10 +2,12 @@
 signed graph attention.
 
 All encoders emit vectors of the shared feature dimension d.  Graph
-construction is a pure numpy function over fixed node embeddings.  The GAT
-layers run on tape tensors, so gradients reach the embedding table, and each
-layer runs over an edge block: the edges whose messages can reach the rows
-the caller needs (``receptive_blocks``), or every edge of the graph.
+construction is a pure numpy function of the records and a token-embedding
+table; the graph keeps each node's token weights, so a node's feature under
+any table is its row of ``token_weights @ embed``.  The GAT layers run on
+tape tensors, so gradients reach the embedding table, and each layer runs
+over an edge block: the edges whose messages can reach the rows the caller
+needs (``receptive_blocks``), or every edge of the graph.
 """
 
 from __future__ import annotations
@@ -59,16 +61,11 @@ def _spread_filters(d: int, n_kernels: int) -> tuple[int, ...]:
 class GatConfig:
     heads: int = 8
     layers: int = 2
-    similarity_threshold: float = 0.5
     leaky_slope: float = 0.2
 
     def __post_init__(self):
         if self.heads < 1:
             raise ValueError(f"heads must be >= 1, got {self.heads}")
-        if not 0.0 <= self.similarity_threshold < 1.0:
-            raise ValueError(
-                f"similarity threshold must lie in [0, 1), got {self.similarity_threshold}"
-            )
 
     def head_dim(self, d: int) -> int:
         return math.ceil(d / self.heads)
@@ -135,15 +132,6 @@ def encode_text_batch(tokens, params, cfg: TextEncoderConfig, prefix: str = "tex
     return ad.concat(pooled, axis=1)
 
 
-def encode_text(tokens, params, cfg: TextEncoderConfig, prefix: str = "text") -> Tensor:
-    """Encode one padded token sequence into a d-vector."""
-    tokens = np.asarray(tokens, dtype=np.int64)
-    if tokens.size == 0:
-        raise ValueError("empty token sequence")
-    out = encode_text_batch(tokens[None, :], params, cfg, prefix=prefix)
-    return ad.reshape(out, (cfg.embed_dim,))
-
-
 # ---------------------------------------------------------------------------
 # visual projection
 
@@ -168,14 +156,17 @@ class SocialGraph:
 
     Edges are stored directed (each undirected pair in both directions, plus
     one self-loop per node) so attention layers can consume them directly.
+    ``token_weights`` defines the node features: a text's row holds its
+    token counts over its length, a user's row is the mean of the rows of
+    the texts it wrote (zero when it wrote nothing), and the features under
+    an embedding table are ``token_weights @ embed``.
     """
 
     node_ids: list[str]
     node_kinds: list[str]
-    embeddings: np.ndarray  # [n_nodes, d] construction-time embeddings
+    token_weights: np.ndarray  # [n_nodes, vocab]
     src: np.ndarray  # directed edge sources
     dst: np.ndarray  # directed edge destinations
-    weights: np.ndarray  # cosine similarity per directed edge; 1.0 on self-loops
     index: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -199,8 +190,6 @@ class SocialGraph:
         loops = set(self.src[self.src == self.dst].tolist())
         if loops != set(range(n)):
             raise ValueError("every node must carry a self-loop")
-        if np.abs(self.weights).max() > 1.0 + 1e-9:
-            raise ValueError("edge weights must satisfy |w| <= 1")
 
 
 def _pairwise_cosine(emb: np.ndarray) -> np.ndarray:
@@ -214,68 +203,63 @@ def build_social_graph(
     posts,
     comments,
     users,
-    embeddings: dict[str, np.ndarray],
+    embed: np.ndarray,
     theta: float = 0.5,
     connect_kinds: str = "all",
 ) -> SocialGraph:
     """Build the interaction graph.
 
-    Post and comment nodes take their text embeddings from ``embeddings``;
-    user nodes average the embeddings of their authored posts and comments
-    (zero vector when a user authored nothing).  Undirected edges exist where
-    cosine similarity >= theta or a structural relation holds (authorship,
-    comment-on-post); every edge is weighted by cosine similarity and every
-    node gets a self-loop of weight 1.
+    Node features are ``token_weights @ embed`` (see ``SocialGraph``):
+    post and comment nodes take the mean embedding of their tokens, user
+    nodes the mean of their authored posts and comments (zero vector when a
+    user authored nothing).  Undirected edges exist where cosine similarity
+    of the features >= theta or a structural relation holds (authorship,
+    comment-on-post), and every node gets a self-loop.
 
     ``connect_kinds`` is "all" (similarity edges may join any node kinds) or
     "same-kind" (similarity edges only within one kind).
     """
     if connect_kinds not in ("all", "same-kind"):
         raise ValueError(f"unknown connect_kinds {connect_kinds!r}")
-    user_ids = [u.id for u in users]
-    known_users = set(user_ids)
-    post_index = {p.id: i for i, p in enumerate(posts)}
-    for p in posts:
-        if p.user_id not in known_users:
-            raise ValueError(f"post {p.id} references unknown user {p.user_id}")
-    for c in comments:
-        if c.user_id not in known_users:
-            raise ValueError(f"comment {c.id} references unknown user {c.user_id}")
-        if c.post_id not in post_index:
-            raise ValueError(f"comment {c.id} references unknown post {c.post_id}")
-
-    node_ids = [p.id for p in posts] + [c.id for c in comments] + user_ids
+    node_ids = [p.id for p in posts] + [c.id for c in comments] + [u.id for u in users]
     node_kinds = ["post"] * len(posts) + ["comment"] * len(comments) + ["user"] * len(users)
-    index = {nid: i for i, nid in enumerate(node_ids)}
+    index: dict[str, int] = {}
+    for row, nid in enumerate(node_ids):
+        if index.setdefault(nid, row) != row:
+            raise ValueError(f"node id {nid!r} is used by more than one post, comment or user")
 
-    d = len(next(iter(embeddings.values())))
-    emb = np.zeros((len(node_ids), d))
-    for p in posts:
-        emb[index[p.id]] = embeddings[p.id]
-    for c in comments:
-        emb[index[c.id]] = embeddings[c.id]
-    authored: dict[str, list[int]] = {u: [] for u in user_ids}
-    for p in posts:
-        authored[p.user_id].append(index[p.id])
-    for c in comments:
-        authored[c.user_id].append(index[c.id])
-    for u in user_ids:
-        rows = authored[u]
-        if rows:
-            emb[index[u]] = emb[rows].mean(axis=0)
+    def check_ref(what: str, ref: str, kind: str):
+        if ref not in index or node_kinds[index[ref]] != kind:
+            raise ValueError(f"{what} references unknown {kind} {ref}")
 
-    sim = _pairwise_cosine(emb)
-    n = len(node_ids)
+    for p in posts:
+        check_ref(f"post {p.id}", p.user_id, "user")
+    for c in comments:
+        check_ref(f"comment {c.id}", c.user_id, "user")
+        check_ref(f"comment {c.id}", c.post_id, "post")
+
+    # Texts fill the first rows; a text's row is its token counts over its
+    # length, and its author's row collects the mean of those rows.
+    texts = list(posts) + list(comments)
+    n, n_texts = len(node_ids), len(texts)
+    lengths = np.array([len(rec.tokens) for rec in texts], dtype=np.int64)
+    tokens = np.array([tok for rec in texts for tok in rec.tokens], dtype=np.int64)
+    authors = np.array([index[rec.user_id] for rec in texts], dtype=np.int64)
+    token_weights = np.zeros((n, embed.shape[0]))
+    np.add.at(token_weights, (np.repeat(np.arange(n_texts), lengths), tokens), 1.0)
+    token_weights[:n_texts] /= np.maximum(lengths, 1)[:, None]
+    np.add.at(token_weights, authors, token_weights[:n_texts])
+    token_weights[n_texts:] /= np.maximum(np.bincount(authors, minlength=n)[n_texts:], 1)[:, None]
+
+    sim = _pairwise_cosine(token_weights @ embed)
     kinds = np.array([{"post": 0, "comment": 1, "user": 2}[k] for k in node_kinds])
     adj = sim >= theta
     if connect_kinds == "same-kind":
         adj &= kinds[:, None] == kinds[None, :]
     np.fill_diagonal(adj, False)
 
-    for p in posts:
-        adj[index[p.id], index[p.user_id]] = True
+    adj[np.arange(n_texts), authors] = True
     for c in comments:
-        adj[index[c.id], index[c.user_id]] = True
         adj[index[c.id], index[c.post_id]] = True
     adj |= adj.T
 
@@ -283,9 +267,8 @@ def build_social_graph(
     loop = np.arange(n)
     src = np.concatenate([pair_src, loop])
     dst = np.concatenate([pair_dst, loop])
-    weights = np.concatenate([sim[pair_src, pair_dst], np.ones(n)])
 
-    graph = SocialGraph(node_ids, node_kinds, emb, src, dst, weights, index)
+    graph = SocialGraph(node_ids, node_kinds, token_weights, src, dst, index)
     graph.validate()
     return graph
 

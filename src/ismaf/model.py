@@ -45,7 +45,6 @@ class IsmafModel:
         self.gat_cfg = encoders.GatConfig(
             heads=config.heads,
             layers=config.gat_layers,
-            similarity_threshold=config.theta,
             leaky_slope=config.gat_leaky_slope,
         )
         self.attn_cfg = bridging.AttentionConfig(
@@ -67,47 +66,16 @@ class IsmafModel:
         else:
             bridging.create_fusion_attention_params(self.store, self.attn_cfg)
 
-        self._build_graph_context()
-
-    # -- graph plumbing ----------------------------------------------------
-
-    def _build_graph_context(self):
-        """Token-count matrices for node features and the frozen graph."""
-        texts = list(self.dataset.posts) + list(self.dataset.comments)
-        vocab = self.text_cfg.vocab_size
-        counts = np.zeros((len(texts), vocab))
-        for row, rec in enumerate(texts):
-            for tok in rec.tokens:
-                counts[row, tok] += 1.0
-            counts[row] /= max(len(rec.tokens), 1)
-        self._text_counts = counts
-
-        users = self.dataset.users
-        user_pos = {u.id: i for i, u in enumerate(users)}
-        averager = np.zeros((len(users), len(texts)))
-        for row, rec in enumerate(texts):
-            averager[user_pos[rec.user_id], row] += 1.0
-        owned = averager.sum(axis=1, keepdims=True)
-        self._user_avg = averager / np.maximum(owned, 1.0)
-
-        init_embed = self.store.value("text.embed")
-        text_feats = counts @ init_embed
-        embeddings = {rec.id: text_feats[row] for row, rec in enumerate(texts)}
         self.graph = encoders.build_social_graph(
-            self.dataset.posts,
-            self.dataset.comments,
-            users,
-            embeddings,
-            theta=self.config.theta,
-            connect_kinds=self.config.connect_kinds,
+            dataset.posts,
+            dataset.comments,
+            dataset.users,
+            self.store.value("text.embed"),
+            theta=config.theta,
+            connect_kinds=config.connect_kinds,
         )
 
-    def _node_features(self, params) -> Tensor:
-        """Current node features: token-embedding means for posts/comments,
-        authored-content averages for users."""
-        text_feats = ad.matmul(Tensor(self._text_counts), params["text.embed"])
-        user_feats = ad.matmul(Tensor(self._user_avg), text_feats)
-        return ad.concat([text_feats, user_feats], axis=0)
+    # -- graph plumbing ----------------------------------------------------
 
     def social_batch(self, params, post_ids) -> Tensor:
         """Social vectors [N, d] of the given nodes after the GAT stack.
@@ -122,7 +90,7 @@ class IsmafModel:
             rows.append(self.graph.index[pid])
         outputs, positions = np.unique(rows, return_inverse=True)
         inputs, blocks = encoders.receptive_blocks(self.graph, outputs, self.gat_cfg.layers)
-        out = ad.gather_rows(self._node_features(params), inputs)
+        out = ad.matmul(Tensor(self.graph.token_weights[inputs]), params["text.embed"])
         for layer, block in enumerate(blocks):
             out = encoders.signed_gat_layer(out, block, params, self.gat_cfg, layer=layer)
         return ad.gather_rows(out, positions)

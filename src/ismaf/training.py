@@ -17,6 +17,8 @@ from .model import IsmafModel
 
 log = logging.getLogger(__name__)
 
+EVAL_CHUNK = 256  # posts per predict call in evaluate
+
 
 class TrainingDiverged(RuntimeError):
     """Raised when the loss leaves the finite range; carries the last finite
@@ -202,7 +204,6 @@ def evaluate(
     dataset: DatasetBundle,
     split: str,
     zero_social: bool = False,
-    batch_size: int = 256,
 ) -> MetricsReport:
     """Deterministic metrics over one split; rumor (label 1) is the positive
     class.  ``zero_social`` replaces the social vector with zeros at
@@ -211,8 +212,8 @@ def evaluate(
     if not ids:
         raise ValueError(f"split {split!r} is empty")
     predicted = []
-    for start in range(0, len(ids), batch_size):
-        chunk = ids[start : start + batch_size]
+    for start in range(0, len(ids), EVAL_CHUNK):
+        chunk = ids[start : start + EVAL_CHUNK]
         predicted.extend(model.predict(chunk, zero_social=zero_social))
     actual = [dataset.post(pid).label for pid in ids]
     return MetricsReport.from_predictions(predicted, actual)

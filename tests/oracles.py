@@ -191,11 +191,31 @@ def central_diff(f, x, h=1e-4):
     return g
 
 
+def node_features_direct(posts, comments, users, embed):
+    """Node features in graph order (posts, comments, users), one node at a
+    time: a text is the mean of its token embedding rows, repeats included
+    (zero without tokens); a user is the mean of the features of the texts it
+    wrote, zero when it wrote nothing."""
+    texts = list(posts) + list(comments)
+    feats = {}
+    for rec in texts:
+        total = np.zeros(embed.shape[1])
+        for tok in rec.tokens:
+            total += embed[tok]
+        feats[rec.id] = total / max(len(rec.tokens), 1)
+    rows = [feats[rec.id] for rec in texts]
+    for user in users:
+        own = [feats[rec.id] for rec in texts if rec.user_id == user.id]
+        rows.append(sum(own) / len(own) if own else np.zeros(embed.shape[1]))
+    return np.array(rows)
+
+
 def social_batch_full_graph(model, params, post_ids):
-    """What ``IsmafModel.social_batch`` computes, the plain way: every GAT
-    layer over every edge of the graph, then the batch rows gathered."""
+    """What ``IsmafModel.social_batch`` computes, the plain way: every node's
+    features, every GAT layer over every edge of the graph, then the batch
+    rows gathered."""
     graph = model.graph
-    out = model._node_features(params)
+    out = ad.matmul(ad.Tensor(graph.token_weights), params["text.embed"])
     for layer in range(model.gat_cfg.layers):
         out = signed_gat_layer(out, graph, params, model.gat_cfg, layer=layer)
     return ad.gather_rows(out, [graph.index[pid] for pid in post_ids])

@@ -95,30 +95,6 @@ class TestSoftmaxRows:
         np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-9)
 
 
-class TestCosineSim:
-    def test_self_is_one(self):
-        v = np.array([1.0, -2.0, 0.5])
-        assert ad.cosine_sim(Tensor(v), Tensor(v)).item() == pytest.approx(1.0)
-
-    def test_negation_is_minus_one(self):
-        v = np.array([1.0, -2.0, 0.5])
-        assert ad.cosine_sim(Tensor(v), Tensor(-v)).item() == pytest.approx(-1.0)
-
-    def test_orthogonal(self):
-        out = ad.cosine_sim(Tensor([1.0, 0.0]), Tensor([0.0, 1.0]))
-        assert out.item() == pytest.approx(0.0, abs=1e-12)
-
-    def test_both_zero_returns_zero(self):
-        assert ad.cosine_sim(Tensor([0.0, 0.0]), Tensor([0.0, 0.0])).item() == 0.0
-
-    def test_bounded(self):
-        rng = _rng(5)
-        for _ in range(20):
-            a, b = rng.normal(size=6), rng.normal(size=6)
-            c = ad.cosine_sim(Tensor(a), Tensor(b)).item()
-            assert -1.0 <= c <= 1.0
-
-
 # ---------------------------------------------------------------------------
 # backward basics
 
@@ -288,10 +264,6 @@ _OP_CASES = {
     "segment_max": (
         {"a": (5, 2)},
         lambda p: ad.segment_max(p["a"], [0, 1, 0, 1, 1], 2),
-    ),
-    "cosine_sim": (
-        {"a": (6,), "b": (6,)},
-        lambda p: ad.cosine_sim(p["a"], p["b"]),
     ),
     # The mask is re-seeded per call, so the function stays deterministic.
     "dropout_apply": (

@@ -189,6 +189,12 @@ class TestJsonlRoundTrip:
         with pytest.raises(ValueError, match="finite"):
             PostRecord("p0", [1], np.array([np.inf, 0.0]), "u0", [], 0)
 
+    def test_negative_token_rejected(self):
+        with pytest.raises(ValueError, match="post p0: negative token id"):
+            PostRecord("p0", [1, -1], np.zeros(2), "u0", [], 0)
+        with pytest.raises(ValueError, match="comment c0: negative token id"):
+            CommentRecord("c0", [-1], "u0", "p0")
+
 
 class TestDatasetBundle:
     def test_split_ids_requires_assignment(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -15,7 +16,6 @@ from ismaf.encoders import (
     create_gat_params,
     create_text_params,
     create_visual_params,
-    encode_text,
     encode_text_batch,
     project_visual,
     receptive_blocks,
@@ -45,8 +45,8 @@ class TestEncodeText:
     def test_zero_embeddings_zero_bias_gives_zero(self):
         cfg, store = _text_setup()
         store.assign("text.embed", np.zeros((cfg.vocab_size, cfg.embed_dim)))
-        out = encode_text([1, 2, 3, 4, 5, 6, 7, 8], store.constants(), cfg)
-        np.testing.assert_array_equal(out.data, np.zeros(cfg.embed_dim))
+        out = encode_text_batch([[1, 2, 3, 4, 5, 6, 7, 8]], store.constants(), cfg)
+        np.testing.assert_array_equal(out.data[0], np.zeros(cfg.embed_dim))
 
     def test_kernel1_identity_filters_is_positionwise_max(self):
         d = 5
@@ -58,14 +58,14 @@ class TestEncodeText:
         store.assign("text.embed", emb)
         store.assign("text.conv1.w", np.eye(d))
         tokens = [3, 1, 4, 1, 5, 2]
-        out = encode_text(tokens, store.constants(), cfg)
-        np.testing.assert_allclose(out.data, emb[tokens].max(axis=0))
+        out = encode_text_batch([tokens], store.constants(), cfg)
+        np.testing.assert_allclose(out.data[0], emb[tokens].max(axis=0))
 
     def test_against_sliding_window_oracle(self):
         cfg, store = _text_setup(seed=3)
         rng = _rng(4)
         tokens = rng.integers(1, cfg.vocab_size, size=cfg.seq_len)
-        out = encode_text(tokens, store.constants(), cfg)
+        out = encode_text_batch(tokens[None, :], store.constants(), cfg)
         expected = oracles.text_cnn_sliding(
             tokens,
             store.value("text.embed"),
@@ -74,7 +74,7 @@ class TestEncodeText:
                 for k in cfg.kernel_sizes
             ],
         )
-        assert np.abs(out.data - expected).max() < 1e-10
+        assert np.abs(out.data[0] - expected).max() < 1e-10
 
     def test_batch_matches_per_post(self):
         cfg, store = _text_setup(seed=5)
@@ -82,18 +82,18 @@ class TestEncodeText:
         tokens = rng.integers(1, cfg.vocab_size, size=(4, cfg.seq_len))
         batch = encode_text_batch(tokens, store.constants(), cfg)
         for i in range(4):
-            single = encode_text(tokens[i], store.constants(), cfg)
-            np.testing.assert_allclose(batch.data[i], single.data, atol=1e-12)
+            single = encode_text_batch(tokens[i : i + 1], store.constants(), cfg)
+            np.testing.assert_allclose(batch.data[i], single.data[0], atol=1e-12)
 
     def test_empty_sequence_rejected(self):
         cfg, store = _text_setup()
         with pytest.raises(ValueError, match="empty"):
-            encode_text([], store.constants(), cfg)
+            encode_text_batch(np.zeros((0, cfg.seq_len)), store.constants(), cfg)
 
     def test_unknown_token_rejected(self):
         cfg, store = _text_setup()
         with pytest.raises(ValueError, match="vocabulary"):
-            encode_text([1, 2, cfg.vocab_size, 0, 0, 0, 0, 0], store.constants(), cfg)
+            encode_text_batch([[1, 2, cfg.vocab_size, 0, 0, 0, 0, 0]], store.constants(), cfg)
 
     def test_invariant_to_amount_of_trailing_padding(self):
         # Same real tokens under two sequence lengths, both leaving at least
@@ -104,8 +104,8 @@ class TestEncodeText:
         cfg_short = TextEncoderConfig(vocab, d, seq_len=10, kernel_sizes=(2, 3))
         create_text_params(store, cfg_short)
         cfg_long = TextEncoderConfig(vocab, d, seq_len=17, kernel_sizes=(2, 3))
-        short = encode_text(np.pad(real, (0, 5)), store.constants(), cfg_short)
-        long = encode_text(np.pad(real, (0, 12)), store.constants(), cfg_long)
+        short = encode_text_batch([np.pad(real, (0, 5))], store.constants(), cfg_short)
+        long = encode_text_batch([np.pad(real, (0, 12))], store.constants(), cfg_long)
         np.testing.assert_allclose(short.data, long.data, atol=1e-12)
 
     def test_output_dimension_is_d(self):
@@ -113,8 +113,8 @@ class TestEncodeText:
             cfg = TextEncoderConfig(vocab_size=10, embed_dim=d, seq_len=8, kernel_sizes=(2, 3))
             store = ParamStore(seed=8)
             create_text_params(store, cfg)
-            out = encode_text([1, 2, 3, 4, 5, 6, 7, 8], store.constants(), cfg)
-            assert out.shape == (d,)
+            out = encode_text_batch([[1, 2, 3, 4, 5, 6, 7, 8]], store.constants(), cfg)
+            assert out.shape == (1, d)
 
     def test_filter_spread_sums_to_d(self):
         cfg = TextEncoderConfig(vocab_size=10, embed_dim=32, seq_len=8, kernel_sizes=(3, 4, 5))
@@ -179,16 +179,31 @@ def _fixture_records():
     return posts, comments, users
 
 
+def _private_tokens(posts, comments, vectors):
+    """The records with one private token per text, and an embedding table
+    whose row for that token is ``vectors[text id]`` (row 0 is padding), so
+    each text's feature is its vector."""
+    texts = list(posts) + list(comments)
+    embed = np.zeros((len(texts) + 1, len(next(iter(vectors.values())))))
+    out = []
+    for tok, rec in enumerate(texts, start=1):
+        embed[tok] = vectors[rec.id]
+        out.append(dataclasses.replace(rec, tokens=[tok]))
+    return out[: len(posts)], out[len(posts) :], embed
+
+
 class TestBuildSocialGraph:
     def test_identical_embeddings_connect_with_weight_one(self):
         posts, comments, users = _fixture_records()
         emb = {"p0": np.array([1.0, 0.0]), "p1": np.array([1.0, 0.0]), "p2": np.array([0.0, 1.0]),
                "c0": np.array([0.3, 0.4]), "c1": np.array([-0.3, 0.4])}
-        g = build_social_graph(posts, comments, users, emb, theta=0.5)
+        posts, comments, embed = _private_tokens(posts, comments, emb)
+        g = build_social_graph(posts, comments, users, embed, theta=0.5)
+        feats = g.token_weights @ embed
         i, j = g.index["p0"], g.index["p1"]
         mask = (g.src == i) & (g.dst == j)
         assert mask.any()
-        assert g.weights[mask][0] == pytest.approx(1.0)
+        assert oracles.cosine(feats[i], feats[j]) == pytest.approx(1.0)
 
     def test_orthogonal_unrelated_posts_not_connected(self):
         users = [UserRecord("u0"), UserRecord("u1")]
@@ -197,7 +212,8 @@ class TestBuildSocialGraph:
             PostRecord("p1", [1], np.zeros(2), "u1", [], 1),
         ]
         emb = {"p0": np.array([1.0, 0.0]), "p1": np.array([0.0, 1.0])}
-        g = build_social_graph(posts, [], users, emb, theta=0.5)
+        posts, _, embed = _private_tokens(posts, [], emb)
+        g = build_social_graph(posts, [], users, embed, theta=0.5)
         i, j = g.index["p0"], g.index["p1"]
         assert not ((g.src == i) & (g.dst == j)).any()
 
@@ -206,7 +222,8 @@ class TestBuildSocialGraph:
         rng = _rng(12)
         emb = {nid: rng.normal(size=3) for nid in ["p0", "p1", "p2", "c0", "c1"]}
         theta = 0.3
-        g = build_social_graph(posts, comments, users, emb, theta=theta)
+        posts, comments, embed = _private_tokens(posts, comments, emb)
+        g = build_social_graph(posts, comments, users, embed, theta=theta)
 
         # Oracle: recompute user embeddings, all pairwise cosines, and the
         # expected undirected adjacency from scratch.
@@ -232,15 +249,19 @@ class TestBuildSocialGraph:
             if s != t
         }
         assert got == expected
-        for s, t, w in zip(g.src, g.dst, g.weights):
+        feats = g.token_weights @ embed
+        for s, t in zip(g.src, g.dst):
             if s != t:
-                assert w == pytest.approx(oracles.cosine(full[ids[s]], full[ids[t]]), abs=1e-9)
+                assert oracles.cosine(feats[s], feats[t]) == pytest.approx(
+                    oracles.cosine(full[ids[s]], full[ids[t]]), abs=1e-9
+                )
 
     def test_graph_is_symmetric_with_self_loops(self):
         posts, comments, users = _fixture_records()
         rng = _rng(13)
         emb = {nid: rng.normal(size=4) for nid in ["p0", "p1", "p2", "c0", "c1"]}
-        g = build_social_graph(posts, comments, users, emb, theta=0.4)
+        posts, comments, embed = _private_tokens(posts, comments, emb)
+        g = build_social_graph(posts, comments, users, embed, theta=0.4)
         directed = set(zip(g.src.tolist(), g.dst.tolist()))
         for s, t in directed:
             assert (t, s) in directed
@@ -251,38 +272,48 @@ class TestBuildSocialGraph:
         posts, comments, users = _fixture_records()
         rng = _rng(14)
         emb = {nid: rng.normal(size=4) for nid in ["p0", "p1", "p2", "c0", "c1"]}
-        g = build_social_graph(posts, comments, users, emb, theta=0.4)
+        posts, comments, embed = _private_tokens(posts, comments, emb)
+        g = build_social_graph(posts, comments, users, embed, theta=0.4)
         expected = (emb["p0"] + emb["p1"] + emb["c1"]) / 3.0
-        assert np.abs(g.embeddings[g.index["u0"]] - expected).max() < 1e-12
+        row = g.index["u0"]
+        assert np.abs((g.token_weights @ embed)[row] - expected).max() < 1e-12
+        direct = oracles.node_features_direct(posts, comments, users, embed)
+        assert np.abs(direct[row] - expected).max() < 1e-12
 
     def test_user_without_content_gets_zero_embedding(self):
         users = [UserRecord("u0"), UserRecord("lurker")]
         posts = [PostRecord("p0", [1], np.zeros(2), "u0", [], 0)]
-        g = build_social_graph(posts, [], users, {"p0": np.array([1.0, 2.0])}, theta=0.5)
-        np.testing.assert_array_equal(g.embeddings[g.index["lurker"]], np.zeros(2))
+        posts, _, embed = _private_tokens(posts, [], {"p0": np.array([1.0, 2.0])})
+        g = build_social_graph(posts, [], users, embed, theta=0.5)
+        row = g.index["lurker"]
+        np.testing.assert_array_equal((g.token_weights @ embed)[row], np.zeros(2))
+        direct = oracles.node_features_direct(posts, [], users, embed)
+        np.testing.assert_array_equal(direct[row], np.zeros(2))
 
     def test_similarity_edges_meet_threshold(self):
         posts, comments, users = _fixture_records()
         rng = _rng(15)
         emb = {nid: rng.normal(size=3) for nid in ["p0", "p1", "p2", "c0", "c1"]}
         theta = 0.3
-        g = build_social_graph(posts, comments, users, emb, theta=theta)
+        posts, comments, embed = _private_tokens(posts, comments, emb)
+        g = build_social_graph(posts, comments, users, embed, theta=theta)
+        feats = g.token_weights @ embed
         structural = {("p0", "u0"), ("p1", "u0"), ("p2", "u1"),
                       ("c0", "u1"), ("c1", "u0"), ("c0", "p0"), ("c1", "p1")}
         structural |= {(b, a) for a, b in structural}
-        for s, t, w in zip(g.src, g.dst, g.weights):
+        for s, t in zip(g.src, g.dst):
             if s == t or (g.node_ids[s], g.node_ids[t]) in structural:
                 continue
-            assert w >= theta - 1e-12
+            assert oracles.cosine(feats[s], feats[t]) >= theta - 1e-12
 
     def test_same_kind_switch_drops_cross_kind_similarity(self):
         users = [UserRecord("u0"), UserRecord("u1")]
         posts = [PostRecord("p0", [1], np.zeros(2), "u0", [], 0)]
         comments = []
         # p0 and u1 would match by similarity alone; same-kind blocks it.
-        emb = {"p0": np.array([1.0, 0.0])}
-        g_all = build_social_graph(posts, comments, users, emb, theta=-0.5, connect_kinds="all")
-        g_same = build_social_graph(posts, comments, users, emb, theta=-0.5, connect_kinds="same-kind")
+        posts, comments, embed = _private_tokens(posts, comments, {"p0": np.array([1.0, 0.0])})
+        g_all = build_social_graph(posts, comments, users, embed, theta=-0.5, connect_kinds="all")
+        g_same = build_social_graph(posts, comments, users, embed, theta=-0.5, connect_kinds="same-kind")
         i, j = g_same.index["p0"], g_same.index["u1"]
         assert ((g_all.src == i) & (g_all.dst == j)).any()
         assert not ((g_same.src == i) & (g_same.dst == j)).any()
@@ -290,7 +321,35 @@ class TestBuildSocialGraph:
     def test_unknown_user_reference_rejected(self):
         posts = [PostRecord("p0", [1], np.zeros(2), "ghost", [], 0)]
         with pytest.raises(ValueError, match="unknown user"):
-            build_social_graph(posts, [], [UserRecord("u0")], {"p0": np.ones(2)})
+            build_social_graph(posts, [], [UserRecord("u0")], np.ones((2, 2)))
+
+    @pytest.mark.parametrize(
+        "extra, repeated",
+        [
+            ({"comments": [CommentRecord("p1", [1], "u1", "p0")]}, "p1"),
+            ({"users": [UserRecord("c0")]}, "c0"),
+            ({"users": [UserRecord("u1")]}, "u1"),
+            ({"posts": [PostRecord("p1", [1], np.zeros(2), "u1", [], 0)]}, "p1"),
+        ],
+        ids=["comment-as-post", "user-as-comment", "user-twice", "post-twice"],
+    )
+    def test_repeated_node_id_rejected(self, extra, repeated):
+        posts, comments, users = _fixture_records()
+        records = {"posts": posts, "comments": comments, "users": users}
+        for kind, more in extra.items():
+            records[kind] = records[kind] + more
+        with pytest.raises(ValueError, match=f"node id '{repeated}' is used by more than one"):
+            build_social_graph(**records, embed=np.ones((2, 2)))
+
+    def test_token_weights_give_direct_node_features(self):
+        data = generate_synthetic(n=60, d=8, separation=2.0, seed=32)
+        users = data.users + [UserRecord("lurker")]
+        embed = _rng(33).normal(size=(data.vocab_size, 8))
+        g = build_social_graph(data.posts, data.comments, users, embed, theta=0.5)
+        direct = oracles.node_features_direct(data.posts, data.comments, users, embed)
+        assert np.abs(g.token_weights @ embed - direct).max() <= 1e-12
+        assert not direct[g.index["lurker"]].any()
+        assert any(len(set(p.tokens)) < len(p.tokens) for p in data.posts)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +357,7 @@ class TestBuildSocialGraph:
 
 
 def _gat_setup(d=4, heads=2, layers=1, seed=0):
-    cfg = GatConfig(heads=heads, layers=layers, similarity_threshold=0.5)
+    cfg = GatConfig(heads=heads, layers=layers)
     store = ParamStore(seed=seed)
     create_gat_params(store, d, cfg)
     return cfg, store
@@ -310,10 +369,9 @@ def _manual_graph(n, undirected_pairs, d=4):
     return SocialGraph(
         node_ids=[f"p{i}" for i in range(n)],
         node_kinds=["post"] * n,
-        embeddings=np.zeros((n, d)),
+        token_weights=np.zeros((n, d)),
         src=np.array(src, dtype=np.int64),
         dst=np.array(dst, dtype=np.int64),
-        weights=np.ones(len(src)),
     )
 
 
@@ -399,7 +457,7 @@ class TestSignedGat:
         graph = _manual_graph(3, [(0, 1)], d=d)
         # Strip node 2's self-loop.
         keep = ~((graph.src == 2) & (graph.dst == 2))
-        graph.src, graph.dst, graph.weights = graph.src[keep], graph.dst[keep], graph.weights[keep]
+        graph.src, graph.dst = graph.src[keep], graph.dst[keep]
         with pytest.raises(ValueError, match="self-loop"):
             signed_gat_layer(Tensor(np.zeros((3, d))), graph, store.constants(), cfg)
 
@@ -431,8 +489,9 @@ class TestExtractSocial:
         params = model.store.constants()
         pid = model.dataset.posts[1].id
         got = model.social_batch(params, [pid])
-        expected = model._node_features(params).data[model.graph.index[pid]]
-        np.testing.assert_array_equal(got.data[0], expected)
+        row = model.graph.index[pid]
+        expected = model.graph.token_weights[[row]] @ params["text.embed"].data
+        np.testing.assert_array_equal(got.data[0], expected[0])
 
     def test_identity_layer_on_isolated_node_is_nonlinearity(self):
         d = 3
@@ -543,9 +602,9 @@ def test_encoder_outputs_have_dimension_d():
     create_gat_params(store, d, gat_cfg)
     params = store.constants()
     rng = _rng(25)
-    r_t = encode_text(rng.integers(1, 15, size=8), params, cfg)
+    r_t = encode_text_batch(rng.integers(1, 15, size=(1, 8)), params, cfg)
     r_v = project_visual(rng.normal(size=5), params["visual.w"], params["visual.b"])
     graph = _manual_graph(3, [(0, 1), (1, 2)], d=d)
     nodes = signed_gat_layer(Tensor(rng.normal(size=(3, d))), graph, params, gat_cfg)
     r_g = nodes.data[graph.index["p0"]]
-    assert r_t.shape == (d,) and r_v.shape == (d,) and r_g.shape == (d,)
+    assert r_t.shape == (1, d) and r_v.shape == (d,) and r_g.shape == (d,)
