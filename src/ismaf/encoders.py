@@ -4,7 +4,9 @@ signed graph attention.
 All encoders emit vectors of the shared feature dimension d.  Graph
 construction is a pure numpy function of the records and a token-embedding
 table; the graph keeps each node's token weights, so a node's feature under
-any table is its row of ``token_weights @ embed``.  The GAT layers run on
+any table is its row of ``token_weights @ embed``.  Similarity edges come
+from a row-tiled join that keeps only the pairs at or above the threshold,
+so building never holds an [n_nodes, n_nodes] matrix.  The GAT layers run on
 tape tensors, so gradients reach the embedding table, and each layer runs
 over an edge block: the edges whose messages can reach the rows the caller
 needs (``receptive_blocks``), or every edge of the graph.
@@ -192,11 +194,7 @@ class SocialGraph:
             raise ValueError("every node must carry a self-loop")
 
 
-def _pairwise_cosine(emb: np.ndarray) -> np.ndarray:
-    norms = np.sqrt((emb * emb).sum(axis=1, keepdims=True))
-    unit = emb / (norms + 1e-12)
-    sim = unit @ unit.T
-    return np.clip(sim, -1.0, 1.0)
+SIM_TILE = 512  # rows per block of build_social_graph's similarity join
 
 
 def build_social_graph(
@@ -214,11 +212,18 @@ def build_social_graph(
     nodes the mean of their authored posts and comments (zero vector when a
     user authored nothing).  Undirected edges exist where cosine similarity
     of the features >= theta or a structural relation holds (authorship,
-    comment-on-post), and every node gets a self-loop.
+    comment-on-post), and every node gets a self-loop.  Edges are ordered
+    by source, then destination, with the self-loops last.
 
+    ``theta`` must lie in (-1, 1]: at -1 every pair would be an edge.
     ``connect_kinds`` is "all" (similarity edges may join any node kinds) or
     "same-kind" (similarity edges only within one kind).
+
+    The similarity join runs over blocks of ``SIM_TILE`` rows and keeps only
+    the pairs >= theta, so memory is O(SIM_TILE * n_nodes + edges).
     """
+    if not -1.0 < theta <= 1.0:
+        raise ValueError(f"theta must lie in (-1, 1], got {theta}")
     if connect_kinds not in ("all", "same-kind"):
         raise ValueError(f"unknown connect_kinds {connect_kinds!r}")
     node_ids = [p.id for p in posts] + [c.id for c in comments] + [u.id for u in users]
@@ -251,22 +256,33 @@ def build_social_graph(
     np.add.at(token_weights, authors, token_weights[:n_texts])
     token_weights[n_texts:] /= np.maximum(np.bincount(authors, minlength=n)[n_texts:], 1)[:, None]
 
-    sim = _pairwise_cosine(token_weights @ embed)
+    # Structural pairs: each text with its author, each comment with its post.
+    rows = [np.arange(n_texts), np.arange(len(posts), n_texts)]
+    cols = [authors, np.array([index[c.post_id] for c in comments], dtype=np.int64)]
+
+    # Similarity pairs i < j, one block of rows at a time against the
+    # columns from the block's first row on; pairs inside the diagonal block
+    # also come out as j < i, and the deduplication below merges them.
+    feats = token_weights @ embed
+    unit = feats / (np.sqrt((feats * feats).sum(axis=1, keepdims=True)) + 1e-12)
     kinds = np.array([{"post": 0, "comment": 1, "user": 2}[k] for k in node_kinds])
-    adj = sim >= theta
-    if connect_kinds == "same-kind":
-        adj &= kinds[:, None] == kinds[None, :]
-    np.fill_diagonal(adj, False)
+    for a in range(0, n, SIM_TILE):
+        b = min(a + SIM_TILE, n)
+        hit = unit[a:b] @ unit[a:].T >= theta  # column k is node a + k
+        if connect_kinds == "same-kind":
+            hit &= kinds[a:b, None] == kinds[None, a:]
+        np.fill_diagonal(hit, False)
+        r, c = np.nonzero(hit)
+        rows.append(r + a)
+        cols.append(c + a)
 
-    adj[np.arange(n_texts), authors] = True
-    for c in comments:
-        adj[index[c.id], index[c.post_id]] = True
-    adj |= adj.T
-
-    pair_src, pair_dst = np.nonzero(adj)  # both directions present via symmetry
+    # Both directions of every pair, deduplicated and in row-major order
+    # (by source, then destination), then one self-loop per node.
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    keys = np.unique(np.concatenate([rows * n + cols, cols * n + rows]))
     loop = np.arange(n)
-    src = np.concatenate([pair_src, loop])
-    dst = np.concatenate([pair_dst, loop])
+    src = np.concatenate([keys // n, loop])
+    dst = np.concatenate([keys % n, loop])
 
     graph = SocialGraph(node_ids, node_kinds, token_weights, src, dst, index)
     graph.validate()

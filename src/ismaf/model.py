@@ -85,9 +85,10 @@ class IsmafModel:
         """
         rows = []
         for pid in post_ids:
-            if pid not in self.graph.index:
+            row = self.graph.index.get(pid)
+            if row is None or self.graph.node_kinds[row] != "post":
                 raise KeyError(f"unknown post id {pid!r}")
-            rows.append(self.graph.index[pid])
+            rows.append(row)
         outputs, positions = np.unique(rows, return_inverse=True)
         inputs, blocks = encoders.receptive_blocks(self.graph, outputs, self.gat_cfg.layers)
         out = ad.matmul(Tensor(self.graph.token_weights[inputs]), params["text.embed"])

@@ -1,8 +1,8 @@
 """Independent brute-force reference implementations used to freeze expected
 values.  Everything here is deliberately scalar-loop / direct-formula numpy,
 sharing no code with the package under test, except the plain versions of
-optimised paths (``social_batch_full_graph``, ``attention_per_post``,
-``is_att_per_post``), which reuse the package's building blocks and differ
+optimised paths (``social_graph_dense``, ``social_batch_full_graph``,
+``attention_per_post``, ``is_att_per_post``), which reuse the package's building blocks and differ
 from the optimised path only in what it skips or batches."""
 
 import math
@@ -208,6 +208,31 @@ def node_features_direct(posts, comments, users, embed):
         own = [feats[rec.id] for rec in texts if rec.user_id == user.id]
         rows.append(sum(own) / len(own) if own else np.zeros(embed.shape[1]))
     return np.array(rows)
+
+
+def social_graph_dense(graph, posts, comments, embed, theta, connect_kinds):
+    """The edges ``build_social_graph`` emits, the plain way: the dense
+    [n, n] cosine matrix of the graph's node features, thresholded into a
+    bool adjacency, the structural pairs set, symmetrised with its transpose
+    and read out in row-major order, then one self-loop per node.
+    Returns (src, dst)."""
+    feats = graph.token_weights @ embed
+    norms = np.sqrt((feats * feats).sum(axis=1, keepdims=True))
+    unit = feats / (norms + 1e-12)
+    sim = np.clip(unit @ unit.T, -1.0, 1.0)
+    adj = sim >= theta
+    if connect_kinds == "same-kind":
+        kinds = np.array(graph.node_kinds)
+        adj &= kinds[:, None] == kinds[None, :]
+    np.fill_diagonal(adj, False)
+    for rec in list(posts) + list(comments):
+        adj[graph.index[rec.id], graph.index[rec.user_id]] = True
+    for c in comments:
+        adj[graph.index[c.id], graph.index[c.post_id]] = True
+    adj |= adj.T
+    pair_src, pair_dst = np.nonzero(adj)
+    loop = np.arange(graph.n_nodes)
+    return np.concatenate([pair_src, loop]), np.concatenate([pair_dst, loop])
 
 
 def social_batch_full_graph(model, params, post_ids):

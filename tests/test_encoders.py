@@ -1,10 +1,12 @@
 import dataclasses
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ismaf import autodiff as ad
+from ismaf import encoders
 from ismaf.autodiff import ParamStore, Tensor
 from ismaf.config import TrainConfig
 from ismaf.data import CommentRecord, PostRecord, UserRecord, generate_synthetic, split_dataset
@@ -192,6 +194,12 @@ def _private_tokens(posts, comments, vectors):
     return out[: len(posts)], out[len(posts) :], embed
 
 
+# Synthetic corpora for the similarity join: (posts, seed, add a user who
+# wrote nothing).  Their node counts, 190 and 620, leave a ragged last tile
+# at tile sizes 7 and 512.
+_JOIN_CORPORA = {"60": (60, 34, False), "200-lurker": (200, 35, True)}
+
+
 class TestBuildSocialGraph:
     def test_identical_embeddings_connect_with_weight_one(self):
         posts, comments, users = _fixture_records()
@@ -350,6 +358,49 @@ class TestBuildSocialGraph:
         assert np.abs(g.token_weights @ embed - direct).max() <= 1e-12
         assert not direct[g.index["lurker"]].any()
         assert any(len(set(p.tokens)) < len(p.tokens) for p in data.posts)
+
+    @pytest.mark.parametrize("theta", [float("nan"), -1.0, -1.5, 1.0 + 1e-9, 2.0])
+    def test_theta_outside_open_closed_unit_interval_rejected(self, theta):
+        posts, comments, users = _fixture_records()
+        with pytest.raises(ValueError, match=r"theta must lie in \(-1, 1\]"):
+            build_social_graph(posts, comments, users, np.ones((2, 2)), theta=theta)
+
+    @pytest.mark.parametrize("tile", ["1", "7", "exact", "default"])
+    @pytest.mark.parametrize("connect_kinds", ["all", "same-kind"])
+    @pytest.mark.parametrize("theta", [0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("corpus", sorted(_JOIN_CORPORA))
+    def test_tiled_join_matches_dense_oracle(self, monkeypatch, corpus, theta, connect_kinds, tile):
+        n, seed, lurker = _JOIN_CORPORA[corpus]
+        data = generate_synthetic(n=n, d=16, separation=2.0, seed=seed)
+        users = data.users + [UserRecord("lurker")] * lurker
+        # A 4-wide table spreads the cosines, so every theta adds similarity
+        # edges to the structural ones.
+        embed = _rng(seed).normal(size=(data.vocab_size, 4))
+        n_nodes = len(data.posts) + len(data.comments) + len(users)
+        if tile == "exact":
+            exact = max(t for t in range(2, n_nodes // 2) if n_nodes % t == 0)
+            monkeypatch.setattr(encoders, "SIM_TILE", exact)
+        elif tile != "default":
+            monkeypatch.setattr(encoders, "SIM_TILE", int(tile))
+        g = build_social_graph(data.posts, data.comments, users, embed, theta, connect_kinds)
+        src, dst = oracles.social_graph_dense(g, data.posts, data.comments, embed, theta, connect_kinds)
+        assert g.src.dtype == src.dtype and g.dst.dtype == dst.dtype
+        np.testing.assert_array_equal(g.src, src)
+        np.testing.assert_array_equal(g.dst, dst)
+        structural = 2 * (len(data.posts) + 2 * len(data.comments)) + n_nodes
+        assert g.src.size > structural
+
+    def test_build_holds_no_dense_node_by_node_matrix(self):
+        data = generate_synthetic(n=1000, d=32, separation=2.0, seed=37)
+        embed = _rng(37).normal(size=(data.vocab_size, 32))
+        n_nodes = len(data.posts) + len(data.comments) + len(data.users)
+        tracemalloc.start()
+        try:
+            build_social_graph(data.posts, data.comments, data.users, embed, theta=0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n_nodes * n_nodes * 8 / 2, (peak, n_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +581,14 @@ class TestExtractSocial:
         pid = model.dataset.posts[0].id
         with pytest.raises(KeyError, match="nope"):
             model.social_batch(model.store.constants(), [pid, "nope"])
+
+    @pytest.mark.parametrize("kind", ["comments", "users"])
+    def test_comment_or_user_id_rejected_as_post(self, kind):
+        model = _social_model()
+        pid = model.dataset.posts[0].id
+        other = getattr(model.dataset, kind)[0].id
+        with pytest.raises(KeyError, match=f"unknown post id '{other}'"):
+            model.social_batch(model.store.constants(), [pid, other])
 
 
 # Corpora shaped like the benchmark's training workloads, at test size: the
