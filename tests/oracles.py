@@ -3,7 +3,8 @@ values.  Everything here is deliberately scalar-loop / direct-formula numpy,
 sharing no code with the package under test, except the plain versions of
 optimised paths (``social_graph_dense``, ``social_batch_full_graph``,
 ``attention_per_post``, ``is_att_per_post``), which reuse the package's building blocks and differ
-from the optimised path only in what it skips or batches."""
+from the optimised path only in what it skips or batches, and the plain
+``ufunc.at`` scatters (``scatter_at`` and the ``*_at`` ops built on it)."""
 
 import math
 
@@ -189,6 +190,33 @@ def central_diff(f, x, h=1e-4):
         flat[i] = orig
         gf[i] = (fp - fm) / (2 * h)
     return g
+
+
+def scatter_at(ufunc, out, idx, vals):
+    """``ufunc.at`` on a copy of ``out``: the plain scatter ``ad._scatter`` replaces."""
+    out = out.copy()
+    ufunc.at(out, idx, vals)
+    return out
+
+
+def segment_sum_at(x, seg, num_segments):
+    return scatter_at(np.add, np.zeros((num_segments, x.shape[1])), seg, x)
+
+
+def gather_rows_grad_at(g, idx, n_rows):
+    """Gradient of ``x[idx]`` w.r.t. an ``[n_rows, ...]`` x, given the output's."""
+    return scatter_at(np.add, np.zeros((n_rows,) + g.shape[1:]), idx, g)
+
+
+def segment_max_at(x, seg, num_segments):
+    """Per-segment max and, as a 0/1 array shaped like ``x``, the gradient
+    mask that picks the first attaining row of each segment and column."""
+    n_rows = x.shape[0]
+    out = scatter_at(np.maximum, np.full((num_segments, x.shape[1]), -np.inf), seg, x)
+    rows = np.arange(n_rows)[:, None]
+    cand = np.where(x == out[seg], rows, n_rows)
+    first = scatter_at(np.minimum, np.full(out.shape, n_rows), seg, cand)
+    return out, (rows == first[seg]).astype(float)
 
 
 def node_features_direct(posts, comments, users, embed):

@@ -1,5 +1,7 @@
+import contextlib
 import re
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -149,17 +151,21 @@ class TestBackward:
         lambda t: ad.sub(t, Tensor(np.ones(4))),
         lambda t: ad.div(Tensor(np.ones(4)), t),
         lambda t: ad.gather_rows(t, [0, 2, 2]),
+        lambda t: ad.slice_rows(t, 1, 3),
         ad.softmax_rows,
-    ], ids=["add", "sub", "div", "gather_rows", "softmax_rows"])
+    ], ids=["add", "sub", "div", "gather_rows", "slice_rows", "softmax_rows"])
     def test_record_does_not_hold_unread_input(self, op):
         tape = Tape()
         x = tape.watch(_rng(11).uniform(1.0, 2.0, size=(3, 4)))
         inner = ad.scale(x, 2.0)
         values = weakref.ref(inner.data)
         out = op(inner)
-        del inner
+        # exp's record keeps its own result, not ``out``, which for a slice
+        # is a view of the input and so goes too.
+        loss = ad.sum_(ad.exp(out))
+        del inner, out
         assert values() is None
-        tape.backward(ad.sum_(ad.mul(out, out)))
+        tape.backward(loss)
         assert np.abs(tape.grad(x)).sum() > 0
 
     def test_mixed_tapes_rejected(self):
@@ -213,6 +219,119 @@ class TestLayoutOps:
         np.testing.assert_array_equal(out.data, [[3, 5], [7, 0]])
         tape.backward(ad.sum_(out))
         np.testing.assert_array_equal(tape.grad(x), [[0, 1], [1, 0], [1, 1]])
+
+    @pytest.mark.parametrize("op", [ad.segment_sum, ad.segment_max])
+    @pytest.mark.parametrize("ids", [[0, -1, 1], [0, 2, 1]])
+    def test_segment_id_out_of_range(self, op, ids):
+        x = np.arange(6.0).reshape(3, 2)
+        with pytest.raises(IndexError, match=r"\[0, 2\)"):
+            op(Tensor(x), ids, 2)
+
+    @pytest.mark.parametrize("op", [ad.segment_sum, ad.segment_max])
+    @pytest.mark.parametrize("ids", [[0, 1], [0, 1, 0, 1], [[0], [1], [0]]])
+    def test_segment_ids_must_be_one_per_row(self, op, ids):
+        with pytest.raises(ShapeError, match=r"\(3,\)"):
+            op(Tensor(np.zeros((3, 2))), ids, 2)
+
+
+# ---------------------------------------------------------------------------
+# scatter: rank passes against plain ufunc.at
+
+
+@contextlib.contextmanager
+def _scatter_cutoffs(min_pass, min_width):
+    """Run with _scatter's cutoffs lowered; None keeps the module's."""
+    if min_pass is None:
+        yield
+        return
+    with mock.patch.object(ad, "_SCATTER_MIN_PASS", min_pass), \
+            mock.patch.object(ad, "_SCATTER_MIN_WIDTH", min_width):
+        yield
+
+
+@st.composite
+def _scatter_cases(draw):
+    n_slots = draw(st.integers(1, 6))
+    # Per-slot multiplicities: few repeats, or a hub that needs many passes.
+    mult = draw(st.lists(st.one_of(st.integers(0, 3), st.integers(30, 300)),
+                         min_size=n_slots, max_size=n_slots))
+    idx = np.repeat(np.arange(n_slots), mult)
+    layout = draw(st.sampled_from(["sorted", "reversed", "shuffled"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if layout == "reversed":
+        idx = idx[::-1].copy()
+    elif layout == "shuffled":
+        idx = rng.permutation(idx)
+    row = draw(st.sampled_from([(), (1,), (8,), (304,), (2, 4), (4, 76)]))
+    dtype = draw(st.sampled_from([np.float64, np.int64]))
+    # Coarse values with both signed zeros, so ties and order are visible.
+    pool = np.array([-2.5, -1.0, -0.0, 0.0, 0.1, 0.7, 3.0, 1e16])
+    vals = rng.choice(pool, size=idx.shape + row).astype(dtype)
+    out = rng.choice(pool, size=(n_slots,) + row).astype(dtype)
+    return out, idx, vals
+
+
+class TestScatter:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        case=_scatter_cases(),
+        ufunc=st.sampled_from([np.add, np.maximum, np.minimum]),
+        # None keeps the module's cutoffs; the others force rank passes on
+        # small inputs, down to one element per pass.
+        cutoffs=st.sampled_from([(None, None), (1, 1), (8, 1), (16, 4)]),
+    )
+    def test_matches_ufunc_at(self, case, ufunc, cutoffs):
+        out, idx, vals = case
+        expected = oracles.scatter_at(ufunc, out, idx, vals)
+        with _scatter_cutoffs(*cutoffs):
+            ad._scatter(ufunc, out, idx, vals)
+        assert out.dtype == expected.dtype
+        assert out.tobytes() == expected.tobytes()
+
+    def test_empty_index(self):
+        out = np.ones((3, 304))
+        ad._scatter(np.add, out, np.zeros(0, dtype=np.int64), np.zeros((0, 304)))
+        np.testing.assert_array_equal(out, np.ones((3, 304)))
+
+    # 10 slots of width 304 with hub-shaped multiplicities: at the module's
+    # cutoffs the first passes (while >= 7 slots remain) run as rank passes
+    # and the hubs' remaining occurrences go to the ufunc.at tail.
+    HUB_MULT = [120, 100, 80, 60, 40, 20, 10, 5, 3, 1]
+    WIDTH = 304
+
+    def _hub(self, seed):
+        rng = _rng(seed)
+        idx = rng.permutation(np.repeat(np.arange(len(self.HUB_MULT)), self.HUB_MULT))
+        return idx, rng.normal(size=(idx.size, self.WIDTH))
+
+    def test_hub_passes_cross_the_cutoff(self):
+        assert self.WIDTH < ad._SCATTER_MIN_PASS <= 7 * self.WIDTH
+        assert self.WIDTH >= ad._SCATTER_MIN_WIDTH
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_hub_segment_sum_and_gather_match_ufunc_at(self, seed):
+        idx, x = self._hub(seed)
+        n = len(self.HUB_MULT)
+        out = ad.segment_sum(Tensor(x), idx, n)
+        assert out.data.tobytes() == oracles.segment_sum_at(x, idx, n).tobytes()
+        tape = Tape()
+        table = tape.watch(_rng(seed + 50).normal(size=(n, self.WIDTH)))
+        g = _rng(seed + 100).normal(size=(idx.size, self.WIDTH))
+        tape.backward(ad.sum_(ad.mul(ad.gather_rows(table, idx), Tensor(g))))
+        assert tape.grad(table).tobytes() == oracles.gather_rows_grad_at(g, idx, n).tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_hub_segment_max_matches_ufunc_at(self, seed):
+        idx, x = self._hub(seed)
+        x = np.round(x, 1)  # ties, so the first attaining row matters
+        n = len(self.HUB_MULT)
+        tape = Tape()
+        xt = tape.watch(x)
+        out = ad.segment_max(xt, idx, n)
+        expected, mask = oracles.segment_max_at(x, idx, n)
+        assert out.data.tobytes() == expected.tobytes()
+        tape.backward(ad.sum_(out))
+        np.testing.assert_array_equal(tape.grad(xt), mask)
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +392,31 @@ _OP_CASES = {
 }
 
 
+# Hub-shaped index, 60 rows over 3 slots; at width 4 with the cutoffs below,
+# rank passes run while two or more slots remain and the ufunc.at tail
+# takes the rest of the hub.
+_HUB = _rng(5).permutation(np.repeat([1, 0, 2], [40, 15, 5]))
+_HUB_CASES = {
+    "gather_rows_hub": ({"a": (3, 4)}, lambda p: ad.gather_rows(p["a"], _HUB)),
+    "segment_sum_hub": ({"a": (60, 4)}, lambda p: ad.segment_sum(p["a"], _HUB, 3)),
+    "segment_max_hub": ({"a": (60, 4)}, lambda p: ad.segment_max(p["a"], _HUB, 3)),
+}
+
+
 @pytest.mark.parametrize("op_name", sorted(_OP_CASES))
 @pytest.mark.parametrize("seed", range(10))
 def test_op_grad_check(op_name, seed):
-    shapes, fn = _OP_CASES[op_name]
+    _assert_grad_check(*_OP_CASES[op_name], seed)
+
+
+@pytest.mark.parametrize("op_name", sorted(_HUB_CASES))
+@pytest.mark.parametrize("seed", range(10))
+def test_scatter_pass_grad_check(op_name, seed):
+    with _scatter_cutoffs(8, 1):
+        _assert_grad_check(*_HUB_CASES[op_name], seed)
+
+
+def _assert_grad_check(shapes, fn, seed):
     store = ParamStore(seed=seed)
     rng = _rng(1000 + seed)
     for name, shape in shapes.items():
