@@ -90,8 +90,9 @@ class Tape:
         return Tensor(value, tape=self, node_id=self._new_id())
 
     def emit(self, data, parents, vjp) -> Tensor:
-        """Record one op.  ``vjp(grad_out)`` must return one gradient (or
-        None) per parent, aligned with ``parents``."""
+        """Record one op over its parent Tensors (a constant's node_id is
+        None).  ``vjp(grad_out)`` must return one gradient (or None) per
+        parent, aligned with ``parents``."""
         if self._records is None:
             raise ValueError("backward already ran on this tape; record a new tape")
         out = Tensor(data, tape=self, node_id=self._new_id())
@@ -171,19 +172,6 @@ def _emit(tape, data, parents, vjp) -> Tensor:
     return tape.emit(data, parents, vjp)
 
 
-def _pid(t: Tensor):
-    return t.node_id if t.tape is not None else None
-
-
-class _Parent:
-    """Lightweight stand-in so emit() can mix tape and constant parents."""
-
-    __slots__ = ("node_id",)
-
-    def __init__(self, t: Tensor):
-        self.node_id = _pid(t)
-
-
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     """Reduce a broadcast gradient back to the original operand shape."""
     while g.ndim > len(shape):
@@ -207,7 +195,7 @@ def add(a, b) -> Tensor:
     def vjp(g):
         return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
-    return _emit(tape, out, (_Parent(a), _Parent(b)), vjp)
+    return _emit(tape, out, (a, b), vjp)
 
 
 def sub(a, b) -> Tensor:
@@ -219,7 +207,7 @@ def sub(a, b) -> Tensor:
     def vjp(g):
         return _unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)
 
-    return _emit(tape, out, (_Parent(a), _Parent(b)), vjp)
+    return _emit(tape, out, (a, b), vjp)
 
 
 def mul(a, b) -> Tensor:
@@ -231,7 +219,7 @@ def mul(a, b) -> Tensor:
     def vjp(g):
         return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
 
-    return _emit(tape, out, (_Parent(a), _Parent(b)), vjp)
+    return _emit(tape, out, (a, b), vjp)
 
 
 def div(a, b) -> Tensor:
@@ -248,7 +236,7 @@ def div(a, b) -> Tensor:
         gb = _unbroadcast(-g * ad / (bsafe * bsafe), b_shape)
         return ga, gb
 
-    return _emit(tape, out, (_Parent(a), _Parent(b)), vjp)
+    return _emit(tape, out, (a, b), vjp)
 
 
 def scale(a, c: float) -> Tensor:
@@ -258,7 +246,7 @@ def scale(a, c: float) -> Tensor:
     def vjp(g):
         return (g * c,)
 
-    return _emit(a.tape, a.data * c, (_Parent(a),), vjp)
+    return _emit(a.tape, a.data * c, (a,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +284,7 @@ def matmul(a, b) -> Tensor:
             gb = gb.reshape(-1)
         return ga, gb
 
-    return _emit(tape, out, (_Parent(a), _Parent(b)), vjp)
+    return _emit(tape, out, (a, b), vjp)
 
 
 def batched_matmul(a, b) -> Tensor:
@@ -316,7 +304,7 @@ def batched_matmul(a, b) -> Tensor:
     def vjp(g):
         return g @ b.data.swapaxes(1, 2), a.data.swapaxes(1, 2) @ g
 
-    return _emit(tape, a.data @ b.data, (_Parent(a), _Parent(b)), vjp)
+    return _emit(tape, a.data @ b.data, (a, b), vjp)
 
 
 def transpose(a) -> Tensor:
@@ -328,7 +316,7 @@ def transpose(a) -> Tensor:
     def vjp(g):
         return (g.swapaxes(-1, -2),)
 
-    return _emit(a.tape, a.data.swapaxes(-1, -2), (_Parent(a),), vjp)
+    return _emit(a.tape, a.data.swapaxes(-1, -2), (a,), vjp)
 
 
 def reshape(a, shape) -> Tensor:
@@ -339,7 +327,7 @@ def reshape(a, shape) -> Tensor:
     def vjp(g):
         return (g.reshape(orig),)
 
-    return _emit(a.tape, out, (_Parent(a),), vjp)
+    return _emit(a.tape, out, (a,), vjp)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -354,7 +342,7 @@ def concat(tensors, axis: int = 0) -> Tensor:
     def vjp(g):
         return tuple(np.split(g, offsets, axis=axis))
 
-    return _emit(tape, out, tuple(_Parent(t) for t in tensors), vjp)
+    return _emit(tape, out, tensors, vjp)
 
 
 def slice_rows(a, start: int, stop: int) -> Tensor:
@@ -366,7 +354,7 @@ def slice_rows(a, start: int, stop: int) -> Tensor:
         buf[start:stop] = g
         return (buf,)
 
-    return _emit(a.tape, a.data[start:stop], (_Parent(a),), vjp)
+    return _emit(a.tape, a.data[start:stop], (a,), vjp)
 
 
 # A rank pass must carry this many elements to beat ufunc.at on them, and
@@ -435,7 +423,7 @@ def gather_rows(a, indices) -> Tensor:
         _scatter(np.add, buf, idx, g)
         return (buf,)
 
-    return _emit(a.tape, a.data[idx], (_Parent(a),), vjp)
+    return _emit(a.tape, a.data[idx], (a,), vjp)
 
 
 def _segment_ids(segment_ids, n_rows: int, num_segments: int) -> np.ndarray:
@@ -462,7 +450,7 @@ def segment_sum(a, segment_ids, num_segments: int) -> Tensor:
     def vjp(g):
         return (g[seg],)
 
-    return _emit(a.tape, out, (_Parent(a),), vjp)
+    return _emit(a.tape, out, (a,), vjp)
 
 
 def segment_max(a, segment_ids, num_segments: int) -> Tensor:
@@ -481,7 +469,7 @@ def segment_max(a, segment_ids, num_segments: int) -> Tensor:
     def vjp(g):
         return (g[seg] * (rows == first[seg]),)
 
-    return _emit(a.tape, out, (_Parent(a),), vjp)
+    return _emit(a.tape, out, (a,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +483,7 @@ def relu(a) -> Tensor:
     def vjp(g):
         return (g * mask,)
 
-    return _emit(a.tape, np.where(mask, a.data, 0.0), (_Parent(a),), vjp)
+    return _emit(a.tape, np.where(mask, a.data, 0.0), (a,), vjp)
 
 
 def leaky_relu(a, slope: float = 0.2) -> Tensor:
@@ -505,9 +493,7 @@ def leaky_relu(a, slope: float = 0.2) -> Tensor:
     def vjp(g):
         return (g * np.where(pos, 1.0, slope),)
 
-    return _emit(
-        a.tape, np.where(pos, a.data, slope * a.data), (_Parent(a),), vjp
-    )
+    return _emit(a.tape, np.where(pos, a.data, slope * a.data), (a,), vjp)
 
 
 def tanh(a) -> Tensor:
@@ -517,7 +503,7 @@ def tanh(a) -> Tensor:
     def vjp(g):
         return (g * (1.0 - t * t),)
 
-    return _emit(a.tape, t, (_Parent(a),), vjp)
+    return _emit(a.tape, t, (a,), vjp)
 
 
 def exp(a) -> Tensor:
@@ -527,7 +513,7 @@ def exp(a) -> Tensor:
     def vjp(g):
         return (g * e,)
 
-    return _emit(a.tape, e, (_Parent(a),), vjp)
+    return _emit(a.tape, e, (a,), vjp)
 
 
 def log(a) -> Tensor:
@@ -539,7 +525,7 @@ def log(a) -> Tensor:
     def vjp(g):
         return (g * np.where(inside, 1.0 / xs, 0.0),)
 
-    return _emit(a.tape, np.log(xs), (_Parent(a),), vjp)
+    return _emit(a.tape, np.log(xs), (a,), vjp)
 
 
 def abs_(a) -> Tensor:
@@ -549,7 +535,7 @@ def abs_(a) -> Tensor:
     def vjp(g):
         return (g * s,)
 
-    return _emit(a.tape, np.abs(a.data), (_Parent(a),), vjp)
+    return _emit(a.tape, np.abs(a.data), (a,), vjp)
 
 
 def sum_(a, axis=None) -> Tensor:
@@ -562,7 +548,7 @@ def sum_(a, axis=None) -> Tensor:
             return (np.full(shape, g),)
         return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
 
-    return _emit(a.tape, out, (_Parent(a),), vjp)
+    return _emit(a.tape, out, (a,), vjp)
 
 
 def mean(a, axis=None) -> Tensor:
@@ -586,7 +572,7 @@ def softmax_rows(a) -> Tensor:
         gx = s * (g2 - (g2 * s).sum(axis=1, keepdims=True))
         return (gx if rows else gx[0],)
 
-    return _emit(a.tape, out, (_Parent(a),), vjp)
+    return _emit(a.tape, out, (a,), vjp)
 
 
 def row_l2_normalize(a) -> Tensor:
@@ -601,7 +587,7 @@ def row_l2_normalize(a) -> Tensor:
         dot = (g * x).sum(axis=1, keepdims=True)
         return (g / denom - x * dot / (np.maximum(norm, EPS) * denom * denom),)
 
-    return _emit(a.tape, x / denom, (_Parent(a),), vjp)
+    return _emit(a.tape, x / denom, (a,), vjp)
 
 
 def dropout(a, rate: float, rng: np.random.Generator, training: bool) -> Tensor:

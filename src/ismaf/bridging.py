@@ -52,20 +52,20 @@ class AttentionConfig:
         return self.heads * self.head_dim
 
 
-def create_attention_params(store: ParamStore, cfg: AttentionConfig, prefix: str = "attn"):
+def create_attention_params(store: ParamStore, cfg: AttentionConfig):
     for m in ("T", "V"):
         for proj in ("wq", "wk", "wv"):
-            store.create(f"{prefix}.{m}.{proj}", (cfg.token_dim, cfg.inner_dim))
-        store.create(f"{prefix}.{m}.wo", (cfg.inner_dim, cfg.d))
-    store.create(f"{prefix}.TV.wo", (cfg.inner_dim, cfg.d))
-    store.create(f"{prefix}.VT.wo", (cfg.inner_dim, cfg.d))
+            store.create(f"attn.{m}.{proj}", (cfg.token_dim, cfg.inner_dim))
+        store.create(f"attn.{m}.wo", (cfg.inner_dim, cfg.d))
+    store.create("attn.TV.wo", (cfg.inner_dim, cfg.d))
+    store.create("attn.VT.wo", (cfg.inner_dim, cfg.d))
 
 
-def create_fusion_attention_params(store: ParamStore, cfg: AttentionConfig, prefix: str = "attn"):
+def create_fusion_attention_params(store: ParamStore, cfg: AttentionConfig):
     """Extra projection set for the IS-att fusion alternate."""
     for proj in ("wq", "wk", "wv"):
-        store.create(f"{prefix}.F.{proj}", (cfg.token_dim, cfg.inner_dim))
-    store.create(f"{prefix}.F.wo", (cfg.inner_dim, cfg.d))
+        store.create(f"attn.F.{proj}", (cfg.token_dim, cfg.inner_dim))
+    store.create("attn.F.wo", (cfg.inner_dim, cfg.d))
 
 
 def attend(x_query, x_kv, wq, wk, wv, wo, cfg: AttentionConfig) -> Tensor:
@@ -100,28 +100,28 @@ def attend(x_query, x_kv, wq, wk, wv, wo, cfg: AttentionConfig) -> Tensor:
     return ad.mean(ad.reshape(out_tokens, x_query.shape[:-1] + (L, cfg.d)), axis=-2)
 
 
-def self_attention(r_m, modality: str, params, cfg: AttentionConfig, prefix: str = "attn") -> Tensor:
+def self_attention(r_m, modality: str, params, cfg: AttentionConfig) -> Tensor:
     """Augment unimodal d-vectors ([N, d] or one [d]) with multi-head
     self-attention."""
     if modality not in ("T", "V"):
         raise ValueError(f"modality must be 'T' or 'V', got {modality!r}")
-    p = f"{prefix}.{modality}"
+    p = f"attn.{modality}"
     return attend(
         r_m, r_m, params[f"{p}.wq"], params[f"{p}.wk"], params[f"{p}.wv"],
         params[f"{p}.wo"], cfg,
     )
 
 
-def co_attention(z_t, z_v, params, cfg: AttentionConfig, prefix: str = "attn") -> tuple[Tensor, Tensor]:
+def co_attention(z_t, z_v, params, cfg: AttentionConfig) -> tuple[Tensor, Tensor]:
     """Paired cross-attention: text queries against visual keys/values and
     vice versa, each with its own output projection."""
     z_tv = attend(
-        z_t, z_v, params[f"{prefix}.T.wq"], params[f"{prefix}.V.wk"],
-        params[f"{prefix}.V.wv"], params[f"{prefix}.TV.wo"], cfg,
+        z_t, z_v, params["attn.T.wq"], params["attn.V.wk"],
+        params["attn.V.wv"], params["attn.TV.wo"], cfg,
     )
     z_vt = attend(
-        z_v, z_t, params[f"{prefix}.V.wq"], params[f"{prefix}.T.wk"],
-        params[f"{prefix}.T.wv"], params[f"{prefix}.VT.wo"], cfg,
+        z_v, z_t, params["attn.V.wq"], params["attn.T.wk"],
+        params["attn.T.wv"], params["attn.VT.wo"], cfg,
     )
     return z_tv, z_vt
 
@@ -220,30 +220,30 @@ def cmca_loss(z, r_g, tau: float) -> Tensor:
 # mutual learning
 
 
-def create_mutual_params(store: ParamStore, d: int, prefix: str = "ml"):
+def create_mutual_params(store: ParamStore, d: int):
     # Each branch owns its projection and classifier head; the KL term
     # couples the two predictive distributions.
-    store.create(f"{prefix}.z.proj_w", (d, d))
-    store.create(f"{prefix}.z.proj_b", (d,), init="zeros")
-    store.create(f"{prefix}.g.proj_w", (d, d))
-    store.create(f"{prefix}.g.proj_b", (d,), init="zeros")
-    store.create(f"{prefix}.z.fc_w", (d, 2))
-    store.create(f"{prefix}.z.fc_b", (2,), init="zeros")
-    store.create(f"{prefix}.g.fc_w", (d, 2))
-    store.create(f"{prefix}.g.fc_b", (2,), init="zeros")
+    store.create("ml.z.proj_w", (d, d))
+    store.create("ml.z.proj_b", (d,), init="zeros")
+    store.create("ml.g.proj_w", (d, d))
+    store.create("ml.g.proj_b", (d,), init="zeros")
+    store.create("ml.z.fc_w", (d, 2))
+    store.create("ml.z.fc_b", (2,), init="zeros")
+    store.create("ml.g.fc_w", (d, 2))
+    store.create("ml.g.fc_b", (2,), init="zeros")
 
 
-def project_common(z, r_g, params, prefix: str = "ml") -> tuple[Tensor, Tensor]:
+def project_common(z, r_g, params) -> tuple[Tensor, Tensor]:
     """Project both branches into the shared latent space with relu."""
-    e_z = ad.relu(ad.linear(ad.as_tensor(z), params[f"{prefix}.z.proj_w"], params[f"{prefix}.z.proj_b"]))
-    e_g = ad.relu(ad.linear(ad.as_tensor(r_g), params[f"{prefix}.g.proj_w"], params[f"{prefix}.g.proj_b"]))
+    e_z = ad.relu(ad.linear(ad.as_tensor(z), params["ml.z.proj_w"], params["ml.z.proj_b"]))
+    e_g = ad.relu(ad.linear(ad.as_tensor(r_g), params["ml.g.proj_w"], params["ml.g.proj_b"]))
     return e_z, e_g
 
 
-def label_distributions(e_z, e_g, params, prefix: str = "ml") -> tuple[Tensor, Tensor]:
+def label_distributions(e_z, e_g, params) -> tuple[Tensor, Tensor]:
     """Per-branch class distributions from the common-space embeddings."""
-    p_z = ad.softmax_rows(ad.linear(e_z, params[f"{prefix}.z.fc_w"], params[f"{prefix}.z.fc_b"]))
-    p_g = ad.softmax_rows(ad.linear(e_g, params[f"{prefix}.g.fc_w"], params[f"{prefix}.g.fc_b"]))
+    p_z = ad.softmax_rows(ad.linear(e_z, params["ml.z.fc_w"], params["ml.z.fc_b"]))
+    p_g = ad.softmax_rows(ad.linear(e_g, params["ml.g.fc_w"], params["ml.g.fc_b"]))
     return p_z, p_g
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
+from .encoders import CONNECT_KINDS
 from .fusion import FUSION_KINDS
 
 
@@ -61,14 +62,21 @@ class TrainConfig:
             raise ValueError(f"theta must lie in [0, 1), got {self.theta}")
         if self.fusion not in FUSION_KINDS:
             raise ValueError(f"fusion must be one of {FUSION_KINDS}, got {self.fusion!r}")
+        if self.connect_kinds not in CONNECT_KINDS:
+            raise ValueError(
+                f"connect_kinds must be one of {CONNECT_KINDS}, got {self.connect_kinds!r}"
+            )
+        if self.token_len < 1:
+            raise ValueError(f"token_len must be >= 1, got {self.token_len}")
         if self.d % self.token_len != 0:
             raise ValueError(f"token_len {self.token_len} must divide d {self.d}")
         if self.gat_layers < 0:
             raise ValueError(f"gat_layers must be >= 0, got {self.gat_layers}")
-        if self.d < len(self.kernel_sizes):
-            raise ValueError(
-                f"d {self.d} too small for {len(self.kernel_sizes)} kernel sizes"
-            )
+        kernels = self.kernel_sizes
+        if not kernels or min(kernels) < 1 or len(set(kernels)) != len(kernels):
+            raise ValueError(f"kernel_sizes must be distinct and >= 1, got {kernels}")
+        if self.d < len(kernels):
+            raise ValueError(f"d {self.d} too small for {len(kernels)} kernel sizes")
 
     @property
     def lambdas(self) -> tuple[float, float, float, float]:

@@ -29,7 +29,6 @@ class TextEncoderConfig:
     embed_dim: int
     seq_len: int
     kernel_sizes: tuple[int, ...] = (3, 4, 5)
-    filters_per_kernel: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.vocab_size < 2:
@@ -39,22 +38,18 @@ class TextEncoderConfig:
                 f"seq_len {self.seq_len} shorter than largest kernel "
                 f"{max(self.kernel_sizes)}"
             )
-        if self.filters_per_kernel is None:
-            object.__setattr__(
-                self, "filters_per_kernel", _spread_filters(self.embed_dim, len(self.kernel_sizes))
-            )
-        if len(self.filters_per_kernel) != len(self.kernel_sizes):
-            raise ValueError("one filter count needed per kernel size")
-        if sum(self.filters_per_kernel) != self.embed_dim:
+        if self.embed_dim < len(self.kernel_sizes):
             raise ValueError(
-                f"filter counts {self.filters_per_kernel} must sum to "
-                f"embed_dim {self.embed_dim}"
+                f"embed_dim {self.embed_dim} smaller than kernel count {len(self.kernel_sizes)}"
             )
+
+    @property
+    def filters_per_kernel(self) -> tuple[int, ...]:
+        """Filters per kernel size: embed_dim spread as evenly as possible."""
+        return _spread_filters(self.embed_dim, len(self.kernel_sizes))
 
 
 def _spread_filters(d: int, n_kernels: int) -> tuple[int, ...]:
-    if d < n_kernels:
-        raise ValueError(f"embed_dim {d} smaller than kernel count {n_kernels}")
     base, extra = divmod(d, n_kernels)
     return tuple(base + (1 if i < extra else 0) for i in range(n_kernels))
 
@@ -77,14 +72,14 @@ class GatConfig:
 # text CNN
 
 
-def create_text_params(store: ParamStore, cfg: TextEncoderConfig, prefix: str = "text"):
-    store.create(f"{prefix}.embed", (cfg.vocab_size, cfg.embed_dim))
+def create_text_params(store: ParamStore, cfg: TextEncoderConfig):
+    store.create("text.embed", (cfg.vocab_size, cfg.embed_dim))
     # Token id 0 is padding; its embedding row stays pinned at zero.
-    embed = store.value(f"{prefix}.embed")
+    embed = store.value("text.embed")
     embed[0] = 0.0
     for k, f in zip(cfg.kernel_sizes, cfg.filters_per_kernel):
-        store.create(f"{prefix}.conv{k}.w", (k * cfg.embed_dim, f), fan=(k * cfg.embed_dim, f))
-        store.create(f"{prefix}.conv{k}.b", (f,), init="zeros")
+        store.create(f"text.conv{k}.w", (k * cfg.embed_dim, f), fan=(k * cfg.embed_dim, f))
+        store.create(f"text.conv{k}.b", (f,), init="zeros")
 
 
 def _validate_tokens(tokens: np.ndarray, cfg: TextEncoderConfig):
@@ -97,11 +92,13 @@ def _validate_tokens(tokens: np.ndarray, cfg: TextEncoderConfig):
         )
 
 
-def encode_text_batch(tokens, params, cfg: TextEncoderConfig, prefix: str = "text") -> Tensor:
+def encode_text_batch(tokens, params, cfg: TextEncoderConfig) -> Tensor:
     """Encode padded token rows [N, seq_len] into text features [N, d].
 
-    Per kernel size: 1-D convolution over the embedded sequence, relu, and a
-    global max-pool; the pooled maps are concatenated across kernel sizes.
+    Per kernel size k: the windows of k consecutive tokens inside each post,
+    embedded and flattened to k*d, go through one matmul with the [k*d, f]
+    conv weight, relu, and a max-pool over each post's windows; the pooled
+    maps are concatenated across kernel sizes.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.ndim != 2 or tokens.shape[1] != cfg.seq_len:
@@ -109,28 +106,14 @@ def encode_text_batch(tokens, params, cfg: TextEncoderConfig, prefix: str = "tex
             f"token batch must be [N, {cfg.seq_len}], got {tokens.shape}"
         )
     _validate_tokens(tokens, cfg)
-    n = tokens.shape[0]
-    total = n * cfg.seq_len
-    emb = ad.gather_rows(params[f"{prefix}.embed"], tokens.reshape(-1))
-
+    n, d = tokens.shape[0], cfg.embed_dim
     pooled = []
-    for k, f in zip(cfg.kernel_sizes, cfg.filters_per_kernel):
-        w = params[f"{prefix}.conv{k}.w"]
-        b = params[f"{prefix}.conv{k}.b"]
-        n_windows = total - k + 1
-        pre = None
-        for j in range(k):
-            rows = ad.slice_rows(emb, j, j + n_windows)
-            w_j = ad.slice_rows(w, j * cfg.embed_dim, (j + 1) * cfg.embed_dim)
-            term = ad.matmul(rows, w_j)
-            pre = term if pre is None else ad.add(pre, term)
-        acts = ad.relu(ad.add(pre, b))
-        # Windows crossing a post boundary are dropped before pooling.
-        starts = np.arange(n_windows)
-        valid = starts[(starts % cfg.seq_len) <= cfg.seq_len - k]
-        segments = valid // cfg.seq_len
-        acts_valid = ad.gather_rows(acts, valid)
-        pooled.append(ad.segment_max(acts_valid, segments, n))
+    for k in cfg.kernel_sizes:
+        n_windows = cfg.seq_len - k + 1
+        ids = np.lib.stride_tricks.sliding_window_view(tokens, k, axis=1).reshape(-1)
+        windows = ad.reshape(ad.gather_rows(params["text.embed"], ids), (n * n_windows, k * d))
+        acts = ad.relu(ad.linear(windows, params[f"text.conv{k}.w"], params[f"text.conv{k}.b"]))
+        pooled.append(ad.segment_max(acts, np.repeat(np.arange(n), n_windows), n))
     return ad.concat(pooled, axis=1)
 
 
@@ -138,9 +121,9 @@ def encode_text_batch(tokens, params, cfg: TextEncoderConfig, prefix: str = "tex
 # visual projection
 
 
-def create_visual_params(store: ParamStore, visual_dim: int, d: int, prefix: str = "visual"):
-    store.create(f"{prefix}.w", (visual_dim, d))
-    store.create(f"{prefix}.b", (d,), init="zeros")
+def create_visual_params(store: ParamStore, visual_dim: int, d: int):
+    store.create("visual.w", (visual_dim, d))
+    store.create("visual.b", (d,), init="zeros")
 
 
 def project_visual(visual_feat, w, b) -> Tensor:
@@ -195,6 +178,7 @@ class SocialGraph:
 
 
 SIM_TILE = 512  # rows per block of build_social_graph's similarity join
+CONNECT_KINDS = ("all", "same-kind")
 
 
 def build_social_graph(
@@ -224,7 +208,7 @@ def build_social_graph(
     """
     if not -1.0 < theta <= 1.0:
         raise ValueError(f"theta must lie in (-1, 1], got {theta}")
-    if connect_kinds not in ("all", "same-kind"):
+    if connect_kinds not in CONNECT_KINDS:
         raise ValueError(f"unknown connect_kinds {connect_kinds!r}")
     node_ids = [p.id for p in posts] + [c.id for c in comments] + [u.id for u in users]
     node_kinds = ["post"] * len(posts) + ["comment"] * len(comments) + ["user"] * len(users)
@@ -293,13 +277,13 @@ def build_social_graph(
 # signed graph attention
 
 
-def create_gat_params(store: ParamStore, d: int, cfg: GatConfig, prefix: str = "gat"):
+def create_gat_params(store: ParamStore, d: int, cfg: GatConfig):
     width = cfg.heads * cfg.head_dim(d)
     for layer in range(cfg.layers):
-        store.create(f"{prefix}.l{layer}.w", (d, width))
-        store.create(f"{prefix}.l{layer}.a_src", (width,), fan=(cfg.head_dim(d), 1))
-        store.create(f"{prefix}.l{layer}.a_dst", (width,), fan=(cfg.head_dim(d), 1))
-        store.create(f"{prefix}.l{layer}.wo", (width, d))
+        store.create(f"gat.l{layer}.w", (d, width))
+        store.create(f"gat.l{layer}.a_src", (width,), fan=(cfg.head_dim(d), 1))
+        store.create(f"gat.l{layer}.a_dst", (width,), fan=(cfg.head_dim(d), 1))
+        store.create(f"gat.l{layer}.wo", (width, d))
 
 
 @dataclass(frozen=True)
@@ -353,7 +337,6 @@ def signed_gat_layer(
     params,
     cfg: GatConfig,
     layer: int = 0,
-    prefix: str = "gat",
 ) -> Tensor:
     """One signed multi-head GAT layer over the edges of one block.
 
@@ -371,10 +354,10 @@ def signed_gat_layer(
         raise ValueError("node without any in-edge; self-loops are required")
 
     heads, head_dim = cfg.heads, cfg.head_dim(d)
-    w = params[f"{prefix}.l{layer}.w"]
-    a_src = params[f"{prefix}.l{layer}.a_src"]
-    a_dst = params[f"{prefix}.l{layer}.a_dst"]
-    wo = params[f"{prefix}.l{layer}.wo"]
+    w = params[f"gat.l{layer}.w"]
+    a_src = params[f"gat.l{layer}.a_src"]
+    a_dst = params[f"gat.l{layer}.a_dst"]
+    wo = params[f"gat.l{layer}.wo"]
 
     def per_head_sum(x: Tensor) -> Tensor:  # [rows, heads*head_dim] -> [rows, heads]
         return ad.sum_(ad.reshape(x, (x.shape[0], heads, head_dim)), axis=2)

@@ -43,24 +43,24 @@ class LossBreakdown:
         }
 
 
-def create_fusion_params(store: ParamStore, d: int, prefix: str = "fuse"):
-    store.create(f"{prefix}.enc_w", (3 * d, d))
-    store.create(f"{prefix}.enc_b", (d,), init="zeros")
-    store.create(f"{prefix}.dec_w", (d, 3 * d))
-    store.create(f"{prefix}.dec_b", (3 * d,), init="zeros")
+def create_fusion_params(store: ParamStore, d: int):
+    store.create("fuse.enc_w", (3 * d, d))
+    store.create("fuse.enc_b", (d,), init="zeros")
+    store.create("fuse.dec_w", (d, 3 * d))
+    store.create("fuse.dec_b", (3 * d,), init="zeros")
 
 
-def create_concat_fusion_params(store: ParamStore, d: int, prefix: str = "fuse"):
-    store.create(f"{prefix}.cat_w", (2 * d, d))
-    store.create(f"{prefix}.cat_b", (d,), init="zeros")
+def create_concat_fusion_params(store: ParamStore, d: int):
+    store.create("fuse.cat_w", (2 * d, d))
+    store.create("fuse.cat_b", (d,), init="zeros")
 
 
-def create_classifier_params(store: ParamStore, d: int, prefix: str = "clf"):
-    store.create(f"{prefix}.w", (d, 2))
-    store.create(f"{prefix}.b", (2,), init="zeros")
+def create_classifier_params(store: ParamStore, d: int):
+    store.create("clf.w", (d, 2))
+    store.create("clf.b", (2,), init="zeros")
 
 
-def adaptive_fuse(z_tv, z_vt, r_g, params, prefix: str = "fuse") -> tuple[Tensor, Tensor]:
+def adaptive_fuse(z_tv, z_vt, r_g, params) -> tuple[Tensor, Tensor]:
     """Compress the concatenated modality block through a tanh bottleneck.
 
     Returns the bottleneck (the fused representation) and the reconstruction
@@ -72,15 +72,15 @@ def adaptive_fuse(z_tv, z_vt, r_g, params, prefix: str = "fuse") -> tuple[Tensor
             f"fusion inputs disagree: {z_tv.shape}, {z_vt.shape}, {r_g.shape}"
         )
     x = ad.concat([z_tv, z_vt, r_g], axis=1)
-    x_fuse = ad.tanh(ad.linear(x, params[f"{prefix}.enc_w"], params[f"{prefix}.enc_b"]))
-    x_hat = ad.linear(x_fuse, params[f"{prefix}.dec_w"], params[f"{prefix}.dec_b"])
+    x_fuse = ad.tanh(ad.linear(x, params["fuse.enc_w"], params["fuse.enc_b"]))
+    x_hat = ad.linear(x_fuse, params["fuse.dec_w"], params["fuse.dec_b"])
     diff = ad.sub(x_hat, x)
     n = x.shape[0]
     loss = ad.scale(ad.sum_(ad.mul(diff, diff)), 1.0 / n)
     return x_fuse, loss
 
 
-def fuse_alternate(kind: str, z, r_g, params, attn_cfg: AttentionConfig, prefix: str = "fuse") -> Tensor:
+def fuse_alternate(kind: str, z, r_g, params, attn_cfg: AttentionConfig) -> Tensor:
     """Ablation fusion strategies over the intrinsic and social vectors.
 
     ``is-concat`` concatenates and linearly maps to d; ``is-att`` runs one
@@ -91,16 +91,16 @@ def fuse_alternate(kind: str, z, r_g, params, attn_cfg: AttentionConfig, prefix:
     z, r_g = ad.as_tensor(z), ad.as_tensor(r_g)
     if kind == "is-concat":
         joined = ad.concat([z, r_g], axis=1)
-        return ad.linear(joined, params[f"{prefix}.cat_w"], params[f"{prefix}.cat_b"])
+        return ad.linear(joined, params["fuse.cat_w"], params["fuse.cat_b"])
     return attend(
         z, r_g, params["attn.F.wq"], params["attn.F.wk"],
         params["attn.F.wv"], params["attn.F.wo"], attn_cfg,
     )
 
 
-def classify(x_fuse, params, prefix: str = "clf") -> Tensor:
+def classify(x_fuse, params) -> Tensor:
     """Two-class distribution per row; column 1 is the rumor probability."""
-    return ad.softmax_rows(ad.linear(ad.as_tensor(x_fuse), params[f"{prefix}.w"], params[f"{prefix}.b"]))
+    return ad.softmax_rows(ad.linear(ad.as_tensor(x_fuse), params["clf.w"], params["clf.b"]))
 
 
 def predict_labels(probs: np.ndarray) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Independent brute-force reference implementations used to freeze expected
 values.  Everything here is deliberately scalar-loop / direct-formula numpy,
 sharing no code with the package under test, except the plain versions of
-optimised paths (``social_graph_dense``, ``social_batch_full_graph``,
-``attention_per_post``, ``is_att_per_post``), which reuse the package's building blocks and differ
-from the optimised path only in what it skips or batches, and the plain
-``ufunc.at`` scatters (``scatter_at`` and the ``*_at`` ops built on it)."""
+optimised paths (``text_cnn_per_offset``, ``social_graph_dense``,
+``social_batch_full_graph``, ``attention_per_post``, ``is_att_per_post``),
+which reuse the package's building blocks and differ from the optimised path
+only in what it skips or batches, and the plain ``ufunc.at`` scatters
+(``scatter_at`` and the ``*_at`` ops built on it)."""
 
 import math
 
@@ -61,6 +62,32 @@ def text_cnn_sliding(tokens, embed, kernels):
             acts[p] = np.maximum(window @ w + b, 0.0)
         pooled.append(acts.max(axis=0))
     return np.concatenate(pooled)
+
+
+def text_cnn_per_offset(tokens, params, cfg):
+    """``encode_text_batch`` as a sum of per-offset matmuls on tape tensors.
+
+    Per kernel size k: embed the whole flattened batch, add up k matmuls of
+    its rows shifted by j against weight rows j*d:(j+1)*d, then drop the
+    windows that cross a post boundary before max-pooling each post."""
+    tokens = np.asarray(tokens, dtype=np.int64)
+    n, d = tokens.shape[0], cfg.embed_dim
+    total = n * cfg.seq_len
+    emb = ad.gather_rows(params["text.embed"], tokens.reshape(-1))
+    pooled = []
+    for k in cfg.kernel_sizes:
+        w, b = params[f"text.conv{k}.w"], params[f"text.conv{k}.b"]
+        n_windows = total - k + 1
+        pre = None
+        for j in range(k):
+            rows = ad.slice_rows(emb, j, j + n_windows)
+            term = ad.matmul(rows, ad.slice_rows(w, j * d, (j + 1) * d))
+            pre = term if pre is None else ad.add(pre, term)
+        acts = ad.relu(ad.add(pre, b))
+        starts = np.arange(n_windows)
+        valid = starts[(starts % cfg.seq_len) <= cfg.seq_len - k]
+        pooled.append(ad.segment_max(ad.gather_rows(acts, valid), valid // cfg.seq_len, n))
+    return ad.concat(pooled, axis=1)
 
 
 def attention_enumerated(x_q, x_kv, wq, wk, wv, wo, token_len, heads):

@@ -123,6 +123,45 @@ class TestEncodeText:
         assert sum(cfg.filters_per_kernel) == 32
         assert max(cfg.filters_per_kernel) - min(cfg.filters_per_kernel) <= 1
 
+    @pytest.mark.parametrize("kernels", [(1,), (2, 3), (3, 4, 5), (2, 8)])
+    def test_matches_per_offset_oracle(self, kernels):
+        # Posts of 8, 5, 2, 1 and 0 real tokens: every post pads differently.
+        cfg, store = _text_setup(seed=11, d=7, vocab=13, seq_len=8, kernels=kernels)
+        rng = _rng(12)
+        tokens = rng.integers(1, cfg.vocab_size, size=(5, cfg.seq_len))
+        tokens[np.arange(cfg.seq_len) >= np.array([8, 5, 2, 1, 0])[:, None]] = 0
+        probe = Tensor(rng.normal(size=(5, cfg.embed_dim)))
+
+        def run(encode):
+            tape = ad.Tape()
+            params = store.watch(tape)
+            out = encode(tokens, params, cfg)
+            tape.backward(ad.sum_(ad.mul(out, probe)))
+            return out.data, {name: tape.grad(t) for name, t in params.items()}
+
+        got, got_grads = run(encode_text_batch)
+        want, want_grads = run(oracles.text_cnn_per_offset)
+        assert np.abs(got - want).max() <= 1e-12
+        for name in want_grads:  # text.embed and every text.conv{k}.w/b
+            assert np.abs(got_grads[name] - want_grads[name]).max() <= 1e-12, name
+
+    @pytest.mark.parametrize("kernels", [(1,), (2, 3), (3, 4, 5)])
+    def test_tape_records_per_kernel(self, monkeypatch, kernels):
+        # gather, reshape, matmul, add, relu, segment_max per kernel size,
+        # then one concat.
+        cfg, store = _text_setup(seed=13, kernels=kernels)
+        emitted = []
+        emit = ad.Tape.emit
+
+        def counting_emit(tape, *args):
+            emitted.append(1)
+            return emit(tape, *args)
+
+        monkeypatch.setattr(ad.Tape, "emit", counting_emit)
+        tokens = _rng(14).integers(1, cfg.vocab_size, size=(3, cfg.seq_len))
+        encode_text_batch(tokens, store.watch(ad.Tape()), cfg)
+        assert len(emitted) == 6 * len(kernels) + 1
+
     def test_grad_check(self):
         cfg, store = _text_setup(seed=9, d=4, vocab=7, seq_len=5, kernels=(2,))
         tokens = np.array([[1, 2, 3, 4, 5]])

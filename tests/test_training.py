@@ -315,3 +315,10 @@ class TestConfigFile:
             TrainConfig(fusion="nope")
         with pytest.raises(ValueError, match="token_len"):
             TrainConfig(d=10, token_len=3)
+        with pytest.raises(ValueError, match="token_len"):
+            TrainConfig(token_len=0)
+        for kernels in [(0, 3), (-2, 3), (), (3, 3)]:
+            with pytest.raises(ValueError, match="kernel_sizes"):
+                TrainConfig(kernel_sizes=kernels)
+        with pytest.raises(ValueError, match="connect_kinds"):
+            TrainConfig(connect_kinds="nope")
