@@ -9,10 +9,11 @@ runs backward once.  A record's vector-Jacobian product keeps only the arrays
 it reads (an input's shape, not its values, where the shape is enough), since
 the tape holds every record until backward.
 
-Scatters (segment sums and maxima, and the gradient of a row gather) combine
-the values that land in each output slot in index order, as ``ufunc.at``
-does, so their results are bitwise equal to ``np.add.at`` and
-``np.maximum.at``; ``_scatter`` applies them in rank passes.
+Scatters (segment sums and maxima, the gradient of a row gather, and the
+edge message sum ``edge_aggregate`` with its gradient) combine the values
+that land in each output slot in index order, as ``ufunc.at`` does, so their
+results are bitwise equal to ``np.add.at`` and ``np.maximum.at``;
+``_scatter`` applies them in rank passes.
 
 Single-threaded by design: one tape per training context.  Tensors are safe
 to share read-only across threads; a tape must never be mutated concurrently.
@@ -424,6 +425,65 @@ def gather_rows(a, indices) -> Tensor:
         return (buf,)
 
     return _emit(a.tape, a.data[idx], (a,), vjp)
+
+
+EDGE_CHUNK = 2048  # edges per block of edge_aggregate, forward and backward
+
+
+def edge_aggregate(h, alpha, src, dst, n_out: int) -> Tensor:
+    """Attention-weighted sum of the messages along directed edges.
+
+    ``h`` is [n_in, heads*head_dim], head k in columns k*head_dim onwards, and
+    ``alpha`` is [E, heads]; output row i sums ``alpha[e, k] * h[src[e], head
+    k]`` over the edges e with ``dst[e] == i``.  The result and both gradients
+    are bitwise those of gathering ``h[src]``, weighting each head's slice and
+    ``segment_sum``-ing over ``dst``, but no [E, heads*head_dim] array is
+    held: forward and backward run over blocks of ``EDGE_CHUNK`` edges in
+    edge order, each scattered in index order, and the backward recomputes
+    each block's gathers instead of keeping them on the tape.
+    """
+    h, alpha = as_tensor(h), as_tensor(alpha)
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    if src.ndim != 1 or src.shape != dst.shape:
+        raise ShapeError(
+            f"edge src and dst must be 1-D of one length, got {src.shape} and {dst.shape}"
+        )
+    if h.data.ndim != 2 or alpha.data.ndim != 2 or alpha.data.shape[0] != src.size \
+            or alpha.data.shape[1] < 1:
+        raise ShapeError(
+            f"edge_aggregate expects h [n_in, width] and alpha [{src.size}, heads], "
+            f"got {h.data.shape} and {alpha.data.shape}"
+        )
+    (n_in, width), heads = h.data.shape, alpha.data.shape[1]
+    if width % heads:
+        raise ShapeError(f"width {width} of h is not a multiple of {heads} heads")
+    for name, idx, n in (("src", src, n_in), ("dst", dst, n_out)):
+        if idx.size and (idx.min() < 0 or idx.max() >= n):
+            raise IndexError(
+                f"edge {name} out of range [0, {n}): min {idx.min()}, max {idx.max()}"
+            )
+    hd, al = h.data, alpha.data
+    blocks = [slice(a, a + EDGE_CHUNK) for a in range(0, src.size, EDGE_CHUNK)]
+
+    def heads_of(rows):  # [rows, width] -> [rows, heads, head_dim]
+        return rows.reshape(rows.shape[0], heads, -1)
+
+    out = np.zeros((n_out, width))
+    for blk in blocks:
+        msg = heads_of(hd[src[blk]]) * al[blk, :, None]
+        _scatter(np.add, out, dst[blk], msg.reshape(-1, width))
+
+    def vjp(g):
+        dh = np.zeros(hd.shape)
+        dalpha = np.empty(al.shape)
+        for blk in blocks:
+            g_blk = heads_of(g[dst[blk]])
+            _scatter(np.add, dh, src[blk], (g_blk * al[blk, :, None]).reshape(-1, width))
+            dalpha[blk] = (g_blk * heads_of(hd[src[blk]])).sum(axis=2)
+        return dh, dalpha
+
+    return _emit(_tape_of(h, alpha), out, (h, alpha), vjp)
 
 
 def _segment_ids(segment_ids, n_rows: int, num_segments: int) -> np.ndarray:

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .encoders import CONNECT_KINDS
 from .fusion import FUSION_KINDS
+
+
+_FLOAT_FIELDS = (
+    "lr", "lr_decay", "dropout", "tau_scl", "tau_cmca", "lambda1", "lambda2", "lambda3",
+    "lambda4", "theta", "train_frac", "val_frac", "test_frac", "gat_leaky_slope",
+)
 
 
 @dataclass(frozen=True)
@@ -41,11 +48,19 @@ class TrainConfig:
     connect_kinds: str = "all"
 
     def __post_init__(self):
+        for name in _FLOAT_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("train_frac", "val_frac", "test_frac"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
         if abs(self.train_frac + self.val_frac + self.test_frac - 1.0) > 1e-9:
             raise ValueError(
                 f"split fractions must sum to 1, got "
                 f"{(self.train_frac, self.val_frac, self.test_frac)}"
             )
+        if self.heads < 1:
+            raise ValueError(f"heads must be >= 1, got {self.heads}")
         if self.batch_size < 2:
             raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.epochs < 0:

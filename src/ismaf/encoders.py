@@ -381,10 +381,5 @@ def signed_gat_layer(
     denom = ad.segment_sum(ex, graph.dst, n_out)
     alpha = ad.mul(ad.div(ex, ad.gather_rows(denom, graph.dst)), Tensor(sign))
 
-    n_edges = graph.src.size
-    msg = ad.mul(
-        ad.reshape(ad.gather_rows(hw, graph.src), (n_edges, heads, head_dim)),
-        ad.reshape(alpha, (n_edges, heads, 1)),
-    )
-    agg = ad.segment_sum(ad.reshape(msg, (n_edges, heads * head_dim)), graph.dst, n_out)
+    agg = ad.edge_aggregate(hw, alpha, graph.src, graph.dst, n_out)
     return ad.tanh(ad.matmul(agg, wo))

@@ -17,8 +17,6 @@ from .model import IsmafModel
 
 log = logging.getLogger(__name__)
 
-EVAL_CHUNK = 256  # posts per predict call in evaluate
-
 
 class TrainingDiverged(RuntimeError):
     """Raised when the loss leaves the finite range; carries the last finite
@@ -207,14 +205,12 @@ def evaluate(
 ) -> MetricsReport:
     """Deterministic metrics over one split; rumor (label 1) is the positive
     class.  ``zero_social`` replaces the social vector with zeros at
-    inference, isolating the contribution of the graph branch."""
+    inference, isolating the contribution of the graph branch.  The split
+    runs as one batch, so the GAT walks its receptive field once."""
     ids = dataset.split_ids(split)
     if not ids:
         raise ValueError(f"split {split!r} is empty")
-    predicted = []
-    for start in range(0, len(ids), EVAL_CHUNK):
-        chunk = ids[start : start + EVAL_CHUNK]
-        predicted.extend(model.predict(chunk, zero_social=zero_social))
+    predicted = model.predict(ids, zero_social=zero_social)
     actual = [dataset.post(pid).label for pid in ids]
     return MetricsReport.from_predictions(predicted, actual)
 

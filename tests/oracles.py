@@ -2,7 +2,8 @@
 values.  Everything here is deliberately scalar-loop / direct-formula numpy,
 sharing no code with the package under test, except the plain versions of
 optimised paths (``text_cnn_per_offset``, ``social_graph_dense``,
-``social_batch_full_graph``, ``attention_per_post``, ``is_att_per_post``),
+``social_batch_full_graph``, ``attention_per_post``, ``is_att_per_post``,
+``edge_aggregate_unfused``),
 which reuse the package's building blocks and differ from the optimised path
 only in what it skips or batches, and the plain ``ufunc.at`` scatters
 (``scatter_at`` and the ``*_at`` ops built on it)."""
@@ -244,6 +245,19 @@ def segment_max_at(x, seg, num_segments):
     cand = np.where(x == out[seg], rows, n_rows)
     first = scatter_at(np.minimum, np.full(out.shape, n_rows), seg, cand)
     return out, (rows == first[seg]).astype(float)
+
+
+def edge_aggregate_unfused(h, alpha, src, dst, n_out):
+    """What ``ad.edge_aggregate`` computes, the plain way: every edge's source
+    row gathered whole, each head's slice weighted by its alpha, and the
+    [E, heads*head_dim] messages summed per destination."""
+    n_edges, heads = alpha.shape
+    width = h.shape[1]
+    msg = ad.mul(
+        ad.reshape(ad.gather_rows(h, src), (n_edges, heads, width // heads)),
+        ad.reshape(alpha, (n_edges, heads, 1)),
+    )
+    return ad.segment_sum(ad.reshape(msg, (n_edges, width)), dst, n_out)
 
 
 def node_features_direct(posts, comments, users, embed):

@@ -335,6 +335,83 @@ class TestScatter:
 
 
 # ---------------------------------------------------------------------------
+# edge_aggregate: blocked, fused message sum against the unfused ops
+
+
+def _rows_and_grads(aggregate, h, alpha, probe):
+    tape = Tape()
+    ht, at = tape.watch(h), tape.watch(alpha)
+    out = aggregate(ht, at)
+    tape.backward(ad.sum_(ad.mul(out, Tensor(probe))))
+    return out.data, tape.grad(ht), tape.grad(at)
+
+
+class TestEdgeAggregate:
+    # Hub-shaped destinations, 480 edges over 10 slots, and sources over 12
+    # rows; at width 4*76 = 304 every block of >= 7 edges runs rank passes
+    # while 7 or more slots remain, and the hubs' tails go to ufunc.at.
+    DST_MULT = [150, 120, 90, 60, 30, 15, 8, 4, 2, 1]
+    N_IN, HEADS, HEAD_DIM = 12, 4, 76
+
+    def _case(self, seed):
+        rng = _rng(seed)
+        dst = rng.permutation(np.repeat(np.arange(len(self.DST_MULT)), self.DST_MULT))
+        src = rng.integers(0, self.N_IN, size=dst.size)
+        h = rng.normal(size=(self.N_IN, self.HEADS * self.HEAD_DIM))
+        alpha = rng.normal(size=(dst.size, self.HEADS))
+        probe = rng.normal(size=(len(self.DST_MULT), h.shape[1]))
+        return src, dst, h, alpha, probe
+
+    def test_blocks_cross_the_scatter_cutoff(self):
+        width = self.HEADS * self.HEAD_DIM
+        assert width >= ad._SCATTER_MIN_WIDTH
+        assert 7 * width >= ad._SCATTER_MIN_PASS > width
+        assert sum(self.DST_MULT) % 96 == 0 and sum(self.DST_MULT) < 1000
+
+    # 1 and 7 leave a short last block, 96 divides the 480 edges exactly and
+    # 1000 puts every edge in one block.
+    @pytest.mark.parametrize("chunk", [1, 7, 96, 1000])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_matches_unfused_bitwise(self, chunk, seed):
+        src, dst, h, alpha, probe = self._case(seed)
+        n_out = len(self.DST_MULT)
+        expected = _rows_and_grads(
+            lambda ht, at: oracles.edge_aggregate_unfused(ht, at, src, dst, n_out), h, alpha, probe
+        )
+        with mock.patch.object(ad, "EDGE_CHUNK", chunk):
+            got = _rows_and_grads(
+                lambda ht, at: ad.edge_aggregate(ht, at, src, dst, n_out), h, alpha, probe
+            )
+        for name, g, e in zip(("rows", "d h", "d alpha"), got, expected):
+            assert g.shape == e.shape and g.tobytes() == e.tobytes(), name
+
+    @pytest.mark.parametrize("alpha_shape", [(6, 2), (4, 2), (5,), (5, 2, 1), (5, 0)])
+    def test_alpha_must_be_edges_by_heads(self, alpha_shape):
+        with pytest.raises(ShapeError, match=r"alpha \[5, heads\]"):
+            ad.edge_aggregate(np.zeros((3, 4)), np.zeros(alpha_shape), [0] * 5, [0] * 5, 2)
+
+    def test_width_must_be_a_multiple_of_heads(self):
+        with pytest.raises(ShapeError, match="width 5 .* multiple of 2 heads"):
+            ad.edge_aggregate(np.zeros((3, 5)), np.zeros((5, 2)), [0] * 5, [0] * 5, 2)
+
+    @pytest.mark.parametrize("src, dst", [([0] * 5, [0] * 4), ([0] * 4, [0] * 5), ([[0] * 5], [[0] * 5])])
+    def test_src_and_dst_must_be_one_length(self, src, dst):
+        with pytest.raises(ShapeError, match="src and dst"):
+            ad.edge_aggregate(np.zeros((3, 4)), np.zeros((5, 2)), src, dst, 2)
+
+    @pytest.mark.parametrize("end, ids, pattern", [
+        ("src", [0, 1, 3, 2, 0], r"src out of range \[0, 3\)"),
+        ("src", [0, -1, 2, 2, 0], r"src out of range \[0, 3\)"),
+        ("dst", [0, 1, 2, 1, 0], r"dst out of range \[0, 2\)"),
+        ("dst", [0, 1, -1, 1, 0], r"dst out of range \[0, 2\)"),
+    ])
+    def test_endpoint_out_of_range(self, end, ids, pattern):
+        edges = {"src": [0] * 5, "dst": [0] * 5, end: ids}
+        with pytest.raises(IndexError, match=pattern):
+            ad.edge_aggregate(np.zeros((3, 4)), np.zeros((5, 2)), edges["src"], edges["dst"], 2)
+
+
+# ---------------------------------------------------------------------------
 # grad_check on individual ops
 
 _OP_CASES = {
@@ -384,6 +461,10 @@ _OP_CASES = {
         {"a": (5, 2)},
         lambda p: ad.segment_max(p["a"], [0, 1, 0, 1, 1], 2),
     ),
+    "edge_aggregate": (
+        {"h": (4, 6), "alpha": (7, 3)},
+        lambda p: ad.edge_aggregate(p["h"], p["alpha"], [0, 1, 3, 2, 0, 3, 1], [0, 0, 1, 2, 2, 1, 0], 3),
+    ),
     # The mask is re-seeded per call, so the function stays deterministic.
     "dropout_apply": (
         {"a": (4, 5)},
@@ -400,6 +481,10 @@ _HUB_CASES = {
     "gather_rows_hub": ({"a": (3, 4)}, lambda p: ad.gather_rows(p["a"], _HUB)),
     "segment_sum_hub": ({"a": (60, 4)}, lambda p: ad.segment_sum(p["a"], _HUB, 3)),
     "segment_max_hub": ({"a": (60, 4)}, lambda p: ad.segment_max(p["a"], _HUB, 3)),
+    "edge_aggregate_hub": (
+        {"h": (3, 4), "alpha": (60, 2)},
+        lambda p: ad.edge_aggregate(p["h"], p["alpha"], _HUB[::-1], _HUB, 3),
+    ),
 }
 
 

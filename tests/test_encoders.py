@@ -566,6 +566,29 @@ class TestSignedGat:
 
         assert ad.grad_check(loss, store) < 1e-4
 
+    def test_forward_and_backward_hold_no_edge_by_width_array(self):
+        # theta 0 under a 4-wide table joins most pairs of the 190 nodes:
+        # 21,542 edges, each of them 4 * 32 wide as a message.
+        data = generate_synthetic(n=60, d=16, separation=2.0, seed=3)
+        embed = _rng(3).normal(size=(data.vocab_size, 4))
+        graph = build_social_graph(data.posts, data.comments, data.users, embed, theta=0.0)
+        d, cfg = 128, GatConfig(heads=4, layers=1)
+        store = ParamStore(seed=7)
+        create_gat_params(store, d, cfg)
+        feats = _rng(8).normal(size=(graph.n_nodes, d))
+        probe = Tensor(_rng(9).normal(size=(graph.n_nodes, d)))
+        tape = ad.Tape()
+        params = store.watch(tape)
+        tracemalloc.start()
+        try:
+            out = signed_gat_layer(Tensor(feats), graph, params, cfg)
+            tape.backward(ad.sum_(ad.mul(out, probe)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        edge_by_width = graph.src.size * cfg.heads * cfg.head_dim(d) * 8
+        assert peak < edge_by_width, (peak, edge_by_width)
+
 
 def _social_model(n=40, d=8, heads=2, gat_layers=1, theta=0.6):
     data = generate_synthetic(n=n, d=d, separation=2.0, seed=31)

@@ -175,6 +175,28 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="unknown split"):
             evaluate(result.model, ds, "nope")
 
+    def test_whole_split_in_one_predict_call(self, monkeypatch):
+        data = generate_synthetic(n=320, d=6, separation=3.0, seed=22)
+        cfg = _tiny_config(gat_layers=2, train_frac=0.1, val_frac=0.05, test_frac=0.85)
+        ds = split_dataset(data, cfg.fractions, cfg.seed)
+        model = IsmafModel(cfg, ds)
+        ids = ds.split_ids("test")
+        assert len(ids) > 256
+        plain_predict = model.predict
+        chunked = np.concatenate([plain_predict(ids[i : i + 256]) for i in range(0, len(ids), 256)])
+        calls = []
+
+        def spy(post_ids, zero_social=False):
+            calls.append(plain_predict(post_ids, zero_social=zero_social))
+            return calls[-1]
+
+        monkeypatch.setattr(model, "predict", spy)
+        report = evaluate(model, ds, "test")
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], chunked)
+        assert 0 < chunked.sum() < len(ids)
+        assert report == MetricsReport.from_predictions(chunked, [ds.post(pid).label for pid in ids])
+
     def test_report_format_four_decimals(self):
         report = MetricsReport.from_predictions([1, 0, 1], [1, 1, 1])
         text = report.format()
@@ -322,3 +344,19 @@ class TestConfigFile:
                 TrainConfig(kernel_sizes=kernels)
         with pytest.raises(ValueError, match="connect_kinds"):
             TrainConfig(connect_kinds="nope")
+        floats = ("lr", "lr_decay", "tau_scl", "tau_cmca", "lambda1", "lambda2",
+                  "lambda3", "lambda4", "gat_leaky_slope")
+        for name in floats:
+            for bad in (float("nan"), float("inf"), float("-inf")):
+                with pytest.raises(ValueError, match=name):
+                    TrainConfig(**{name: bad})
+        for fractions, bad in [
+            ((1.2, -0.1, -0.1), "train_frac"),
+            ((-0.1, 1.2, -0.1), "train_frac"),
+            ((0.6, 0.5, -0.1), "test_frac"),
+            ((0.5, float("nan"), 0.5), "val_frac"),
+        ]:
+            with pytest.raises(ValueError, match=bad):
+                TrainConfig(train_frac=fractions[0], val_frac=fractions[1], test_frac=fractions[2])
+        with pytest.raises(ValueError, match="heads"):
+            TrainConfig(heads=0)
