@@ -9,11 +9,10 @@ runs backward once.  A record's vector-Jacobian product keeps only the arrays
 it reads (an input's shape, not its values, where the shape is enough), since
 the tape holds every record until backward.
 
-Scatters (segment sums and maxima, the gradient of a row gather, and the
-edge message sum ``edge_aggregate`` with its gradient) combine the values
-that land in each output slot in index order, as ``ufunc.at`` does, so their
-results are bitwise equal to ``np.add.at`` and ``np.maximum.at``;
-``_scatter`` applies them in rank passes.
+Scatters (segment sums, the gradient of a row gather, and the edge message
+sum ``edge_aggregate`` with its gradient) add the values that land in each
+output slot in index order, as ``np.add.at`` does, so their results are
+bitwise equal to it; ``_scatter`` applies them in rank passes.
 
 Single-threaded by design: one tape per training context.  Tensors are safe
 to share read-only across threads; a tape must never be mutated concurrently.
@@ -358,23 +357,23 @@ def slice_rows(a, start: int, stop: int) -> Tensor:
     return _emit(a.tape, a.data[start:stop], (a,), vjp)
 
 
-# A rank pass must carry this many elements to beat ufunc.at on them, and
-# rows narrower than _SCATTER_MIN_WIDTH are faster through ufunc.at whole,
+# A rank pass must carry this many elements to beat np.add.at on them, and
+# rows narrower than _SCATTER_MIN_WIDTH are faster through np.add.at whole,
 # sorts included (numpy 2.4, measured on the GAT's and the text CNN's index
 # arrays).
 _SCATTER_MIN_PASS = 2048
 _SCATTER_MIN_WIDTH = 16
 
 
-def _scatter(ufunc, out, idx, vals) -> None:
-    """What ``ufunc.at`` does with the same arguments, bitwise: each slot of
-    ``out`` combines its values in index order.
+def _scatter(out, idx, vals) -> None:
+    """What ``np.add.at`` does with the same arguments, bitwise: each slot of
+    ``out`` adds up its values in index order.
 
     ``idx`` is 1-D with entries in ``[0, len(out))``; ``vals`` has one row per
     entry.  Pass r applies the r-th occurrence of every slot; a pass's
-    destinations are unique, so one fancy-indexed ufunc applies it exactly.
+    destinations are unique, so one fancy-indexed add applies it exactly.
     Once a pass would carry fewer than ``_SCATTER_MIN_PASS`` elements, the
-    remaining occurrences go to one ``ufunc.at``, which applies each slot's
+    remaining occurrences go to one ``np.add.at``, which applies each slot's
     values in index order too.  When not even the first pass (one entry per
     distinct slot) can reach that size, nothing is sorted.
     """
@@ -400,11 +399,11 @@ def _scatter(ufunc, out, idx, vals) -> None:
             dst = idx[sel]
             # In place: a fresh result array per pass doubles the pass time.
             cur = out[dst]
-            ufunc(cur, vals[sel], out=cur)
+            np.add(cur, vals[sel], out=cur)
             out[dst] = cur
             done += size
         rest = by_rank[done:]
-    ufunc.at(out, idx[rest], vals[rest])
+    np.add.at(out, idx[rest], vals[rest])
 
 
 def gather_rows(a, indices) -> Tensor:
@@ -421,7 +420,7 @@ def gather_rows(a, indices) -> Tensor:
 
     def vjp(g):
         buf = np.zeros(shape)
-        _scatter(np.add, buf, idx, g)
+        _scatter(buf, idx, g)
         return (buf,)
 
     return _emit(a.tape, a.data[idx], (a,), vjp)
@@ -472,14 +471,14 @@ def edge_aggregate(h, alpha, src, dst, n_out: int) -> Tensor:
     out = np.zeros((n_out, width))
     for blk in blocks:
         msg = heads_of(hd[src[blk]]) * al[blk, :, None]
-        _scatter(np.add, out, dst[blk], msg.reshape(-1, width))
+        _scatter(out, dst[blk], msg.reshape(-1, width))
 
     def vjp(g):
         dh = np.zeros(hd.shape)
         dalpha = np.empty(al.shape)
         for blk in blocks:
             g_blk = heads_of(g[dst[blk]])
-            _scatter(np.add, dh, src[blk], (g_blk * al[blk, :, None]).reshape(-1, width))
+            _scatter(dh, src[blk], (g_blk * al[blk, :, None]).reshape(-1, width))
             dalpha[blk] = (g_blk * heads_of(hd[src[blk]])).sum(axis=2)
         return dh, dalpha
 
@@ -505,7 +504,7 @@ def segment_sum(a, segment_ids, num_segments: int) -> Tensor:
     a = as_tensor(a)
     seg = _segment_ids(segment_ids, a.data.shape[0], num_segments)
     out = np.zeros((num_segments, a.data.shape[1]))
-    _scatter(np.add, out, seg, a.data)
+    _scatter(out, seg, a.data)
 
     def vjp(g):
         return (g[seg],)
@@ -513,21 +512,27 @@ def segment_sum(a, segment_ids, num_segments: int) -> Tensor:
     return _emit(a.tape, out, (a,), vjp)
 
 
-def segment_max(a, segment_ids, num_segments: int) -> Tensor:
-    """Per-segment max over rows; gradient flows to the first attaining row."""
+def group_max(a, n_groups: int) -> Tensor:
+    """Max over each of ``n_groups`` runs of equally many consecutive rows,
+    [n_groups*m, f] -> [n_groups, f]; the gradient flows to the first
+    attaining row of each group and column."""
     a = as_tensor(a)
     x = a.data
-    seg = _segment_ids(segment_ids, x.shape[0], num_segments)
-    out = np.full((num_segments, x.shape[1]), -np.inf)
-    _scatter(np.maximum, out, seg, x)
-    n_rows = x.shape[0]
-    rows = np.arange(n_rows)[:, None]
-    cand = np.where(x == out[seg], rows, n_rows)
-    first = np.full(out.shape, n_rows, dtype=np.int64)
-    _scatter(np.minimum, first, seg, cand)
+    if x.ndim != 2 or n_groups < 1 or x.shape[0] == 0 or x.shape[0] % n_groups:
+        raise ShapeError(
+            f"group_max needs 2-D rows in {n_groups} equal non-empty groups, got {x.shape}"
+        )
+    groups = x.reshape(n_groups, -1, x.shape[1])
+    if a.tape is None:  # no backward, so no need to find the attaining rows
+        return Tensor(groups.max(axis=1))
+    first = groups.argmax(axis=1)[:, None, :]  # [n_groups, 1, f]
+    out = np.take_along_axis(groups, first, axis=1)[:, 0]
+    shape, group_shape = x.shape, groups.shape
 
     def vjp(g):
-        return (g[seg] * (rows == first[seg]),)
+        buf = np.zeros(group_shape)
+        np.put_along_axis(buf, first, g[:, None, :], axis=1)
+        return (buf.reshape(shape),)
 
     return _emit(a.tape, out, (a,), vjp)
 

@@ -12,6 +12,15 @@ import numpy as np
 SPLITS = ("train", "val", "test")
 
 
+def _check_tokens(record: str, tokens) -> None:
+    """Token ids start at 1: id 0 pads posts to a common length."""
+    low = min(tokens, default=1)
+    if low < 0:
+        raise ValueError(f"{record}: negative token id")
+    if low == 0:
+        raise ValueError(f"{record}: token id 0 is reserved for padding")
+
+
 @dataclass
 class PostRecord:
     id: str
@@ -27,8 +36,7 @@ class PostRecord:
             raise ValueError(f"post {self.id}: label must be 0 or 1, got {self.label!r}")
         if not np.isfinite(self.visual_feat).all():
             raise ValueError(f"post {self.id}: visual features must be finite")
-        if any(t < 0 for t in self.tokens):
-            raise ValueError(f"post {self.id}: negative token id")
+        _check_tokens(f"post {self.id}", self.tokens)
 
 
 @dataclass
@@ -39,8 +47,7 @@ class CommentRecord:
     post_id: str
 
     def __post_init__(self):
-        if any(t < 0 for t in self.tokens):
-            raise ValueError(f"comment {self.id}: negative token id")
+        _check_tokens(f"comment {self.id}", self.tokens)
 
 
 @dataclass

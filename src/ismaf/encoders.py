@@ -95,10 +95,12 @@ def _validate_tokens(tokens: np.ndarray, cfg: TextEncoderConfig):
 def encode_text_batch(tokens, params, cfg: TextEncoderConfig) -> Tensor:
     """Encode padded token rows [N, seq_len] into text features [N, d].
 
-    Per kernel size k: the windows of k consecutive tokens inside each post,
-    embedded and flattened to k*d, go through one matmul with the [k*d, f]
-    conv weight, relu, and a max-pool over each post's windows; the pooled
-    maps are concatenated across kernel sizes.
+    Per kernel size k, with the [k*d, f] conv weight split into k blocks of
+    d rows: each distinct token of the batch is embedded and multiplied by
+    every block once, a window's pre-activation is the sum of its k tokens'
+    products with their blocks, and each post's windows are max-pooled; the
+    bias and relu come after the pool, which gives the same values, since
+    both are monotone.  The pooled maps are concatenated across kernel sizes.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.ndim != 2 or tokens.shape[1] != cfg.seq_len:
@@ -107,13 +109,22 @@ def encode_text_batch(tokens, params, cfg: TextEncoderConfig) -> Tensor:
         )
     _validate_tokens(tokens, cfg)
     n, d = tokens.shape[0], cfg.embed_dim
+    vocab, inv = np.unique(tokens, return_inverse=True)
+    inv = inv.reshape(tokens.shape)  # flat on numpy 1.x, shaped on 2.x
+    emb = ad.gather_rows(params["text.embed"], vocab)  # [U, d]
     pooled = []
-    for k in cfg.kernel_sizes:
+    for k, f in zip(cfg.kernel_sizes, cfg.filters_per_kernel):
+        # [d, k*f], column j*f + c is column c of weight block j, so row
+        # u*k + j of proj is distinct token u times block j.
+        blocks = ad.transpose(ad.reshape(ad.transpose(
+            ad.reshape(params[f"text.conv{k}.w"], (k, d, f))), (k * f, d)))
+        proj = ad.reshape(ad.matmul(emb, blocks), (vocab.size * k, f))
         n_windows = cfg.seq_len - k + 1
-        ids = np.lib.stride_tricks.sliding_window_view(tokens, k, axis=1).reshape(-1)
-        windows = ad.reshape(ad.gather_rows(params["text.embed"], ids), (n * n_windows, k * d))
-        acts = ad.relu(ad.linear(windows, params[f"text.conv{k}.w"], params[f"text.conv{k}.b"]))
-        pooled.append(ad.segment_max(acts, np.repeat(np.arange(n), n_windows), n))
+        # Offset j of every window, for j = 0..k-1: [k, n, n_windows] rows of proj.
+        ids = np.stack([inv[:, j:j + n_windows] * k + j for j in range(k)])
+        terms = ad.reshape(ad.gather_rows(proj, ids.reshape(-1)), (k, n * n_windows, f))
+        pre = ad.group_max(ad.sum_(terms, axis=0), n)
+        pooled.append(ad.relu(ad.add(pre, params[f"text.conv{k}.b"])))
     return ad.concat(pooled, axis=1)
 
 

@@ -6,7 +6,7 @@ optimised paths (``text_cnn_per_offset``, ``social_graph_dense``,
 ``edge_aggregate_unfused``),
 which reuse the package's building blocks and differ from the optimised path
 only in what it skips or batches, and the plain ``ufunc.at`` scatters
-(``scatter_at`` and the ``*_at`` ops built on it)."""
+(``scatter_at``, the ``*_at`` ops built on it, and ``segment_max``)."""
 
 import math
 
@@ -68,9 +68,10 @@ def text_cnn_sliding(tokens, embed, kernels):
 def text_cnn_per_offset(tokens, params, cfg):
     """``encode_text_batch`` as a sum of per-offset matmuls on tape tensors.
 
-    Per kernel size k: embed the whole flattened batch, add up k matmuls of
-    its rows shifted by j against weight rows j*d:(j+1)*d, then drop the
-    windows that cross a post boundary before max-pooling each post."""
+    Per kernel size k: embed every token slot of the flattened batch, add up
+    k matmuls of its rows shifted by j against weight rows j*d:(j+1)*d, add
+    the bias and relu, then drop the windows that cross a post boundary
+    before max-pooling each post with ``segment_max``."""
     tokens = np.asarray(tokens, dtype=np.int64)
     n, d = tokens.shape[0], cfg.embed_dim
     total = n * cfg.seq_len
@@ -87,7 +88,7 @@ def text_cnn_per_offset(tokens, params, cfg):
         acts = ad.relu(ad.add(pre, b))
         starts = np.arange(n_windows)
         valid = starts[(starts % cfg.seq_len) <= cfg.seq_len - k]
-        pooled.append(ad.segment_max(ad.gather_rows(acts, valid), valid // cfg.seq_len, n))
+        pooled.append(segment_max(ad.gather_rows(acts, valid), valid // cfg.seq_len, n))
     return ad.concat(pooled, axis=1)
 
 
@@ -245,6 +246,21 @@ def segment_max_at(x, seg, num_segments):
     cand = np.where(x == out[seg], rows, n_rows)
     first = scatter_at(np.minimum, np.full(out.shape, n_rows), seg, cand)
     return out, (rows == first[seg]).astype(float)
+
+
+def segment_max(a, segment_ids, num_segments):
+    """Per-segment max over the rows of a tape tensor, through
+    ``segment_max_at``; the gradient flows to the first attaining row of each
+    segment and column.  Segment ids are checked as ``ad.segment_sum``
+    checks them."""
+    a = ad.as_tensor(a)
+    seg = ad._segment_ids(segment_ids, a.shape[0], num_segments)
+    out, mask = segment_max_at(a.data, seg, num_segments)
+
+    def vjp(g):
+        return (g[seg] * mask,)
+
+    return ad.Tensor(out) if a.tape is None else a.tape.emit(out, (a,), vjp)
 
 
 def edge_aggregate_unfused(h, alpha, src, dst, n_out):

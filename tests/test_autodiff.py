@@ -153,7 +153,8 @@ class TestBackward:
         lambda t: ad.gather_rows(t, [0, 2, 2]),
         lambda t: ad.slice_rows(t, 1, 3),
         ad.softmax_rows,
-    ], ids=["add", "sub", "div", "gather_rows", "slice_rows", "softmax_rows"])
+        lambda t: ad.group_max(t, 3),
+    ], ids=["add", "sub", "div", "gather_rows", "slice_rows", "softmax_rows", "group_max"])
     def test_record_does_not_hold_unread_input(self, op):
         tape = Tape()
         x = tape.watch(_rng(11).uniform(1.0, 2.0, size=(3, 4)))
@@ -212,26 +213,62 @@ class TestLayoutOps:
         out = ad.segment_sum(Tensor(x), [0, 1, 0, 1], 2)
         np.testing.assert_array_equal(out.data, [[4, 6], [8, 10]])
 
+    # oracles.segment_max pools the text CNN's per-offset oracle, so its
+    # rows and gradient are held to the same checks as the package's ops.
     def test_segment_max_forward_and_backward(self):
         tape = Tape()
         x = tape.watch(np.array([[1.0, 5.0], [3.0, 2.0], [7.0, 0.0]]))
-        out = ad.segment_max(x, [0, 0, 1], 2)
+        out = oracles.segment_max(x, [0, 0, 1], 2)
         np.testing.assert_array_equal(out.data, [[3, 5], [7, 0]])
         tape.backward(ad.sum_(out))
         np.testing.assert_array_equal(tape.grad(x), [[0, 1], [1, 0], [1, 1]])
 
-    @pytest.mark.parametrize("op", [ad.segment_sum, ad.segment_max])
+    @pytest.mark.parametrize("op", [ad.segment_sum, oracles.segment_max])
     @pytest.mark.parametrize("ids", [[0, -1, 1], [0, 2, 1]])
     def test_segment_id_out_of_range(self, op, ids):
         x = np.arange(6.0).reshape(3, 2)
         with pytest.raises(IndexError, match=r"\[0, 2\)"):
             op(Tensor(x), ids, 2)
 
-    @pytest.mark.parametrize("op", [ad.segment_sum, ad.segment_max])
+    @pytest.mark.parametrize("op", [ad.segment_sum, oracles.segment_max])
     @pytest.mark.parametrize("ids", [[0, 1], [0, 1, 0, 1], [[0], [1], [0]]])
     def test_segment_ids_must_be_one_per_row(self, op, ids):
         with pytest.raises(ShapeError, match=r"\(3,\)"):
             op(Tensor(np.zeros((3, 2))), ids, 2)
+
+    def test_group_max_routes_ties_to_first_row(self):
+        # Two groups of three rows; column 0 ties inside each group.
+        tape = Tape()
+        x = tape.watch(np.array([
+            [1.0, 0.0], [4.0, 9.0], [4.0, 2.0],
+            [-3.0, 5.0], [-3.0, 5.0], [-7.0, 6.0],
+        ]))
+        out = ad.group_max(x, 2)
+        np.testing.assert_array_equal(out.data, [[4, 9], [-3, 6]])
+        tape.backward(ad.sum_(out))
+        np.testing.assert_array_equal(
+            tape.grad(x), [[0, 0], [1, 1], [0, 0], [1, 0], [0, 0], [0, 1]]
+        )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_group_max_matches_segment_max_at(self, seed):
+        # Coarse values, so most columns tie and the first attaining row matters.
+        n, m = 7, 9
+        x = np.round(_rng(seed).normal(size=(n * m, 5)), 1)
+        tape = Tape()
+        xt = tape.watch(x)
+        out = ad.group_max(xt, n)
+        expected, mask = oracles.segment_max_at(x, np.repeat(np.arange(n), m), n)
+        assert out.data.tobytes() == expected.tobytes()
+        tape.backward(ad.sum_(out))
+        np.testing.assert_array_equal(tape.grad(xt), mask)
+
+    @pytest.mark.parametrize("shape, n_groups", [
+        ((7, 2), 2), ((0, 2), 2), ((6,), 2), ((2, 3, 2), 2), ((6, 2), 0),
+    ])
+    def test_group_max_rows_must_split_into_groups(self, shape, n_groups):
+        with pytest.raises(ShapeError, match="group_max"):
+            ad.group_max(Tensor(np.zeros(shape)), n_groups)
 
 
 # ---------------------------------------------------------------------------
@@ -275,22 +312,21 @@ class TestScatter:
     @settings(max_examples=150, deadline=None)
     @given(
         case=_scatter_cases(),
-        ufunc=st.sampled_from([np.add, np.maximum, np.minimum]),
         # None keeps the module's cutoffs; the others force rank passes on
         # small inputs, down to one element per pass.
         cutoffs=st.sampled_from([(None, None), (1, 1), (8, 1), (16, 4)]),
     )
-    def test_matches_ufunc_at(self, case, ufunc, cutoffs):
+    def test_matches_ufunc_at(self, case, cutoffs):
         out, idx, vals = case
-        expected = oracles.scatter_at(ufunc, out, idx, vals)
+        expected = oracles.scatter_at(np.add, out, idx, vals)
         with _scatter_cutoffs(*cutoffs):
-            ad._scatter(ufunc, out, idx, vals)
+            ad._scatter(out, idx, vals)
         assert out.dtype == expected.dtype
         assert out.tobytes() == expected.tobytes()
 
     def test_empty_index(self):
         out = np.ones((3, 304))
-        ad._scatter(np.add, out, np.zeros(0, dtype=np.int64), np.zeros((0, 304)))
+        ad._scatter(out, np.zeros(0, dtype=np.int64), np.zeros((0, 304)))
         np.testing.assert_array_equal(out, np.ones((3, 304)))
 
     # 10 slots of width 304 with hub-shaped multiplicities: at the module's
@@ -319,19 +355,6 @@ class TestScatter:
         g = _rng(seed + 100).normal(size=(idx.size, self.WIDTH))
         tape.backward(ad.sum_(ad.mul(ad.gather_rows(table, idx), Tensor(g))))
         assert tape.grad(table).tobytes() == oracles.gather_rows_grad_at(g, idx, n).tobytes()
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_hub_segment_max_matches_ufunc_at(self, seed):
-        idx, x = self._hub(seed)
-        x = np.round(x, 1)  # ties, so the first attaining row matters
-        n = len(self.HUB_MULT)
-        tape = Tape()
-        xt = tape.watch(x)
-        out = ad.segment_max(xt, idx, n)
-        expected, mask = oracles.segment_max_at(x, idx, n)
-        assert out.data.tobytes() == expected.tobytes()
-        tape.backward(ad.sum_(out))
-        np.testing.assert_array_equal(tape.grad(xt), mask)
 
 
 # ---------------------------------------------------------------------------
@@ -457,10 +480,12 @@ _OP_CASES = {
         {"a": (5, 2)},
         lambda p: ad.segment_sum(p["a"], [0, 1, 0, 2, 1], 3),
     ),
+    # The per-offset text CNN oracle's pool (see TestLayoutOps).
     "segment_max": (
         {"a": (5, 2)},
-        lambda p: ad.segment_max(p["a"], [0, 1, 0, 1, 1], 2),
+        lambda p: oracles.segment_max(p["a"], [0, 1, 0, 1, 1], 2),
     ),
+    "group_max": ({"a": (6, 3)}, lambda p: ad.group_max(p["a"], 2)),
     "edge_aggregate": (
         {"h": (4, 6), "alpha": (7, 3)},
         lambda p: ad.edge_aggregate(p["h"], p["alpha"], [0, 1, 3, 2, 0, 3, 1], [0, 0, 1, 2, 2, 1, 0], 3),
@@ -480,7 +505,8 @@ _HUB = _rng(5).permutation(np.repeat([1, 0, 2], [40, 15, 5]))
 _HUB_CASES = {
     "gather_rows_hub": ({"a": (3, 4)}, lambda p: ad.gather_rows(p["a"], _HUB)),
     "segment_sum_hub": ({"a": (60, 4)}, lambda p: ad.segment_sum(p["a"], _HUB, 3)),
-    "segment_max_hub": ({"a": (60, 4)}, lambda p: ad.segment_max(p["a"], _HUB, 3)),
+    # No scatter: the oracle pool, here over segments of uneven size.
+    "segment_max_hub": ({"a": (60, 4)}, lambda p: oracles.segment_max(p["a"], _HUB, 3)),
     "edge_aggregate_hub": (
         {"h": (3, 4), "alpha": (60, 2)},
         lambda p: ad.edge_aggregate(p["h"], p["alpha"], _HUB[::-1], _HUB, 3),

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,24 @@ class TestJsonlRoundTrip:
             PostRecord("p0", [1, -1], np.zeros(2), "u0", [], 0)
         with pytest.raises(ValueError, match="comment c0: negative token id"):
             CommentRecord("c0", [-1], "u0", "p0")
+
+    # Id 0 pads: the text CNN would skip it while the graph feature would
+    # still divide by the full token count.
+    def test_padding_token_rejected(self):
+        with pytest.raises(ValueError, match="post p0: token id 0 is reserved for padding"):
+            PostRecord("p0", [0, 0, 0, 5], np.zeros(2), "u0", [], 0)
+        with pytest.raises(ValueError, match="comment c0: token id 0 is reserved for padding"):
+            CommentRecord("c0", [4, 0], "u0", "p0")
+
+    @pytest.mark.parametrize("kind, rec_id", [("post", "p00003"), ("comment", "c00002_0")])
+    def test_padding_token_rejected_on_load(self, tmp_path, kind, rec_id):
+        save_dataset(generate_synthetic(n=20, d=3, separation=0.0, seed=9), tmp_path)
+        path = tmp_path / f"{kind}s.jsonl"
+        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        next(r for r in rows if r["id"] == rec_id)["tokens"][-1] = 0
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"{kind} {rec_id}: token id 0"):
+            load_dataset(tmp_path)
 
 
 class TestDatasetBundle:

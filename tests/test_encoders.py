@@ -123,14 +123,23 @@ class TestEncodeText:
         assert sum(cfg.filters_per_kernel) == 32
         assert max(cfg.filters_per_kernel) - min(cfg.filters_per_kernel) <= 1
 
-    @pytest.mark.parametrize("kernels", [(1,), (2, 3), (3, 4, 5), (2, 8)])
-    def test_matches_per_offset_oracle(self, kernels):
-        # Posts of 8, 5, 2, 1 and 0 real tokens: every post pads differently.
-        cfg, store = _text_setup(seed=11, d=7, vocab=13, seq_len=8, kernels=kernels)
+    # Posts of 8, 5, 2, 1 and 0 real tokens over 12 tokens: every post pads
+    # differently.  Then 40 posts of 30 or 25 real tokens over 20,000 tokens:
+    # nearly every token occurs once.
+    @pytest.mark.parametrize("kernels, vocab, lengths", [
+        ((1,), 13, [8, 5, 2, 1, 0]),
+        ((2, 3), 13, [8, 5, 2, 1, 0]),
+        ((3, 4, 5), 13, [8, 5, 2, 1, 0]),
+        ((2, 8), 13, [8, 5, 2, 1, 0]),
+        ((3, 4, 5), 20_000, [30, 25] * 20),
+    ], ids=["kernels0", "kernels1", "kernels2", "kernels3", "vocab20000"])
+    def test_matches_per_offset_oracle(self, kernels, vocab, lengths):
+        seq_len = max(lengths)
+        cfg, store = _text_setup(seed=11, d=7, vocab=vocab, seq_len=seq_len, kernels=kernels)
         rng = _rng(12)
-        tokens = rng.integers(1, cfg.vocab_size, size=(5, cfg.seq_len))
-        tokens[np.arange(cfg.seq_len) >= np.array([8, 5, 2, 1, 0])[:, None]] = 0
-        probe = Tensor(rng.normal(size=(5, cfg.embed_dim)))
+        tokens = rng.integers(1, cfg.vocab_size, size=(len(lengths), seq_len))
+        tokens[np.arange(seq_len) >= np.array(lengths)[:, None]] = 0
+        probe = Tensor(rng.normal(size=(len(lengths), cfg.embed_dim)))
 
         def run(encode):
             tape = ad.Tape()
@@ -147,8 +156,9 @@ class TestEncodeText:
 
     @pytest.mark.parametrize("kernels", [(1,), (2, 3), (3, 4, 5)])
     def test_tape_records_per_kernel(self, monkeypatch, kernels):
-        # gather, reshape, matmul, add, relu, segment_max per kernel size,
-        # then one concat.
+        # One gather of the distinct tokens; per kernel size four weight
+        # layout ops, matmul, reshape, gather, reshape, sum, group_max, add,
+        # relu; then one concat.
         cfg, store = _text_setup(seed=13, kernels=kernels)
         emitted = []
         emit = ad.Tape.emit
@@ -160,7 +170,24 @@ class TestEncodeText:
         monkeypatch.setattr(ad.Tape, "emit", counting_emit)
         tokens = _rng(14).integers(1, cfg.vocab_size, size=(3, cfg.seq_len))
         encode_text_batch(tokens, store.watch(ad.Tape()), cfg)
-        assert len(emitted) == 6 * len(kernels) + 1
+        assert len(emitted) == 12 * len(kernels) + 2
+
+    def test_matmuls_have_one_row_per_distinct_token(self, monkeypatch):
+        # 4 posts of 8 slots over 5 distinct tokens: 20+ windows per kernel
+        # size, but no matmul may see more than 5 rows.
+        cfg, store = _text_setup(seed=17, vocab=12, seq_len=8, kernels=(2, 3))
+        tokens = _rng(18).choice([0, 3, 4, 7, 11], size=(4, cfg.seq_len))
+        rows = []
+        matmul = ad.matmul
+
+        def counting_matmul(a, b):
+            rows.append(a.shape[0])
+            return matmul(a, b)
+
+        monkeypatch.setattr(ad, "matmul", counting_matmul)
+        encode_text_batch(tokens, store.watch(ad.Tape()), cfg)
+        assert len(rows) == len(cfg.kernel_sizes)
+        assert max(rows) <= np.unique(tokens).size == 5
 
     def test_grad_check(self):
         cfg, store = _text_setup(seed=9, d=4, vocab=7, seq_len=5, kernels=(2,))
