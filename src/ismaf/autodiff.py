@@ -523,8 +523,6 @@ def group_max(a, n_groups: int) -> Tensor:
             f"group_max needs 2-D rows in {n_groups} equal non-empty groups, got {x.shape}"
         )
     groups = x.reshape(n_groups, -1, x.shape[1])
-    if a.tape is None:  # no backward, so no need to find the attaining rows
-        return Tensor(groups.max(axis=1))
     first = groups.argmax(axis=1)[:, None, :]  # [n_groups, 1, f]
     out = np.take_along_axis(groups, first, axis=1)[:, 0]
     shape, group_shape = x.shape, groups.shape
