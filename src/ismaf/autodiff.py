@@ -29,9 +29,6 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 EPS = 1e-12
-# Additive mask value for disallowed attention slots; large enough that
-# exp(x - rowmax) underflows to exactly 0, small enough to stay finite.
-NEG_MASK = -1e30
 
 
 class ShapeError(ValueError):
@@ -307,16 +304,23 @@ def batched_matmul(a, b) -> Tensor:
     return _emit(tape, a.data @ b.data, (a, b), vjp)
 
 
-def transpose(a) -> Tensor:
-    """Swap the last two axes of a 2-D or 3-D tensor."""
+def transpose(a, axes=None) -> Tensor:
+    """Permute the axes of a tensor as ``np.transpose`` does; by default,
+    swap the last two axes of a 2-D or 3-D tensor."""
     a = as_tensor(a)
-    if a.data.ndim not in (2, 3):
-        raise ShapeError(f"transpose expects a 2-D or 3-D tensor, got {a.data.shape}")
+    ndim = a.data.ndim
+    if axes is None:
+        if ndim not in (2, 3):
+            raise ShapeError(f"transpose expects a 2-D or 3-D tensor, got {a.data.shape}")
+        axes = (*range(ndim - 2), ndim - 1, ndim - 2)
+    elif sorted(axes) != list(range(ndim)):
+        raise ShapeError(f"transpose axes {tuple(axes)} do not permute {a.data.shape}")
+    inverse = np.argsort(axes)
 
     def vjp(g):
-        return (g.swapaxes(-1, -2),)
+        return (g.transpose(inverse),)
 
-    return _emit(a.tape, a.data.swapaxes(-1, -2), (a,), vjp)
+    return _emit(a.tape, a.data.transpose(axes), (a,), vjp)
 
 
 def reshape(a, shape) -> Tensor:
@@ -621,21 +625,17 @@ def mean(a, axis=None) -> Tensor:
 
 
 def softmax_rows(a) -> Tensor:
-    """Row-wise softmax, stabilized by row-max subtraction."""
+    """Softmax over the last axis (the rows of a matrix), stabilized by
+    row-max subtraction."""
     a = as_tensor(a)
-    rows = a.data.ndim == 2
-    x = a.data if rows else a.data[None, :]
-    shifted = x - x.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=1, keepdims=True)
-    out = s if rows else s[0]
+    x = a.data
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    s = e / e.sum(axis=-1, keepdims=True)
 
     def vjp(g):
-        g2 = g if g.ndim == 2 else g[None, :]
-        gx = s * (g2 - (g2 * s).sum(axis=1, keepdims=True))
-        return (gx if rows else gx[0],)
+        return (s * (g - (g * s).sum(axis=-1, keepdims=True)),)
 
-    return _emit(a.tape, out, (a,), vjp)
+    return _emit(a.tape, s, (a,), vjp)
 
 
 def row_l2_normalize(a) -> Tensor:

@@ -4,9 +4,9 @@ consistency alignment, and mutual learning between the two branch classifiers.
 
 Attention operates on a token lift: each d-vector is reshaped into
 ``token_len`` tokens of d/token_len entries, attended, and mean-pooled back
-to d.  It takes a batch of rows at once and attends within each row only.
-Heads are realized as a block-diagonal mask over a (token, head) axis, so a
-single softmax covers all heads of all rows.
+to d.  It takes a batch of rows at once and attends within each row only:
+every (row, head) pair is one entry of a batched matmul, so each softmax
+runs over one head's ``token_len`` tokens.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import NEG_MASK, ParamStore, Tensor
+from .autodiff import ParamStore, Tensor
 
 log = logging.getLogger(__name__)
 
@@ -86,18 +86,21 @@ def attend(x_query, x_kv, wq, wk, wv, wo, cfg: AttentionConfig) -> Tensor:
     n = x_query.size // cfg.d
     tq = ad.reshape(x_query, (n * L, dt))
     tkv = ad.reshape(x_kv, (n * L, dt))
-    # [N*L, inner] -> [N, L*H, dh]: row t*H+h of post i holds token t's
-    # head-h block, so a same-head mask turns one softmax into H per post.
-    q = ad.reshape(ad.matmul(tq, wq), (n, L * H, dh))
-    k = ad.reshape(ad.matmul(tkv, wk), (n, L * H, dh))
-    v = ad.reshape(ad.matmul(tkv, wv), (n, L * H, dh))
-    scores = ad.scale(ad.batched_matmul(q, ad.transpose(k)), 1.0 / math.sqrt(dh))
-    head = np.arange(L * H) % H
-    mask = Tensor(np.where(head[:, None] == head[None, :], 0.0, NEG_MASK))
-    attn = ad.softmax_rows(ad.reshape(ad.add(scores, mask), (n * L * H, L * H)))
-    ctx = ad.batched_matmul(ad.reshape(attn, (n, L * H, L * H)), v)
-    out_tokens = ad.matmul(ad.reshape(ctx, (n * L, cfg.inner_dim)), wo)
-    return ad.mean(ad.reshape(out_tokens, x_query.shape[:-1] + (L, cfg.d)), axis=-2)
+
+    def per_head(tokens, w, axes):
+        # [N*L, H*dh] -> [N, L, H, dh] -> (row, head) pairs as the batch axis.
+        split = ad.transpose(ad.reshape(ad.matmul(tokens, w), (n, L, H, dh)), axes)
+        return ad.reshape(split, (n * H,) + split.shape[2:])
+
+    q = per_head(tq, wq, (0, 2, 1, 3))  # [N*H, L, dh]
+    k = per_head(tkv, wk, (0, 2, 3, 1))  # [N*H, dh, L]
+    v = per_head(tkv, wv, (0, 2, 1, 3))  # [N*H, L, dh]
+    scores = ad.scale(ad.batched_matmul(q, k), 1.0 / math.sqrt(dh))
+    ctx = ad.batched_matmul(ad.softmax_rows(scores), v)
+    # The token mean commutes with the output projection, so pool first;
+    # row i then holds its H pooled heads side by side, as wo expects.
+    pooled = ad.reshape(ad.mean(ctx, axis=1), (n, cfg.inner_dim))
+    return ad.reshape(ad.matmul(pooled, wo), x_query.shape)
 
 
 def self_attention(r_m, modality: str, params, cfg: AttentionConfig) -> Tensor:

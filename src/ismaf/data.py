@@ -34,6 +34,11 @@ class PostRecord:
         self.visual_feat = np.asarray(self.visual_feat, dtype=np.float64)
         if self.label not in (0, 1):
             raise ValueError(f"post {self.id}: label must be 0 or 1, got {self.label!r}")
+        if self.visual_feat.ndim != 1 or self.visual_feat.size == 0:
+            raise ValueError(
+                f"post {self.id}: visual features must be a non-empty 1-D vector, "
+                f"got shape {self.visual_feat.shape}"
+            )
         if not np.isfinite(self.visual_feat).all():
             raise ValueError(f"post {self.id}: visual features must be finite")
         _check_tokens(f"post {self.id}", self.tokens)
@@ -67,6 +72,15 @@ class DatasetBundle:
         self._post_by_id = {p.id: p for p in self.posts}
         if len(self._post_by_id) != len(self.posts):
             raise ValueError("duplicate post ids")
+        if self.posts:
+            first = self.posts[0]
+            dim = first.visual_feat.shape[0]
+            for p in self.posts:
+                if p.visual_feat.shape[0] != dim:
+                    raise ValueError(
+                        f"post {p.id}: {p.visual_feat.shape[0]} visual features, "
+                        f"but post {first.id} has {dim}"
+                    )
 
     def post(self, post_id: str) -> PostRecord:
         return self._post_by_id[post_id]

@@ -77,6 +77,13 @@ def load_model(path, dataset: DatasetBundle) -> IsmafModel:
         missing = set(stored) ^ set(model.store.names())
         raise ModelFileError(f"{path}: parameter set mismatch: {sorted(missing)}")
     for name, entry in stored.items():
+        want = model.store.value(name).shape
+        if tuple(entry["shape"]) != want:
+            raise ModelFileError(
+                f"{path}: parameter {name!r} has shape {tuple(entry['shape'])} in the "
+                f"file but {want} for this dataset"
+            )
+    for name, entry in stored.items():
         value = np.frombuffer(base64.b64decode(entry["data"]), dtype=np.float64)
         model.store.assign(name, value.reshape(entry["shape"]).copy())
     return model

@@ -3,7 +3,7 @@ values.  Everything here is deliberately scalar-loop / direct-formula numpy,
 sharing no code with the package under test, except the plain versions of
 optimised paths (``text_cnn_per_offset``, ``social_graph_dense``,
 ``social_batch_full_graph``, ``attention_per_post``, ``is_att_per_post``,
-``edge_aggregate_unfused``),
+``attend_masked`` and the paths built on it, ``edge_aggregate_unfused``),
 which reuse the package's building blocks and differ from the optimised path
 only in what it skips or batches, and the plain ``ufunc.at`` scatters
 (``scatter_at``, the ``*_at`` ops built on it, and ``segment_max``)."""
@@ -359,3 +359,53 @@ def is_att_per_post(z, r_g, params, cfg):
         )
         rows.append(ad.reshape(out, (1, cfg.d)))
     return ad.concat(rows, axis=0)
+
+
+# Additive mask value for the cross-head slots of ``attend_masked``; large
+# enough that exp(x - rowmax) underflows to exactly 0, small enough to stay
+# finite.
+NEG_MASK = -1e30
+
+
+def attend_masked(x_query, x_kv, wq, wk, wv, wo, cfg):
+    """What ``bridging.attend`` computes, the plain way: all heads of a post
+    as one [L*H, L*H] softmax, with a block-diagonal mask that keeps each
+    head's slots, and the output projection applied per token before the
+    token mean."""
+    x_query, x_kv = ad.as_tensor(x_query), ad.as_tensor(x_kv)
+    L, dt, H, dh = cfg.token_len, cfg.token_dim, cfg.heads, cfg.head_dim
+    n = x_query.size // cfg.d
+    tq = ad.reshape(x_query, (n * L, dt))
+    tkv = ad.reshape(x_kv, (n * L, dt))
+    # [N*L, inner] -> [N, L*H, dh]: row t*H+h of post i holds token t's
+    # head-h block, so a same-head mask turns one softmax into H per post.
+    q = ad.reshape(ad.matmul(tq, wq), (n, L * H, dh))
+    k = ad.reshape(ad.matmul(tkv, wk), (n, L * H, dh))
+    v = ad.reshape(ad.matmul(tkv, wv), (n, L * H, dh))
+    scores = ad.scale(ad.batched_matmul(q, ad.transpose(k)), 1.0 / math.sqrt(dh))
+    head = np.arange(L * H) % H
+    mask = ad.Tensor(np.where(head[:, None] == head[None, :], 0.0, NEG_MASK))
+    attn = ad.softmax_rows(ad.reshape(ad.add(scores, mask), (n * L * H, L * H)))
+    ctx = ad.batched_matmul(ad.reshape(attn, (n, L * H, L * H)), v)
+    out_tokens = ad.matmul(ad.reshape(ctx, (n * L, cfg.inner_dim)), wo)
+    return ad.mean(ad.reshape(out_tokens, x_query.shape[:-1] + (L, cfg.d)), axis=-2)
+
+
+def _attend_masked_named(params, x_query, x_kv, names, cfg):
+    wq, wk, wv, wo = (params[f"attn.{name}"] for name in names)
+    return attend_masked(x_query, x_kv, wq, wk, wv, wo, cfg)
+
+
+def attention_masked(params, r_t, r_v, cfg):
+    """``attention_per_post``'s outputs from one batched ``attend_masked``
+    call per attention.  Returns (z_t, z_v, z_tv, z_vt)."""
+    z_t = _attend_masked_named(params, r_t, r_t, ("T.wq", "T.wk", "T.wv", "T.wo"), cfg)
+    z_v = _attend_masked_named(params, r_v, r_v, ("V.wq", "V.wk", "V.wv", "V.wo"), cfg)
+    z_tv = _attend_masked_named(params, z_t, z_v, ("T.wq", "V.wk", "V.wv", "TV.wo"), cfg)
+    z_vt = _attend_masked_named(params, z_v, z_t, ("V.wq", "T.wk", "T.wv", "VT.wo"), cfg)
+    return z_t, z_v, z_tv, z_vt
+
+
+def is_att_masked(z, r_g, params, cfg):
+    """What ``fuse_alternate("is-att")`` computes, with ``attend_masked``."""
+    return _attend_masked_named(params, z, r_g, ("F.wq", "F.wk", "F.wv", "F.wo"), cfg)

@@ -84,6 +84,12 @@ class TestSoftmaxRows:
         out = ad.softmax_rows(Tensor(x))
         assert np.abs(out.data - oracles.softmax_direct(x)).max() < 1e-12
 
+    def test_last_axis_of_any_rank(self):
+        x = _rng(6).normal(size=(2, 3, 5))
+        out = ad.softmax_rows(Tensor(x))
+        assert np.abs(out.data - oracles.softmax_direct(x)).max() < 1e-12
+        np.testing.assert_array_equal(ad.softmax_rows(Tensor(x[0, 1])).data, out.data[0, 1])
+
     @settings(max_examples=50, deadline=None)
     @given(
         arrays(
@@ -178,6 +184,16 @@ class TestBackward:
 
 
 class TestLayoutOps:
+    def test_transpose_permutes_axes(self):
+        x = _rng(5).normal(size=(2, 3, 4, 5))
+        out = ad.transpose(Tensor(x), (0, 2, 3, 1))
+        np.testing.assert_array_equal(out.data, np.transpose(x, (0, 2, 3, 1)))
+
+    @pytest.mark.parametrize("axes", [(0, 1), (0, 2, 2, 1), (1, 2, 3, 4)])
+    def test_transpose_rejects_non_permutation(self, axes):
+        with pytest.raises(ShapeError, match=r"\(2, 3, 4, 5\)"):
+            ad.transpose(Tensor(np.zeros((2, 3, 4, 5))), axes)
+
     def test_concat_split_roundtrip_exact(self):
         rng = _rng(8)
         parts = [rng.normal(size=(n, 3)) for n in (2, 1, 4)]
@@ -457,11 +473,13 @@ _OP_CASES = {
     "log": ({"a": (3, 3)}, lambda p: ad.log(ad.add(ad.mul(p["a"], p["a"]), Tensor(np.full((3, 3), 0.3))))),
     "abs": ({"a": (4, 3)}, lambda p: ad.abs_(p["a"])),
     "softmax_rows": ({"a": (3, 5)}, lambda p: ad.softmax_rows(p["a"])),
+    "softmax_rows_3d": ({"a": (2, 3, 4)}, lambda p: ad.softmax_rows(p["a"])),
     "row_l2_normalize": ({"a": (3, 5)}, lambda p: ad.row_l2_normalize(p["a"])),
     "mean_axis0": ({"a": (4, 3)}, lambda p: ad.mean(p["a"], axis=0)),
     "sum_axis1": ({"a": (4, 3)}, lambda p: ad.sum_(p["a"], axis=1)),
     "transpose": ({"a": (3, 4)}, lambda p: ad.transpose(p["a"])),
     "transpose_3d": ({"a": (2, 3, 4)}, lambda p: ad.transpose(p["a"])),
+    "transpose_axes": ({"a": (2, 3, 4, 5)}, lambda p: ad.transpose(p["a"], (0, 2, 3, 1))),
     "batched_matmul": (
         {"a": (2, 3, 4), "b": (2, 4, 2)},
         lambda p: ad.batched_matmul(p["a"], p["b"]),

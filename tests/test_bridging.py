@@ -230,6 +230,15 @@ _ATTENTION_PATHS = {
 }
 
 
+# case -> the same outputs from oracles.attend_masked, the [L*H, L*H]
+# masked softmax that the per-head batch replaced.
+_MASKED_PATHS = {
+    "self": lambda p, x, y, cfg: oracles.attention_masked(p, x, y, cfg)[:2],
+    "co": lambda p, x, y, cfg: oracles.attention_masked(p, x, y, cfg)[2:],
+    "is-att": lambda p, x, y, cfg: (oracles.is_att_masked(x, y, p, cfg),),
+}
+
+
 def _enumerated(store, case, x, y, cfg):
     """Expected outputs for one post from the per-head loop oracle."""
 
@@ -287,11 +296,12 @@ class TestBatchedAttention:
     """One attention call over a batch of rows against the per-post loop it
     replaced, and each row against the per-head enumeration oracle."""
 
-    def test_rows_and_gradients_match_per_post_loop(self, case, shape, n):
+    @staticmethod
+    def _assert_match(case, shape, n, plain):
         cfg = _BATCH_CONFIGS[shape]
         store = _attention_store(cfg)
         x, y = _batch(n, cfg.d, 41), _batch(n, cfg.d, 42)
-        batched, plain = _ATTENTION_PATHS[case]
+        batched, _ = _ATTENTION_PATHS[case]
         outs, grads = _outputs_and_grads(store, batched, x, y, cfg)
         want_outs, want_grads = _outputs_and_grads(store, plain, x, y, cfg)
         for out, want in zip(outs, want_outs, strict=True):
@@ -300,6 +310,12 @@ class TestBatchedAttention:
         assert grads.keys() == want_grads.keys()
         for name, g in grads.items():
             np.testing.assert_allclose(g, want_grads[name], rtol=0, atol=1e-12, err_msg=name)
+
+    def test_rows_and_gradients_match_per_post_loop(self, case, shape, n):
+        self._assert_match(case, shape, n, _ATTENTION_PATHS[case][1])
+
+    def test_rows_and_gradients_match_masked_attend(self, case, shape, n):
+        self._assert_match(case, shape, n, _MASKED_PATHS[case])
 
     def test_rows_match_enumeration_oracle(self, case, shape, n):
         cfg = _BATCH_CONFIGS[shape]
@@ -311,6 +327,24 @@ class TestBatchedAttention:
             expected = _enumerated(store, case, x[i], y[i], cfg)
             for out, want in zip(outs, expected, strict=True):
                 assert np.abs(out.data[i] - want).max() < 1e-6
+
+
+@pytest.mark.parametrize("shape", sorted(_BATCH_CONFIGS))
+def test_attention_softmax_runs_over_one_heads_tokens(monkeypatch, shape):
+    cfg = _BATCH_CONFIGS[shape]
+    store = _attention_store(cfg)
+    widths = []
+    softmax_rows = ad.softmax_rows
+
+    def recording_softmax(a):
+        widths.append(a.shape[-1])
+        return softmax_rows(a)
+
+    monkeypatch.setattr(ad, "softmax_rows", recording_softmax)
+    x, y = _batch(5, cfg.d, 44), _batch(5, cfg.d, 45)
+    for batched, _ in _ATTENTION_PATHS.values():
+        batched(store.constants(), Tensor(x), Tensor(y), cfg)
+    assert widths and set(widths) == {cfg.token_len}
 
 
 def test_attention_rejects_mismatched_batches():

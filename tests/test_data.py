@@ -191,6 +191,20 @@ class TestJsonlRoundTrip:
         with pytest.raises(ValueError, match="finite"):
             PostRecord("p0", [1], np.array([np.inf, 0.0]), "u0", [], 0)
 
+    @pytest.mark.parametrize("visual", [np.float64(1.0), np.zeros((2, 2)), np.zeros(0)])
+    def test_visual_must_be_non_empty_vector(self, visual):
+        with pytest.raises(ValueError, match=r"post p0: visual features must be a non-empty 1-D vector"):
+            PostRecord("p0", [1], visual, "u0", [], 0)
+
+    def test_visual_length_mismatch_rejected_on_load(self, tmp_path):
+        save_dataset(generate_synthetic(n=20, d=3, separation=0.0, seed=9), tmp_path)
+        path = tmp_path / "posts.jsonl"
+        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        rows[4]["visual_feat"].append(0.5)
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        with pytest.raises(ValueError, match="post p00004: 4 visual features, but post p00000 has 3"):
+            load_dataset(tmp_path)
+
     def test_negative_token_rejected(self):
         with pytest.raises(ValueError, match="post p0: negative token id"):
             PostRecord("p0", [1, -1], np.zeros(2), "u0", [], 0)
@@ -239,6 +253,14 @@ class TestDatasetBundle:
         comments = [CommentRecord("c0", [15], "u0", "p0")]
         bundle = DatasetBundle(posts, comments, [UserRecord("u0")])
         assert bundle.vocab_size == 16
+
+    def test_visual_length_mismatch_rejected(self):
+        posts = [
+            PostRecord("p0", [1], np.zeros(2), "u0", [], 0),
+            PostRecord("p1", [2], np.zeros(3), "u0", [], 1),
+        ]
+        with pytest.raises(ValueError, match="post p1: 3 visual features, but post p0 has 2"):
+            DatasetBundle(posts, [], [UserRecord("u0")])
 
     def test_duplicate_post_ids_rejected(self):
         posts = [

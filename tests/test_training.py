@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from ismaf.config import TrainConfig, load_config, save_config
-from ismaf.data import generate_synthetic, split_dataset
+from ismaf.data import DatasetBundle, generate_synthetic, split_dataset
 from ismaf.model import IsmafModel
 from ismaf.serialize import ModelFileError, load_model, save_model
 from ismaf.training import (
@@ -257,6 +259,23 @@ class TestSerialization:
         path.write_text(json.dumps(payload))
         with pytest.raises(ModelFileError, match="version"):
             load_model(path, tiny_data)
+
+    @pytest.mark.parametrize("change, name, shapes", [
+        ("vocab", "text.embed", r"\(121, 8\) in the file but \(501, 8\)"),
+        ("visual", "visual.w", r"\(6, 8\) in the file but \(5, 8\)"),
+    ])
+    def test_incompatible_dataset_rejected(self, tmp_path, tiny_data, change, name, shapes):
+        result = train(_tiny_config(epochs=0), tiny_data)
+        path = tmp_path / "model.json"
+        save_model(result.model, path)
+        if change == "vocab":
+            first = tiny_data.posts[0]
+            wider = dataclasses.replace(first, tokens=first.tokens + [500])
+            other = DatasetBundle([wider] + tiny_data.posts[1:], tiny_data.comments, tiny_data.users)
+        else:
+            other = generate_synthetic(n=40, d=5, separation=3.0, graph_noise=0.25, seed=21)
+        with pytest.raises(ModelFileError, match=f"parameter '{name}' has shape {shapes}"):
+            load_model(path, other)
 
     def test_not_a_model_file_rejected(self, tmp_path, tiny_data):
         path = tmp_path / "junk.json"
