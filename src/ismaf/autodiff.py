@@ -9,8 +9,9 @@ runs backward once.  A record's vector-Jacobian product keeps only the arrays
 it reads (an input's shape, not its values, where the shape is enough), since
 the tape holds every record until backward.
 
-Scatters (segment sums, the gradient of a row gather, and the edge message
-sum ``edge_aggregate`` with its gradient) add the values that land in each
+Scatters (the per-destination sums of ``signed_segment_softmax`` and of its
+gradient, the gradient of a row gather, and the edge message sum
+``edge_aggregate`` with its gradient) add the values that land in each
 output slot in index order, as ``np.add.at`` does, so their results are
 bitwise equal to it; ``_scatter`` applies them in rank passes.
 
@@ -219,23 +220,6 @@ def mul(a, b) -> Tensor:
     return _emit(tape, out, (a, b), vjp)
 
 
-def div(a, b) -> Tensor:
-    """Elementwise a / b with a sign-preserving 1e-12 guard on b."""
-    a, b = as_tensor(a), as_tensor(b)
-    tape = _tape_of(a, b)
-    ad = a.data
-    bsafe = np.where(b.data >= 0, b.data + EPS, b.data - EPS)
-    out = ad / bsafe
-    b_shape = b.data.shape
-
-    def vjp(g):
-        ga = _unbroadcast(g / bsafe, ad.shape)
-        gb = _unbroadcast(-g * ad / (bsafe * bsafe), b_shape)
-        return ga, gb
-
-    return _emit(tape, out, (a, b), vjp)
-
-
 def scale(a, c: float) -> Tensor:
     a = as_tensor(a)
     c = float(c)
@@ -440,7 +424,7 @@ def edge_aggregate(h, alpha, src, dst, n_out: int) -> Tensor:
     ``alpha`` is [E, heads]; output row i sums ``alpha[e, k] * h[src[e], head
     k]`` over the edges e with ``dst[e] == i``.  The result and both gradients
     are bitwise those of gathering ``h[src]``, weighting each head's slice and
-    ``segment_sum``-ing over ``dst``, but no [E, heads*head_dim] array is
+    scattering the messages onto ``dst``, but no [E, heads*head_dim] array is
     held: forward and backward run over blocks of ``EDGE_CHUNK`` edges in
     edge order, each scattered in index order, and the backward recomputes
     each block's gathers instead of keeping them on the tape.
@@ -503,17 +487,38 @@ def _segment_ids(segment_ids, n_rows: int, num_segments: int) -> np.ndarray:
     return seg
 
 
-def segment_sum(a, segment_ids, num_segments: int) -> Tensor:
-    """Sum rows of a 2-D tensor into ``num_segments`` groups."""
-    a = as_tensor(a)
-    seg = _segment_ids(segment_ids, a.data.shape[0], num_segments)
-    out = np.zeros((num_segments, a.data.shape[1]))
-    _scatter(out, seg, a.data)
+def signed_segment_softmax(e, dst, n_out: int) -> Tensor:
+    """Signed softmax of edge scores over each destination's in-edges.
+
+    ``e`` is [E, heads]; per head, row j of the result is ``sign(e_j) *
+    exp(|e_j|) / sum_k exp(|e_k|)`` over the edges k with ``dst[k] ==
+    dst[j]``, each segment shifted by its largest ``|e|``.  The result and
+    the gradient are bitwise those of the plain chain of elementwise ops, a
+    segment sum over ``dst`` and a row gather; the record keeps only the
+    exponentials, the guarded denominators and the signs.
+    """
+    e = as_tensor(e)
+    if e.data.ndim != 2:
+        raise ShapeError(f"signed_segment_softmax expects e [E, heads], got {e.data.shape}")
+    seg = _segment_ids(dst, e.data.shape[0], n_out)
+    sign = np.sign(e.data)
+    mag = np.abs(e.data)
+    shape = (n_out, e.data.shape[1])
+    shift = np.full(shape, -np.inf)
+    np.maximum.at(shift, seg, mag)
+    ex = np.exp(mag - shift[seg])
+    denom = np.zeros(shape)
+    _scatter(denom, seg, ex)
+    # The chain's divisor guard; an edge's segment sums to at least exp(0) = 1.
+    bsafe = denom[seg] + EPS
 
     def vjp(g):
-        return (g[seg],)
+        gq = g * sign
+        g_denom = np.zeros(shape)
+        _scatter(g_denom, seg, -gq * ex / (bsafe * bsafe))
+        return ((gq / bsafe + g_denom[seg]) * ex * sign,)
 
-    return _emit(a.tape, out, (a,), vjp)
+    return _emit(e.tape, ex / bsafe * sign, (e,), vjp)
 
 
 def group_max(a, n_groups: int) -> Tensor:
@@ -593,16 +598,6 @@ def log(a) -> Tensor:
         return (g * np.where(inside, 1.0 / xs, 0.0),)
 
     return _emit(a.tape, np.log(xs), (a,), vjp)
-
-
-def abs_(a) -> Tensor:
-    a = as_tensor(a)
-    s = np.sign(a.data)
-
-    def vjp(g):
-        return (g * s,)
-
-    return _emit(a.tape, np.abs(a.data), (a,), vjp)
 
 
 def sum_(a, axis=None) -> Tensor:
@@ -731,9 +726,6 @@ class ParamStore:
 
     def __contains__(self, name):
         return name in self._values
-
-    def tensor(self, name: str) -> Tensor:
-        return Tensor(self._values[name])
 
     def watch(self, tape: Tape) -> dict[str, Tensor]:
         """Leaf tensors for every parameter, bound to the given tape."""

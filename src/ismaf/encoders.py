@@ -384,13 +384,7 @@ def signed_gat_layer(
         cfg.leaky_slope,
     )  # [E, heads], scores for edge src -> dst grouped by dst
 
-    sign = np.sign(e.data)  # piecewise constant, detached
-    mag = ad.abs_(e)
-    shift = np.full((n_out, heads), -np.inf)
-    np.maximum.at(shift, graph.dst, mag.data)
-    ex = ad.exp(ad.sub(mag, Tensor(shift[graph.dst])))
-    denom = ad.segment_sum(ex, graph.dst, n_out)
-    alpha = ad.mul(ad.div(ex, ad.gather_rows(denom, graph.dst)), Tensor(sign))
+    alpha = ad.signed_segment_softmax(e, graph.dst, n_out)
 
     agg = ad.edge_aggregate(hw, alpha, graph.src, graph.dst, n_out)
     return ad.tanh(ad.matmul(agg, wo))

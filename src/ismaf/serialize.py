@@ -52,6 +52,14 @@ def save_model(model: IsmafModel, path) -> None:
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
 
+def _check_shape(path, name: str, entry: dict, want: tuple) -> None:
+    if tuple(entry["shape"]) != want:
+        raise ModelFileError(
+            f"{path}: parameter {name!r} has shape {tuple(entry['shape'])} in the "
+            f"file but {want} for this dataset"
+        )
+
+
 def load_model(path, dataset: DatasetBundle) -> IsmafModel:
     """Restore a trained model against the dataset it will be used with."""
     try:
@@ -71,18 +79,21 @@ def load_model(path, dataset: DatasetBundle) -> IsmafModel:
         raise ModelFileError(f"{path}: checksum mismatch, file is corrupt or tampered")
 
     config = TrainConfig.from_dict(payload["config"])
-    model = IsmafModel(config, dataset)
     stored = payload["params"]
+    # The shapes that depend on the dataset are checked before the model,
+    # and with it the social graph, is built.
+    early = {"text.embed": (dataset.vocab_size, config.d)}
+    if dataset.posts:
+        early["visual.w"] = (dataset.posts[0].visual_feat.shape[0], config.d)
+    for name, want in early.items():
+        if name in stored:
+            _check_shape(path, name, stored[name], want)
+    model = IsmafModel(config, dataset)
     if set(stored) != set(model.store.names()):
         missing = set(stored) ^ set(model.store.names())
         raise ModelFileError(f"{path}: parameter set mismatch: {sorted(missing)}")
     for name, entry in stored.items():
-        want = model.store.value(name).shape
-        if tuple(entry["shape"]) != want:
-            raise ModelFileError(
-                f"{path}: parameter {name!r} has shape {tuple(entry['shape'])} in the "
-                f"file but {want} for this dataset"
-            )
+        _check_shape(path, name, entry, model.store.value(name).shape)
     for name, entry in stored.items():
         value = np.frombuffer(base64.b64decode(entry["data"]), dtype=np.float64)
         model.store.assign(name, value.reshape(entry["shape"]).copy())

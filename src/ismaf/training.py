@@ -165,9 +165,11 @@ def train(config: TrainConfig, dataset: DatasetBundle) -> TrainResult:
             params = model.store.watch(tape)
             result = model.forward(params, batch, training=True, rng=dropout_rng)
             if not np.isfinite(result.breakdown.total):
+                terms = result.breakdown.as_dict()
+                bad = [k for k, v in terms.items() if k != "total" and not np.isfinite(v)]
                 raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch} step {step}: "
-                    f"{result.breakdown.as_dict()}",
+                    f"non-finite loss at epoch {epoch} step {step} in "
+                    f"{', '.join(bad) or 'the weighted total'}: {terms}",
                     checkpoint=best_state if best_epoch >= 0 else model.store.snapshot(),
                     history=history,
                 )

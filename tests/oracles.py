@@ -3,10 +3,14 @@ values.  Everything here is deliberately scalar-loop / direct-formula numpy,
 sharing no code with the package under test, except the plain versions of
 optimised paths (``text_cnn_per_offset``, ``social_graph_dense``,
 ``social_batch_full_graph``, ``attention_per_post``, ``is_att_per_post``,
-``attend_masked`` and the paths built on it, ``edge_aggregate_unfused``),
-which reuse the package's building blocks and differ from the optimised path
-only in what it skips or batches, and the plain ``ufunc.at`` scatters
-(``scatter_at``, the ``*_at`` ops built on it, and ``segment_max``)."""
+``attend_masked`` and the paths built on it, ``edge_aggregate_unfused``,
+and ``signed_softmax_chain``: ``abs_``, ``sub``, ``exp``, ``segment_sum``,
+``gather_rows``, ``div`` and ``mul``, with a detached ``np.maximum.at``
+shift and sign), which reuse the package's building blocks and differ from
+the optimised path only in what it skips or batches; the tape ops that left
+the package for them (``abs_``, ``div``, ``segment_sum``); and the plain
+``ufunc.at`` scatters (``scatter_at``, the ``*_at`` ops built on it, and
+``segment_max``)."""
 
 import math
 
@@ -251,8 +255,8 @@ def segment_max_at(x, seg, num_segments):
 def segment_max(a, segment_ids, num_segments):
     """Per-segment max over the rows of a tape tensor, through
     ``segment_max_at``; the gradient flows to the first attaining row of each
-    segment and column.  Segment ids are checked as ``ad.segment_sum``
-    checks them."""
+    segment and column.  Segment ids are checked as ``segment_sum`` checks
+    them."""
     a = ad.as_tensor(a)
     seg = ad._segment_ids(segment_ids, a.shape[0], num_segments)
     out, mask = segment_max_at(a.data, seg, num_segments)
@@ -261,6 +265,58 @@ def segment_max(a, segment_ids, num_segments):
         return (g[seg] * mask,)
 
     return ad.Tensor(out) if a.tape is None else a.tape.emit(out, (a,), vjp)
+
+
+def abs_(a):
+    a = ad.as_tensor(a)
+    s = np.sign(a.data)
+
+    def vjp(g):
+        return (g * s,)
+
+    return ad._emit(a.tape, np.abs(a.data), (a,), vjp)
+
+
+def div(a, b):
+    """Elementwise a / b with a sign-preserving 1e-12 guard on b."""
+    a, b = ad.as_tensor(a), ad.as_tensor(b)
+    num, bsafe = a.data, np.where(b.data >= 0, b.data + ad.EPS, b.data - ad.EPS)
+    b_shape = b.data.shape
+
+    def vjp(g):
+        ga = ad._unbroadcast(g / bsafe, num.shape)
+        gb = ad._unbroadcast(-g * num / (bsafe * bsafe), b_shape)
+        return ga, gb
+
+    return ad._emit(ad._tape_of(a, b), num / bsafe, (a, b), vjp)
+
+
+def segment_sum(a, segment_ids, num_segments):
+    """Sum the rows of a 2-D tape tensor into ``num_segments`` groups, with
+    ``ad._scatter``."""
+    a = ad.as_tensor(a)
+    seg = ad._segment_ids(segment_ids, a.data.shape[0], num_segments)
+    out = np.zeros((num_segments, a.data.shape[1]))
+    ad._scatter(out, seg, a.data)
+
+    def vjp(g):
+        return (g[seg],)
+
+    return ad._emit(a.tape, out, (a,), vjp)
+
+
+def signed_softmax_chain(e, dst, n_out):
+    """What ``ad.signed_segment_softmax`` computes, as the chain of tape ops
+    it replaces: ``sign(e) * softmax(|e|)`` per destination, with the shift
+    and the sign detached."""
+    e = ad.as_tensor(e)
+    sign = np.sign(e.data)
+    mag = abs_(e)
+    shift = np.full((n_out, e.shape[1]), -np.inf)
+    np.maximum.at(shift, dst, mag.data)
+    ex = ad.exp(ad.sub(mag, ad.Tensor(shift[dst])))
+    denom = segment_sum(ex, dst, n_out)
+    return ad.mul(div(ex, ad.gather_rows(denom, dst)), ad.Tensor(sign))
 
 
 def edge_aggregate_unfused(h, alpha, src, dst, n_out):
@@ -273,7 +329,7 @@ def edge_aggregate_unfused(h, alpha, src, dst, n_out):
         ad.reshape(ad.gather_rows(h, src), (n_edges, heads, width // heads)),
         ad.reshape(alpha, (n_edges, heads, 1)),
     )
-    return ad.segment_sum(ad.reshape(msg, (n_edges, width)), dst, n_out)
+    return segment_sum(ad.reshape(msg, (n_edges, width)), dst, n_out)
 
 
 def node_features_direct(posts, comments, users, embed):

@@ -1,5 +1,6 @@
 import contextlib
 import re
+import tracemalloc
 import weakref
 from unittest import mock
 
@@ -155,7 +156,7 @@ class TestBackward:
     @pytest.mark.parametrize("op", [
         lambda t: ad.add(t, Tensor(np.ones(4))),
         lambda t: ad.sub(t, Tensor(np.ones(4))),
-        lambda t: ad.div(Tensor(np.ones(4)), t),
+        lambda t: oracles.div(Tensor(np.ones(4)), t),
         lambda t: ad.gather_rows(t, [0, 2, 2]),
         lambda t: ad.slice_rows(t, 1, 3),
         ad.softmax_rows,
@@ -224,9 +225,11 @@ class TestLayoutOps:
         tape.backward(ad.sum_(out))
         np.testing.assert_array_equal(tape.grad(x), [[1, 1], [2, 2], [0, 0]])
 
+    # oracles.segment_sum sums the messages of edge_aggregate_unfused and the
+    # denominators of signed_softmax_chain.
     def test_segment_sum(self):
         x = np.arange(8.0).reshape(4, 2)
-        out = ad.segment_sum(Tensor(x), [0, 1, 0, 1], 2)
+        out = oracles.segment_sum(Tensor(x), [0, 1, 0, 1], 2)
         np.testing.assert_array_equal(out.data, [[4, 6], [8, 10]])
 
     # oracles.segment_max pools the text CNN's per-offset oracle, so its
@@ -239,14 +242,14 @@ class TestLayoutOps:
         tape.backward(ad.sum_(out))
         np.testing.assert_array_equal(tape.grad(x), [[0, 1], [1, 0], [1, 1]])
 
-    @pytest.mark.parametrize("op", [ad.segment_sum, oracles.segment_max])
+    @pytest.mark.parametrize("op", [oracles.segment_sum, oracles.segment_max])
     @pytest.mark.parametrize("ids", [[0, -1, 1], [0, 2, 1]])
     def test_segment_id_out_of_range(self, op, ids):
         x = np.arange(6.0).reshape(3, 2)
         with pytest.raises(IndexError, match=r"\[0, 2\)"):
             op(Tensor(x), ids, 2)
 
-    @pytest.mark.parametrize("op", [ad.segment_sum, oracles.segment_max])
+    @pytest.mark.parametrize("op", [oracles.segment_sum, oracles.segment_max])
     @pytest.mark.parametrize("ids", [[0, 1], [0, 1, 0, 1], [[0], [1], [0]]])
     def test_segment_ids_must_be_one_per_row(self, op, ids):
         with pytest.raises(ShapeError, match=r"\(3,\)"):
@@ -364,7 +367,7 @@ class TestScatter:
     def test_hub_segment_sum_and_gather_match_ufunc_at(self, seed):
         idx, x = self._hub(seed)
         n = len(self.HUB_MULT)
-        out = ad.segment_sum(Tensor(x), idx, n)
+        out = oracles.segment_sum(Tensor(x), idx, n)
         assert out.data.tobytes() == oracles.segment_sum_at(x, idx, n).tobytes()
         tape = Tape()
         table = tape.watch(_rng(seed + 50).normal(size=(n, self.WIDTH)))
@@ -451,6 +454,94 @@ class TestEdgeAggregate:
 
 
 # ---------------------------------------------------------------------------
+# signed_segment_softmax: one op against the chain of tape ops it replaces
+
+
+class TestSignedSegmentSoftmax:
+    # Hub-shaped destinations over 14 slots: hubs, single-edge segments and
+    # two empty ones (slots 12 and 13).
+    DST_MULT = [150, 120, 90, 60, 30, 15, 8, 4, 2, 1, 1, 1, 0, 0]
+    HEADS = 8
+
+    def _case(self, seed):
+        rng = _rng(seed)
+        dst = rng.permutation(np.repeat(np.arange(len(self.DST_MULT)), self.DST_MULT))
+        e = rng.normal(size=(dst.size, self.HEADS))
+        e[rng.random(e.shape) < 0.05] = 0.0  # sign 0: no weight, no gradient
+        e[dst == 9] = 0.0  # a single-edge segment that is all zeros
+        return dst, e, rng.normal(size=e.shape)
+
+    @staticmethod
+    def _rows_and_grad(op, e, probe):
+        tape = Tape()
+        et = tape.watch(e)
+        out = op(et)
+        tape.backward(ad.sum_(ad.mul(out, Tensor(probe))))
+        return out.data, tape.grad(et)
+
+    # (8, 1) forces the segment sums through rank passes.
+    @pytest.mark.parametrize("cutoffs", [(None, None), (8, 1)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_chain_bitwise(self, seed, cutoffs):
+        dst, e, probe = self._case(seed)
+        n_out = len(self.DST_MULT)
+        assert (e == 0).any() and (e != 0).any()
+        with _scatter_cutoffs(*cutoffs):
+            expected = self._rows_and_grad(
+                lambda t: oracles.signed_softmax_chain(t, dst, n_out), e, probe
+            )
+            got = self._rows_and_grad(
+                lambda t: ad.signed_segment_softmax(t, dst, n_out), e, probe
+            )
+        for name, g, x in zip(("rows", "d e"), got, expected):
+            assert g.shape == x.shape and g.tobytes() == x.tobytes(), name
+
+    def test_constant_input_gives_constant_rows(self):
+        dst, e, _ = self._case(0)
+        out = ad.signed_segment_softmax(Tensor(e), dst, len(self.DST_MULT))
+        assert out.tape is None
+        np.testing.assert_array_equal(
+            out.data, oracles.signed_softmax_chain(Tensor(e), dst, len(self.DST_MULT)).data
+        )
+
+    @pytest.mark.parametrize("shape", [(5,), (5, 2, 1)])
+    def test_scores_must_be_edges_by_heads(self, shape):
+        with pytest.raises(ShapeError, match=r"e \[E, heads\]"):
+            ad.signed_segment_softmax(np.zeros(shape), [0] * 5, 2)
+
+    @pytest.mark.parametrize("dst", [[0] * 4, [0] * 6, [[0] * 5]])
+    def test_dst_must_be_one_per_edge(self, dst):
+        with pytest.raises(ShapeError, match=r"\(5,\)"):
+            ad.signed_segment_softmax(np.zeros((5, 2)), dst, 2)
+
+    @pytest.mark.parametrize("dst", [[0, 1, 2, 1, 0], [0, 1, -1, 1, 0]])
+    def test_dst_out_of_range(self, dst):
+        with pytest.raises(IndexError, match=r"\[0, 2\)"):
+            ad.signed_segment_softmax(np.zeros((5, 2)), dst, 2)
+
+    def test_record_holds_under_five_edge_arrays(self):
+        # The chain keeps six [E, heads] arrays on the tape (its output, |e|'s
+        # sign, exp's result, div's guarded divisor and quotient, the
+        # detached sign); the op keeps its output, the exponentials, the
+        # guarded divisors and the signs.
+        rng = _rng(4)
+        dst = np.repeat(np.arange(500), 40)
+        e = rng.normal(size=(dst.size, self.HEADS))
+        tape = Tape()
+        et = tape.watch(e)
+        tracemalloc.start()
+        try:
+            out = ad.signed_segment_softmax(et, dst, 500)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        units = held / e.nbytes
+        assert units < 4.5, units
+        tape.backward(ad.sum_(out))
+        assert np.isfinite(tape.grad(et)).all()
+
+
+# ---------------------------------------------------------------------------
 # grad_check on individual ops
 
 _OP_CASES = {
@@ -464,14 +555,14 @@ _OP_CASES = {
     ),
     "sub": ({"a": (3, 4), "b": (3, 4)}, lambda p: ad.sub(p["a"], p["b"])),
     "mul": ({"a": (3, 4), "b": (3, 4)}, lambda p: ad.mul(p["a"], p["b"])),
-    "div": ({"a": (3, 3), "b": (3, 3)}, lambda p: ad.div(p["a"], ad.add(ad.mul(p["b"], p["b"]), Tensor(np.full((3, 3), 0.5))))),
+    "div": ({"a": (3, 3), "b": (3, 3)}, lambda p: oracles.div(p["a"], ad.add(ad.mul(p["b"], p["b"]), Tensor(np.full((3, 3), 0.5))))),
     "scale": ({"a": (3, 4)}, lambda p: ad.scale(p["a"], -1.7)),
     "relu": ({"a": (4, 4)}, lambda p: ad.relu(p["a"])),
     "leaky_relu": ({"a": (4, 4)}, lambda p: ad.leaky_relu(p["a"], 0.2)),
     "tanh": ({"a": (4, 4)}, lambda p: ad.tanh(p["a"])),
     "exp": ({"a": (3, 3)}, lambda p: ad.exp(p["a"])),
     "log": ({"a": (3, 3)}, lambda p: ad.log(ad.add(ad.mul(p["a"], p["a"]), Tensor(np.full((3, 3), 0.3))))),
-    "abs": ({"a": (4, 3)}, lambda p: ad.abs_(p["a"])),
+    "abs": ({"a": (4, 3)}, lambda p: oracles.abs_(p["a"])),
     "softmax_rows": ({"a": (3, 5)}, lambda p: ad.softmax_rows(p["a"])),
     "softmax_rows_3d": ({"a": (2, 3, 4)}, lambda p: ad.softmax_rows(p["a"])),
     "row_l2_normalize": ({"a": (3, 5)}, lambda p: ad.row_l2_normalize(p["a"])),
@@ -494,9 +585,18 @@ _OP_CASES = {
         {"a": (4, 3)},
         lambda p: ad.gather_rows(p["a"], [0, 2, 2, 1]),
     ),
+    # abs, div and segment_sum are the oracle chain's ops (see
+    # TestSignedSegmentSoftmax).
     "segment_sum": (
         {"a": (5, 2)},
-        lambda p: ad.segment_sum(p["a"], [0, 1, 0, 2, 1], 3),
+        lambda p: oracles.segment_sum(p["a"], [0, 1, 0, 2, 1], 3),
+    ),
+    # Segment 3 is empty.  No segment has a single edge: its weight is
+    # sign(e) / (1 + 1e-12), whose gradient is the guard's 1e-12-scale
+    # residue, below what central differences resolve.
+    "signed_segment_softmax": (
+        {"e": (7, 3)},
+        lambda p: ad.signed_segment_softmax(p["e"], [0, 0, 1, 2, 1, 2, 0], 4),
     ),
     # The per-offset text CNN oracle's pool (see TestLayoutOps).
     "segment_max": (
@@ -522,7 +622,11 @@ _OP_CASES = {
 _HUB = _rng(5).permutation(np.repeat([1, 0, 2], [40, 15, 5]))
 _HUB_CASES = {
     "gather_rows_hub": ({"a": (3, 4)}, lambda p: ad.gather_rows(p["a"], _HUB)),
-    "segment_sum_hub": ({"a": (60, 4)}, lambda p: ad.segment_sum(p["a"], _HUB, 3)),
+    "segment_sum_hub": ({"a": (60, 4)}, lambda p: oracles.segment_sum(p["a"], _HUB, 3)),
+    "signed_segment_softmax_hub": (
+        {"e": (60, 4)},
+        lambda p: ad.signed_segment_softmax(p["e"], _HUB, 3),
+    ),
     # No scatter: the oracle pool, here over segments of uneven size.
     "segment_max_hub": ({"a": (60, 4)}, lambda p: oracles.segment_max(p["a"], _HUB, 3)),
     "edge_aggregate_hub": (
@@ -637,7 +741,7 @@ def test_forward_values_finite():
     outs = [
         ad.softmax_rows(x),
         ad.row_l2_normalize(x),
-        ad.log(ad.abs_(x)),
+        ad.log(oracles.abs_(x)),
         ad.exp(x),
         ad.tanh(x),
     ]

@@ -1,8 +1,11 @@
 import dataclasses
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from ismaf import encoders
 from ismaf.config import TrainConfig, load_config, save_config
 from ismaf.data import DatasetBundle, generate_synthetic, split_dataset
 from ismaf.model import IsmafModel
@@ -97,6 +100,11 @@ class TestTrainLoop:
             train(cfg, tiny_data)
         assert isinstance(info.value.checkpoint, dict)
         assert "text.embed" in info.value.checkpoint
+        # The message names exactly the non-finite terms among those it lists.
+        head, terms = str(info.value).split(": ", 1)
+        values = {k: float(v) for k, v in re.findall(r"'(\w+)': ([^,}]+)", terms)}
+        bad = [k for k in ("ce", "scl", "cmca", "ml", "af") if not np.isfinite(values[k])]
+        assert bad and head.endswith(" in " + ", ".join(bad)), str(info.value)
 
     def test_model_selection_keeps_best_validation_epoch(self, tiny_data):
         cfg = _tiny_config(epochs=3)
@@ -274,7 +282,11 @@ class TestSerialization:
             other = DatasetBundle([wider] + tiny_data.posts[1:], tiny_data.comments, tiny_data.users)
         else:
             other = generate_synthetic(n=40, d=5, separation=3.0, graph_noise=0.25, seed=21)
-        with pytest.raises(ModelFileError, match=f"parameter '{name}' has shape {shapes}"):
+        # The shapes are checked before the social graph is built.
+        unbuilt = mock.patch.object(
+            encoders, "build_social_graph", side_effect=AssertionError("graph built")
+        )
+        with unbuilt, pytest.raises(ModelFileError, match=f"parameter '{name}' has shape {shapes}"):
             load_model(path, other)
 
     def test_not_a_model_file_rejected(self, tmp_path, tiny_data):
