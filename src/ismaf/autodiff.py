@@ -7,7 +7,9 @@ list in reverse, accumulating vector-Jacobian products into per-node gradient
 buffers keyed by node id, and consumes the records as it goes, so a tape
 runs backward once.  A record's vector-Jacobian product keeps only the arrays
 it reads (an input's shape, not its values, where the shape is enough), since
-the tape holds every record until backward.
+the tape holds every record until backward.  ``matmul``, ``batched_matmul``
+and ``mul`` compute no gradient for a constant operand (known when the op
+is recorded) and return None for it.
 
 Scatters (the per-destination sums of ``signed_segment_softmax`` and of its
 gradient, the gradient of a row gather, and the edge message sum
@@ -213,9 +215,13 @@ def mul(a, b) -> Tensor:
     tape = _tape_of(a, b)
     ad, bd = a.data, b.data
     out = ad * bd
+    need_a, need_b = a.tape is not None, b.tape is not None
 
     def vjp(g):
-        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
+        return (
+            _unbroadcast(g * bd, ad.shape) if need_a else None,
+            _unbroadcast(g * ad, bd.shape) if need_b else None,
+        )
 
     return _emit(tape, out, (a, b), vjp)
 
@@ -255,14 +261,13 @@ def matmul(a, b) -> Tensor:
     if b.data.ndim == 1:
         out = out[..., 0] if a.data.ndim == 2 else out[0]
 
+    a_shape, b_shape = a.data.shape, b.data.shape
+    need_a, need_b = a.tape is not None, b.tape is not None
+
     def vjp(g):
         g2 = g.reshape(a2.shape[0], b2.shape[1])
-        ga = g2 @ b2.T
-        gb = a2.T @ g2
-        if a.data.ndim == 1:
-            ga = ga.reshape(-1)
-        if b.data.ndim == 1:
-            gb = gb.reshape(-1)
+        ga = (g2 @ b2.T).reshape(a_shape) if need_a else None
+        gb = (a2.T @ g2).reshape(b_shape) if need_b else None
         return ga, gb
 
     return _emit(tape, out, (a, b), vjp)
@@ -281,11 +286,16 @@ def batched_matmul(a, b) -> Tensor:
             f"{a.data.shape} x {b.data.shape}"
         )
     tape = _tape_of(a, b)
+    ad, bd = a.data, b.data
+    need_a, need_b = a.tape is not None, b.tape is not None
 
     def vjp(g):
-        return g @ b.data.swapaxes(1, 2), a.data.swapaxes(1, 2) @ g
+        return (
+            g @ bd.swapaxes(1, 2) if need_a else None,
+            ad.swapaxes(1, 2) @ g if need_b else None,
+        )
 
-    return _emit(tape, a.data @ b.data, (a, b), vjp)
+    return _emit(tape, ad @ bd, (a, b), vjp)
 
 
 def transpose(a, axes=None) -> Tensor:

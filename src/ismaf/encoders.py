@@ -9,7 +9,11 @@ from a row-tiled join that keeps only the pairs at or above the threshold,
 so building never holds an [n_nodes, n_nodes] matrix.  The GAT layers run on
 tape tensors, so gradients reach the embedding table, and each layer runs
 over an edge block: the edges whose messages can reach the rows the caller
-needs (``receptive_blocks``), or every edge of the graph.
+needs (``receptive_blocks``), or every edge of the graph.  The first layer
+can take its input as token weights over the distinct tokens of its rows
+and those tokens' embeddings, and then multiplies only the embeddings by
+its weights; every layer folds its attention vectors into W, so each score
+is one product with the input.
 """
 
 from __future__ import annotations
@@ -207,7 +211,9 @@ def build_social_graph(
     nodes the mean of their authored posts and comments (zero vector when a
     user authored nothing).  Undirected edges exist where cosine similarity
     of the features >= theta or a structural relation holds (authorship,
-    comment-on-post), and every node gets a self-loop.  Edges are ordered
+    comment-on-post), and every node gets a self-loop.  A node whose feature
+    is zero (a text without tokens, a user who wrote nothing) has no
+    similarity edges: its cosine is undefined, not 0.  Edges are ordered
     by source, then destination, with the self-loops last.
 
     ``theta`` must lie in (-1, 1]: at -1 every pair would be an edge.
@@ -259,11 +265,16 @@ def build_social_graph(
     # columns from the block's first row on; pairs inside the diagonal block
     # also come out as j < i, and the deduplication below merges them.
     feats = token_weights @ embed
-    unit = feats / (np.sqrt((feats * feats).sum(axis=1, keepdims=True)) + 1e-12)
+    norms = np.sqrt((feats * feats).sum(axis=1, keepdims=True))
+    unit = feats / (norms + 1e-12)
+    zero = norms[:, 0] == 0
     kinds = np.array([{"post": 0, "comment": 1, "user": 2}[k] for k in node_kinds])
     for a in range(0, n, SIM_TILE):
         b = min(a + SIM_TILE, n)
         hit = unit[a:b] @ unit[a:].T >= theta  # column k is node a + k
+        # A zero feature has no direction, so no similarity edges.
+        hit[zero[a:b]] = False
+        hit[:, zero[a:]] = False
         if connect_kinds == "same-kind":
             hit &= kinds[a:b, None] == kinds[None, a:]
         np.fill_diagonal(hit, False)
@@ -343,7 +354,7 @@ def receptive_blocks(graph: SocialGraph, rows: np.ndarray, layers: int) -> tuple
 
 
 def signed_gat_layer(
-    feats: Tensor,
+    feats: Tensor | tuple[Tensor, Tensor],
     graph: EdgeBlock | SocialGraph,
     params,
     cfg: GatConfig,
@@ -351,31 +362,43 @@ def signed_gat_layer(
 ) -> Tensor:
     """One signed multi-head GAT layer over the edges of one block.
 
-    ``feats`` holds the block's input rows; the result holds its output rows.
+    ``feats`` holds the block's input rows, or is a pair ``(weights,
+    table)`` whose product they are: on the first layer, the constant
+    [n_in, U] token weights of the input rows over the U tokens they use,
+    and those tokens' [U, d] embedding rows.  A pair's products are taken
+    as ``weights @ (table @ M)``, so no [n_in, d] array is formed.  The
+    result holds the block's output rows.
     Per head: e_ij = leaky_relu(a_src.Wh_j + a_dst.Wh_i) over directed edges
     j -> i; alpha_ij = sign(e_ij) * softmax_j(|e_ij|); output row i
     aggregates alpha-weighted Wh_j, heads are concatenated, projected back to
-    d, tanh.
+    d, tanh.  The scores a.Wh are each one product of the input with the
+    [d, heads] per-head sums of ``W * a``.
     """
-    d = feats.shape[1]
     n_out = graph.targets.size
     covered = np.zeros(n_out, dtype=bool)
     covered[graph.dst] = True
     if not covered.all():
         raise ValueError("node without any in-edge; self-loops are required")
 
-    heads, head_dim = cfg.heads, cfg.head_dim(d)
     w = params[f"gat.l{layer}.w"]
     a_src = params[f"gat.l{layer}.a_src"]
     a_dst = params[f"gat.l{layer}.a_dst"]
     wo = params[f"gat.l{layer}.wo"]
+    d, heads = w.shape[0], cfg.heads
+    head_dim = cfg.head_dim(d)
 
     def per_head_sum(x: Tensor) -> Tensor:  # [rows, heads*head_dim] -> [rows, heads]
         return ad.sum_(ad.reshape(x, (x.shape[0], heads, head_dim)), axis=2)
 
-    hw = ad.matmul(feats, w)  # [n_in, heads*head_dim]
-    s_src = per_head_sum(ad.mul(hw, a_src))
-    s_dst = per_head_sum(ad.mul(hw, a_dst))
+    def project(m: Tensor) -> Tensor:  # the input rows times m
+        if isinstance(feats, tuple):
+            weights, table = feats
+            return ad.matmul(weights, ad.matmul(table, m))
+        return ad.matmul(feats, m)
+
+    hw = project(w)  # [n_in, heads*head_dim]
+    s_src = project(per_head_sum(ad.mul(w, a_src)))  # [n_in, heads]
+    s_dst = project(per_head_sum(ad.mul(w, a_dst)))
     e = ad.leaky_relu(
         ad.add(
             ad.gather_rows(s_src, graph.src),

@@ -2,7 +2,7 @@
 values.  Everything here is deliberately scalar-loop / direct-formula numpy,
 sharing no code with the package under test, except the plain versions of
 optimised paths (``text_cnn_per_offset``, ``social_graph_dense``,
-``social_batch_full_graph``, ``attention_per_post``, ``is_att_per_post``,
+``signed_gat_layer_plain`` and ``social_batch_full_graph``, ``attention_per_post``, ``is_att_per_post``,
 ``attend_masked`` and the paths built on it, ``edge_aggregate_unfused``,
 and ``signed_softmax_chain``: ``abs_``, ``sub``, ``exp``, ``segment_sum``,
 ``gather_rows``, ``div`` and ``mul``, with a detached ``np.maximum.at``
@@ -18,7 +18,6 @@ import numpy as np
 
 from ismaf import autodiff as ad
 from ismaf.bridging import attend, co_attention, self_attention
-from ismaf.encoders import signed_gat_layer
 
 
 def matmul_triple_loop(a, b):
@@ -354,14 +353,14 @@ def node_features_direct(posts, comments, users, embed):
 def social_graph_dense(graph, posts, comments, embed, theta, connect_kinds):
     """The edges ``build_social_graph`` emits, the plain way: the dense
     [n, n] cosine matrix of the graph's node features, thresholded into a
-    bool adjacency, the structural pairs set, symmetrised with its transpose
-    and read out in row-major order, then one self-loop per node.
-    Returns (src, dst)."""
+    bool adjacency without the rows and columns of zero features, the
+    structural pairs set, symmetrised with its transpose and read out in
+    row-major order, then one self-loop per node.  Returns (src, dst)."""
     feats = graph.token_weights @ embed
     norms = np.sqrt((feats * feats).sum(axis=1, keepdims=True))
     unit = feats / (norms + 1e-12)
     sim = np.clip(unit @ unit.T, -1.0, 1.0)
-    adj = sim >= theta
+    adj = (sim >= theta) & (norms > 0) & (norms > 0).T
     if connect_kinds == "same-kind":
         kinds = np.array(graph.node_kinds)
         adj &= kinds[:, None] == kinds[None, :]
@@ -376,14 +375,45 @@ def social_graph_dense(graph, posts, comments, embed, theta, connect_kinds):
     return np.concatenate([pair_src, loop]), np.concatenate([pair_dst, loop])
 
 
+def signed_gat_layer_plain(feats, graph, params, cfg, layer=0):
+    """What ``encoders.signed_gat_layer`` computes, the plain way: the input
+    rows times W, each head's scores as the sum of ``Wh * a`` over its
+    columns, then the same signed softmax and edge aggregate."""
+    d = feats.shape[1]
+    n_out = graph.targets.size
+    heads, head_dim = cfg.heads, cfg.head_dim(d)
+    w = params[f"gat.l{layer}.w"]
+    a_src = params[f"gat.l{layer}.a_src"]
+    a_dst = params[f"gat.l{layer}.a_dst"]
+    wo = params[f"gat.l{layer}.wo"]
+
+    def per_head_sum(x):  # [rows, heads*head_dim] -> [rows, heads]
+        return ad.sum_(ad.reshape(x, (x.shape[0], heads, head_dim)), axis=2)
+
+    hw = ad.matmul(feats, w)
+    s_src = per_head_sum(ad.mul(hw, a_src))
+    s_dst = per_head_sum(ad.mul(hw, a_dst))
+    e = ad.leaky_relu(
+        ad.add(
+            ad.gather_rows(s_src, graph.src),
+            ad.gather_rows(s_dst, graph.targets[graph.dst]),
+        ),
+        cfg.leaky_slope,
+    )
+    alpha = ad.signed_segment_softmax(e, graph.dst, n_out)
+    agg = ad.edge_aggregate(hw, alpha, graph.src, graph.dst, n_out)
+    return ad.tanh(ad.matmul(agg, wo))
+
+
 def social_batch_full_graph(model, params, post_ids):
     """What ``IsmafModel.social_batch`` computes, the plain way: every node's
-    features, every GAT layer over every edge of the graph, then the batch
+    features as ``token_weights @ embed``, every plain GAT layer
+    (``signed_gat_layer_plain``) over every edge of the graph, then the batch
     rows gathered."""
     graph = model.graph
     out = ad.matmul(ad.Tensor(graph.token_weights), params["text.embed"])
     for layer in range(model.gat_cfg.layers):
-        out = signed_gat_layer(out, graph, params, model.gat_cfg, layer=layer)
+        out = signed_gat_layer_plain(out, graph, params, model.gat_cfg, layer=layer)
     return ad.gather_rows(out, [graph.index[pid] for pid in post_ids])
 
 

@@ -542,6 +542,62 @@ class TestSignedSegmentSoftmax:
 
 
 # ---------------------------------------------------------------------------
+# constant operands
+
+
+class TestConstantOperands:
+    # op, operand shapes
+    CASES = {
+        "matmul": (ad.matmul, (5, 4), (4, 3)),
+        "matmul_vector_left": (ad.matmul, (4,), (4, 3)),
+        "matmul_vector_right": (ad.matmul, (5, 4), (4,)),
+        "mul": (ad.mul, (3, 4), (3, 4)),
+        "mul_broadcast": (ad.mul, (3, 4), (4,)),
+        "batched_matmul": (ad.batched_matmul, (2, 3, 4), (2, 4, 5)),
+    }
+
+    @staticmethod
+    def _grads(op, values, taped):
+        tape = Tape()
+        operands = [tape.watch(v) if t else Tensor(v) for v, t in zip(values, taped)]
+        out = op(*operands)
+        probe = Tensor(_rng(31).normal(size=out.shape))
+        tape.backward(ad.sum_(ad.mul(out, probe)))
+        return [tape.grad(x) if t else None for x, t in zip(operands, taped)]
+
+    @pytest.mark.parametrize("constant", [0, 1], ids=["left", "right"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_taped_operand_gradient_is_unchanged(self, case, constant):
+        op, *shapes = self.CASES[case]
+        values = [_rng(30 + i).normal(size=shape) for i, shape in enumerate(shapes)]
+        taped = [i != constant for i in range(2)]
+        want = self._grads(op, values, [True, True])[1 - constant]
+        got = self._grads(op, values, taped)[1 - constant]
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    # A [4096, 2048] constant left operand is 64 MiB; the product with the
+    # taped right operand and its gradient are a few KiB.
+    @pytest.mark.parametrize("op, constant_shape, taped_shape", [
+        (ad.matmul, (4096, 2048), (2048, 2)),
+        (ad.batched_matmul, (8, 512, 1024), (8, 1024, 2)),
+    ], ids=["matmul", "batched_matmul"])
+    def test_backward_computes_no_gradient_for_a_constant(self, op, constant_shape, taped_shape):
+        constant = Tensor(np.ones(constant_shape))
+        tape = Tape()
+        x = tape.watch(_rng(32).normal(size=taped_shape))
+        loss = ad.sum_(op(constant, x))
+        tracemalloc.start()
+        try:
+            tape.backward(loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < constant.data.nbytes / 16, peak
+        np.testing.assert_allclose(tape.grad(x), np.broadcast_to(
+            constant.data.sum(axis=-2)[..., None], taped_shape))
+
+
+# ---------------------------------------------------------------------------
 # grad_check on individual ops
 
 _OP_CASES = {

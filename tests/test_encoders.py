@@ -9,7 +9,14 @@ from ismaf import autodiff as ad
 from ismaf import encoders
 from ismaf.autodiff import ParamStore, Tensor
 from ismaf.config import TrainConfig
-from ismaf.data import CommentRecord, PostRecord, UserRecord, generate_synthetic, split_dataset
+from ismaf.data import (
+    CommentRecord,
+    DatasetBundle,
+    PostRecord,
+    UserRecord,
+    generate_synthetic,
+    split_dataset,
+)
 from ismaf.encoders import (
     GatConfig,
     SocialGraph,
@@ -382,10 +389,16 @@ class TestBuildSocialGraph:
 
     def test_same_kind_switch_drops_cross_kind_similarity(self):
         users = [UserRecord("u0"), UserRecord("u1")]
-        posts = [PostRecord("p0", [1], np.zeros(2), "u0", [], 0)]
+        posts = [
+            PostRecord("p0", [1], np.zeros(2), "u0", [], 0),
+            PostRecord("p1", [1], np.zeros(2), "u1", [], 0),
+        ]
         comments = []
-        # p0 and u1 would match by similarity alone; same-kind blocks it.
-        posts, comments, embed = _private_tokens(posts, comments, {"p0": np.array([1.0, 0.0])})
+        # p0 and u1 (whose feature is p1's) would match by similarity alone;
+        # same-kind blocks it.
+        posts, comments, embed = _private_tokens(
+            posts, comments, {"p0": np.array([1.0, 0.0]), "p1": np.array([1.0, 0.5])}
+        )
         g_all = build_social_graph(posts, comments, users, embed, theta=-0.5, connect_kinds="all")
         g_same = build_social_graph(posts, comments, users, embed, theta=-0.5, connect_kinds="same-kind")
         i, j = g_same.index["p0"], g_same.index["u1"]
@@ -424,6 +437,26 @@ class TestBuildSocialGraph:
         assert np.abs(g.token_weights @ embed - direct).max() <= 1e-12
         assert not direct[g.index["lurker"]].any()
         assert any(len(set(p.tokens)) < len(p.tokens) for p in data.posts)
+
+    @pytest.mark.parametrize("theta", [-0.5, 0.0])
+    def test_zero_feature_nodes_get_no_similarity_edges(self, theta):
+        # c0 has no tokens and u2 wrote nothing, so both features are zero;
+        # a zero cosine would pass any theta <= 0.
+        users = [UserRecord("u0"), UserRecord("u1"), UserRecord("u2")]
+        posts = [
+            PostRecord("p0", [1], np.zeros(2), "u0", [], 0),
+            PostRecord("p1", [2], np.zeros(2), "u1", ["c0"], 1),
+        ]
+        comments = [CommentRecord("c0", [], "u0", "p1")]
+        embed = np.array([[0.0, 0.0], [1.0, 0.2], [0.3, 1.0]])
+        g = build_social_graph(posts, comments, users, embed, theta=theta)
+        pairs = {(g.node_ids[s], g.node_ids[t]) for s, t in zip(g.src, g.dst) if s != t}
+        assert {t for s, t in pairs if s == "c0"} == {"u0", "p1"}
+        assert not any("u2" in pair for pair in pairs)
+        assert ("p0", "p1") in pairs  # cosine 0.47 >= theta
+        src, dst = oracles.social_graph_dense(g, posts, comments, embed, theta, "all")
+        np.testing.assert_array_equal(g.src, src)
+        np.testing.assert_array_equal(g.dst, dst)
 
     @pytest.mark.parametrize("theta", [float("nan"), -1.0, -1.5, 1.0 + 1e-9, 2.0])
     def test_theta_outside_open_closed_unit_interval_rejected(self, theta):
@@ -617,8 +650,21 @@ class TestSignedGat:
         assert peak < edge_by_width, (peak, edge_by_width)
 
 
-def _social_model(n=40, d=8, heads=2, gat_layers=1, theta=0.6):
+def _spread_tokens(data):
+    """The corpus with token id t renamed 160 * t: the same texts over a
+    vocabulary 160 times as wide (19,201 ids for the synthetic 121)."""
+    def spread(rec):
+        return dataclasses.replace(rec, tokens=[160 * t for t in rec.tokens])
+
+    return DatasetBundle(
+        [spread(p) for p in data.posts], [spread(c) for c in data.comments], data.users
+    )
+
+
+def _social_model(n=40, d=8, heads=2, gat_layers=1, theta=0.6, wide_vocab=False):
     data = generate_synthetic(n=n, d=d, separation=2.0, seed=31)
+    if wide_vocab:
+        data = _spread_tokens(data)
     cfg = TrainConfig(d=d, heads=heads, token_len=4, theta=theta, gat_layers=gat_layers)
     return IsmafModel(cfg, split_dataset(data, cfg.fractions, cfg.seed))
 
@@ -716,19 +762,51 @@ def _rows_and_grads(model, social, batch, probe):
     return out.data, {name: tape.grad(t) for name, t in params.items()}
 
 
+def _assert_matches_full_graph(model):
+    full_graph = functools.partial(oracles.social_batch_full_graph, model)
+    for batch in _shared_neighbour_batches(model).values():
+        probe = Tensor(_rng(40).normal(size=(len(batch), model.config.d)))
+        got, got_grads = _rows_and_grads(model, model.social_batch, batch, probe)
+        want, want_grads = _rows_and_grads(model, full_graph, batch, probe)
+        assert np.abs(got - want).max() <= 1e-12
+        for name in want_grads:
+            assert np.abs(got_grads[name] - want_grads[name]).max() <= 1e-12, name
+
+
 class TestReceptiveField:
     @pytest.mark.parametrize("corpus", sorted(_RECEPTIVE_CORPORA))
     @pytest.mark.parametrize("gat_layers", [0, 1, 2, 3])
     def test_rows_and_gradients_match_full_graph(self, corpus, gat_layers):
-        model = _social_model(gat_layers=gat_layers, **_RECEPTIVE_CORPORA[corpus])
-        full_graph = functools.partial(oracles.social_batch_full_graph, model)
-        for batch in _shared_neighbour_batches(model).values():
-            probe = Tensor(_rng(40).normal(size=(len(batch), model.config.d)))
-            got, got_grads = _rows_and_grads(model, model.social_batch, batch, probe)
-            want, want_grads = _rows_and_grads(model, full_graph, batch, probe)
-            assert np.abs(got - want).max() <= 1e-12
-            for name in want_grads:
-                assert np.abs(got_grads[name] - want_grads[name]).max() <= 1e-12, name
+        _assert_matches_full_graph(
+            _social_model(gat_layers=gat_layers, **_RECEPTIVE_CORPORA[corpus])
+        )
+
+    @pytest.mark.parametrize("corpus", sorted(_RECEPTIVE_CORPORA))
+    @pytest.mark.parametrize("gat_layers", [0, 1, 2, 3])
+    def test_rows_and_gradients_match_full_graph_over_wide_vocabulary(self, corpus, gat_layers):
+        model = _social_model(gat_layers=gat_layers, wide_vocab=True, **_RECEPTIVE_CORPORA[corpus])
+        assert model.dataset.vocab_size == 19_201
+        _assert_matches_full_graph(model)
+
+    def test_no_gat_product_spans_the_vocabulary(self, monkeypatch):
+        # Each matmul's vjp multiplies the same dimensions as its forward, so
+        # the forward products bound the backward ones too.
+        model = _social_model(gat_layers=2, wide_vocab=True, **_RECEPTIVE_CORPORA["dense"])
+        batch = _shared_neighbour_batches(model)["plain"]
+        shapes = []
+        matmul = ad.matmul
+
+        def recorded(a, b):
+            shapes.append(ad.as_tensor(a).shape + ad.as_tensor(b).shape)
+            return matmul(a, b)
+
+        monkeypatch.setattr(ad, "matmul", recorded)
+        tape = ad.Tape()
+        tape.backward(ad.sum_(model.social_batch(model.store.watch(tape), batch)))
+        # Per layer, three products with the input and one with wo; layer 0
+        # takes each input product in two steps.
+        assert len(shapes) == 11
+        assert all(model.dataset.vocab_size not in shape for shape in shapes), shapes
 
     def test_each_layer_keeps_only_the_in_edges_of_its_outputs(self):
         model = _social_model(gat_layers=2, **_RECEPTIVE_CORPORA["sparse"])
