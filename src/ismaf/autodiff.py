@@ -9,7 +9,8 @@ runs backward once.  A record's vector-Jacobian product keeps only the arrays
 it reads (an input's shape, not its values, where the shape is enough), since
 the tape holds every record until backward.  ``matmul``, ``batched_matmul``
 and ``mul`` compute no gradient for a constant operand (known when the op
-is recorded) and return None for it.
+is recorded) and return None for it, so a record keeps an operand's values
+only when the other operand is on the tape.
 
 Scatters (the per-destination sums of ``signed_segment_softmax`` and of its
 gradient, the gradient of a row gather, and the edge message sum
@@ -213,14 +214,16 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     tape = _tape_of(a, b)
-    ad, bd = a.data, b.data
-    out = ad * bd
-    need_a, need_b = a.tape is not None, b.tape is not None
+    out = a.data * b.data
+    a_shape, b_shape = a.data.shape, b.data.shape
+    # Each gradient reads the other operand's values.
+    keep_a = a.data if b.tape is not None else None
+    keep_b = b.data if a.tape is not None else None
 
     def vjp(g):
         return (
-            _unbroadcast(g * bd, ad.shape) if need_a else None,
-            _unbroadcast(g * ad, bd.shape) if need_b else None,
+            _unbroadcast(g * keep_b, a_shape) if keep_b is not None else None,
+            _unbroadcast(g * keep_a, b_shape) if keep_a is not None else None,
         )
 
     return _emit(tape, out, (a, b), vjp)
@@ -261,13 +264,14 @@ def matmul(a, b) -> Tensor:
     if b.data.ndim == 1:
         out = out[..., 0] if a.data.ndim == 2 else out[0]
 
-    a_shape, b_shape = a.data.shape, b.data.shape
-    need_a, need_b = a.tape is not None, b.tape is not None
+    a_shape, b_shape, g_shape = a.data.shape, b.data.shape, out2.shape
+    keep_a = a2 if b.tape is not None else None
+    keep_b = b2 if a.tape is not None else None
 
     def vjp(g):
-        g2 = g.reshape(a2.shape[0], b2.shape[1])
-        ga = (g2 @ b2.T).reshape(a_shape) if need_a else None
-        gb = (a2.T @ g2).reshape(b_shape) if need_b else None
+        g2 = g.reshape(g_shape)
+        ga = (g2 @ keep_b.T).reshape(a_shape) if keep_b is not None else None
+        gb = (keep_a.T @ g2).reshape(b_shape) if keep_a is not None else None
         return ga, gb
 
     return _emit(tape, out, (a, b), vjp)
@@ -286,16 +290,16 @@ def batched_matmul(a, b) -> Tensor:
             f"{a.data.shape} x {b.data.shape}"
         )
     tape = _tape_of(a, b)
-    ad, bd = a.data, b.data
-    need_a, need_b = a.tape is not None, b.tape is not None
+    keep_a = a.data if b.tape is not None else None
+    keep_b = b.data if a.tape is not None else None
 
     def vjp(g):
         return (
-            g @ bd.swapaxes(1, 2) if need_a else None,
-            ad.swapaxes(1, 2) @ g if need_b else None,
+            g @ keep_b.swapaxes(1, 2) if keep_b is not None else None,
+            keep_a.swapaxes(1, 2) @ g if keep_a is not None else None,
         )
 
-    return _emit(tape, ad @ bd, (a, b), vjp)
+    return _emit(tape, a.data @ b.data, (a, b), vjp)
 
 
 def transpose(a, axes=None) -> Tensor:

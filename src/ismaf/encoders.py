@@ -10,10 +10,9 @@ so building never holds an [n_nodes, n_nodes] matrix.  The GAT layers run on
 tape tensors, so gradients reach the embedding table, and each layer runs
 over an edge block: the edges whose messages can reach the rows the caller
 needs (``receptive_blocks``), or every edge of the graph.  The first layer
-can take its input as token weights over the distinct tokens of its rows
-and those tokens' embeddings, and then multiplies only the embeddings by
-its weights; every layer folds its attention vectors into W, so each score
-is one product with the input.
+can take its input as its rows' token weights and the embedding table,
+and then multiplies only the table by its weights; every layer folds its
+attention vectors into W, so each score is one product with the input.
 """
 
 from __future__ import annotations
@@ -364,9 +363,9 @@ def signed_gat_layer(
 
     ``feats`` holds the block's input rows, or is a pair ``(weights,
     table)`` whose product they are: on the first layer, the constant
-    [n_in, U] token weights of the input rows over the U tokens they use,
-    and those tokens' [U, d] embedding rows.  A pair's products are taken
-    as ``weights @ (table @ M)``, so no [n_in, d] array is formed.  The
+    [n_in, vocab] token weights of the input rows and the [vocab, d]
+    embedding table.  A pair's products are taken as
+    ``weights @ (table @ M)``, so no [n_in, d] array is formed.  The
     result holds the block's output rows.
     Per head: e_ij = leaky_relu(a_src.Wh_j + a_dst.Wh_i) over directed edges
     j -> i; alpha_ij = sign(e_ij) * softmax_j(|e_ij|); output row i

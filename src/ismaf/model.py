@@ -82,8 +82,8 @@ class IsmafModel:
 
         The layers run only over the edges whose messages can reach these
         rows, which gives the same rows as running them over every edge.
-        The first layer takes its input rows as their token weights over
-        the tokens they use and those tokens' embedding rows.
+        The first layer takes its input rows as the pair of their token
+        weights and the embedding table, whose product they are.
         """
         rows = []
         for pid in post_ids:
@@ -93,11 +93,10 @@ class IsmafModel:
             rows.append(row)
         outputs, positions = np.unique(rows, return_inverse=True)
         inputs, blocks = encoders.receptive_blocks(self.graph, outputs, self.gat_cfg.layers)
-        weights = self.graph.token_weights[inputs]
+        weights = Tensor(self.graph.token_weights[inputs])
         if not blocks:
-            return ad.gather_rows(ad.matmul(Tensor(weights), params["text.embed"]), positions)
-        used = np.flatnonzero(weights.any(axis=0))
-        out = (Tensor(weights[:, used]), ad.gather_rows(params["text.embed"], used))
+            return ad.gather_rows(ad.matmul(weights, params["text.embed"]), positions)
+        out = (weights, params["text.embed"])
         for layer, block in enumerate(blocks):
             out = encoders.signed_gat_layer(out, block, params, self.gat_cfg, layer=layer)
         return ad.gather_rows(out, positions)

@@ -575,6 +575,24 @@ class TestConstantOperands:
         got = self._grads(op, values, taped)[1 - constant]
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
+    # With the other operand constant, backward reads the taped operand's
+    # shape only, so the record must not keep its values alive.
+    @pytest.mark.parametrize("constant", [0, 1], ids=["left", "right"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_record_does_not_hold_the_taped_operand(self, case, constant):
+        op, *shapes = self.CASES[case]
+        tape = Tape()
+        x = tape.watch(_rng(33).normal(size=shapes[1 - constant]))
+        inner = ad.scale(x, 2.0)
+        values = weakref.ref(inner.data)
+        c = Tensor(_rng(34).normal(size=shapes[constant]))
+        out = op(c, inner) if constant == 0 else op(inner, c)
+        loss = ad.sum_(ad.exp(out))
+        del inner, out
+        assert values() is None
+        tape.backward(loss)
+        assert np.abs(tape.grad(x)).sum() > 0
+
     # A [4096, 2048] constant left operand is 64 MiB; the product with the
     # taped right operand and its gradient are a few KiB.
     @pytest.mark.parametrize("op, constant_shape, taped_shape", [

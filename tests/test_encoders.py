@@ -788,26 +788,6 @@ class TestReceptiveField:
         assert model.dataset.vocab_size == 19_201
         _assert_matches_full_graph(model)
 
-    def test_no_gat_product_spans_the_vocabulary(self, monkeypatch):
-        # Each matmul's vjp multiplies the same dimensions as its forward, so
-        # the forward products bound the backward ones too.
-        model = _social_model(gat_layers=2, wide_vocab=True, **_RECEPTIVE_CORPORA["dense"])
-        batch = _shared_neighbour_batches(model)["plain"]
-        shapes = []
-        matmul = ad.matmul
-
-        def recorded(a, b):
-            shapes.append(ad.as_tensor(a).shape + ad.as_tensor(b).shape)
-            return matmul(a, b)
-
-        monkeypatch.setattr(ad, "matmul", recorded)
-        tape = ad.Tape()
-        tape.backward(ad.sum_(model.social_batch(model.store.watch(tape), batch)))
-        # Per layer, three products with the input and one with wo; layer 0
-        # takes each input product in two steps.
-        assert len(shapes) == 11
-        assert all(model.dataset.vocab_size not in shape for shape in shapes), shapes
-
     def test_each_layer_keeps_only_the_in_edges_of_its_outputs(self):
         model = _social_model(gat_layers=2, **_RECEPTIVE_CORPORA["sparse"])
         graph = model.graph
