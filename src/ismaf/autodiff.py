@@ -16,7 +16,8 @@ Scatters (the per-destination sums of ``signed_segment_softmax`` and of its
 gradient, the gradient of a row gather, and the edge message sum
 ``edge_aggregate`` with its gradient) add the values that land in each
 output slot in index order, as ``np.add.at`` does, so their results are
-bitwise equal to it; ``_scatter`` applies them in rank passes.
+bitwise equal to it.  ``_scatter`` runs each, and the per-destination max
+that shifts the softmax, as one ``ufunc.at`` over the flattened output.
 
 Single-threaded by design: one tape per training context.  Tensors are safe
 to share read-only across threads; a tape must never be mutated concurrently.
@@ -359,53 +360,22 @@ def slice_rows(a, start: int, stop: int) -> Tensor:
     return _emit(a.tape, a.data[start:stop], (a,), vjp)
 
 
-# A rank pass must carry this many elements to beat np.add.at on them, and
-# rows narrower than _SCATTER_MIN_WIDTH are faster through np.add.at whole,
-# sorts included (numpy 2.4, measured on the GAT's and the text CNN's index
-# arrays).
-_SCATTER_MIN_PASS = 2048
-_SCATTER_MIN_WIDTH = 16
+def _scatter(out, idx, vals, ufunc=np.add) -> None:
+    """What ``ufunc.at(out, idx, vals)`` does, bitwise: each slot of ``out``
+    takes its values in index order.
 
-
-def _scatter(out, idx, vals) -> None:
-    """What ``np.add.at`` does with the same arguments, bitwise: each slot of
-    ``out`` adds up its values in index order.
-
-    ``idx`` is 1-D with entries in ``[0, len(out))``; ``vals`` has one row per
-    entry.  Pass r applies the r-th occurrence of every slot; a pass's
-    destinations are unique, so one fancy-indexed add applies it exactly.
-    Once a pass would carry fewer than ``_SCATTER_MIN_PASS`` elements, the
-    remaining occurrences go to one ``np.add.at``, which applies each slot's
-    values in index order too.  When not even the first pass (one entry per
-    distinct slot) can reach that size, nothing is sorted.
+    ``idx`` holds entries in ``[0, len(out))`` and ``vals`` one row per entry.
+    The scatter is one ``ufunc.at`` on the flattened ``out`` over the keys
+    ``slot * width + column``: each key still takes its values in index
+    order, and on narrow rows numpy's 1-D ``ufunc.at`` is several times
+    faster than its row-wise 2-D path.  ``out`` must be C-contiguous, since the flat view of
+    any other layout is a copy.
     """
-    n = idx.size
+    if not out.flags.c_contiguous:
+        raise ValueError("scatter output must be C-contiguous; its flat view would be a copy")
     width = math.prod(out.shape[1:])
-    rest = slice(None)
-    if width >= _SCATTER_MIN_WIDTH and min(n, out.shape[0]) * width >= _SCATTER_MIN_PASS:
-        # Stable sorts on the narrowest unsigned keys: numpy radix-sorts 16 bits.
-        order = np.argsort(
-            idx.astype(np.min_scalar_type(out.shape[0]), copy=False), kind="stable"
-        )
-        starts = np.flatnonzero(np.diff(idx[order], prepend=-1))
-        counts = np.diff(starts, append=n)
-        rank = np.arange(n) - np.repeat(starts, counts)
-        by_rank = order[
-            np.argsort(rank.astype(np.min_scalar_type(counts.max()), copy=False), kind="stable")
-        ]
-        done = 0
-        for size in np.bincount(rank).tolist():  # non-increasing
-            if size * width < _SCATTER_MIN_PASS:
-                break
-            sel = by_rank[done : done + size]
-            dst = idx[sel]
-            # In place: a fresh result array per pass doubles the pass time.
-            cur = out[dst]
-            np.add(cur, vals[sel], out=cur)
-            out[dst] = cur
-            done += size
-        rest = by_rank[done:]
-    np.add.at(out, idx[rest], vals[rest])
+    keys = idx.reshape(-1, 1) * width + np.arange(width)
+    ufunc.at(out.reshape(-1), keys.reshape(-1), vals.reshape(-1))
 
 
 def gather_rows(a, indices) -> Tensor:
@@ -470,18 +440,23 @@ def edge_aggregate(h, alpha, src, dst, n_out: int) -> Tensor:
     def heads_of(rows):  # [rows, width] -> [rows, heads, head_dim]
         return rows.reshape(rows.shape[0], heads, -1)
 
+    # The products are formed in place: each block's gathers are fresh copies.
     out = np.zeros((n_out, width))
     for blk in blocks:
-        msg = heads_of(hd[src[blk]]) * al[blk, :, None]
-        _scatter(out, dst[blk], msg.reshape(-1, width))
+        msg = heads_of(hd[src[blk]])
+        msg *= al[blk, :, None]
+        _scatter(out, dst[blk], msg)
 
     def vjp(g):
         dh = np.zeros(hd.shape)
         dalpha = np.empty(al.shape)
         for blk in blocks:
             g_blk = heads_of(g[dst[blk]])
-            _scatter(dh, src[blk], (g_blk * al[blk, :, None]).reshape(-1, width))
-            dalpha[blk] = (g_blk * heads_of(hd[src[blk]])).sum(axis=2)
+            h_blk = heads_of(hd[src[blk]])
+            h_blk *= g_blk
+            dalpha[blk] = h_blk.sum(axis=2)
+            g_blk *= al[blk, :, None]
+            _scatter(dh, src[blk], g_blk)
         return dh, dalpha
 
     return _emit(_tape_of(h, alpha), out, (h, alpha), vjp)
@@ -519,7 +494,7 @@ def signed_segment_softmax(e, dst, n_out: int) -> Tensor:
     mag = np.abs(e.data)
     shape = (n_out, e.data.shape[1])
     shift = np.full(shape, -np.inf)
-    np.maximum.at(shift, seg, mag)
+    _scatter(shift, seg, mag, np.maximum)
     ex = np.exp(mag - shift[seg])
     denom = np.zeros(shape)
     _scatter(denom, seg, ex)

@@ -225,7 +225,8 @@ def central_diff(f, x, h=1e-4):
 
 
 def scatter_at(ufunc, out, idx, vals):
-    """``ufunc.at`` on a copy of ``out``: the plain scatter ``ad._scatter`` replaces."""
+    """``ufunc.at`` on a copy of ``out``: the plain row-wise scatter that
+    ``ad._scatter`` runs as one ``ufunc.at`` over flat keys."""
     out = out.copy()
     ufunc.at(out, idx, vals)
     return out

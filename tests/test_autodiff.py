@@ -1,4 +1,3 @@
-import contextlib
 import re
 import tracemalloc
 import weakref
@@ -291,24 +290,13 @@ class TestLayoutOps:
 
 
 # ---------------------------------------------------------------------------
-# scatter: rank passes against plain ufunc.at
-
-
-@contextlib.contextmanager
-def _scatter_cutoffs(min_pass, min_width):
-    """Run with _scatter's cutoffs lowered; None keeps the module's."""
-    if min_pass is None:
-        yield
-        return
-    with mock.patch.object(ad, "_SCATTER_MIN_PASS", min_pass), \
-            mock.patch.object(ad, "_SCATTER_MIN_WIDTH", min_width):
-        yield
+# scatter: one flat-key ufunc.at against the plain 2-D ufunc.at
 
 
 @st.composite
 def _scatter_cases(draw):
     n_slots = draw(st.integers(1, 6))
-    # Per-slot multiplicities: few repeats, or a hub that needs many passes.
+    # Per-slot multiplicities: few repeats, or a hub.
     mult = draw(st.lists(st.one_of(st.integers(0, 3), st.integers(30, 300)),
                          min_size=n_slots, max_size=n_slots))
     idx = np.repeat(np.arange(n_slots), mult)
@@ -328,29 +316,41 @@ def _scatter_cases(draw):
 
 
 class TestScatter:
+    # np.maximum is the softmax shift's scatter: a tie between -0.0 and 0.0
+    # keeps the value that came first, so the order of a slot's values shows.
     @settings(max_examples=150, deadline=None)
-    @given(
-        case=_scatter_cases(),
-        # None keeps the module's cutoffs; the others force rank passes on
-        # small inputs, down to one element per pass.
-        cutoffs=st.sampled_from([(None, None), (1, 1), (8, 1), (16, 4)]),
-    )
-    def test_matches_ufunc_at(self, case, cutoffs):
+    @given(case=_scatter_cases(), ufunc=st.sampled_from([np.add, np.maximum]))
+    def test_matches_ufunc_at(self, case, ufunc):
         out, idx, vals = case
-        expected = oracles.scatter_at(np.add, out, idx, vals)
-        with _scatter_cutoffs(*cutoffs):
-            ad._scatter(out, idx, vals)
+        expected = oracles.scatter_at(ufunc, out, idx, vals)
+        ad._scatter(out, idx, vals, ufunc)
         assert out.dtype == expected.dtype
         assert out.tobytes() == expected.tobytes()
+
+    # edge_aggregate's forward scatters its blocks one after another into one
+    # output, which must equal one scatter over all of their edges.
+    @settings(max_examples=100, deadline=None)
+    @given(case=_scatter_cases(), cut=st.floats(0.0, 1.0))
+    def test_successive_calls_match_one_ufunc_at(self, case, cut):
+        out, idx, vals = case
+        expected = oracles.scatter_at(np.add, out, idx, vals)
+        k = int(cut * idx.size)
+        ad._scatter(out, idx[:k], vals[:k])
+        ad._scatter(out, idx[k:], vals[k:])
+        assert out.tobytes() == expected.tobytes()
+
+    def test_out_must_be_c_contiguous(self):
+        out = np.zeros((4, 3)).T  # [3, 4], Fortran order
+        with pytest.raises(ValueError, match="C-contiguous"):
+            ad._scatter(out, np.array([0, 2, 2]), np.ones((3, 4)))
+        assert not out.any()
 
     def test_empty_index(self):
         out = np.ones((3, 304))
         ad._scatter(out, np.zeros(0, dtype=np.int64), np.zeros((0, 304)))
         np.testing.assert_array_equal(out, np.ones((3, 304)))
 
-    # 10 slots of width 304 with hub-shaped multiplicities: at the module's
-    # cutoffs the first passes (while >= 7 slots remain) run as rank passes
-    # and the hubs' remaining occurrences go to the ufunc.at tail.
+    # 10 slots of width 304 with hub-shaped multiplicities.
     HUB_MULT = [120, 100, 80, 60, 40, 20, 10, 5, 3, 1]
     WIDTH = 304
 
@@ -358,10 +358,6 @@ class TestScatter:
         rng = _rng(seed)
         idx = rng.permutation(np.repeat(np.arange(len(self.HUB_MULT)), self.HUB_MULT))
         return idx, rng.normal(size=(idx.size, self.WIDTH))
-
-    def test_hub_passes_cross_the_cutoff(self):
-        assert self.WIDTH < ad._SCATTER_MIN_PASS <= 7 * self.WIDTH
-        assert self.WIDTH >= ad._SCATTER_MIN_WIDTH
 
     @pytest.mark.parametrize("seed", range(3))
     def test_hub_segment_sum_and_gather_match_ufunc_at(self, seed):
@@ -390,8 +386,7 @@ def _rows_and_grads(aggregate, h, alpha, probe):
 
 class TestEdgeAggregate:
     # Hub-shaped destinations, 480 edges over 10 slots, and sources over 12
-    # rows; at width 4*76 = 304 every block of >= 7 edges runs rank passes
-    # while 7 or more slots remain, and the hubs' tails go to ufunc.at.
+    # rows of width 4*76 = 304.
     DST_MULT = [150, 120, 90, 60, 30, 15, 8, 4, 2, 1]
     N_IN, HEADS, HEAD_DIM = 12, 4, 76
 
@@ -404,18 +399,13 @@ class TestEdgeAggregate:
         probe = rng.normal(size=(len(self.DST_MULT), h.shape[1]))
         return src, dst, h, alpha, probe
 
-    def test_blocks_cross_the_scatter_cutoff(self):
-        width = self.HEADS * self.HEAD_DIM
-        assert width >= ad._SCATTER_MIN_WIDTH
-        assert 7 * width >= ad._SCATTER_MIN_PASS > width
-        assert sum(self.DST_MULT) % 96 == 0 and sum(self.DST_MULT) < 1000
-
     # 1 and 7 leave a short last block, 96 divides the 480 edges exactly and
     # 1000 puts every edge in one block.
     @pytest.mark.parametrize("chunk", [1, 7, 96, 1000])
     @pytest.mark.parametrize("seed", range(2))
     def test_matches_unfused_bitwise(self, chunk, seed):
         src, dst, h, alpha, probe = self._case(seed)
+        assert src.size == 480
         n_out = len(self.DST_MULT)
         expected = _rows_and_grads(
             lambda ht, at: oracles.edge_aggregate_unfused(ht, at, src, dst, n_out), h, alpha, probe
@@ -479,22 +469,37 @@ class TestSignedSegmentSoftmax:
         tape.backward(ad.sum_(ad.mul(out, Tensor(probe))))
         return out.data, tape.grad(et)
 
-    # (8, 1) forces the segment sums through rank passes.
-    @pytest.mark.parametrize("cutoffs", [(None, None), (8, 1)])
     @pytest.mark.parametrize("seed", range(3))
-    def test_matches_chain_bitwise(self, seed, cutoffs):
+    def test_matches_chain_bitwise(self, seed):
         dst, e, probe = self._case(seed)
         n_out = len(self.DST_MULT)
         assert (e == 0).any() and (e != 0).any()
-        with _scatter_cutoffs(*cutoffs):
-            expected = self._rows_and_grad(
-                lambda t: oracles.signed_softmax_chain(t, dst, n_out), e, probe
-            )
-            got = self._rows_and_grad(
-                lambda t: ad.signed_segment_softmax(t, dst, n_out), e, probe
-            )
+        expected = self._rows_and_grad(
+            lambda t: oracles.signed_softmax_chain(t, dst, n_out), e, probe
+        )
+        got = self._rows_and_grad(
+            lambda t: ad.signed_segment_softmax(t, dst, n_out), e, probe
+        )
         for name, g, x in zip(("rows", "d e"), got, expected):
             assert g.shape == x.shape and g.tobytes() == x.tobytes(), name
+
+    # The shift, read from the op's own scatter, over magnitudes that hold
+    # 0, inf and NaN (the NaN and inf of |e| propagate into their segments).
+    @pytest.mark.parametrize("seed", range(3))
+    def test_shift_matches_maximum_at(self, seed):
+        dst, _, _ = self._case(seed)
+        n_out = len(self.DST_MULT)
+        pool = np.array([-0.0, 0.0, 0.5, 2.0, np.inf, -np.inf, np.nan])
+        e = _rng(seed + 10).choice(pool, size=(dst.size, self.HEADS))
+        with mock.patch.object(ad, "_scatter", wraps=ad._scatter) as spy, \
+                np.errstate(invalid="ignore"):
+            ad.signed_segment_softmax(Tensor(e), dst, n_out)
+        (shift,) = [c.args[0] for c in spy.call_args_list if c.args[3:] == (np.maximum,)]
+        expected = oracles.scatter_at(
+            np.maximum, np.full((n_out, self.HEADS), -np.inf), dst, np.abs(e)
+        )
+        assert np.isnan(expected).any() and np.isinf(expected).any()
+        assert shift.tobytes() == expected.tobytes()
 
     def test_constant_input_gives_constant_rows(self):
         dst, e, _ = self._case(0)
@@ -690,9 +695,7 @@ _OP_CASES = {
 }
 
 
-# Hub-shaped index, 60 rows over 3 slots; at width 4 with the cutoffs below,
-# rank passes run while two or more slots remain and the ufunc.at tail
-# takes the rest of the hub.
+# Hub-shaped index, 60 rows over 3 slots, so each slot takes many values.
 _HUB = _rng(5).permutation(np.repeat([1, 0, 2], [40, 15, 5]))
 _HUB_CASES = {
     "gather_rows_hub": ({"a": (3, 4)}, lambda p: ad.gather_rows(p["a"], _HUB)),
@@ -719,8 +722,7 @@ def test_op_grad_check(op_name, seed):
 @pytest.mark.parametrize("op_name", sorted(_HUB_CASES))
 @pytest.mark.parametrize("seed", range(10))
 def test_scatter_pass_grad_check(op_name, seed):
-    with _scatter_cutoffs(8, 1):
-        _assert_grad_check(*_HUB_CASES[op_name], seed)
+    _assert_grad_check(*_HUB_CASES[op_name], seed)
 
 
 def _assert_grad_check(shapes, fn, seed):
