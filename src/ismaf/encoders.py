@@ -158,7 +158,9 @@ class SocialGraph:
     ``token_weights`` defines the node features: a text's row holds its
     token counts over its length, a user's row is the mean of the rows of
     the texts it wrote (zero when it wrote nothing), and the features under
-    an embedding table are ``token_weights @ embed``.
+    an embedding table are ``token_weights @ embed``.  The table is dense,
+    but ``build_social_graph`` writes only its nonzero entries: one per
+    distinct (text, token) pair, added again into the text's author's row.
     """
 
     node_ids: list[str]
@@ -195,6 +197,32 @@ SIM_TILE = 512  # rows per block of build_social_graph's similarity join
 CONNECT_KINDS = ("all", "same-kind")
 
 
+def _token_table(lengths, tokens, authors, n_nodes: int, vocab: int) -> np.ndarray:
+    """``SocialGraph.token_weights``: ``n_nodes`` rows, the texts' first.  A
+    text's row is its token counts over its length (``lengths`` per text,
+    ``tokens`` all texts' tokens in order), and its author's row (``authors``
+    per text) collects the mean of those rows.
+
+    Only the nonzero (text, token) entries are written: the sorted flat keys
+    text * vocab + token give each distinct entry and its count, and the
+    entries go into their authors' rows in text order, so each author cell
+    sums the terms of a row-wise add in its order, less its exact +0.0s.
+    The entries are freed on return, before the similarity join.
+    """
+    n_texts = lengths.size
+    cells = np.sort(np.repeat(np.arange(n_texts) * vocab, lengths) + tokens)
+    first = np.flatnonzero(np.diff(cells, prepend=-1))
+    cells = cells[first]
+    entry_text, entry_token = np.divmod(cells, vocab)
+    entries = np.diff(np.r_[first, tokens.size]) / lengths[entry_text]
+    token_weights = np.zeros((n_nodes, vocab))
+    flat = token_weights.reshape(-1)
+    flat[cells] = entries
+    np.add.at(flat, authors[entry_text] * vocab + entry_token, entries)
+    token_weights[n_texts:] /= np.maximum(np.bincount(authors, minlength=n_nodes)[n_texts:], 1)[:, None]
+    return token_weights
+
+
 def build_social_graph(
     posts,
     comments,
@@ -219,8 +247,13 @@ def build_social_graph(
     ``connect_kinds`` is "all" (similarity edges may join any node kinds) or
     "same-kind" (similarity edges only within one kind).
 
-    The similarity join runs over blocks of ``SIM_TILE`` rows and keeps only
-    the pairs >= theta, so memory is O(SIM_TILE * n_nodes + edges).
+    The token table is written from its nonzero (text, token) entries,
+    found by one sort of their flat keys, so no temporary the size of the
+    table is made; a token id outside ``[0, embed.shape[0])`` raises
+    ``ValueError`` naming its text.  The similarity join runs over blocks of
+    ``SIM_TILE`` rows, reads each block's pairs >= theta with one flat
+    nonzero, and the pairs are deduplicated by one sort of their keys, so
+    memory beside the table is O(SIM_TILE * n_nodes + edges).
     """
     if not -1.0 < theta <= 1.0:
         raise ValueError(f"theta must lie in (-1, 1], got {theta}")
@@ -243,18 +276,21 @@ def build_social_graph(
         check_ref(f"comment {c.id}", c.user_id, "user")
         check_ref(f"comment {c.id}", c.post_id, "post")
 
-    # Texts fill the first rows; a text's row is its token counts over its
-    # length, and its author's row collects the mean of those rows.
+    # Texts fill the first rows (see _token_table).
     texts = list(posts) + list(comments)
-    n, n_texts = len(node_ids), len(texts)
+    n, n_texts, vocab = len(node_ids), len(texts), embed.shape[0]
     lengths = np.array([len(rec.tokens) for rec in texts], dtype=np.int64)
     tokens = np.array([tok for rec in texts for tok in rec.tokens], dtype=np.int64)
     authors = np.array([index[rec.user_id] for rec in texts], dtype=np.int64)
-    token_weights = np.zeros((n, embed.shape[0]))
-    np.add.at(token_weights, (np.repeat(np.arange(n_texts), lengths), tokens), 1.0)
-    token_weights[:n_texts] /= np.maximum(lengths, 1)[:, None]
-    np.add.at(token_weights, authors, token_weights[:n_texts])
-    token_weights[n_texts:] /= np.maximum(np.bincount(authors, minlength=n)[n_texts:], 1)[:, None]
+    outside = (tokens < 0) | (tokens >= vocab)
+    if outside.any():
+        at = np.argmax(outside)
+        text = np.searchsorted(np.cumsum(lengths), at, side="right")
+        raise ValueError(
+            f"{node_kinds[text]} {node_ids[text]}: token id {tokens[at]} "
+            f"outside the embedding table [0, {vocab})"
+        )
+    token_weights = _token_table(lengths, tokens, authors, n, vocab)
 
     # Structural pairs: each text with its author, each comment with its post.
     rows = [np.arange(n_texts), np.arange(len(posts), n_texts)]
@@ -277,14 +313,15 @@ def build_social_graph(
         if connect_kinds == "same-kind":
             hit &= kinds[a:b, None] == kinds[None, a:]
         np.fill_diagonal(hit, False)
-        r, c = np.nonzero(hit)
+        r, c = np.divmod(np.flatnonzero(hit), n - a)
         rows.append(r + a)
         cols.append(c + a)
 
-    # Both directions of every pair, deduplicated and in row-major order
-    # (by source, then destination), then one self-loop per node.
+    # Both directions of every pair, sorted into row-major order (by source,
+    # then destination) and deduplicated, then one self-loop per node.
     rows, cols = np.concatenate(rows), np.concatenate(cols)
-    keys = np.unique(np.concatenate([rows * n + cols, cols * n + rows]))
+    keys = np.sort(np.concatenate([rows * n + cols, cols * n + rows]))
+    keys = keys[np.diff(keys, prepend=-1) != 0]
     loop = np.arange(n)
     src = np.concatenate([keys // n, loop])
     dst = np.concatenate([keys % n, loop])

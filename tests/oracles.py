@@ -1,7 +1,7 @@
 """Independent brute-force reference implementations used to freeze expected
 values.  Everything here is deliberately scalar-loop / direct-formula numpy,
 sharing no code with the package under test, except the plain versions of
-optimised paths (``text_cnn_per_offset``, ``social_graph_dense``,
+optimised paths (``text_cnn_per_offset``, ``token_weights_at``, ``social_graph_dense``,
 ``signed_gat_layer_plain`` and ``social_batch_full_graph``, ``attention_per_post``, ``is_att_per_post``,
 ``attend_masked`` and the paths built on it, ``edge_aggregate_unfused``,
 and ``signed_softmax_chain``: ``abs_``, ``sub``, ``exp``, ``segment_sum``,
@@ -349,6 +349,26 @@ def node_features_direct(posts, comments, users, embed):
         own = [feats[rec.id] for rec in texts if rec.user_id == user.id]
         rows.append(sum(own) / len(own) if own else np.zeros(embed.shape[1]))
     return np.array(rows)
+
+
+def token_weights_at(posts, comments, users, vocab):
+    """The ``[n_nodes, vocab]`` token table ``build_social_graph`` stores, the
+    plain way: each text's tokens counted into its full row with a 2-D
+    ``np.add.at``, the rows divided by their lengths, every text row added
+    whole into its author's row with a second 2-D ``np.add.at``, and the user
+    rows divided by the number of texts they wrote."""
+    texts = list(posts) + list(comments)
+    n, n_texts = len(texts) + len(users), len(texts)
+    index = {rec.id: row for row, rec in enumerate(texts + list(users))}
+    lengths = np.array([len(rec.tokens) for rec in texts], dtype=np.int64)
+    tokens = np.array([tok for rec in texts for tok in rec.tokens], dtype=np.int64)
+    authors = np.array([index[rec.user_id] for rec in texts], dtype=np.int64)
+    token_weights = np.zeros((n, vocab))
+    np.add.at(token_weights, (np.repeat(np.arange(n_texts), lengths), tokens), 1.0)
+    token_weights[:n_texts] /= np.maximum(lengths, 1)[:, None]
+    np.add.at(token_weights, authors, token_weights[:n_texts])
+    token_weights[n_texts:] /= np.maximum(np.bincount(authors, minlength=n)[n_texts:], 1)[:, None]
+    return token_weights
 
 
 def social_graph_dense(graph, posts, comments, embed, theta, connect_kinds):

@@ -1,9 +1,12 @@
 import dataclasses
 import functools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ismaf import autodiff as ad
 from ismaf import encoders
@@ -267,10 +270,66 @@ def _private_tokens(posts, comments, vectors):
     return out[: len(posts)], out[len(posts) :], embed
 
 
+def _spread_tokens(data):
+    """The corpus with token id t renamed 160 * t: the same texts over a
+    vocabulary 160 times as wide (19,201 ids for the synthetic 121)."""
+    def spread(rec):
+        return dataclasses.replace(rec, tokens=[160 * t for t in rec.tokens])
+
+    return DatasetBundle(
+        [spread(p) for p in data.posts], [spread(c) for c in data.comments], data.users
+    )
+
+
 # Synthetic corpora for the similarity join: (posts, seed, add a user who
-# wrote nothing).  Their node counts, 190 and 620, leave a ragged last tile
-# at tile sizes 7 and 512.
-_JOIN_CORPORA = {"60": (60, 34, False), "200-lurker": (200, 35, True)}
+# wrote nothing, spread the tokens over 19,201 ids).  Their node counts, 190
+# and 620, leave a ragged last tile at tile sizes 7 and 512.
+_JOIN_CORPORA = {
+    "60": (60, 34, False, False),
+    "200-lurker": (200, 35, True, False),
+    "60-wide": (60, 34, False, True),
+}
+
+
+def _join_corpus(corpus):
+    """A ``_JOIN_CORPORA`` corpus as (posts, comments, users, embed).  A
+    4-wide table spreads the cosines, so every theta adds similarity edges
+    to the structural ones."""
+    n, seed, lurker, wide = _JOIN_CORPORA[corpus]
+    data = generate_synthetic(n=n, d=16, separation=2.0, seed=seed)
+    if wide:
+        data = _spread_tokens(data)
+    users = data.users + [UserRecord("lurker")] * lurker
+    embed = _rng(seed).normal(size=(data.vocab_size, 4))
+    return data.posts, data.comments, users, embed
+
+
+def _assert_bytes_equal(got, expected):
+    np.testing.assert_array_equal(got, expected)
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+@st.composite
+def _graph_records(draw):
+    """A small record set and an embedding table: tokens drawn from a few
+    ids, so texts repeat them; texts without tokens, and at max_len 0 every
+    text; users who wrote nothing; a table with rows no text uses."""
+    vocab = draw(st.integers(2, 6))
+    max_len = draw(st.sampled_from([0, 3, 6]))
+    tokens = st.lists(st.integers(1, vocab - 1), max_size=max_len)
+    users = [UserRecord(f"u{i}") for i in range(draw(st.integers(1, 4)))]
+    author = st.sampled_from([u.id for u in users])
+    posts = [
+        PostRecord(f"p{i}", draw(tokens), np.zeros(2), draw(author), [], 0)
+        for i in range(draw(st.integers(1, 5)))
+    ]
+    comments = [
+        CommentRecord(f"c{i}", draw(tokens), draw(author), draw(st.sampled_from(posts)).id)
+        for i in range(draw(st.integers(0, 5)))
+    ]
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    embed = rng.normal(size=(vocab + draw(st.integers(0, 2)), draw(st.integers(1, 4))))
+    return posts, comments, users, embed
 
 
 class TestBuildSocialGraph:
@@ -469,25 +528,64 @@ class TestBuildSocialGraph:
     @pytest.mark.parametrize("theta", [0.3, 0.5, 0.9])
     @pytest.mark.parametrize("corpus", sorted(_JOIN_CORPORA))
     def test_tiled_join_matches_dense_oracle(self, monkeypatch, corpus, theta, connect_kinds, tile):
-        n, seed, lurker = _JOIN_CORPORA[corpus]
-        data = generate_synthetic(n=n, d=16, separation=2.0, seed=seed)
-        users = data.users + [UserRecord("lurker")] * lurker
-        # A 4-wide table spreads the cosines, so every theta adds similarity
-        # edges to the structural ones.
-        embed = _rng(seed).normal(size=(data.vocab_size, 4))
-        n_nodes = len(data.posts) + len(data.comments) + len(users)
+        posts, comments, users, embed = _join_corpus(corpus)
+        n_nodes = len(posts) + len(comments) + len(users)
         if tile == "exact":
             exact = max(t for t in range(2, n_nodes // 2) if n_nodes % t == 0)
             monkeypatch.setattr(encoders, "SIM_TILE", exact)
         elif tile != "default":
             monkeypatch.setattr(encoders, "SIM_TILE", int(tile))
-        g = build_social_graph(data.posts, data.comments, users, embed, theta, connect_kinds)
-        src, dst = oracles.social_graph_dense(g, data.posts, data.comments, embed, theta, connect_kinds)
+        g = build_social_graph(posts, comments, users, embed, theta, connect_kinds)
+        _assert_bytes_equal(g.token_weights, oracles.token_weights_at(posts, comments, users, embed.shape[0]))
+        src, dst = oracles.social_graph_dense(g, posts, comments, embed, theta, connect_kinds)
         assert g.src.dtype == src.dtype and g.dst.dtype == dst.dtype
         np.testing.assert_array_equal(g.src, src)
         np.testing.assert_array_equal(g.dst, dst)
-        structural = 2 * (len(data.posts) + 2 * len(data.comments)) + n_nodes
+        structural = 2 * (len(posts) + 2 * len(comments)) + n_nodes
         assert g.src.size > structural
+
+    def test_token_weights_match_oracle_with_lurker_and_empty_comment(self):
+        data = generate_synthetic(n=60, d=8, separation=2.0, seed=32)
+        comments = data.comments + [CommentRecord("silent", [], data.users[0].id, data.posts[0].id)]
+        users = data.users + [UserRecord("lurker")]
+        embed = _rng(32).normal(size=(data.vocab_size, 8))
+        g = build_social_graph(data.posts, comments, users, embed, theta=0.5)
+        _assert_bytes_equal(g.token_weights, oracles.token_weights_at(data.posts, comments, users, data.vocab_size))
+        assert not g.token_weights[[g.index["silent"], g.index["lurker"]]].any()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        case=_graph_records(),
+        theta=st.sampled_from([-0.9, -0.3, 0.0, 0.4, 0.8]),
+        connect_kinds=st.sampled_from(encoders.CONNECT_KINDS),
+        tile=st.integers(1, 8),
+    )
+    def test_small_record_sets_match_oracles(self, case, theta, connect_kinds, tile):
+        posts, comments, users, embed = case
+        with mock.patch.object(encoders, "SIM_TILE", tile):
+            g = build_social_graph(posts, comments, users, embed, theta, connect_kinds)
+        _assert_bytes_equal(g.token_weights, oracles.token_weights_at(posts, comments, users, embed.shape[0]))
+        if not any(rec.tokens for rec in posts + comments):
+            assert not g.token_weights.any()
+        src, dst = oracles.social_graph_dense(g, posts, comments, embed, theta, connect_kinds)
+        np.testing.assert_array_equal(g.src, src)
+        np.testing.assert_array_equal(g.dst, dst)
+
+    @pytest.mark.parametrize("bad", ["past-the-table", "negative"])
+    def test_token_outside_the_table_rejected(self, bad):
+        data = generate_synthetic(n=60, d=8, separation=2.0, seed=32)
+        texts = data.posts + data.comments
+        if bad == "negative":
+            # Records reject a negative id when made, so change one after.
+            at, vocab = max(i for i, rec in enumerate(texts) if rec.tokens), data.vocab_size
+            texts[at].tokens[0] = tok = -1
+        else:
+            # The table is one row too short for the largest id.
+            vocab = tok = data.vocab_size - 1
+            at = next(i for i, rec in enumerate(texts) if tok in rec.tokens)
+        kind = "post" if at < len(data.posts) else "comment"
+        with pytest.raises(ValueError, match=rf"{kind} {texts[at].id}: token id {tok} outside the embedding table \[0, {vocab}\)"):
+            build_social_graph(data.posts, data.comments, data.users, np.ones((vocab, 8)))
 
     def test_build_holds_no_dense_node_by_node_matrix(self):
         data = generate_synthetic(n=1000, d=32, separation=2.0, seed=37)
@@ -500,6 +598,20 @@ class TestBuildSocialGraph:
         finally:
             tracemalloc.stop()
         assert peak < n_nodes * n_nodes * 8 / 2, (peak, n_nodes)
+
+    def test_build_peak_stays_near_the_token_table(self):
+        # Over 19,201 ids the token table dominates the build: nothing else
+        # may be of its size.
+        data = _spread_tokens(generate_synthetic(n=60, d=8, separation=2.0, seed=38))
+        embed = _rng(38).normal(size=(data.vocab_size, 8))
+        tracemalloc.start()
+        try:
+            g = build_social_graph(data.posts, data.comments, data.users, embed, theta=0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        table = g.token_weights.nbytes
+        assert peak < 1.5 * table, (peak, table)
 
 
 # ---------------------------------------------------------------------------
@@ -648,17 +760,6 @@ class TestSignedGat:
             tracemalloc.stop()
         edge_by_width = graph.src.size * cfg.heads * cfg.head_dim(d) * 8
         assert peak < edge_by_width, (peak, edge_by_width)
-
-
-def _spread_tokens(data):
-    """The corpus with token id t renamed 160 * t: the same texts over a
-    vocabulary 160 times as wide (19,201 ids for the synthetic 121)."""
-    def spread(rec):
-        return dataclasses.replace(rec, tokens=[160 * t for t in rec.tokens])
-
-    return DatasetBundle(
-        [spread(p) for p in data.posts], [spread(c) for c in data.comments], data.users
-    )
 
 
 def _social_model(n=40, d=8, heads=2, gat_layers=1, theta=0.6, wide_vocab=False):
