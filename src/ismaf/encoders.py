@@ -186,7 +186,14 @@ class SocialGraph:
 
     def validate(self):
         n = self.n_nodes
-        if self.src.size and (self.src.max() >= n or self.dst.max() >= n):
+        if self.src.shape != self.dst.shape or self.src.ndim != 1:
+            raise ValueError(
+                f"edge sources {self.src.shape} and destinations {self.dst.shape} "
+                "must be 1-D arrays of one length"
+            )
+        if self.src.size and (
+            min(self.src.min(), self.dst.min()) < 0 or max(self.src.max(), self.dst.max()) >= n
+        ):
             raise ValueError("edge endpoint references a missing node")
         loops = set(self.src[self.src == self.dst].tolist())
         if loops != set(range(n)):
@@ -230,6 +237,7 @@ def build_social_graph(
     embed: np.ndarray,
     theta: float = 0.5,
     connect_kinds: str = "all",
+    edges: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> SocialGraph:
     """Build the interaction graph.
 
@@ -254,6 +262,11 @@ def build_social_graph(
     ``SIM_TILE`` rows, reads each block's pairs >= theta with one flat
     nonzero, and the pairs are deduplicated by one sort of their keys, so
     memory beside the table is O(SIM_TILE * n_nodes + edges).
+
+    ``edges``, a ``(src, dst)`` pair of a graph built before from the same
+    records and inputs (a checkpoint stores it), replaces the structural
+    pairs and the similarity join; every record check, the token table and
+    ``SocialGraph.validate`` still run.
     """
     if not -1.0 < theta <= 1.0:
         raise ValueError(f"theta must lie in (-1, 1], got {theta}")
@@ -291,6 +304,10 @@ def build_social_graph(
             f"outside the embedding table [0, {vocab})"
         )
     token_weights = _token_table(lengths, tokens, authors, n, vocab)
+    if edges is not None:
+        graph = SocialGraph(node_ids, node_kinds, token_weights, *edges, index)
+        graph.validate()
+        return graph
 
     # Structural pairs: each text with its author, each comment with its post.
     rows = [np.arange(n_texts), np.arange(len(posts), n_texts)]

@@ -1,9 +1,11 @@
 """End-to-end model assembly: parameter creation, per-batch forward pass over
 all five loss components, and the classification-only path used at eval time.
 
-The social graph is constructed once per run from the initial token-embedding
-means (structure frozen); node features are recomputed from the current
-embedding table every step so gradients reach it through the GAT stack.
+The social graph's structure is frozen: it is built from the initial
+token-embedding means when a model is created, and a loaded model takes the
+edges its checkpoint stored (``serialize``); node features are recomputed
+from the current embedding table every step so gradients reach it through
+the GAT stack.
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ class ForwardResult:
 class IsmafModel:
     """Parameters plus the fixed graph/context needed to run the pipeline."""
 
-    def __init__(self, config: TrainConfig, dataset: DatasetBundle):
+    def __init__(self, config: TrainConfig, dataset: DatasetBundle, edges=None):
+        """``edges``: the ``(src, dst)`` of a graph built before for this
+        config and these records, taken in place of the similarity join."""
         if not dataset.posts:
             raise ValueError("dataset has no posts")
         self.config = config
@@ -73,6 +77,7 @@ class IsmafModel:
             self.store.value("text.embed"),
             theta=config.theta,
             connect_kinds=config.connect_kinds,
+            edges=edges,
         )
 
     # -- graph plumbing ----------------------------------------------------

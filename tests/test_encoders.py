@@ -464,6 +464,18 @@ class TestBuildSocialGraph:
         assert ((g_all.src == i) & (g_all.dst == j)).any()
         assert not ((g_same.src == i) & (g_same.dst == j)).any()
 
+    def test_given_edges_replace_the_join(self):
+        data = generate_synthetic(n=20, d=4, separation=2.0, seed=3)
+        records = dict(posts=data.posts, comments=data.comments, users=data.users)
+        embed = _rng(3).normal(size=(data.vocab_size, 8))
+        built = build_social_graph(**records, embed=embed, theta=0.0)
+        loop = np.arange(built.n_nodes)
+        given = build_social_graph(**records, embed=embed, theta=0.0, edges=(loop, loop))
+        assert given.src is loop and given.dst is loop
+        assert given.token_weights.tobytes() == built.token_weights.tobytes()
+        with pytest.raises(ValueError, match="self-loop"):
+            build_social_graph(**records, embed=embed, edges=(loop[1:], loop[1:]))
+
     def test_unknown_user_reference_rejected(self):
         posts = [PostRecord("p0", [1], np.zeros(2), "ghost", [], 0)]
         with pytest.raises(ValueError, match="unknown user"):
@@ -722,6 +734,20 @@ class TestSignedGat:
         graph.src, graph.dst = graph.src[keep], graph.dst[keep]
         with pytest.raises(ValueError, match="self-loop"):
             signed_gat_layer(Tensor(np.zeros((3, d))), graph, store.constants(), cfg)
+
+    @pytest.mark.parametrize("edit, message", [
+        # A negative endpoint would index from the end of a node array.
+        (lambda g: g.src.__setitem__(0, -3), "missing node"),
+        (lambda g: g.dst.__setitem__(0, -1), "missing node"),
+        (lambda g: g.dst.__setitem__(0, 3), "missing node"),
+        (lambda g: setattr(g, "dst", g.dst[1:]), "one length"),
+    ], ids=["negative-src", "negative-dst", "dst-past-end", "length-mismatch"])
+    def test_validate_rejects_bad_endpoints(self, edit, message):
+        graph = _manual_graph(3, [(0, 1), (1, 2)])
+        graph.validate()
+        edit(graph)
+        with pytest.raises(ValueError, match=message):
+            graph.validate()
 
     def test_grad_check(self):
         d = 3

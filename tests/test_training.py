@@ -1,13 +1,16 @@
 import dataclasses
+import hashlib
+import json
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from ismaf import encoders
+from ismaf import encoders, serialize
 from ismaf.config import TrainConfig, load_config, save_config
-from ismaf.data import DatasetBundle, generate_synthetic, split_dataset
+from ismaf.data import CommentRecord, DatasetBundle, UserRecord, generate_synthetic, split_dataset
 from ismaf.model import IsmafModel
 from ismaf.serialize import ModelFileError, load_model, save_model
 from ismaf.training import (
@@ -247,25 +250,21 @@ class TestSerialization:
         result = train(cfg, tiny_data)
         path = tmp_path / "model.json"
         save_model(result.model, path)
-        text = path.read_text()
-        marker = '"data": "'
-        at = text.index(marker) + len(marker)
-        flipped = ("B" if text[at] != "B" else "C") + text[at + 1 :]
-        path.write_text(text[:at] + flipped)
+        raw = bytearray(path.read_bytes())
+        raw[len(raw) // 2] ^= 0x01  # one bit of one parameter
+        path.write_bytes(bytes(raw))
         with pytest.raises(ModelFileError, match="checksum"):
             load_model(path, tiny_data)
 
     def test_version_mismatch_rejected(self, tmp_path, tiny_data):
-        import json
-
         cfg = _tiny_config(epochs=0)
         result = train(cfg, tiny_data)
         path = tmp_path / "model.json"
         save_model(result.model, path)
-        payload = json.loads(path.read_text())
-        payload["format_version"] = 99
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ModelFileError, match="version"):
+        header, body = _checkpoint_parts(path)
+        header["format_version"] = 99
+        _write_checkpoint(path, header, body)
+        with pytest.raises(ModelFileError, match="version 99"):
             load_model(path, tiny_data)
 
     @pytest.mark.parametrize("change, name, shapes", [
@@ -294,6 +293,196 @@ class TestSerialization:
         path.write_text("{}")
         with pytest.raises(ModelFileError, match="not a model file"):
             load_model(path, tiny_data)
+
+    @pytest.fixture
+    def saved(self, tmp_path, tiny_data):
+        """The path of a checkpoint of the untrained tiny model."""
+        path = tmp_path / "model.json"
+        save_model(train(_tiny_config(epochs=0), tiny_data).model, path)
+        return path
+
+    def test_version_1_file_rejected(self, tmp_path, tiny_data):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({
+            "format_version": 1, "config": _tiny_config().to_dict(), "seed": 5,
+            "params": {}, "checksum": "0" * 64,
+        }))
+        with pytest.raises(ModelFileError, match=r"version 1 .*re-run `ismaf train`"):
+            load_model(path, tiny_data)
+
+    # TrainConfig takes theta in [0, 1), so 0.999 stands for the top of the
+    # range: there the edges are the structural ones and the similarity
+    # pairs of equal texts.
+    @pytest.mark.parametrize("overrides", [
+        {}, {"connect_kinds": "same-kind"}, {"theta": 0.0}, {"theta": 0.999},
+    ], ids=["all-kinds", "same-kind", "theta-0", "theta-0.999"])
+    def test_stored_graph_equals_rebuilt_graph(self, tmp_path, tiny_data, overrides):
+        # One user who wrote nothing (only its self-loop), one comment
+        # without tokens (a zero feature, so no similarity edges) and one
+        # comment that repeats another's tokens.
+        post, comment = tiny_data.posts[0], tiny_data.comments[0]
+        extra = [
+            CommentRecord("c-empty", [], post.user_id, post.id),
+            CommentRecord("c-repeat", comment.tokens, post.user_id, post.id),
+        ]
+        ds = split_dataset(DatasetBundle(
+            tiny_data.posts, tiny_data.comments + extra, tiny_data.users + [UserRecord("lurker")],
+        ), (0.6, 0.2, 0.2), 5)
+        built = IsmafModel(_tiny_config(**overrides), ds)
+        lurker = built.graph.index["lurker"]
+        assert (built.graph.src == lurker).sum() == 1
+        path = tmp_path / "model.json"
+        save_model(built, path)
+        spy = mock.patch.object(encoders, "build_social_graph", wraps=encoders.build_social_graph)
+        with spy as build:
+            loaded = load_model(path, ds)
+        assert build.call_args.kwargs["edges"] is not None  # no similarity join
+        for name in ("src", "dst", "token_weights"):
+            got, want = getattr(loaded.graph, name), getattr(built.graph, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        for name in built.store.names():
+            assert loaded.store.value(name).tobytes() == built.store.value(name).tobytes()
+        ids = ds.split_ids("test")
+        assert loaded.predict(ids).tobytes() == built.predict(ids).tobytes()
+
+    @pytest.mark.parametrize("change, part", [
+        ("comment-token", "tokens"),
+        ("author-renamed", "ids"),
+        ("comment-author", "links"),
+    ])
+    def test_other_records_rejected(self, saved, tiny_data, change, part):
+        path = saved
+        posts, comments, users = list(tiny_data.posts), list(tiny_data.comments), list(tiny_data.users)
+        first = comments[0]
+        if change == "comment-token":
+            token = 1 if first.tokens[0] != 1 else 2
+            comments[0] = dataclasses.replace(first, tokens=[token] + first.tokens[1:])
+        elif change == "author-renamed":
+            old, new = first.user_id, "renamed"
+            users = [UserRecord(new) if u.id == old else u for u in users]
+            posts = [dataclasses.replace(p, user_id=new) if p.user_id == old else p for p in posts]
+            comments = [dataclasses.replace(c, user_id=new) if c.user_id == old else c for c in comments]
+        else:
+            other = next(u.id for u in users if u.id != first.user_id)
+            comments[0] = dataclasses.replace(first, user_id=other)
+        other = DatasetBundle(posts, comments, users)
+        with pytest.raises(ModelFileError, match=f"record {part} differ .*fingerprint"):
+            load_model(path, other)
+
+    def test_truncated_file_rejected(self, saved, tiny_data):
+        path = saved
+        header, body = _checkpoint_parts(path)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ModelFileError, match="checksum"):
+            load_model(path, tiny_data)
+        _write_checkpoint(path, header, body[:-8])  # under a valid checksum
+        with pytest.raises(ModelFileError, match="truncated"):
+            load_model(path, tiny_data)
+
+    @pytest.mark.parametrize("key", ["config", "records", "arrays"])
+    def test_header_missing_a_key_rejected(self, saved, tiny_data, key):
+        path = saved
+        header, body = _checkpoint_parts(path)
+        del header[key]
+        _write_checkpoint(path, header, body)
+        with pytest.raises(ModelFileError, match=f"header has no {key}"):
+            load_model(path, tiny_data)
+
+    # Edges crafted under a valid checksum.
+    @pytest.mark.parametrize("craft, message", [
+        ("short-out-degree", r"out_degree has shape \(\d+,\), expected"),
+        ("negative-count", "negative count"),
+        ("sum-mismatch", "sums to"),
+        ("negative-dst", "outside"),
+        ("dst-past-end", "outside"),
+    ])
+    def test_crafted_edges_rejected(self, saved, tiny_data, craft, message):
+        path = saved
+        header, body = _checkpoint_parts(path)
+        arrays = _checkpoint_arrays(header, body)
+        out, dst = arrays["graph.out_degree"].copy(), arrays["graph.dst"].copy()
+        if craft == "short-out-degree":
+            out = out[:-1]
+        elif craft == "negative-count":  # the sum stays len(dst)
+            out[1] += out[0] + 1
+            out[0] = -1
+        elif craft == "sum-mismatch":
+            out[0] += 1
+        elif craft == "negative-dst":
+            dst[0] = -1
+        else:
+            dst[-1] = out.size  # one count per node
+        arrays["graph.out_degree"], arrays["graph.dst"] = out, dst
+        header["arrays"] = [[name, value.dtype.str, list(value.shape)] for name, value in arrays.items()]
+        _write_checkpoint(path, header, b"".join(value.tobytes() for value in arrays.values()))
+        with pytest.raises(ModelFileError, match=message):
+            load_model(path, tiny_data)
+
+    def test_failed_save_keeps_the_old_file(self, tmp_path, tiny_data, monkeypatch):
+        old = train(_tiny_config(epochs=0), tiny_data).model
+        path = tmp_path / "model.json"
+        save_model(old, path)
+        newer = train(_tiny_config(epochs=1), tiny_data).model
+
+        def failing_open(*args, **kwargs):
+            f = open(*args, **kwargs)
+            write = f.write
+
+            def write_then_fail(data):
+                if f.tell() > 0:  # after the first part is on disk
+                    raise OSError("No space left on device")
+                return write(data)
+
+            f.write = write_then_fail
+            return f
+
+        monkeypatch.setattr(serialize, "open", failing_open, raising=False)
+        with pytest.raises(OSError, match="No space"):
+            save_model(newer, path)
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+        loaded = load_model(path, tiny_data)
+        for name in old.store.names():
+            assert loaded.store.value(name).tobytes() == old.store.value(name).tobytes()
+
+    def test_load_peak_stays_near_the_parameters(self, tmp_path):
+        # At d=300 on 40 posts the parameters are nearly all of the file:
+        # loading holds them once, in the model, and neither the whole file
+        # nor a second copy of them besides.
+        data = generate_synthetic(n=40, d=300, separation=2.0, seed=22)
+        model = IsmafModel(TrainConfig(), data)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        params = sum(value.nbytes for _, value in model.store.items())
+        tracemalloc.start()
+        try:
+            load_model(path, data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * params, (peak, params)
+
+
+def _checkpoint_parts(path):
+    """A format-2 checkpoint's header and the array bytes after it."""
+    raw = path.read_bytes()
+    start = len(serialize.MAGIC) + 65
+    newline = raw.index(b"\n", start)
+    return json.loads(raw[start:newline]), raw[newline + 1:]
+
+
+def _checkpoint_arrays(header, body):
+    arrays, offset = {}, 0
+    for name, dtype, shape in header["arrays"]:
+        arrays[name] = np.frombuffer(body, dtype=dtype, count=int(np.prod(shape)), offset=offset).reshape(shape)
+        offset += arrays[name].nbytes
+    return arrays
+
+
+def _write_checkpoint(path, header, body):
+    """Write a checkpoint with a valid checksum over any header and body."""
+    rest = json.dumps(header).encode() + b"\n" + body
+    path.write_bytes(serialize.MAGIC + hashlib.sha256(rest).hexdigest().encode() + b"\n" + rest)
 
 
 class TestSweep:
