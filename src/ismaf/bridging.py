@@ -6,14 +6,16 @@ Attention operates on a token lift: each d-vector is reshaped into
 ``token_len`` tokens of d/token_len entries, attended, and mean-pooled back
 to d.  It takes a batch of rows at once and attends within each row only:
 every (row, head) pair is one entry of a batched matmul, so each softmax
-runs over one head's ``token_len`` tokens.
+runs over one head's ``token_len`` tokens.  Of the ``TrainConfig`` values,
+attention takes only the head count: the token and inner widths are read
+from the query projection, d from the output projection, and ``token_len``
+is d over the token width.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,67 +25,51 @@ from .autodiff import ParamStore, Tensor
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class AttentionConfig:
-    d: int
-    heads: int = 8
-    token_len: int = 6
-
-    def __post_init__(self):
-        if self.d % self.token_len != 0:
-            raise ValueError(
-                f"token_len {self.token_len} must divide feature dim {self.d}"
-            )
-        if self.heads < 1:
-            raise ValueError(f"heads must be >= 1, got {self.heads}")
-
-    @property
-    def token_dim(self) -> int:
-        return self.d // self.token_len
-
-    @property
-    def head_dim(self) -> int:
-        # The head count need not divide the token width (e.g. d=300, H=8);
-        # attention projects up to the next multiple internally.
-        return math.ceil(self.token_dim / self.heads)
-
-    @property
-    def inner_dim(self) -> int:
-        return self.heads * self.head_dim
+def _projection_shapes(d: int, heads: int, token_len: int) -> tuple[int, int]:
+    """Token width and inner width of the attention projections.  The head
+    count need not divide the token width (e.g. d=300, H=8); attention
+    projects up to the next multiple internally."""
+    token_dim = d // token_len
+    return token_dim, heads * math.ceil(token_dim / heads)
 
 
-def create_attention_params(store: ParamStore, cfg: AttentionConfig):
+def create_attention_params(store: ParamStore, d: int, heads: int, token_len: int):
+    token_dim, inner = _projection_shapes(d, heads, token_len)
     for m in ("T", "V"):
         for proj in ("wq", "wk", "wv"):
-            store.create(f"attn.{m}.{proj}", (cfg.token_dim, cfg.inner_dim))
-        store.create(f"attn.{m}.wo", (cfg.inner_dim, cfg.d))
-    store.create("attn.TV.wo", (cfg.inner_dim, cfg.d))
-    store.create("attn.VT.wo", (cfg.inner_dim, cfg.d))
+            store.create(f"attn.{m}.{proj}", (token_dim, inner))
+        store.create(f"attn.{m}.wo", (inner, d))
+    store.create("attn.TV.wo", (inner, d))
+    store.create("attn.VT.wo", (inner, d))
 
 
-def create_fusion_attention_params(store: ParamStore, cfg: AttentionConfig):
+def create_fusion_attention_params(store: ParamStore, d: int, heads: int, token_len: int):
     """Extra projection set for the IS-att fusion alternate."""
+    token_dim, inner = _projection_shapes(d, heads, token_len)
     for proj in ("wq", "wk", "wv"):
-        store.create(f"attn.F.{proj}", (cfg.token_dim, cfg.inner_dim))
-    store.create("attn.F.wo", (cfg.inner_dim, cfg.d))
+        store.create(f"attn.F.{proj}", (token_dim, inner))
+    store.create("attn.F.wo", (inner, d))
 
 
-def attend(x_query, x_kv, wq, wk, wv, wo, cfg: AttentionConfig) -> Tensor:
+def attend(x_query, x_kv, wq, wk, wv, wo, heads: int) -> Tensor:
     """Multi-head scaled dot-product attention between token-lifted rows.
 
     ``x_query`` and ``x_kv`` are [N, d] batches (a [d] vector is one row);
     row i of the queries attends to the tokens of row i of ``x_kv`` only.
+    The token width and the inner width are the shape of ``wq``, d is the
+    width of ``wo``, and the ``heads`` heads share the inner width equally.
     Returns one d-vector per row, the token mean of the projected head
     outputs, in the shape of ``x_query``.
     """
     x_query, x_kv = ad.as_tensor(x_query), ad.as_tensor(x_kv)
-    if x_query.shape != x_kv.shape or x_query.shape[-1] != cfg.d:
+    (dt, inner), d = wq.shape, wo.shape[1]
+    if x_query.shape != x_kv.shape or x_query.shape[-1] != d:
         raise ad.ShapeError(
-            f"attention expects two matching batches of {cfg.d}-vectors, "
+            f"attention expects two matching batches of {d}-vectors, "
             f"got {x_query.shape} and {x_kv.shape}"
         )
-    L, dt, H, dh = cfg.token_len, cfg.token_dim, cfg.heads, cfg.head_dim
-    n = x_query.size // cfg.d
+    L, H, dh = d // dt, heads, inner // heads
+    n = x_query.size // d
     tq = ad.reshape(x_query, (n * L, dt))
     tkv = ad.reshape(x_kv, (n * L, dt))
 
@@ -99,11 +85,11 @@ def attend(x_query, x_kv, wq, wk, wv, wo, cfg: AttentionConfig) -> Tensor:
     ctx = ad.batched_matmul(ad.softmax_rows(scores), v)
     # The token mean commutes with the output projection, so pool first;
     # row i then holds its H pooled heads side by side, as wo expects.
-    pooled = ad.reshape(ad.mean(ctx, axis=1), (n, cfg.inner_dim))
+    pooled = ad.reshape(ad.mean(ctx, axis=1), (n, inner))
     return ad.reshape(ad.matmul(pooled, wo), x_query.shape)
 
 
-def self_attention(r_m, modality: str, params, cfg: AttentionConfig) -> Tensor:
+def self_attention(r_m, modality: str, params, heads: int) -> Tensor:
     """Augment unimodal d-vectors ([N, d] or one [d]) with multi-head
     self-attention."""
     if modality not in ("T", "V"):
@@ -111,20 +97,20 @@ def self_attention(r_m, modality: str, params, cfg: AttentionConfig) -> Tensor:
     p = f"attn.{modality}"
     return attend(
         r_m, r_m, params[f"{p}.wq"], params[f"{p}.wk"], params[f"{p}.wv"],
-        params[f"{p}.wo"], cfg,
+        params[f"{p}.wo"], heads,
     )
 
 
-def co_attention(z_t, z_v, params, cfg: AttentionConfig) -> tuple[Tensor, Tensor]:
+def co_attention(z_t, z_v, params, heads: int) -> tuple[Tensor, Tensor]:
     """Paired cross-attention: text queries against visual keys/values and
     vice versa, each with its own output projection."""
     z_tv = attend(
         z_t, z_v, params["attn.T.wq"], params["attn.V.wk"],
-        params["attn.V.wv"], params["attn.TV.wo"], cfg,
+        params["attn.V.wv"], params["attn.TV.wo"], heads,
     )
     z_vt = attend(
         z_v, z_t, params["attn.V.wq"], params["attn.T.wk"],
-        params["attn.T.wv"], params["attn.VT.wo"], cfg,
+        params["attn.T.wv"], params["attn.VT.wo"], heads,
     )
     return z_tv, z_vt
 

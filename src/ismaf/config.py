@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .encoders import CONNECT_KINDS
@@ -91,11 +91,7 @@ class TrainConfig:
         if not kernels or min(kernels) < 1 or len(set(kernels)) != len(kernels):
             raise ValueError(f"kernel_sizes must be distinct and >= 1, got {kernels}")
         if self.d < len(kernels):
-            raise ValueError(f"d {self.d} too small for {len(kernels)} kernel sizes")
-
-    @property
-    def lambdas(self) -> tuple[float, float, float, float]:
-        return (self.lambda1, self.lambda2, self.lambda3, self.lambda4)
+            raise ValueError(f"d must be >= the number of kernel sizes {len(kernels)}, got {self.d}")
 
     @property
     def fractions(self) -> tuple[float, float, float]:
@@ -115,9 +111,6 @@ class TrainConfig:
         if self.ablate_af and self.fusion == "af":
             return "is-concat"
         return self.fusion
-
-    def with_overrides(self, **kwargs) -> "TrainConfig":
-        return replace(self, **kwargs)
 
     def to_dict(self) -> dict:
         out = {}

@@ -3,6 +3,7 @@ synthetic corpus generator used for desk-scale experiments."""
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -92,8 +93,10 @@ class DatasetBundle:
             raise ValueError(f"unknown split {name!r}")
         return [p.id for p in self.posts if self.split[p.id] == name]
 
-    @property
+    @functools.cached_property
     def vocab_size(self) -> int:
+        """One more than the largest token id, at least 2; the records are
+        fixed after construction, so the scan runs once."""
         top = 0
         for rec in list(self.posts) + list(self.comments):
             if rec.tokens:

@@ -1,7 +1,10 @@
 """Unimodal encoders: text CNN, visual projection, and the social graph with
 signed graph attention.
 
-All encoders emit vectors of the shared feature dimension d.  Graph
+All encoders emit vectors of the shared feature dimension d.  Each takes
+only the ``TrainConfig`` values its parameters cannot carry (the kernel
+sizes, the head count, the leaky relu slope), checked once when the config
+is built, and reads every shape from its parameters and inputs.  Graph
 construction is a pure numpy function of the records and a token-embedding
 table; the graph keeps each node's token weights, so a node's feature under
 any table is its row of ``token_weights @ embed``.  Similarity edges come
@@ -26,78 +29,29 @@ from . import autodiff as ad
 from .autodiff import ParamStore, ShapeError, Tensor
 
 
-@dataclass(frozen=True)
-class TextEncoderConfig:
-    vocab_size: int
-    embed_dim: int
-    seq_len: int
-    kernel_sizes: tuple[int, ...] = (3, 4, 5)
-
-    def __post_init__(self):
-        if self.vocab_size < 2:
-            raise ValueError(f"vocab_size must be >= 2, got {self.vocab_size}")
-        if self.seq_len < max(self.kernel_sizes):
-            raise ValueError(
-                f"seq_len {self.seq_len} shorter than largest kernel "
-                f"{max(self.kernel_sizes)}"
-            )
-        if self.embed_dim < len(self.kernel_sizes):
-            raise ValueError(
-                f"embed_dim {self.embed_dim} smaller than kernel count {len(self.kernel_sizes)}"
-            )
-
-    @property
-    def filters_per_kernel(self) -> tuple[int, ...]:
-        """Filters per kernel size: embed_dim spread as evenly as possible."""
-        return _spread_filters(self.embed_dim, len(self.kernel_sizes))
-
-
-def _spread_filters(d: int, n_kernels: int) -> tuple[int, ...]:
-    base, extra = divmod(d, n_kernels)
-    return tuple(base + (1 if i < extra else 0) for i in range(n_kernels))
-
-
-@dataclass(frozen=True)
-class GatConfig:
-    heads: int = 8
-    layers: int = 2
-    leaky_slope: float = 0.2
-
-    def __post_init__(self):
-        if self.heads < 1:
-            raise ValueError(f"heads must be >= 1, got {self.heads}")
-
-    def head_dim(self, d: int) -> int:
-        return math.ceil(d / self.heads)
-
-
 # ---------------------------------------------------------------------------
 # text CNN
 
 
-def create_text_params(store: ParamStore, cfg: TextEncoderConfig):
-    store.create("text.embed", (cfg.vocab_size, cfg.embed_dim))
+def create_text_params(store: ParamStore, vocab_size: int, d: int, kernel_sizes):
+    store.create("text.embed", (vocab_size, d))
     # Token id 0 is padding; its embedding row stays pinned at zero.
     embed = store.value("text.embed")
     embed[0] = 0.0
-    for k, f in zip(cfg.kernel_sizes, cfg.filters_per_kernel):
-        store.create(f"text.conv{k}.w", (k * cfg.embed_dim, f), fan=(k * cfg.embed_dim, f))
+    # The d filters are spread over the kernel sizes as evenly as possible.
+    base, extra = divmod(d, len(kernel_sizes))
+    for i, k in enumerate(kernel_sizes):
+        f = base + (1 if i < extra else 0)
+        store.create(f"text.conv{k}.w", (k * d, f), fan=(k * d, f))
         store.create(f"text.conv{k}.b", (f,), init="zeros")
 
 
-def _validate_tokens(tokens: np.ndarray, cfg: TextEncoderConfig):
-    if tokens.size == 0 or tokens.shape[-1] == 0:
-        raise ValueError("empty token sequence")
-    if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
-        raise ValueError(
-            f"token id out of vocabulary range [0, {cfg.vocab_size}): "
-            f"saw {tokens.min()}..{tokens.max()}"
-        )
-
-
-def encode_text_batch(tokens, params, cfg: TextEncoderConfig) -> Tensor:
+def encode_text_batch(tokens, params, kernel_sizes) -> Tensor:
     """Encode padded token rows [N, seq_len] into text features [N, d].
 
+    The vocabulary and d are the shape of ``text.embed``, each kernel
+    size's filter count is the width of its ``text.conv{k}.w``, and
+    ``seq_len`` is the batch's width, at least the largest kernel size.
     Per kernel size k, with the [k*d, f] conv weight split into k blocks of
     d rows: each distinct token of the batch is embedded and multiplied by
     every block once, a window's pre-activation is the sum of its k tokens'
@@ -106,23 +60,35 @@ def encode_text_batch(tokens, params, cfg: TextEncoderConfig) -> Tensor:
     both are monotone.  The pooled maps are concatenated across kernel sizes.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
-    if tokens.ndim != 2 or tokens.shape[1] != cfg.seq_len:
-        raise ShapeError(
-            f"token batch must be [N, {cfg.seq_len}], got {tokens.shape}"
+    if tokens.ndim != 2:
+        raise ShapeError(f"token batch must be [N, seq_len], got {tokens.shape}")
+    if tokens.size == 0:
+        raise ValueError("empty token sequence")
+    n, seq_len = tokens.shape
+    embed = params["text.embed"]
+    vocab_size, d = embed.shape
+    if tokens.min() < 0 or tokens.max() >= vocab_size:
+        raise ValueError(
+            f"token id out of vocabulary range [0, {vocab_size}): "
+            f"saw {tokens.min()}..{tokens.max()}"
         )
-    _validate_tokens(tokens, cfg)
-    n, d = tokens.shape[0], cfg.embed_dim
+    if seq_len < max(kernel_sizes):
+        raise ShapeError(
+            f"token batch of width {seq_len} is narrower than the largest "
+            f"kernel size {max(kernel_sizes)}"
+        )
     vocab, inv = np.unique(tokens, return_inverse=True)
     inv = inv.reshape(tokens.shape)  # flat on numpy 1.x, shaped on 2.x
-    emb = ad.gather_rows(params["text.embed"], vocab)  # [U, d]
+    emb = ad.gather_rows(embed, vocab)  # [U, d]
     pooled = []
-    for k, f in zip(cfg.kernel_sizes, cfg.filters_per_kernel):
+    for k in kernel_sizes:
+        w = params[f"text.conv{k}.w"]
+        f = w.shape[1]
         # [d, k*f], column j*f + c is column c of weight block j, so row
         # u*k + j of proj is distinct token u times block j.
-        blocks = ad.transpose(ad.reshape(ad.transpose(
-            ad.reshape(params[f"text.conv{k}.w"], (k, d, f))), (k * f, d)))
+        blocks = ad.transpose(ad.reshape(ad.transpose(ad.reshape(w, (k, d, f))), (k * f, d)))
         proj = ad.reshape(ad.matmul(emb, blocks), (vocab.size * k, f))
-        n_windows = cfg.seq_len - k + 1
+        n_windows = seq_len - k + 1
         # Offset j of every window, for j = 0..k-1: [k, n, n_windows] rows of proj.
         ids = np.stack([inv[:, j:j + n_windows] * k + j for j in range(k)])
         terms = ad.reshape(ad.gather_rows(proj, ids.reshape(-1)), (k, n * n_windows, f))
@@ -352,12 +318,14 @@ def build_social_graph(
 # signed graph attention
 
 
-def create_gat_params(store: ParamStore, d: int, cfg: GatConfig):
-    width = cfg.heads * cfg.head_dim(d)
-    for layer in range(cfg.layers):
+def create_gat_params(store: ParamStore, d: int, heads: int, layers: int):
+    # The head count need not divide d; each head is ceil(d / heads) wide.
+    head_dim = math.ceil(d / heads)
+    width = heads * head_dim
+    for layer in range(layers):
         store.create(f"gat.l{layer}.w", (d, width))
-        store.create(f"gat.l{layer}.a_src", (width,), fan=(cfg.head_dim(d), 1))
-        store.create(f"gat.l{layer}.a_dst", (width,), fan=(cfg.head_dim(d), 1))
+        store.create(f"gat.l{layer}.a_src", (width,), fan=(head_dim, 1))
+        store.create(f"gat.l{layer}.a_dst", (width,), fan=(head_dim, 1))
         store.create(f"gat.l{layer}.wo", (width, d))
 
 
@@ -410,7 +378,8 @@ def signed_gat_layer(
     feats: Tensor | tuple[Tensor, Tensor],
     graph: EdgeBlock | SocialGraph,
     params,
-    cfg: GatConfig,
+    heads: int,
+    leaky_slope: float,
     layer: int = 0,
 ) -> Tensor:
     """One signed multi-head GAT layer over the edges of one block.
@@ -425,7 +394,9 @@ def signed_gat_layer(
     j -> i; alpha_ij = sign(e_ij) * softmax_j(|e_ij|); output row i
     aggregates alpha-weighted Wh_j, heads are concatenated, projected back to
     d, tanh.  The scores a.Wh are each one product of the input with the
-    [d, heads] per-head sums of ``W * a``.
+    [d, heads] per-head sums of ``W * a``.  The ``heads`` heads share W's
+    width equally; ``leaky_slope`` is the leaky relu's slope on negative
+    scores.
     """
     n_out = graph.targets.size
     covered = np.zeros(n_out, dtype=bool)
@@ -437,8 +408,7 @@ def signed_gat_layer(
     a_src = params[f"gat.l{layer}.a_src"]
     a_dst = params[f"gat.l{layer}.a_dst"]
     wo = params[f"gat.l{layer}.wo"]
-    d, heads = w.shape[0], cfg.heads
-    head_dim = cfg.head_dim(d)
+    head_dim = w.shape[1] // heads
 
     def per_head_sum(x: Tensor) -> Tensor:  # [rows, heads*head_dim] -> [rows, heads]
         return ad.sum_(ad.reshape(x, (x.shape[0], heads, head_dim)), axis=2)
@@ -457,7 +427,7 @@ def signed_gat_layer(
             ad.gather_rows(s_src, graph.src),
             ad.gather_rows(s_dst, graph.targets[graph.dst]),
         ),
-        cfg.leaky_slope,
+        leaky_slope,
     )  # [E, heads], scores for edge src -> dst grouped by dst
 
     alpha = ad.signed_segment_softmax(e, graph.dst, n_out)

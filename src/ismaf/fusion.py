@@ -10,7 +10,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamStore, Tensor
-from .bridging import AttentionConfig, attend
+from .bridging import attend
 
 FUSION_KINDS = ("af", "is-concat", "is-att")
 
@@ -80,7 +80,7 @@ def adaptive_fuse(z_tv, z_vt, r_g, params) -> tuple[Tensor, Tensor]:
     return x_fuse, loss
 
 
-def fuse_alternate(kind: str, z, r_g, params, attn_cfg: AttentionConfig) -> Tensor:
+def fuse_alternate(kind: str, z, r_g, params, heads: int) -> Tensor:
     """Ablation fusion strategies over the intrinsic and social vectors.
 
     ``is-concat`` concatenates and linearly maps to d; ``is-att`` runs one
@@ -94,7 +94,7 @@ def fuse_alternate(kind: str, z, r_g, params, attn_cfg: AttentionConfig) -> Tens
         return ad.linear(joined, params["fuse.cat_w"], params["fuse.cat_b"])
     return attend(
         z, r_g, params["attn.F.wq"], params["attn.F.wk"],
-        params["attn.F.wv"], params["attn.F.wo"], attn_cfg,
+        params["attn.F.wv"], params["attn.F.wo"], heads,
     )
 
 

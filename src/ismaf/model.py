@@ -40,26 +40,12 @@ class IsmafModel:
         self.dataset = dataset
         self.seq_len = max(dataset.max_post_len, max(config.kernel_sizes))
         self.visual_dim = int(dataset.posts[0].visual_feat.shape[0])
-        self.text_cfg = encoders.TextEncoderConfig(
-            vocab_size=dataset.vocab_size,
-            embed_dim=config.d,
-            seq_len=self.seq_len,
-            kernel_sizes=config.kernel_sizes,
-        )
-        self.gat_cfg = encoders.GatConfig(
-            heads=config.heads,
-            layers=config.gat_layers,
-            leaky_slope=config.gat_leaky_slope,
-        )
-        self.attn_cfg = bridging.AttentionConfig(
-            d=config.d, heads=config.heads, token_len=config.token_len
-        )
 
         self.store = ParamStore(seed=config.seed)
-        encoders.create_text_params(self.store, self.text_cfg)
+        encoders.create_text_params(self.store, dataset.vocab_size, config.d, config.kernel_sizes)
         encoders.create_visual_params(self.store, self.visual_dim, config.d)
-        encoders.create_gat_params(self.store, config.d, self.gat_cfg)
-        bridging.create_attention_params(self.store, self.attn_cfg)
+        encoders.create_gat_params(self.store, config.d, config.heads, config.gat_layers)
+        bridging.create_attention_params(self.store, config.d, config.heads, config.token_len)
         bridging.create_mutual_params(self.store, config.d)
         fusion.create_classifier_params(self.store, config.d)
         kind = config.effective_fusion()
@@ -68,7 +54,7 @@ class IsmafModel:
         elif kind == "is-concat":
             fusion.create_concat_fusion_params(self.store, config.d)
         else:
-            bridging.create_fusion_attention_params(self.store, self.attn_cfg)
+            bridging.create_fusion_attention_params(self.store, config.d, config.heads, config.token_len)
 
         self.graph = encoders.build_social_graph(
             dataset.posts,
@@ -97,13 +83,16 @@ class IsmafModel:
                 raise KeyError(f"unknown post id {pid!r}")
             rows.append(row)
         outputs, positions = np.unique(rows, return_inverse=True)
-        inputs, blocks = encoders.receptive_blocks(self.graph, outputs, self.gat_cfg.layers)
+        cfg = self.config
+        inputs, blocks = encoders.receptive_blocks(self.graph, outputs, cfg.gat_layers)
         weights = Tensor(self.graph.token_weights[inputs])
         if not blocks:
             return ad.gather_rows(ad.matmul(weights, params["text.embed"]), positions)
         out = (weights, params["text.embed"])
         for layer, block in enumerate(blocks):
-            out = encoders.signed_gat_layer(out, block, params, self.gat_cfg, layer=layer)
+            out = encoders.signed_gat_layer(
+                out, block, params, cfg.heads, cfg.gat_leaky_slope, layer=layer
+            )
         return ad.gather_rows(out, positions)
 
     # -- forward passes ------------------------------------------------------
@@ -111,7 +100,7 @@ class IsmafModel:
     def _unimodal(self, params, post_ids, training, rng, zero_social):
         cfg = self.config
         tokens = self.dataset.padded_tokens(post_ids, self.seq_len)
-        r_t = encoders.encode_text_batch(tokens, params, self.text_cfg)
+        r_t = encoders.encode_text_batch(tokens, params, cfg.kernel_sizes)
         visual = np.stack([self.dataset.post(pid).visual_feat for pid in post_ids])
         r_v = encoders.project_visual(Tensor(visual), params["visual.w"], params["visual.b"])
         if zero_social:
@@ -136,16 +125,16 @@ class IsmafModel:
         cfg = self.config
         labels = np.array([self.dataset.post(pid).label for pid in post_ids])
         r_t, r_v, r_g = self._unimodal(params, post_ids, training, rng, zero_social)
-        z_t = bridging.self_attention(r_t, "T", params, self.attn_cfg)
-        z_v = bridging.self_attention(r_v, "V", params, self.attn_cfg)
-        z_tv_b, z_vt_b = bridging.co_attention(z_t, z_v, params, self.attn_cfg)
+        z_t = bridging.self_attention(r_t, "T", params, cfg.heads)
+        z_v = bridging.self_attention(r_v, "V", params, cfg.heads)
+        z_tv_b, z_vt_b = bridging.co_attention(z_t, z_v, params, cfg.heads)
         z_b = bridging.intrinsic_rep(z_tv_b, z_vt_b)
 
         kind = cfg.effective_fusion()
         if kind == "af":
             x_fuse, l_af = fusion.adaptive_fuse(z_tv_b, z_vt_b, r_g, params)
         else:
-            x_fuse = fusion.fuse_alternate(kind, z_b, r_g, params, self.attn_cfg)
+            x_fuse = fusion.fuse_alternate(kind, z_b, r_g, params, cfg.heads)
             l_af = None
         if training:
             x_fuse = ad.dropout(x_fuse, cfg.dropout, rng, training)

@@ -5,7 +5,7 @@ reports, and the lambda sweep driver."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -240,7 +240,7 @@ def sweep_lambda(
     budget = epochs if epochs is not None else max(1, config.epochs // 5)
     rows = []
     for value in values:
-        cfg = config.with_overrides(**{f"lambda{lambda_index}": float(value), "epochs": budget})
+        cfg = replace(config, **{f"lambda{lambda_index}": float(value), "epochs": budget})
         result = train(cfg, dataset)
         report = evaluate(result.model, result.model.dataset, "test")
         rows.append(SweepRow(lambda_value=float(value), accuracy=report.accuracy, f1=report.f1))

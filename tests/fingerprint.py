@@ -1,0 +1,123 @@
+"""Bitwise fingerprint of the pipeline on the benchmark's three corpora.
+
+Prints one JSON line with, per corpus, the sha256 of:
+
+- ``token_weights``, ``src``, ``dst``: the social graph's token table and
+  edges;
+- ``grads``: the gradients of every Adam step, in step order;
+- ``losses``: the epoch losses;
+- ``params``: the parameters after training;
+- ``probs``: the test split's class probabilities, from the model that a
+  saved checkpoint loads back into;
+- ``checkpoint``: the bytes of that checkpoint.
+
+The corpora and configs are those of the benchmark workloads
+(``perfbench/workloads.py``) at corpus seed 7.  The eval-paper model is not
+trained: as in the benchmark, its checkpoint holds the initial parameters.
+The script uses only the public ``ismaf`` API (and wraps
+``training.Adam.step`` to see the gradients), so one copy of it runs
+against any commit's sources:
+
+    PYTHONPATH=src python3 tests/fingerprint.py
+    PYTHONPATH=/path/to/other/checkout/src python3 tests/fingerprint.py
+
+Two lines are equal exactly when every hashed number is bitwise equal.
+The numbers depend on the numpy and BLAS build, so compare lines from one
+machine and one install.  ``--posts N`` builds every corpus with N posts
+instead, for a quick check.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+import ismaf
+from ismaf import training
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
+
+SEED = 7
+
+
+def _update(digest, name: str, array) -> None:
+    array = np.ascontiguousarray(array)
+    digest.update(f"{name}:{array.dtype.str}:{array.shape};".encode())
+    digest.update(array.tobytes())
+
+
+def _hash(named_arrays) -> str:
+    digest = hashlib.sha256()
+    for name, array in named_arrays:
+        _update(digest, name, array)
+    return digest.hexdigest()
+
+
+def _train(config, split):
+    """``ismaf.train`` with each Adam step's gradients fed to a digest."""
+    grads = hashlib.sha256()
+    step = training.Adam.step
+
+    def recording_step(self, step_grads, lr):
+        for name, g in step_grads.items():
+            _update(grads, name, g)
+        return step(self, step_grads, lr)
+
+    training.Adam.step = recording_step
+    try:
+        result = ismaf.train(config, split)
+    finally:
+        training.Adam.step = step
+    return result.model, result.history, grads.hexdigest()
+
+
+def fingerprint(wl: workloads.Workload) -> dict[str, str]:
+    config = workloads.config(ismaf, wl)
+    split = ismaf.split_dataset(workloads.corpus(ismaf, wl, SEED), config.fractions, config.seed)
+    if wl.kind == "train":
+        model, history, grads = _train(config, split)
+    else:
+        model, history, grads = ismaf.IsmafModel(config, split), [], hashlib.sha256().hexdigest()
+    losses = np.array([list(epoch.losses.as_dict().values()) for epoch in history], dtype=np.float64)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        ismaf.save_model(model, path)
+        checkpoint = hashlib.sha256(path.read_bytes()).hexdigest()
+        reloaded = ismaf.load_model(path, split)
+    ids = split.split_ids("test")
+    probs = reloaded.forward(reloaded.store.constants(), ids, with_losses=False).probs
+    graph = model.graph
+    return {
+        "token_weights": _hash([("token_weights", graph.token_weights)]),
+        "src": _hash([("src", graph.src)]),
+        "dst": _hash([("dst", graph.dst)]),
+        "grads": grads,
+        "losses": _hash([("losses", losses)]),
+        "params": _hash(model.store.items()),
+        "probs": _hash([("probs", probs)]),
+        "checkpoint": checkpoint,
+    }
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--posts", type=int, help="posts per corpus (default: each workload's own)")
+    args = parser.parse_args(argv)
+    out = {}
+    for name, wl in workloads.WORKLOADS.items():
+        if args.posts is not None:
+            wl = dataclasses.replace(wl, n_posts=args.posts)
+        out[name] = fingerprint(wl)
+    print(json.dumps(out))
+
+
+if __name__ == "__main__":
+    main()

@@ -68,7 +68,7 @@ def text_cnn_sliding(tokens, embed, kernels):
     return np.concatenate(pooled)
 
 
-def text_cnn_per_offset(tokens, params, cfg):
+def text_cnn_per_offset(tokens, params, kernel_sizes):
     """``encode_text_batch`` as a sum of per-offset matmuls on tape tensors.
 
     Per kernel size k: embed every token slot of the flattened batch, add up
@@ -76,11 +76,11 @@ def text_cnn_per_offset(tokens, params, cfg):
     the bias and relu, then drop the windows that cross a post boundary
     before max-pooling each post with ``segment_max``."""
     tokens = np.asarray(tokens, dtype=np.int64)
-    n, d = tokens.shape[0], cfg.embed_dim
-    total = n * cfg.seq_len
+    (n, seq_len), d = tokens.shape, params["text.embed"].shape[1]
+    total = n * seq_len
     emb = ad.gather_rows(params["text.embed"], tokens.reshape(-1))
     pooled = []
-    for k in cfg.kernel_sizes:
+    for k in kernel_sizes:
         w, b = params[f"text.conv{k}.w"], params[f"text.conv{k}.b"]
         n_windows = total - k + 1
         pre = None
@@ -90,8 +90,8 @@ def text_cnn_per_offset(tokens, params, cfg):
             pre = term if pre is None else ad.add(pre, term)
         acts = ad.relu(ad.add(pre, b))
         starts = np.arange(n_windows)
-        valid = starts[(starts % cfg.seq_len) <= cfg.seq_len - k]
-        pooled.append(segment_max(ad.gather_rows(acts, valid), valid // cfg.seq_len, n))
+        valid = starts[(starts % seq_len) <= seq_len - k]
+        pooled.append(segment_max(ad.gather_rows(acts, valid), valid // seq_len, n))
     return ad.concat(pooled, axis=1)
 
 
@@ -396,14 +396,13 @@ def social_graph_dense(graph, posts, comments, embed, theta, connect_kinds):
     return np.concatenate([pair_src, loop]), np.concatenate([pair_dst, loop])
 
 
-def signed_gat_layer_plain(feats, graph, params, cfg, layer=0):
+def signed_gat_layer_plain(feats, graph, params, heads, leaky_slope, layer=0):
     """What ``encoders.signed_gat_layer`` computes, the plain way: the input
     rows times W, each head's scores as the sum of ``Wh * a`` over its
     columns, then the same signed softmax and edge aggregate."""
-    d = feats.shape[1]
     n_out = graph.targets.size
-    heads, head_dim = cfg.heads, cfg.head_dim(d)
     w = params[f"gat.l{layer}.w"]
+    head_dim = w.shape[1] // heads
     a_src = params[f"gat.l{layer}.a_src"]
     a_dst = params[f"gat.l{layer}.a_dst"]
     wo = params[f"gat.l{layer}.wo"]
@@ -419,7 +418,7 @@ def signed_gat_layer_plain(feats, graph, params, cfg, layer=0):
             ad.gather_rows(s_src, graph.src),
             ad.gather_rows(s_dst, graph.targets[graph.dst]),
         ),
-        cfg.leaky_slope,
+        leaky_slope,
     )
     alpha = ad.signed_segment_softmax(e, graph.dst, n_out)
     agg = ad.edge_aggregate(hw, alpha, graph.src, graph.dst, n_out)
@@ -433,8 +432,9 @@ def social_batch_full_graph(model, params, post_ids):
     rows gathered."""
     graph = model.graph
     out = ad.matmul(ad.Tensor(graph.token_weights), params["text.embed"])
-    for layer in range(model.gat_cfg.layers):
-        out = signed_gat_layer_plain(out, graph, params, model.gat_cfg, layer=layer)
+    cfg = model.config
+    for layer in range(cfg.gat_layers):
+        out = signed_gat_layer_plain(out, graph, params, cfg.heads, cfg.gat_leaky_slope, layer=layer)
     return ad.gather_rows(out, [graph.index[pid] for pid in post_ids])
 
 
@@ -442,29 +442,29 @@ def _row(batch, i):
     return ad.reshape(ad.slice_rows(batch, i, i + 1), (batch.shape[1],))
 
 
-def attention_per_post(params, r_t, r_v, cfg):
+def attention_per_post(params, r_t, r_v, heads):
     """What ``IsmafModel.forward`` computes with self- and co-attention, the
     plain way: one post at a time, restacked into [N, d] matrices.  Returns
     (z_t, z_v, z_tv, z_vt)."""
     outs = ([], [], [], [])
     for i in range(r_t.shape[0]):
-        z_t = self_attention(_row(r_t, i), "T", params, cfg)
-        z_v = self_attention(_row(r_v, i), "V", params, cfg)
-        z_tv, z_vt = co_attention(z_t, z_v, params, cfg)
+        z_t = self_attention(_row(r_t, i), "T", params, heads)
+        z_v = self_attention(_row(r_v, i), "V", params, heads)
+        z_tv, z_vt = co_attention(z_t, z_v, params, heads)
         for rows, z in zip(outs, (z_t, z_v, z_tv, z_vt)):
-            rows.append(ad.reshape(z, (1, cfg.d)))
+            rows.append(ad.reshape(z, (1, r_t.shape[1])))
     return tuple(ad.concat(rows, axis=0) for rows in outs)
 
 
-def is_att_per_post(z, r_g, params, cfg):
+def is_att_per_post(z, r_g, params, heads):
     """What ``fuse_alternate("is-att")`` computes, one post at a time."""
     rows = []
     for i in range(z.shape[0]):
         out = attend(
             _row(z, i), _row(r_g, i), params["attn.F.wq"], params["attn.F.wk"],
-            params["attn.F.wv"], params["attn.F.wo"], cfg,
+            params["attn.F.wv"], params["attn.F.wo"], heads,
         )
-        rows.append(ad.reshape(out, (1, cfg.d)))
+        rows.append(ad.reshape(out, (1, z.shape[1])))
     return ad.concat(rows, axis=0)
 
 
@@ -474,14 +474,15 @@ def is_att_per_post(z, r_g, params, cfg):
 NEG_MASK = -1e30
 
 
-def attend_masked(x_query, x_kv, wq, wk, wv, wo, cfg):
+def attend_masked(x_query, x_kv, wq, wk, wv, wo, heads):
     """What ``bridging.attend`` computes, the plain way: all heads of a post
     as one [L*H, L*H] softmax, with a block-diagonal mask that keeps each
     head's slots, and the output projection applied per token before the
     token mean."""
     x_query, x_kv = ad.as_tensor(x_query), ad.as_tensor(x_kv)
-    L, dt, H, dh = cfg.token_len, cfg.token_dim, cfg.heads, cfg.head_dim
-    n = x_query.size // cfg.d
+    (dt, inner), d = wq.shape, wo.shape[1]
+    L, H, dh = d // dt, heads, inner // heads
+    n = x_query.size // d
     tq = ad.reshape(x_query, (n * L, dt))
     tkv = ad.reshape(x_kv, (n * L, dt))
     # [N*L, inner] -> [N, L*H, dh]: row t*H+h of post i holds token t's
@@ -494,25 +495,25 @@ def attend_masked(x_query, x_kv, wq, wk, wv, wo, cfg):
     mask = ad.Tensor(np.where(head[:, None] == head[None, :], 0.0, NEG_MASK))
     attn = ad.softmax_rows(ad.reshape(ad.add(scores, mask), (n * L * H, L * H)))
     ctx = ad.batched_matmul(ad.reshape(attn, (n, L * H, L * H)), v)
-    out_tokens = ad.matmul(ad.reshape(ctx, (n * L, cfg.inner_dim)), wo)
-    return ad.mean(ad.reshape(out_tokens, x_query.shape[:-1] + (L, cfg.d)), axis=-2)
+    out_tokens = ad.matmul(ad.reshape(ctx, (n * L, inner)), wo)
+    return ad.mean(ad.reshape(out_tokens, x_query.shape[:-1] + (L, d)), axis=-2)
 
 
-def _attend_masked_named(params, x_query, x_kv, names, cfg):
+def _attend_masked_named(params, x_query, x_kv, names, heads):
     wq, wk, wv, wo = (params[f"attn.{name}"] for name in names)
-    return attend_masked(x_query, x_kv, wq, wk, wv, wo, cfg)
+    return attend_masked(x_query, x_kv, wq, wk, wv, wo, heads)
 
 
-def attention_masked(params, r_t, r_v, cfg):
+def attention_masked(params, r_t, r_v, heads):
     """``attention_per_post``'s outputs from one batched ``attend_masked``
     call per attention.  Returns (z_t, z_v, z_tv, z_vt)."""
-    z_t = _attend_masked_named(params, r_t, r_t, ("T.wq", "T.wk", "T.wv", "T.wo"), cfg)
-    z_v = _attend_masked_named(params, r_v, r_v, ("V.wq", "V.wk", "V.wv", "V.wo"), cfg)
-    z_tv = _attend_masked_named(params, z_t, z_v, ("T.wq", "V.wk", "V.wv", "TV.wo"), cfg)
-    z_vt = _attend_masked_named(params, z_v, z_t, ("V.wq", "T.wk", "T.wv", "VT.wo"), cfg)
+    z_t = _attend_masked_named(params, r_t, r_t, ("T.wq", "T.wk", "T.wv", "T.wo"), heads)
+    z_v = _attend_masked_named(params, r_v, r_v, ("V.wq", "V.wk", "V.wv", "V.wo"), heads)
+    z_tv = _attend_masked_named(params, z_t, z_v, ("T.wq", "V.wk", "V.wv", "TV.wo"), heads)
+    z_vt = _attend_masked_named(params, z_v, z_t, ("V.wq", "T.wk", "T.wv", "VT.wo"), heads)
     return z_t, z_v, z_tv, z_vt
 
 
-def is_att_masked(z, r_g, params, cfg):
+def is_att_masked(z, r_g, params, heads):
     """What ``fuse_alternate("is-att")`` computes, with ``attend_masked``."""
-    return _attend_masked_named(params, z, r_g, ("F.wq", "F.wk", "F.wv", "F.wo"), cfg)
+    return _attend_masked_named(params, z, r_g, ("F.wq", "F.wk", "F.wv", "F.wo"), heads)

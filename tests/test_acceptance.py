@@ -80,18 +80,17 @@ def test_criterion_2_oracle_equivalence(capsys):
     ) / len(p)
     assert abs(got - want) < 1e-6
 
-    cfg = bridging.AttentionConfig(d=12, heads=2, token_len=6)
     store = ParamStore(seed=3)
-    bridging.create_attention_params(store, cfg)
+    bridging.create_attention_params(store, 12, 2, 6)
     params = store.constants()
     x, y = rng.normal(size=12), rng.normal(size=12)
-    got = bridging.self_attention(Tensor(x), "T", params, cfg).data
+    got = bridging.self_attention(Tensor(x), "T", params, 2).data
     want = oracles.attention_enumerated(
         x, x, store.value("attn.T.wq"), store.value("attn.T.wk"),
         store.value("attn.T.wv"), store.value("attn.T.wo"), 6, 2,
     )
     assert np.abs(got - want).max() < 1e-6
-    z_tv, z_vt = bridging.co_attention(Tensor(x), Tensor(y), params, cfg)
+    z_tv, z_vt = bridging.co_attention(Tensor(x), Tensor(y), params, 2)
     want_tv = oracles.attention_enumerated(
         x, y, store.value("attn.T.wq"), store.value("attn.V.wk"),
         store.value("attn.V.wv"), store.value("attn.TV.wo"), 6, 2,
@@ -103,19 +102,18 @@ def test_criterion_2_oracle_equivalence(capsys):
     assert np.abs(z_tv.data - want_tv).max() < 1e-6
     assert np.abs(z_vt.data - want_vt).max() < 1e-6
 
-    from ismaf.encoders import GatConfig, create_gat_params, signed_gat_layer
-    from test_encoders import _manual_graph
+    from ismaf.encoders import create_gat_params, signed_gat_layer
+    from test_encoders import SLOPE, _manual_graph
 
-    gat_cfg = GatConfig(heads=2, layers=1)
     gstore = ParamStore(seed=4)
-    create_gat_params(gstore, 4, gat_cfg)
+    create_gat_params(gstore, 4, 2, 1)
     graph = _manual_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], d=4)
     h = rng.normal(size=(4, 4))
-    got = signed_gat_layer(Tensor(h), graph, gstore.constants(), gat_cfg).data
+    got = signed_gat_layer(Tensor(h), graph, gstore.constants(), 2, SLOPE).data
     neighbors = [[j for j, i in zip(graph.src, graph.dst) if i == node] for node in range(4)]
     want = oracles.signed_gat_enumerated(
         h, neighbors, gstore.value("gat.l0.w"), gstore.value("gat.l0.a_src"),
-        gstore.value("gat.l0.a_dst"), gstore.value("gat.l0.wo"), 2, gat_cfg.leaky_slope,
+        gstore.value("gat.l0.a_dst"), gstore.value("gat.l0.wo"), 2, SLOPE,
     )
     assert np.abs(got - want).max() < 1e-6
 

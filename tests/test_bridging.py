@@ -7,7 +7,6 @@ import pytest
 from ismaf import autodiff as ad
 from ismaf.autodiff import ParamStore, Tape, Tensor
 from ismaf.bridging import (
-    AttentionConfig,
     cmca_loss,
     co_attention,
     create_attention_params,
@@ -96,67 +95,62 @@ class TestSclLoss:
 
 
 def _attn_setup(d=12, heads=2, token_len=6, seed=0):
-    cfg = AttentionConfig(d=d, heads=heads, token_len=token_len)
     store = ParamStore(seed=seed)
-    create_attention_params(store, cfg)
-    return cfg, store
+    create_attention_params(store, d, heads, token_len)
+    return store
 
 
 class TestSelfAttention:
     def test_single_token_collapse_is_linear(self):
-        cfg, store = _attn_setup(d=6, heads=2, token_len=1, seed=1)
+        store = _attn_setup(d=6, heads=2, token_len=1, seed=1)
         x = _rng(7).normal(size=6)
-        out = self_attention(Tensor(x), "T", store.constants(), cfg)
+        out = self_attention(Tensor(x), "T", store.constants(), 2)
         expected = x @ store.value("attn.T.wv") @ store.value("attn.T.wo")
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_zero_input_gives_zero_output(self):
-        cfg, store = _attn_setup(seed=2)
-        out = self_attention(Tensor(np.zeros(12)), "V", store.constants(), cfg)
+        store = _attn_setup(seed=2)
+        out = self_attention(Tensor(np.zeros(12)), "V", store.constants(), 2)
         np.testing.assert_allclose(out.data, np.zeros(12), atol=1e-15)
 
     def test_six_token_lift_matches_enumeration_oracle(self):
-        cfg, store = _attn_setup(d=12, heads=2, token_len=6, seed=3)
+        store = _attn_setup(d=12, heads=2, token_len=6, seed=3)
         x = _rng(8).normal(size=12)
-        out = self_attention(Tensor(x), "T", store.constants(), cfg)
+        out = self_attention(Tensor(x), "T", store.constants(), 2)
         expected = oracles.attention_enumerated(
             x, x,
             store.value("attn.T.wq"), store.value("attn.T.wk"),
             store.value("attn.T.wv"), store.value("attn.T.wo"),
-            cfg.token_len, cfg.heads,
+            6, 2,
         )
         assert np.abs(out.data - expected).max() < 1e-10
 
     def test_uneven_head_split_projects_up(self):
         # token_dim 5 with 2 heads: internal width rounds up to 6.
-        cfg = AttentionConfig(d=10, heads=2, token_len=2)
-        assert cfg.head_dim == 3 and cfg.inner_dim == 6
-        store = ParamStore(seed=4)
-        create_attention_params(store, cfg)
+        store = _attn_setup(d=10, heads=2, token_len=2, seed=4)
+        assert store.value("attn.T.wq").shape == (5, 6)
         x = _rng(9).normal(size=10)
-        out = self_attention(Tensor(x), "T", store.constants(), cfg)
+        out = self_attention(Tensor(x), "T", store.constants(), 2)
         expected = oracles.attention_enumerated(
             x, x,
             store.value("attn.T.wq"), store.value("attn.T.wk"),
             store.value("attn.T.wv"), store.value("attn.T.wo"),
-            cfg.token_len, cfg.heads,
+            2, 2,
         )
         assert np.abs(out.data - expected).max() < 1e-10
 
     def test_unknown_modality_rejected(self):
-        cfg, store = _attn_setup()
+        store = _attn_setup()
         with pytest.raises(ValueError, match="modality"):
-            self_attention(Tensor(np.zeros(12)), "G", store.constants(), cfg)
+            self_attention(Tensor(np.zeros(12)), "G", store.constants(), 2)
 
     def test_grad_check(self):
-        cfg = AttentionConfig(d=6, heads=2, token_len=3)
-        store = ParamStore(seed=5)
-        create_attention_params(store, cfg)
+        store = _attn_setup(d=6, heads=2, token_len=3, seed=5)
         store.create("x", (6,))
         probe = Tensor(_rng(10).normal(size=6))
 
         def loss(params):
-            out = self_attention(params["x"], "T", params, cfg)
+            out = self_attention(params["x"], "T", params, 2)
             return ad.sum_(ad.mul(out, probe))
 
         assert ad.grad_check(loss, store) < 1e-4
@@ -164,39 +158,39 @@ class TestSelfAttention:
 
 class TestCoAttention:
     def test_equal_inputs_shared_params_symmetric(self):
-        cfg, store = _attn_setup(seed=6)
+        store = _attn_setup(seed=6)
         # Share projections and output maps across modalities.
         for proj in ("wq", "wk", "wv", "wo"):
             store.assign(f"attn.V.{proj}", store.value(f"attn.T.{proj}").copy())
         store.assign("attn.TV.wo", store.value("attn.T.wo").copy())
         store.assign("attn.VT.wo", store.value("attn.T.wo").copy())
         x = Tensor(_rng(11).normal(size=12))
-        z_tv, z_vt = co_attention(x, x, store.constants(), cfg)
+        z_tv, z_vt = co_attention(x, x, store.constants(), 2)
         np.testing.assert_allclose(z_tv.data, z_vt.data, atol=1e-12)
 
     def test_zero_value_side_gives_zero(self):
-        cfg, store = _attn_setup(seed=7)
+        store = _attn_setup(seed=7)
         z_t = Tensor(_rng(12).normal(size=12))
         z_v = Tensor(np.zeros(12))
-        z_tv, _ = co_attention(z_t, z_v, store.constants(), cfg)
+        z_tv, _ = co_attention(z_t, z_v, store.constants(), 2)
         np.testing.assert_allclose(z_tv.data, np.zeros(12), atol=1e-15)
 
     def test_against_enumeration_oracle(self):
-        cfg, store = _attn_setup(seed=8)
+        store = _attn_setup(seed=8)
         rng = _rng(13)
         z_t, z_v = rng.normal(size=12), rng.normal(size=12)
-        z_tv, z_vt = co_attention(Tensor(z_t), Tensor(z_v), store.constants(), cfg)
+        z_tv, z_vt = co_attention(Tensor(z_t), Tensor(z_v), store.constants(), 2)
         exp_tv = oracles.attention_enumerated(
             z_t, z_v,
             store.value("attn.T.wq"), store.value("attn.V.wk"),
             store.value("attn.V.wv"), store.value("attn.TV.wo"),
-            cfg.token_len, cfg.heads,
+            6, 2,
         )
         exp_vt = oracles.attention_enumerated(
             z_v, z_t,
             store.value("attn.V.wq"), store.value("attn.T.wk"),
             store.value("attn.T.wv"), store.value("attn.VT.wo"),
-            cfg.token_len, cfg.heads,
+            6, 2,
         )
         assert np.abs(z_tv.data - exp_tv).max() < 1e-10
         assert np.abs(z_vt.data - exp_vt).max() < 1e-10
@@ -205,27 +199,27 @@ class TestCoAttention:
 # The paper point (d=300, 6 tokens of 50 entries, 8 heads padding the
 # projection up to 56) and the CI point's width with one entry per head.
 _BATCH_CONFIGS = {
-    "d32": AttentionConfig(d=32, heads=8, token_len=4),
-    "d300": AttentionConfig(d=300, heads=8, token_len=6),
+    "d32": TrainConfig(d=32, heads=8, token_len=4),
+    "d300": TrainConfig(d=300, heads=8, token_len=6),
 }
 
 
-def _self_pair(p, x, y, cfg):
-    return self_attention(x, "T", p, cfg), self_attention(y, "V", p, cfg)
+def _self_pair(p, x, y, heads):
+    return self_attention(x, "T", p, heads), self_attention(y, "V", p, heads)
 
 
-def _self_then_co(p, x, y, cfg):
-    return co_attention(*_self_pair(p, x, y, cfg), p, cfg)
+def _self_then_co(p, x, y, heads):
+    return co_attention(*_self_pair(p, x, y, heads), p, heads)
 
 
-# case -> (batched path, plain per-post path); each maps (params, x, y, cfg)
-# to a tuple of [N, d] outputs.
+# case -> (batched path, plain per-post path); each maps (params, x, y,
+# heads) to a tuple of [N, d] outputs.
 _ATTENTION_PATHS = {
-    "self": (_self_pair, lambda p, x, y, cfg: oracles.attention_per_post(p, x, y, cfg)[:2]),
-    "co": (_self_then_co, lambda p, x, y, cfg: oracles.attention_per_post(p, x, y, cfg)[2:]),
+    "self": (_self_pair, lambda p, x, y, heads: oracles.attention_per_post(p, x, y, heads)[:2]),
+    "co": (_self_then_co, lambda p, x, y, heads: oracles.attention_per_post(p, x, y, heads)[2:]),
     "is-att": (
-        lambda p, x, y, cfg: (fuse_alternate("is-att", x, y, p, cfg),),
-        lambda p, x, y, cfg: (oracles.is_att_per_post(x, y, p, cfg),),
+        lambda p, x, y, heads: (fuse_alternate("is-att", x, y, p, heads),),
+        lambda p, x, y, heads: (oracles.is_att_per_post(x, y, p, heads),),
     ),
 }
 
@@ -233,9 +227,9 @@ _ATTENTION_PATHS = {
 # case -> the same outputs from oracles.attend_masked, the [L*H, L*H]
 # masked softmax that the per-head batch replaced.
 _MASKED_PATHS = {
-    "self": lambda p, x, y, cfg: oracles.attention_masked(p, x, y, cfg)[:2],
-    "co": lambda p, x, y, cfg: oracles.attention_masked(p, x, y, cfg)[2:],
-    "is-att": lambda p, x, y, cfg: (oracles.is_att_masked(x, y, p, cfg),),
+    "self": lambda p, x, y, heads: oracles.attention_masked(p, x, y, heads)[:2],
+    "co": lambda p, x, y, heads: oracles.attention_masked(p, x, y, heads)[2:],
+    "is-att": lambda p, x, y, heads: (oracles.is_att_masked(x, y, p, heads),),
 }
 
 
@@ -267,18 +261,18 @@ def _batch(n, d, seed):
 
 def _attention_store(cfg):
     store = ParamStore(seed=40)
-    create_attention_params(store, cfg)
-    create_fusion_attention_params(store, cfg)
+    create_attention_params(store, cfg.d, cfg.heads, cfg.token_len)
+    create_fusion_attention_params(store, cfg.d, cfg.heads, cfg.token_len)
     return store
 
 
-def _outputs_and_grads(store, path, x, y, cfg):
+def _outputs_and_grads(store, path, x, y, heads):
     """Outputs of ``path`` and the gradients of a fixed random contraction
     of them with respect to every parameter and both inputs."""
     tape = Tape()
     params = store.watch(tape)
     tx, ty = tape.watch(x), tape.watch(y)
-    outs = path(params, tx, ty, cfg)
+    outs = path(params, tx, ty, heads)
     probe = _rng(43)
     loss = ad.sum_(ad.concat(
         [ad.mul(o, Tensor(probe.normal(size=o.shape))) for o in outs], axis=1
@@ -302,8 +296,8 @@ class TestBatchedAttention:
         store = _attention_store(cfg)
         x, y = _batch(n, cfg.d, 41), _batch(n, cfg.d, 42)
         batched, _ = _ATTENTION_PATHS[case]
-        outs, grads = _outputs_and_grads(store, batched, x, y, cfg)
-        want_outs, want_grads = _outputs_and_grads(store, plain, x, y, cfg)
+        outs, grads = _outputs_and_grads(store, batched, x, y, cfg.heads)
+        want_outs, want_grads = _outputs_and_grads(store, plain, x, y, cfg.heads)
         for out, want in zip(outs, want_outs, strict=True):
             assert out.shape == x.shape
             np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
@@ -322,7 +316,7 @@ class TestBatchedAttention:
         store = _attention_store(cfg)
         x, y = _batch(n, cfg.d, 41), _batch(n, cfg.d, 42)
         batched, _ = _ATTENTION_PATHS[case]
-        outs = batched(store.constants(), Tensor(x), Tensor(y), cfg)
+        outs = batched(store.constants(), Tensor(x), Tensor(y), cfg.heads)
         for i in range(x.shape[0]):
             expected = _enumerated(store, case, x[i], y[i], cfg)
             for out, want in zip(outs, expected, strict=True):
@@ -343,14 +337,14 @@ def test_attention_softmax_runs_over_one_heads_tokens(monkeypatch, shape):
     monkeypatch.setattr(ad, "softmax_rows", recording_softmax)
     x, y = _batch(5, cfg.d, 44), _batch(5, cfg.d, 45)
     for batched, _ in _ATTENTION_PATHS.values():
-        batched(store.constants(), Tensor(x), Tensor(y), cfg)
+        batched(store.constants(), Tensor(x), Tensor(y), cfg.heads)
     assert widths and set(widths) == {cfg.token_len}
 
 
 def test_attention_rejects_mismatched_batches():
-    cfg, store = _attn_setup()
+    store = _attn_setup()
     with pytest.raises(ad.ShapeError, match=r"\(3, 12\).*\(2, 12\)"):
-        co_attention(Tensor(np.zeros((3, 12))), Tensor(np.zeros((2, 12))), store.constants(), cfg)
+        co_attention(Tensor(np.zeros((3, 12))), Tensor(np.zeros((2, 12))), store.constants(), 2)
 
 
 class TestIntrinsicRep:
@@ -565,5 +559,3 @@ class TestMutualLearningLoss:
 def test_contrastive_config_validation():
     with pytest.raises(ValueError, match="tau_scl must be > 0"):
         TrainConfig(tau_scl=0.0)
-    with pytest.raises(ValueError, match="divide"):
-        AttentionConfig(d=10, heads=2, token_len=3)

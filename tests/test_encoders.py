@@ -21,9 +21,7 @@ from ismaf.data import (
     split_dataset,
 )
 from ismaf.encoders import (
-    GatConfig,
     SocialGraph,
-    TextEncoderConfig,
     build_social_graph,
     create_gat_params,
     create_text_params,
@@ -46,92 +44,86 @@ def _rng(seed):
 # text CNN
 
 
-def _text_setup(seed=0, d=6, vocab=12, seq_len=8, kernels=(2, 3)):
-    cfg = TextEncoderConfig(vocab_size=vocab, embed_dim=d, seq_len=seq_len, kernel_sizes=kernels)
+def _text_setup(seed=0, d=6, vocab=12, kernels=(2, 3)):
     store = ParamStore(seed=seed)
-    create_text_params(store, cfg)
-    return cfg, store
+    create_text_params(store, vocab, d, kernels)
+    return store
 
 
 class TestEncodeText:
     def test_zero_embeddings_zero_bias_gives_zero(self):
-        cfg, store = _text_setup()
-        store.assign("text.embed", np.zeros((cfg.vocab_size, cfg.embed_dim)))
-        out = encode_text_batch([[1, 2, 3, 4, 5, 6, 7, 8]], store.constants(), cfg)
-        np.testing.assert_array_equal(out.data[0], np.zeros(cfg.embed_dim))
+        store = _text_setup()
+        store.assign("text.embed", np.zeros((12, 6)))
+        out = encode_text_batch([[1, 2, 3, 4, 5, 6, 7, 8]], store.constants(), (2, 3))
+        np.testing.assert_array_equal(out.data[0], np.zeros(6))
 
     def test_kernel1_identity_filters_is_positionwise_max(self):
         d = 5
-        cfg = TextEncoderConfig(vocab_size=9, embed_dim=d, seq_len=6, kernel_sizes=(1,))
-        store = ParamStore(seed=1)
-        create_text_params(store, cfg)
+        store = _text_setup(seed=1, d=d, vocab=9, kernels=(1,))
         emb = np.abs(_rng(2).normal(size=(9, d)))
         emb[0] = 0.0
         store.assign("text.embed", emb)
         store.assign("text.conv1.w", np.eye(d))
         tokens = [3, 1, 4, 1, 5, 2]
-        out = encode_text_batch([tokens], store.constants(), cfg)
+        out = encode_text_batch([tokens], store.constants(), (1,))
         np.testing.assert_allclose(out.data[0], emb[tokens].max(axis=0))
 
     def test_against_sliding_window_oracle(self):
-        cfg, store = _text_setup(seed=3)
+        store = _text_setup(seed=3)
         rng = _rng(4)
-        tokens = rng.integers(1, cfg.vocab_size, size=cfg.seq_len)
-        out = encode_text_batch(tokens[None, :], store.constants(), cfg)
+        tokens = rng.integers(1, 12, size=8)
+        out = encode_text_batch(tokens[None, :], store.constants(), (2, 3))
         expected = oracles.text_cnn_sliding(
             tokens,
             store.value("text.embed"),
-            [
-                (store.value(f"text.conv{k}.w"), store.value(f"text.conv{k}.b"))
-                for k in cfg.kernel_sizes
-            ],
+            [(store.value(f"text.conv{k}.w"), store.value(f"text.conv{k}.b")) for k in (2, 3)],
         )
         assert np.abs(out.data[0] - expected).max() < 1e-10
 
     def test_batch_matches_per_post(self):
-        cfg, store = _text_setup(seed=5)
+        store = _text_setup(seed=5)
         rng = _rng(6)
-        tokens = rng.integers(1, cfg.vocab_size, size=(4, cfg.seq_len))
-        batch = encode_text_batch(tokens, store.constants(), cfg)
+        tokens = rng.integers(1, 12, size=(4, 8))
+        batch = encode_text_batch(tokens, store.constants(), (2, 3))
         for i in range(4):
-            single = encode_text_batch(tokens[i : i + 1], store.constants(), cfg)
+            single = encode_text_batch(tokens[i : i + 1], store.constants(), (2, 3))
             np.testing.assert_allclose(batch.data[i], single.data[0], atol=1e-12)
 
     def test_empty_sequence_rejected(self):
-        cfg, store = _text_setup()
+        store = _text_setup()
         with pytest.raises(ValueError, match="empty"):
-            encode_text_batch(np.zeros((0, cfg.seq_len)), store.constants(), cfg)
+            encode_text_batch(np.zeros((0, 8)), store.constants(), (2, 3))
 
     def test_unknown_token_rejected(self):
-        cfg, store = _text_setup()
+        store = _text_setup()
         with pytest.raises(ValueError, match="vocabulary"):
-            encode_text_batch([[1, 2, cfg.vocab_size, 0, 0, 0, 0, 0]], store.constants(), cfg)
+            encode_text_batch([[1, 2, 12, 0, 0, 0, 0, 0]], store.constants(), (2, 3))
+
+    def test_batch_narrower_than_largest_kernel_rejected(self):
+        store = _text_setup(kernels=(1, 3))
+        with pytest.raises(ad.ShapeError, match="narrower than the largest kernel size 3"):
+            encode_text_batch(np.ones((2, 2)), store.constants(), (1, 3))
 
     def test_invariant_to_amount_of_trailing_padding(self):
-        # Same real tokens under two sequence lengths, both leaving at least
+        # Same real tokens in batches of two widths, both leaving at least
         # one all-padding window per kernel; padding embedding row is zero.
-        d, vocab = 6, 12
         real = [3, 7, 2, 9, 4]
-        store = ParamStore(seed=7)
-        cfg_short = TextEncoderConfig(vocab, d, seq_len=10, kernel_sizes=(2, 3))
-        create_text_params(store, cfg_short)
-        cfg_long = TextEncoderConfig(vocab, d, seq_len=17, kernel_sizes=(2, 3))
-        short = encode_text_batch([np.pad(real, (0, 5))], store.constants(), cfg_short)
-        long = encode_text_batch([np.pad(real, (0, 12))], store.constants(), cfg_long)
+        store = _text_setup(seed=7)
+        short = encode_text_batch([np.pad(real, (0, 5))], store.constants(), (2, 3))
+        long = encode_text_batch([np.pad(real, (0, 12))], store.constants(), (2, 3))
         np.testing.assert_allclose(short.data, long.data, atol=1e-12)
 
     def test_output_dimension_is_d(self):
         for d in (6, 7, 11):
-            cfg = TextEncoderConfig(vocab_size=10, embed_dim=d, seq_len=8, kernel_sizes=(2, 3))
-            store = ParamStore(seed=8)
-            create_text_params(store, cfg)
-            out = encode_text_batch([[1, 2, 3, 4, 5, 6, 7, 8]], store.constants(), cfg)
+            store = _text_setup(seed=8, d=d, vocab=10)
+            out = encode_text_batch([[1, 2, 3, 4, 5, 6, 7, 8]], store.constants(), (2, 3))
             assert out.shape == (1, d)
 
     def test_filter_spread_sums_to_d(self):
-        cfg = TextEncoderConfig(vocab_size=10, embed_dim=32, seq_len=8, kernel_sizes=(3, 4, 5))
-        assert sum(cfg.filters_per_kernel) == 32
-        assert max(cfg.filters_per_kernel) - min(cfg.filters_per_kernel) <= 1
+        store = _text_setup(d=32, vocab=10, kernels=(3, 4, 5))
+        filters = [store.value(f"text.conv{k}.w").shape[1] for k in (3, 4, 5)]
+        assert sum(filters) == 32
+        assert max(filters) - min(filters) <= 1
 
     # Posts of 8, 5, 2, 1 and 0 real tokens over 12 tokens: every post pads
     # differently.  Then 40 posts of 30 or 25 real tokens over 20,000 tokens:
@@ -145,16 +137,16 @@ class TestEncodeText:
     ], ids=["kernels0", "kernels1", "kernels2", "kernels3", "vocab20000"])
     def test_matches_per_offset_oracle(self, kernels, vocab, lengths):
         seq_len = max(lengths)
-        cfg, store = _text_setup(seed=11, d=7, vocab=vocab, seq_len=seq_len, kernels=kernels)
+        store = _text_setup(seed=11, d=7, vocab=vocab, kernels=kernels)
         rng = _rng(12)
-        tokens = rng.integers(1, cfg.vocab_size, size=(len(lengths), seq_len))
+        tokens = rng.integers(1, vocab, size=(len(lengths), seq_len))
         tokens[np.arange(seq_len) >= np.array(lengths)[:, None]] = 0
-        probe = Tensor(rng.normal(size=(len(lengths), cfg.embed_dim)))
+        probe = Tensor(rng.normal(size=(len(lengths), 7)))
 
         def run(encode):
             tape = ad.Tape()
             params = store.watch(tape)
-            out = encode(tokens, params, cfg)
+            out = encode(tokens, params, kernels)
             tape.backward(ad.sum_(ad.mul(out, probe)))
             return out.data, {name: tape.grad(t) for name, t in params.items()}
 
@@ -169,7 +161,7 @@ class TestEncodeText:
         # One gather of the distinct tokens; per kernel size four weight
         # layout ops, matmul, reshape, gather, reshape, sum, group_max, add,
         # relu; then one concat.
-        cfg, store = _text_setup(seed=13, kernels=kernels)
+        store = _text_setup(seed=13, kernels=kernels)
         emitted = []
         emit = ad.Tape.emit
 
@@ -178,15 +170,15 @@ class TestEncodeText:
             return emit(tape, *args)
 
         monkeypatch.setattr(ad.Tape, "emit", counting_emit)
-        tokens = _rng(14).integers(1, cfg.vocab_size, size=(3, cfg.seq_len))
-        encode_text_batch(tokens, store.watch(ad.Tape()), cfg)
+        tokens = _rng(14).integers(1, 12, size=(3, 8))
+        encode_text_batch(tokens, store.watch(ad.Tape()), kernels)
         assert len(emitted) == 12 * len(kernels) + 2
 
     def test_matmuls_have_one_row_per_distinct_token(self, monkeypatch):
         # 4 posts of 8 slots over 5 distinct tokens: 20+ windows per kernel
         # size, but no matmul may see more than 5 rows.
-        cfg, store = _text_setup(seed=17, vocab=12, seq_len=8, kernels=(2, 3))
-        tokens = _rng(18).choice([0, 3, 4, 7, 11], size=(4, cfg.seq_len))
+        store = _text_setup(seed=17)
+        tokens = _rng(18).choice([0, 3, 4, 7, 11], size=(4, 8))
         rows = []
         matmul = ad.matmul
 
@@ -195,17 +187,17 @@ class TestEncodeText:
             return matmul(a, b)
 
         monkeypatch.setattr(ad, "matmul", counting_matmul)
-        encode_text_batch(tokens, store.watch(ad.Tape()), cfg)
-        assert len(rows) == len(cfg.kernel_sizes)
+        encode_text_batch(tokens, store.watch(ad.Tape()), (2, 3))
+        assert len(rows) == 2
         assert max(rows) <= np.unique(tokens).size == 5
 
     def test_grad_check(self):
-        cfg, store = _text_setup(seed=9, d=4, vocab=7, seq_len=5, kernels=(2,))
+        store = _text_setup(seed=9, d=4, vocab=7, kernels=(2,))
         tokens = np.array([[1, 2, 3, 4, 5]])
         probe = Tensor(_rng(10).normal(size=(1, 4)))
 
         def loss(params):
-            out = encode_text_batch(tokens, params, cfg)
+            out = encode_text_batch(tokens, params, (2,))
             return ad.sum_(ad.mul(out, probe))
 
         assert ad.grad_check(loss, store) < 1e-4
@@ -630,11 +622,13 @@ class TestBuildSocialGraph:
 # signed GAT
 
 
+SLOPE = TrainConfig().gat_leaky_slope
+
+
 def _gat_setup(d=4, heads=2, layers=1, seed=0):
-    cfg = GatConfig(heads=heads, layers=layers)
     store = ParamStore(seed=seed)
-    create_gat_params(store, d, cfg)
-    return cfg, store
+    create_gat_params(store, d, heads, layers)
+    return store
 
 
 def _manual_graph(n, undirected_pairs, d=4):
@@ -652,9 +646,7 @@ def _manual_graph(n, undirected_pairs, d=4):
 class TestSignedGat:
     def test_single_node_self_loop_is_projected_nonlinearity(self):
         d = 3
-        cfg = GatConfig(heads=1, layers=1)
-        store = ParamStore(seed=1)
-        create_gat_params(store, d, cfg)
+        store = _gat_setup(d=d, heads=1, seed=1)
         # Positive attention params and features keep e > 0, so alpha = 1.
         store.assign("gat.l0.a_src", np.full(d, 0.3))
         store.assign("gat.l0.a_dst", np.full(d, 0.3))
@@ -662,35 +654,33 @@ class TestSignedGat:
         store.assign("gat.l0.w", w)
         graph = _manual_graph(1, [], d=d)
         h = np.abs(_rng(16).normal(size=(1, d)))
-        out = signed_gat_layer(Tensor(h), graph, store.constants(), cfg)
+        out = signed_gat_layer(Tensor(h), graph, store.constants(), 1, SLOPE)
         expected = np.tanh(h @ w @ store.value("gat.l0.wo"))
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_equal_positive_scores_give_uniform_attention(self):
         # Identical node features make every e_ij equal; force them positive.
         d = 4
-        cfg = GatConfig(heads=2, layers=1)
-        store = ParamStore(seed=2)
-        create_gat_params(store, d, cfg)
+        store = _gat_setup(d=d, heads=2, seed=2)
         store.assign("gat.l0.a_src", np.abs(store.value("gat.l0.a_src")))
         store.assign("gat.l0.a_dst", np.abs(store.value("gat.l0.a_dst")))
         store.assign("gat.l0.w", np.abs(store.value("gat.l0.w")))
         n = 4
         graph = _manual_graph(n, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], d=d)
         h = np.tile(np.abs(_rng(17).normal(size=d)), (n, 1))
-        out = signed_gat_layer(Tensor(h), graph, store.constants(), cfg)
+        out = signed_gat_layer(Tensor(h), graph, store.constants(), 2, SLOPE)
         # Uniform alpha over n identical neighbors reproduces the single-node
         # computation exactly: sum_j (1/n) Wh = Wh.
         single = _manual_graph(1, [], d=d)
-        expected = signed_gat_layer(Tensor(h[:1]), single, store.constants(), cfg)
+        expected = signed_gat_layer(Tensor(h[:1]), single, store.constants(), 2, SLOPE)
         np.testing.assert_allclose(out.data, np.tile(expected.data, (n, 1)), atol=1e-10)
 
     def test_against_enumeration_oracle(self):
         d, heads = 4, 2
-        cfg, store = _gat_setup(d=d, heads=heads, seed=3)
+        store = _gat_setup(d=d, heads=heads, seed=3)
         graph = _manual_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], d=d)
         h = _rng(18).normal(size=(4, d))
-        out = signed_gat_layer(Tensor(h), graph, store.constants(), cfg)
+        out = signed_gat_layer(Tensor(h), graph, store.constants(), heads, SLOPE)
         neighbors = [[j for j, i in zip(graph.src, graph.dst) if i == node] for node in range(4)]
         expected = oracles.signed_gat_enumerated(
             h,
@@ -700,7 +690,7 @@ class TestSignedGat:
             store.value("gat.l0.a_dst"),
             store.value("gat.l0.wo"),
             heads,
-            cfg.leaky_slope,
+            SLOPE,
         )
         assert np.abs(out.data - expected).max() < 1e-10
 
@@ -708,7 +698,7 @@ class TestSignedGat:
         # Recover |alpha| sums through the oracle construction on the same
         # inputs the layer consumes; every (node, head) must normalize.
         d, heads = 4, 2
-        cfg, store = _gat_setup(d=d, heads=heads, seed=4)
+        store = _gat_setup(d=d, heads=heads, seed=4)
         graph = _manual_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], d=d)
         h = _rng(19).normal(size=(5, d))
         hw = h @ store.value("gat.l0.w")
@@ -721,19 +711,19 @@ class TestSignedGat:
                 e = np.array(
                     [hw[node, cols] @ a_dst[cols] + hw[j, cols] @ a_src[cols] for j in nbrs]
                 )
-                e = np.where(e > 0, e, cfg.leaky_slope * e)
+                e = np.where(e > 0, e, SLOPE * e)
                 alpha = np.sign(e) * oracles.softmax_direct(np.abs(e))
                 assert abs(np.abs(alpha).sum() - 1.0) < 1e-9
 
     def test_missing_self_loop_rejected(self):
         d = 4
-        cfg, store = _gat_setup(d=d, seed=5)
+        store = _gat_setup(d=d, seed=5)
         graph = _manual_graph(3, [(0, 1)], d=d)
         # Strip node 2's self-loop.
         keep = ~((graph.src == 2) & (graph.dst == 2))
         graph.src, graph.dst = graph.src[keep], graph.dst[keep]
         with pytest.raises(ValueError, match="self-loop"):
-            signed_gat_layer(Tensor(np.zeros((3, d))), graph, store.constants(), cfg)
+            signed_gat_layer(Tensor(np.zeros((3, d))), graph, store.constants(), 2, SLOPE)
 
     @pytest.mark.parametrize("edit, message", [
         # A negative endpoint would index from the end of a node array.
@@ -751,15 +741,13 @@ class TestSignedGat:
 
     def test_grad_check(self):
         d = 3
-        cfg = GatConfig(heads=1, layers=1)
-        store = ParamStore(seed=6)
-        create_gat_params(store, d, cfg)
+        store = _gat_setup(d=d, heads=1, seed=6)
         graph = _manual_graph(3, [(0, 1), (1, 2)], d=d)
         h = _rng(20).normal(size=(3, d))
         probe = Tensor(_rng(21).normal(size=(3, d)))
 
         def loss(params):
-            out = signed_gat_layer(Tensor(h), graph, params, cfg)
+            out = signed_gat_layer(Tensor(h), graph, params, 1, SLOPE)
             return ad.sum_(ad.mul(out, probe))
 
         assert ad.grad_check(loss, store) < 1e-4
@@ -770,21 +758,20 @@ class TestSignedGat:
         data = generate_synthetic(n=60, d=16, separation=2.0, seed=3)
         embed = _rng(3).normal(size=(data.vocab_size, 4))
         graph = build_social_graph(data.posts, data.comments, data.users, embed, theta=0.0)
-        d, cfg = 128, GatConfig(heads=4, layers=1)
-        store = ParamStore(seed=7)
-        create_gat_params(store, d, cfg)
+        d, heads = 128, 4
+        store = _gat_setup(d=d, heads=heads, seed=7)
         feats = _rng(8).normal(size=(graph.n_nodes, d))
         probe = Tensor(_rng(9).normal(size=(graph.n_nodes, d)))
         tape = ad.Tape()
         params = store.watch(tape)
         tracemalloc.start()
         try:
-            out = signed_gat_layer(Tensor(feats), graph, params, cfg)
+            out = signed_gat_layer(Tensor(feats), graph, params, heads, SLOPE)
             tape.backward(ad.sum_(ad.mul(out, probe)))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        edge_by_width = graph.src.size * cfg.heads * cfg.head_dim(d) * 8
+        edge_by_width = graph.src.size * store.value("gat.l0.w").shape[1] * 8
         assert peak < edge_by_width, (peak, edge_by_width)
 
 
@@ -808,32 +795,28 @@ class TestExtractSocial:
 
     def test_identity_layer_on_isolated_node_is_nonlinearity(self):
         d = 3
-        cfg = GatConfig(heads=1, layers=1)
-        store = ParamStore(seed=8)
-        create_gat_params(store, d, cfg)
+        store = _gat_setup(d=d, heads=1, seed=8)
         store.assign("gat.l0.w", np.eye(d))
         store.assign("gat.l0.wo", np.eye(d))
         store.assign("gat.l0.a_src", np.full(d, 0.5))
         store.assign("gat.l0.a_dst", np.full(d, 0.5))
         graph = _manual_graph(1, [], d=d)
         h = np.abs(_rng(23).normal(size=(1, d)))  # positive: e > 0, alpha = 1
-        got = signed_gat_layer(Tensor(h), graph, store.constants(), cfg)
+        got = signed_gat_layer(Tensor(h), graph, store.constants(), 1, SLOPE)
         np.testing.assert_allclose(got.data[graph.index["p0"]], np.tanh(h[0]), atol=1e-12)
 
     def test_matches_layer_oracle_fixture(self):
         d, heads = 4, 2
-        cfg = GatConfig(heads=heads, layers=1)
-        store = ParamStore(seed=9)
-        create_gat_params(store, d, cfg)
+        store = _gat_setup(d=d, heads=heads, seed=9)
         graph = _manual_graph(4, [(0, 1), (1, 2), (2, 3)], d=d)
         h = _rng(24).normal(size=(4, d))
-        out_nodes = signed_gat_layer(Tensor(h), graph, store.constants(), cfg)
+        out_nodes = signed_gat_layer(Tensor(h), graph, store.constants(), heads, SLOPE)
         neighbors = [[j for j, i in zip(graph.src, graph.dst) if i == node] for node in range(4)]
         expected = oracles.signed_gat_enumerated(
             h, neighbors,
             store.value("gat.l0.w"), store.value("gat.l0.a_src"),
             store.value("gat.l0.a_dst"), store.value("gat.l0.wo"),
-            heads, cfg.leaky_slope,
+            heads, SLOPE,
         )
         got = out_nodes.data[graph.index["p2"]]
         assert np.abs(got - expected[2]).max() < 1e-10
@@ -929,15 +912,14 @@ class TestReceptiveField:
 
 def test_encoder_outputs_have_dimension_d():
     d = 6
-    cfg, store = _text_setup(seed=10, d=d, vocab=15, seq_len=8, kernels=(2, 3, 4))
+    store = _text_setup(seed=10, d=d, vocab=15, kernels=(2, 3, 4))
     create_visual_params(store, 5, d)
-    gat_cfg = GatConfig(heads=2, layers=1)
-    create_gat_params(store, d, gat_cfg)
+    create_gat_params(store, d, 2, 1)
     params = store.constants()
     rng = _rng(25)
-    r_t = encode_text_batch(rng.integers(1, 15, size=(1, 8)), params, cfg)
+    r_t = encode_text_batch(rng.integers(1, 15, size=(1, 8)), params, (2, 3, 4))
     r_v = project_visual(rng.normal(size=5), params["visual.w"], params["visual.b"])
     graph = _manual_graph(3, [(0, 1), (1, 2)], d=d)
-    nodes = signed_gat_layer(Tensor(rng.normal(size=(3, d))), graph, params, gat_cfg)
+    nodes = signed_gat_layer(Tensor(rng.normal(size=(3, d))), graph, params, 2, SLOPE)
     r_g = nodes.data[graph.index["p0"]]
     assert r_t.shape == (1, d) and r_v.shape == (d,) and r_g.shape == (d,)

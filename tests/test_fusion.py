@@ -5,7 +5,7 @@ import pytest
 
 from ismaf import autodiff as ad
 from ismaf.autodiff import ParamStore, Tensor
-from ismaf.bridging import AttentionConfig, create_attention_params, create_fusion_attention_params, self_attention
+from ismaf.bridging import create_attention_params, create_fusion_attention_params, self_attention
 from ismaf.fusion import (
     LossBreakdown,
     adaptive_fuse,
@@ -254,8 +254,7 @@ class TestFuseAlternate:
         store.assign("fuse.cat_w", np.vstack([np.eye(d), np.eye(d)]) / 2.0)
         store.assign("fuse.cat_b", np.zeros(d))
         x = _rng(27).normal(size=(2, d))
-        cfg = AttentionConfig(d=d, heads=1, token_len=1)
-        out = fuse_alternate("is-concat", Tensor(x), Tensor(x), store.constants(), cfg)
+        out = fuse_alternate("is-concat", Tensor(x), Tensor(x), store.constants(), 1)
         np.testing.assert_allclose(out.data, x, atol=1e-12)
 
     def test_is_concat_against_matmul_oracle(self):
@@ -264,15 +263,13 @@ class TestFuseAlternate:
         create_concat_fusion_params(store, d)
         rng = _rng(29)
         z, g = rng.normal(size=(3, d)), rng.normal(size=(3, d))
-        cfg = AttentionConfig(d=d, heads=2, token_len=2)
-        out = fuse_alternate("is-concat", Tensor(z), Tensor(g), store.constants(), cfg)
+        out = fuse_alternate("is-concat", Tensor(z), Tensor(g), store.constants(), 2)
         expected = np.concatenate([z, g], axis=1) @ store.value("fuse.cat_w") + store.value("fuse.cat_b")
         assert np.abs(out.data - expected).max() < 1e-12
 
     def test_is_att_equal_inputs_shared_params_match_self_attention(self):
-        cfg = AttentionConfig(d=6, heads=2, token_len=3)
         store = ParamStore(seed=30)
-        create_attention_params(store, cfg)
+        create_attention_params(store, 6, 2, 3)
         params = store.constants()
         # Route the fusion attention through the T projections.
         params["attn.F.wq"] = params["attn.T.wq"]
@@ -280,22 +277,20 @@ class TestFuseAlternate:
         params["attn.F.wv"] = params["attn.T.wv"]
         params["attn.F.wo"] = params["attn.T.wo"]
         x = _rng(31).normal(size=6)
-        fused = fuse_alternate("is-att", Tensor(x[None, :]), Tensor(x[None, :]), params, cfg)
-        direct = self_attention(Tensor(x), "T", params, cfg)
+        fused = fuse_alternate("is-att", Tensor(x[None, :]), Tensor(x[None, :]), params, 2)
+        direct = self_attention(Tensor(x), "T", params, 2)
         np.testing.assert_allclose(fused.data[0], direct.data, atol=1e-12)
 
     def test_is_att_output_shape(self):
-        cfg = AttentionConfig(d=6, heads=2, token_len=2)
         store = ParamStore(seed=32)
-        create_fusion_attention_params(store, cfg)
+        create_fusion_attention_params(store, 6, 2, 2)
         rng = _rng(33)
         out = fuse_alternate(
             "is-att", Tensor(rng.normal(size=(3, 6))), Tensor(rng.normal(size=(3, 6))),
-            store.constants(), cfg,
+            store.constants(), 2,
         )
         assert out.shape == (3, 6)
 
     def test_unknown_kind_rejected(self):
-        cfg = AttentionConfig(d=4, heads=1, token_len=1)
         with pytest.raises(ValueError, match="unknown fusion kind"):
-            fuse_alternate("is-co", Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 4))), {}, cfg)
+            fuse_alternate("is-co", Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 4))), {}, 1)

@@ -490,7 +490,7 @@ class TestSweep:
         cfg = _tiny_config(epochs=1)
         rows = sweep_lambda(cfg, tiny_data, 2, [0.7], epochs=1)
         assert len(rows) == 1
-        direct = train(cfg.with_overrides(lambda2=0.7, epochs=1), tiny_data)
+        direct = train(dataclasses.replace(cfg, lambda2=0.7, epochs=1), tiny_data)
         report = evaluate(direct.model, direct.model.dataset, "test")
         assert rows[0].accuracy == report.accuracy
         assert rows[0].f1 == report.f1
@@ -580,3 +580,5 @@ class TestConfigFile:
                 TrainConfig(train_frac=fractions[0], val_frac=fractions[1], test_frac=fractions[2])
         with pytest.raises(ValueError, match="heads"):
             TrainConfig(heads=0)
+        with pytest.raises(ValueError, match="d must be >= the number of kernel sizes 3, got 2"):
+            TrainConfig(d=2, token_len=1)
