@@ -637,10 +637,10 @@ def row_l2_normalize(a) -> Tensor:
     return _emit(a.tape, x / denom, (a,), vjp)
 
 
-def dropout(a, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
-    """Inverted dropout: seeded mask scaled by 1/(1-rate) in training mode,
-    identity in eval mode."""
-    if not training or rate == 0.0:
+def dropout(a, rate: float, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout: seeded mask scaled by 1/(1-rate); identity at
+    rate 0."""
+    if rate == 0.0:
         return as_tensor(a)
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")

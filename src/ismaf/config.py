@@ -3,17 +3,12 @@
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .encoders import CONNECT_KINDS
 from .fusion import FUSION_KINDS
-
-
-_FLOAT_FIELDS = (
-    "lr", "lr_decay", "dropout", "tau_scl", "tau_cmca", "lambda1", "lambda2", "lambda3",
-    "lambda4", "theta", "train_frac", "val_frac", "test_frac", "gat_leaky_slope",
-)
 
 
 @dataclass(frozen=True)
@@ -36,10 +31,6 @@ class TrainConfig:
     train_frac: float = 0.7
     val_frac: float = 0.1
     test_frac: float = 0.2
-    ablate_mre: bool = False
-    ablate_cmca: bool = False
-    ablate_ml: bool = False
-    ablate_af: bool = False
     fusion: str = "af"
     token_len: int = 6
     gat_layers: int = 2
@@ -48,8 +39,8 @@ class TrainConfig:
     connect_kinds: str = "all"
 
     def __post_init__(self):
-        for name in _FLOAT_FIELDS:
-            if not math.isfinite(getattr(self, name)):
+        for name, kind in _FIELD_TYPES.items():
+            if kind is float and not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("train_frac", "val_frac", "test_frac"):
             if not 0.0 <= getattr(self, name) <= 1.0:
@@ -97,21 +88,6 @@ class TrainConfig:
     def fractions(self) -> tuple[float, float, float]:
         return (self.train_frac, self.val_frac, self.test_frac)
 
-    def effective_lambdas(self) -> tuple[float, float, float, float]:
-        """Ablation flags zero out the matching loss weight."""
-        return (
-            0.0 if self.ablate_mre else self.lambda1,
-            0.0 if self.ablate_cmca else self.lambda2,
-            0.0 if self.ablate_ml else self.lambda3,
-            0.0 if self.ablate_af else self.lambda4,
-        )
-
-    def effective_fusion(self) -> str:
-        """Ablating adaptive fusion falls back to plain concatenation."""
-        if self.ablate_af and self.fusion == "af":
-            return "is-concat"
-        return self.fusion
-
     def to_dict(self) -> dict:
         out = {}
         for f in fields(self):
@@ -131,23 +107,17 @@ class TrainConfig:
         return cls(**clean)
 
 
-_BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,
-               "yes": True, "no": False}
+_FIELD_TYPES = typing.get_type_hints(TrainConfig)  # int, float, str or tuple[int, ...]
 
 
 def _parse_value(name: str, text: str):
+    """The value of ``text`` as the type ``name`` declares; an unknown
+    key keeps its text for ``TrainConfig.from_dict`` to reject."""
+    kind = _FIELD_TYPES.get(name, str)
     text = text.strip()
-    if name in ("fusion", "connect_kinds"):
-        return text
-    if name.startswith("ablate_"):
-        if text.lower() not in _BOOL_WORDS:
-            raise ValueError(f"{name}: expected a boolean, got {text!r}")
-        return _BOOL_WORDS[text.lower()]
-    if name == "kernel_sizes":
+    if typing.get_origin(kind) is tuple:
         return tuple(int(part) for part in text.replace(",", " ").split())
-    if name in ("d", "heads", "batch_size", "epochs", "seed", "token_len", "gat_layers"):
-        return int(text)
-    return float(text)
+    return kind(text)
 
 
 def load_config(path) -> TrainConfig:

@@ -28,7 +28,6 @@ class PostRecord:
     tokens: list[int]
     visual_feat: np.ndarray
     user_id: str
-    comment_ids: list[str]
     label: int
 
     def __post_init__(self):
@@ -134,7 +133,6 @@ def save_dataset(bundle: DatasetBundle, out_dir) -> None:
                         "tokens": list(map(int, p.tokens)),
                         "visual_feat": [float(x) for x in p.visual_feat],
                         "user_id": p.user_id,
-                        "comment_ids": list(p.comment_ids),
                         "label": int(p.label),
                     }
                 )
@@ -178,7 +176,6 @@ def load_dataset(data_dir) -> DatasetBundle:
             tokens=obj["tokens"],
             visual_feat=obj["visual_feat"],
             user_id=obj["user_id"],
-            comment_ids=obj.get("comment_ids", []),
             label=obj["label"],
         )
         for obj in _read_jsonl(data_dir / "posts.jsonl")
@@ -354,26 +351,22 @@ def generate_synthetic(
         visual = means[label] + rng.standard_normal(d)
         author = draw_user(label)
         pid = f"p{i:05d}"
-        comment_ids = []
         for j in range(int(rng.integers(COMMENTS_PER_POST[0], COMMENTS_PER_POST[1] + 1))):
-            cid = f"c{i:05d}_{j}"
             clen = int(rng.integers(COMMENT_LEN_RANGE[0], COMMENT_LEN_RANGE[1] + 1))
             comments.append(
                 CommentRecord(
-                    id=cid,
+                    id=f"c{i:05d}_{j}",
                     tokens=draw_tokens(label, clen, p_pref_comment),
                     user_id=draw_user(label),
                     post_id=pid,
                 )
             )
-            comment_ids.append(cid)
         posts.append(
             PostRecord(
                 id=pid,
                 tokens=tokens,
                 visual_feat=visual,
                 user_id=author,
-                comment_ids=comment_ids,
                 label=label,
             )
         )

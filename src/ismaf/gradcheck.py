@@ -96,20 +96,18 @@ def _tiny_dataset(seed: int) -> DatasetBundle:
     comments = []
     for i in range(4):
         pid = f"p{i}"
-        cid = f"c{i}"
         posts.append(
             PostRecord(
                 id=pid,
                 tokens=[int(t) for t in rng.integers(1, 10, size=5)],
                 visual_feat=rng.normal(size=3),
                 user_id=users[i % 2].id,
-                comment_ids=[cid],
                 label=i % 2,
             )
         )
         comments.append(
             CommentRecord(
-                id=cid,
+                id=f"c{i}",
                 tokens=[int(t) for t in rng.integers(1, 10, size=4)],
                 user_id=users[(i + 1) % 2].id,
                 post_id=pid,

@@ -48,10 +48,9 @@ class IsmafModel:
         bridging.create_attention_params(self.store, config.d, config.heads, config.token_len)
         bridging.create_mutual_params(self.store, config.d)
         fusion.create_classifier_params(self.store, config.d)
-        kind = config.effective_fusion()
-        if kind == "af":
+        if config.fusion == "af":
             fusion.create_fusion_params(self.store, config.d)
-        elif kind == "is-concat":
+        elif config.fusion == "is-concat":
             fusion.create_concat_fusion_params(self.store, config.d)
         else:
             bridging.create_fusion_attention_params(self.store, config.d, config.heads, config.token_len)
@@ -108,9 +107,9 @@ class IsmafModel:
         else:
             r_g = self.social_batch(params, post_ids)
         if training:
-            r_t = ad.dropout(r_t, cfg.dropout, rng, training)
-            r_v = ad.dropout(r_v, cfg.dropout, rng, training)
-            r_g = ad.dropout(r_g, cfg.dropout, rng, training)
+            r_t = ad.dropout(r_t, cfg.dropout, rng)
+            r_v = ad.dropout(r_v, cfg.dropout, rng)
+            r_g = ad.dropout(r_g, cfg.dropout, rng)
         return r_t, r_v, r_g
 
     def forward(
@@ -130,14 +129,13 @@ class IsmafModel:
         z_tv_b, z_vt_b = bridging.co_attention(z_t, z_v, params, cfg.heads)
         z_b = bridging.intrinsic_rep(z_tv_b, z_vt_b)
 
-        kind = cfg.effective_fusion()
-        if kind == "af":
+        if cfg.fusion == "af":
             x_fuse, l_af = fusion.adaptive_fuse(z_tv_b, z_vt_b, r_g, params)
         else:
-            x_fuse = fusion.fuse_alternate(kind, z_b, r_g, params, cfg.heads)
+            x_fuse = fusion.fuse_alternate(cfg.fusion, z_b, r_g, params, cfg.heads)
             l_af = None
         if training:
-            x_fuse = ad.dropout(x_fuse, cfg.dropout, rng, training)
+            x_fuse = ad.dropout(x_fuse, cfg.dropout, rng)
         probs = fusion.classify(x_fuse, params)
 
         if not with_losses:
@@ -145,20 +143,22 @@ class IsmafModel:
 
         y_hat = ad.reshape(ad.slice_rows(ad.transpose(probs), 1, 2), (len(post_ids),))
         l_ce = fusion.ce_loss(y_hat, labels)
-        l_scl = None
-        if not cfg.ablate_mre:
+        # A term of weight 0 is left out of the objective and its column
+        # reads 0; scl, cmca and ml are then not computed at all.
+        l_scl = l_cmca = l_ml = None
+        if cfg.lambda1:
             fused_initial = ad.concat([r_t, r_v, r_g], axis=1)
             l_scl = bridging.scl_loss(fused_initial, labels, cfg.tau_scl)
-        l_cmca = None
-        if not cfg.ablate_cmca:
+        if cfg.lambda2:
             l_cmca = bridging.cmca_loss(z_b, r_g, cfg.tau_cmca)
-        l_ml = None
-        if not cfg.ablate_ml:
+        if cfg.lambda3:
             e_z, e_g = bridging.project_common(z_b, r_g, params)
             p_z, p_g = bridging.label_distributions(e_z, e_g, params)
             l_ml = bridging.mutual_learning_loss(p_z, p_g)
+        if not cfg.lambda4:
+            l_af = None
 
-        lambdas = cfg.effective_lambdas()
+        lambdas = (cfg.lambda1, cfg.lambda2, cfg.lambda3, cfg.lambda4)
         total = fusion.overall_loss(l_ce, l_scl, l_cmca, l_ml, l_af, lambdas)
         breakdown = fusion.breakdown_from_parts(l_ce, l_scl, l_cmca, l_ml, l_af, total, lambdas)
         return ForwardResult(probs=probs.data.copy(), total=total, breakdown=breakdown)

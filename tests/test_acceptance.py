@@ -196,7 +196,7 @@ def test_criterion_5_social_ablation_direction(capsys):
 
 def test_criterion_6_split_arithmetic(capsys):
     posts = [
-        PostRecord(f"p{i:05d}", [1, 2], np.zeros(2), "u0", [], 0 if i < 1428 else 1)
+        PostRecord(f"p{i:05d}", [1, 2], np.zeros(2), "u0", 0 if i < 1428 else 1)
         for i in range(2018)
     ]
     split = assign_splits(posts, (0.7, 0.1, 0.2), seed=17)

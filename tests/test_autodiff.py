@@ -690,7 +690,7 @@ _OP_CASES = {
     # The mask is re-seeded per call, so the function stays deterministic.
     "dropout_apply": (
         {"a": (4, 5)},
-        lambda p: ad.dropout(p["a"], 0.4, np.random.default_rng(99), training=True),
+        lambda p: ad.dropout(p["a"], 0.4, np.random.default_rng(99)),
     ),
 }
 
@@ -771,15 +771,15 @@ def test_grad_check_softmax_cross_entropy():
 # dropout and determinism
 
 
-def test_dropout_eval_is_identity():
+def test_dropout_rate_zero_is_identity():
     x = Tensor(_rng(11).normal(size=(4, 5)))
-    out = ad.dropout(x, 0.5, _rng(0), training=False)
+    out = ad.dropout(x, 0.0, _rng(0))
     np.testing.assert_array_equal(out.data, x.data)
 
 
 def test_dropout_train_masks_and_rescales():
     x = Tensor(np.ones((200, 50)))
-    out = ad.dropout(x, 0.5, _rng(3), training=True)
+    out = ad.dropout(x, 0.5, _rng(3))
     vals = np.unique(out.data)
     assert set(vals.tolist()) == {0.0, 2.0}
     assert abs(out.data.mean() - 1.0) < 0.05
@@ -787,8 +787,8 @@ def test_dropout_train_masks_and_rescales():
 
 def test_dropout_seeded_mask_is_reproducible():
     x = Tensor(np.ones((8, 8)))
-    a = ad.dropout(x, 0.5, _rng(7), training=True)
-    b = ad.dropout(x, 0.5, _rng(7), training=True)
+    a = ad.dropout(x, 0.5, _rng(7))
+    b = ad.dropout(x, 0.5, _rng(7))
     np.testing.assert_array_equal(a.data, b.data)
 
 

@@ -33,7 +33,7 @@ class TestSynth:
 
     def test_post_schema(self, data_dir):
         first = json.loads((data_dir / "posts.jsonl").read_text().splitlines()[0])
-        assert set(first) == {"id", "tokens", "visual_feat", "user_id", "comment_ids", "label"}
+        assert set(first) == {"id", "tokens", "visual_feat", "user_id", "label"}
         assert first["label"] in (0, 1)
         assert len(first["visual_feat"]) == 6
 

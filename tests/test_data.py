@@ -1,9 +1,11 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from ismaf.data import (
+    COMMENTS_PER_POST,
     CommentRecord,
     DatasetBundle,
     PostRecord,
@@ -21,7 +23,7 @@ def _posts_with_labels(label_counts):
     i = 0
     for label, count in label_counts.items():
         for _ in range(count):
-            posts.append(PostRecord(f"p{i:05d}", [1, 2], np.zeros(2), "u0", [], label))
+            posts.append(PostRecord(f"p{i:05d}", [1, 2], np.zeros(2), "u0", label))
             i += 1
     return posts
 
@@ -154,11 +156,12 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError, match="separation"):
             generate_synthetic(n=30, d=4, separation=-1.0)
 
-    def test_comment_ids_consistent(self):
+    def test_comments_per_post(self):
         bundle = generate_synthetic(n=30, d=4, separation=1.0, seed=7)
-        by_post = {p.id: set(p.comment_ids) for p in bundle.posts}
-        for c in bundle.comments:
-            assert c.id in by_post[c.post_id]
+        counts = Counter(c.post_id for c in bundle.comments)
+        assert sorted(counts) == [p.id for p in bundle.posts]
+        low, high = COMMENTS_PER_POST
+        assert all(low <= count <= high for count in counts.values())
 
 
 class TestJsonlRoundTrip:
@@ -171,10 +174,19 @@ class TestJsonlRoundTrip:
             assert a.tokens == b.tokens
             assert a.label == b.label
             assert a.user_id == b.user_id
-            assert a.comment_ids == b.comment_ids
             np.testing.assert_array_equal(a.visual_feat, b.visual_feat)
-        assert [c.id for c in loaded.comments] == [c.id for c in bundle.comments]
+        assert loaded.comments == bundle.comments
         assert [u.id for u in loaded.users] == [u.id for u in bundle.users]
+
+    def test_posts_with_comment_ids_still_load(self, tmp_path):
+        bundle = generate_synthetic(n=20, d=3, separation=0.0, seed=9)
+        save_dataset(bundle, tmp_path)
+        path = tmp_path / "posts.jsonl"
+        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        for row in rows:
+            row["comment_ids"] = [c.id for c in bundle.comments if c.post_id == row["id"]]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        assert [p.id for p in load_dataset(tmp_path).posts] == [p.id for p in bundle.posts]
 
     def test_malformed_json_reports_line(self, tmp_path):
         save_dataset(generate_synthetic(n=20, d=3, separation=0.0, seed=9), tmp_path)
@@ -185,16 +197,16 @@ class TestJsonlRoundTrip:
 
     def test_bad_label_rejected(self):
         with pytest.raises(ValueError, match="label"):
-            PostRecord("p0", [1], np.zeros(2), "u0", [], 2)
+            PostRecord("p0", [1], np.zeros(2), "u0", 2)
 
     def test_non_finite_visual_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            PostRecord("p0", [1], np.array([np.inf, 0.0]), "u0", [], 0)
+            PostRecord("p0", [1], np.array([np.inf, 0.0]), "u0", 0)
 
     @pytest.mark.parametrize("visual", [np.float64(1.0), np.zeros((2, 2)), np.zeros(0)])
     def test_visual_must_be_non_empty_vector(self, visual):
         with pytest.raises(ValueError, match=r"post p0: visual features must be a non-empty 1-D vector"):
-            PostRecord("p0", [1], visual, "u0", [], 0)
+            PostRecord("p0", [1], visual, "u0", 0)
 
     def test_visual_length_mismatch_rejected_on_load(self, tmp_path):
         save_dataset(generate_synthetic(n=20, d=3, separation=0.0, seed=9), tmp_path)
@@ -207,7 +219,7 @@ class TestJsonlRoundTrip:
 
     def test_negative_token_rejected(self):
         with pytest.raises(ValueError, match="post p0: negative token id"):
-            PostRecord("p0", [1, -1], np.zeros(2), "u0", [], 0)
+            PostRecord("p0", [1, -1], np.zeros(2), "u0", 0)
         with pytest.raises(ValueError, match="comment c0: negative token id"):
             CommentRecord("c0", [-1], "u0", "p0")
 
@@ -215,7 +227,7 @@ class TestJsonlRoundTrip:
     # still divide by the full token count.
     def test_padding_token_rejected(self):
         with pytest.raises(ValueError, match="post p0: token id 0 is reserved for padding"):
-            PostRecord("p0", [0, 0, 0, 5], np.zeros(2), "u0", [], 0)
+            PostRecord("p0", [0, 0, 0, 5], np.zeros(2), "u0", 0)
         with pytest.raises(ValueError, match="comment c0: token id 0 is reserved for padding"):
             CommentRecord("c0", [4, 0], "u0", "p0")
 
@@ -243,29 +255,29 @@ class TestDatasetBundle:
         assert sorted(ids) == sorted(p.id for p in ds.posts)
 
     def test_padded_tokens_shape_and_content(self):
-        posts = [PostRecord("p0", [3, 4], np.zeros(2), "u0", [], 0)]
+        posts = [PostRecord("p0", [3, 4], np.zeros(2), "u0", 0)]
         bundle = DatasetBundle(posts, [], [UserRecord("u0")])
         padded = bundle.padded_tokens(["p0"], seq_len=5)
         np.testing.assert_array_equal(padded, [[3, 4, 0, 0, 0]])
 
     def test_vocab_size_from_records(self):
-        posts = [PostRecord("p0", [3, 9], np.zeros(2), "u0", [], 0)]
+        posts = [PostRecord("p0", [3, 9], np.zeros(2), "u0", 0)]
         comments = [CommentRecord("c0", [15], "u0", "p0")]
         bundle = DatasetBundle(posts, comments, [UserRecord("u0")])
         assert bundle.vocab_size == 16
 
     def test_visual_length_mismatch_rejected(self):
         posts = [
-            PostRecord("p0", [1], np.zeros(2), "u0", [], 0),
-            PostRecord("p1", [2], np.zeros(3), "u0", [], 1),
+            PostRecord("p0", [1], np.zeros(2), "u0", 0),
+            PostRecord("p1", [2], np.zeros(3), "u0", 1),
         ]
         with pytest.raises(ValueError, match="post p1: 3 visual features, but post p0 has 2"):
             DatasetBundle(posts, [], [UserRecord("u0")])
 
     def test_duplicate_post_ids_rejected(self):
         posts = [
-            PostRecord("p0", [1], np.zeros(2), "u0", [], 0),
-            PostRecord("p0", [2], np.zeros(2), "u0", [], 1),
+            PostRecord("p0", [1], np.zeros(2), "u0", 0),
+            PostRecord("p0", [2], np.zeros(2), "u0", 1),
         ]
         with pytest.raises(ValueError, match="duplicate"):
             DatasetBundle(posts, [], [UserRecord("u0")])

@@ -238,9 +238,9 @@ class TestProjectVisual:
 def _fixture_records():
     users = [UserRecord("u0"), UserRecord("u1")]
     posts = [
-        PostRecord("p0", [1], np.zeros(2), "u0", ["c0"], 0),
-        PostRecord("p1", [1], np.zeros(2), "u0", ["c1"], 1),
-        PostRecord("p2", [1], np.zeros(2), "u1", [], 0),
+        PostRecord("p0", [1], np.zeros(2), "u0", 0),
+        PostRecord("p1", [1], np.zeros(2), "u0", 1),
+        PostRecord("p2", [1], np.zeros(2), "u1", 0),
     ]
     comments = [
         CommentRecord("c0", [1], "u1", "p0"),
@@ -312,7 +312,7 @@ def _graph_records(draw):
     users = [UserRecord(f"u{i}") for i in range(draw(st.integers(1, 4)))]
     author = st.sampled_from([u.id for u in users])
     posts = [
-        PostRecord(f"p{i}", draw(tokens), np.zeros(2), draw(author), [], 0)
+        PostRecord(f"p{i}", draw(tokens), np.zeros(2), draw(author), 0)
         for i in range(draw(st.integers(1, 5)))
     ]
     comments = [
@@ -340,8 +340,8 @@ class TestBuildSocialGraph:
     def test_orthogonal_unrelated_posts_not_connected(self):
         users = [UserRecord("u0"), UserRecord("u1")]
         posts = [
-            PostRecord("p0", [1], np.zeros(2), "u0", [], 0),
-            PostRecord("p1", [1], np.zeros(2), "u1", [], 1),
+            PostRecord("p0", [1], np.zeros(2), "u0", 0),
+            PostRecord("p1", [1], np.zeros(2), "u1", 1),
         ]
         emb = {"p0": np.array([1.0, 0.0]), "p1": np.array([0.0, 1.0])}
         posts, _, embed = _private_tokens(posts, [], emb)
@@ -414,7 +414,7 @@ class TestBuildSocialGraph:
 
     def test_user_without_content_gets_zero_embedding(self):
         users = [UserRecord("u0"), UserRecord("lurker")]
-        posts = [PostRecord("p0", [1], np.zeros(2), "u0", [], 0)]
+        posts = [PostRecord("p0", [1], np.zeros(2), "u0", 0)]
         posts, _, embed = _private_tokens(posts, [], {"p0": np.array([1.0, 2.0])})
         g = build_social_graph(posts, [], users, embed, theta=0.5)
         row = g.index["lurker"]
@@ -441,8 +441,8 @@ class TestBuildSocialGraph:
     def test_same_kind_switch_drops_cross_kind_similarity(self):
         users = [UserRecord("u0"), UserRecord("u1")]
         posts = [
-            PostRecord("p0", [1], np.zeros(2), "u0", [], 0),
-            PostRecord("p1", [1], np.zeros(2), "u1", [], 0),
+            PostRecord("p0", [1], np.zeros(2), "u0", 0),
+            PostRecord("p1", [1], np.zeros(2), "u1", 0),
         ]
         comments = []
         # p0 and u1 (whose feature is p1's) would match by similarity alone;
@@ -469,7 +469,7 @@ class TestBuildSocialGraph:
             build_social_graph(**records, embed=embed, edges=(loop[1:], loop[1:]))
 
     def test_unknown_user_reference_rejected(self):
-        posts = [PostRecord("p0", [1], np.zeros(2), "ghost", [], 0)]
+        posts = [PostRecord("p0", [1], np.zeros(2), "ghost", 0)]
         with pytest.raises(ValueError, match="unknown user"):
             build_social_graph(posts, [], [UserRecord("u0")], np.ones((2, 2)))
 
@@ -479,7 +479,7 @@ class TestBuildSocialGraph:
             ({"comments": [CommentRecord("p1", [1], "u1", "p0")]}, "p1"),
             ({"users": [UserRecord("c0")]}, "c0"),
             ({"users": [UserRecord("u1")]}, "u1"),
-            ({"posts": [PostRecord("p1", [1], np.zeros(2), "u1", [], 0)]}, "p1"),
+            ({"posts": [PostRecord("p1", [1], np.zeros(2), "u1", 0)]}, "p1"),
         ],
         ids=["comment-as-post", "user-as-comment", "user-twice", "post-twice"],
     )
@@ -507,8 +507,8 @@ class TestBuildSocialGraph:
         # a zero cosine would pass any theta <= 0.
         users = [UserRecord("u0"), UserRecord("u1"), UserRecord("u2")]
         posts = [
-            PostRecord("p0", [1], np.zeros(2), "u0", [], 0),
-            PostRecord("p1", [2], np.zeros(2), "u1", ["c0"], 1),
+            PostRecord("p0", [1], np.zeros(2), "u0", 0),
+            PostRecord("p1", [2], np.zeros(2), "u1", 1),
         ]
         comments = [CommentRecord("c0", [], "u0", "p1")]
         embed = np.array([[0.0, 0.0], [1.0, 0.2], [0.3, 1.0]])

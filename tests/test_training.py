@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from ismaf import encoders, serialize
+from ismaf import bridging, encoders, serialize
 from ismaf.config import TrainConfig, load_config, save_config
 from ismaf.data import CommentRecord, DatasetBundle, UserRecord, generate_synthetic, split_dataset
 from ismaf.model import IsmafModel
@@ -63,8 +63,8 @@ class TestTrainLoop:
         for stats in result.history:
             assert stats.losses.total == stats.losses.ce
 
-    def test_ablation_flags_zero_their_loss_columns(self, tiny_data):
-        cfg = _tiny_config(ablate_mre=True, ablate_cmca=True, ablate_ml=True, epochs=1)
+    def test_zero_weights_zero_their_loss_columns(self, tiny_data):
+        cfg = _tiny_config(lambda1=0, lambda2=0, lambda3=0, epochs=1)
         result = train(cfg, tiny_data)
         for stats in result.history:
             assert stats.losses.scl == 0.0
@@ -72,10 +72,30 @@ class TestTrainLoop:
             assert stats.losses.ml == 0.0
             assert stats.losses.af > 0.0  # adaptive fusion still active
 
-    def test_ablate_af_swaps_fusion_and_zeroes_column(self, tiny_data):
-        cfg = _tiny_config(ablate_af=True, epochs=1)
-        result = train(cfg, tiny_data)
-        assert cfg.effective_fusion() == "is-concat"
+    # The paper's w/o MRE, w/o CMCA and w/o ML: the term is never computed.
+    @pytest.mark.parametrize("weight, term, column", [
+        ("lambda1", "scl_loss", "scl"),
+        ("lambda2", "cmca_loss", "cmca"),
+        ("lambda3", "mutual_learning_loss", "ml"),
+    ])
+    def test_zero_weight_skips_its_term(self, tiny_data, monkeypatch, weight, term, column):
+        monkeypatch.setattr(bridging, term, mock.Mock(side_effect=AssertionError(f"{term} called")))
+        result = train(_tiny_config(epochs=1, **{weight: 0.0}), tiny_data)
+        for stats in result.history:
+            assert getattr(stats.losses, column) == 0.0
+
+    def test_zero_af_weight_keeps_fusion_and_zeroes_column(self, tiny_data):
+        result = train(_tiny_config(lambda4=0, epochs=1), tiny_data)
+        assert "fuse.dec_w" in result.model.store.names()
+        for stats in result.history:
+            assert stats.losses.af == 0.0
+            assert stats.losses.scl > 0.0
+
+    # The paper's w/o AF.
+    def test_is_concat_fusion_has_no_af_column(self, tiny_data):
+        result = train(_tiny_config(fusion="is-concat", epochs=1), tiny_data)
+        assert "fuse.cat_w" in result.model.store.names()
+        assert "fuse.enc_w" not in result.model.store.names()
         for stats in result.history:
             assert stats.losses.af == 0.0
 
@@ -388,6 +408,16 @@ class TestSerialization:
         with pytest.raises(ModelFileError, match=f"header has no {key}"):
             load_model(path, tiny_data)
 
+    # A config key that TrainConfig no longer has, such as an ablation
+    # switch of an older version.
+    def test_unknown_config_key_rejected(self, saved, tiny_data):
+        path = saved
+        header, body = _checkpoint_parts(path)
+        header["config"]["ablate_af"] = True
+        _write_checkpoint(path, header, body)
+        with pytest.raises(ModelFileError, match=re.escape("bad config: unknown config keys: ['ablate_af']")):
+            load_model(path, tiny_data)
+
     # Edges crafted under a valid checksum.
     @pytest.mark.parametrize("craft, message", [
         ("short-out-degree", r"out_degree has shape \(\d+,\), expected"),
@@ -522,7 +552,7 @@ class TestSweep:
 
 class TestConfigFile:
     def test_round_trip(self, tmp_path):
-        cfg = _tiny_config(lambda2=0.55, ablate_ml=True, fusion="is-att")
+        cfg = _tiny_config(lambda2=0.55, lambda3=0, fusion="is-att")
         path = tmp_path / "config.txt"
         save_config(cfg, path)
         assert load_config(path) == cfg
@@ -535,17 +565,35 @@ class TestConfigFile:
             "token_len = 4\n"
             "kernel_sizes = 2, 3\n"
             "\n"
-            "ablate_af = true\n"
+            "fusion = is-concat\n"
+            "lambda1 = 0\n"
         )
         cfg = load_config(path)
         assert cfg.d == 12
         assert cfg.kernel_sizes == (2, 3)
-        assert cfg.ablate_af is True
+        assert cfg.fusion == "is-concat"
+        assert cfg.lambda1 == 0.0
 
-    def test_unknown_key_rejected(self, tmp_path):
+    def test_values_take_their_field_types(self, tmp_path):
         path = tmp_path / "config.txt"
-        path.write_text("banana = 7\n")
-        with pytest.raises(ValueError, match="unknown config keys"):
+        path.write_text("seed = 3\nlr = 1\nconnect_kinds = same-kind\nkernel_sizes = 4\n")
+        cfg = load_config(path)
+        assert [type(v) for v in (cfg.seed, cfg.lr, cfg.connect_kinds)] == [int, float, str]
+        assert cfg.kernel_sizes == (4,)
+        path.write_text("token_len = 1\nd = 2.5\n")
+        with pytest.raises(ValueError, match=r"config.txt:2: invalid literal for int"):
+            load_config(path)
+
+    # An unknown key is named before its value is parsed, whatever the value.
+    @pytest.mark.parametrize("lines, keys", [
+        ("banana = 7\n", "'banana'"),
+        ("banana = yellow\n", "'banana'"),
+        ("d = 8\nablate_af = true\nablate_ml = yes\n", "'ablate_af', 'ablate_ml'"),
+    ], ids=["number", "word", "old-switches"])
+    def test_unknown_key_rejected(self, tmp_path, lines, keys):
+        path = tmp_path / "config.txt"
+        path.write_text(lines)
+        with pytest.raises(ValueError, match=re.escape(f"unknown config keys: [{keys}]")):
             load_config(path)
 
     def test_invalid_values_rejected(self):
