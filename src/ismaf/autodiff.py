@@ -245,37 +245,27 @@ def scale(a, c: float) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product; 1-D operands follow numpy's promotion rules."""
+    """Matrix product of two 2-D operands: [m, k] x [k, n] -> [m, n]."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim not in (1, 2) or b.data.ndim not in (1, 2):
+    if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(
-            f"matmul expects 1-D or 2-D operands, got {a.data.shape} x {b.data.shape}"
+            f"matmul expects [m, k] x [k, n] operands, got {a.data.shape} x {b.data.shape}"
         )
-    if a.data.shape[-1] != b.data.shape[0]:
+    if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(
             f"matmul inner dimensions disagree: {a.data.shape} x {b.data.shape}"
         )
     tape = _tape_of(a, b)
-    a2 = a.data if a.data.ndim == 2 else a.data[None, :]
-    b2 = b.data if b.data.ndim == 2 else b.data[:, None]
-    out2 = a2 @ b2
-    out = out2
-    if a.data.ndim == 1:
-        out = out[0]
-    if b.data.ndim == 1:
-        out = out[..., 0] if a.data.ndim == 2 else out[0]
-
-    a_shape, b_shape, g_shape = a.data.shape, b.data.shape, out2.shape
-    keep_a = a2 if b.tape is not None else None
-    keep_b = b2 if a.tape is not None else None
+    keep_a = a.data if b.tape is not None else None
+    keep_b = b.data if a.tape is not None else None
 
     def vjp(g):
-        g2 = g.reshape(g_shape)
-        ga = (g2 @ keep_b.T).reshape(a_shape) if keep_b is not None else None
-        gb = (keep_a.T @ g2).reshape(b_shape) if keep_a is not None else None
-        return ga, gb
+        return (
+            g @ keep_b.T if keep_b is not None else None,
+            keep_a.T @ g if keep_a is not None else None,
+        )
 
-    return _emit(tape, out, (a, b), vjp)
+    return _emit(tape, a.data @ b.data, (a, b), vjp)
 
 
 def batched_matmul(a, b) -> Tensor:
@@ -712,9 +702,6 @@ class ParamStore:
 
     def items(self):
         return self._values.items()
-
-    def __contains__(self, name):
-        return name in self._values
 
     def watch(self, tape: Tape) -> dict[str, Tensor]:
         """Leaf tensors for every parameter, bound to the given tape."""

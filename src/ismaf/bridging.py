@@ -54,22 +54,21 @@ def create_fusion_attention_params(store: ParamStore, d: int, heads: int, token_
 def attend(x_query, x_kv, wq, wk, wv, wo, heads: int) -> Tensor:
     """Multi-head scaled dot-product attention between token-lifted rows.
 
-    ``x_query`` and ``x_kv`` are [N, d] batches (a [d] vector is one row);
-    row i of the queries attends to the tokens of row i of ``x_kv`` only.
-    The token width and the inner width are the shape of ``wq``, d is the
-    width of ``wo``, and the ``heads`` heads share the inner width equally.
-    Returns one d-vector per row, the token mean of the projected head
-    outputs, in the shape of ``x_query``.
+    ``x_query`` and ``x_kv`` are matching [N, d] batches; row i of the
+    queries attends to the tokens of row i of ``x_kv`` only.  The token
+    width and the inner width are the shape of ``wq``, d is the width of
+    ``wo``, and the ``heads`` heads share the inner width equally.  Returns
+    [N, d]: per row, the token mean of the projected head outputs.
     """
     x_query, x_kv = ad.as_tensor(x_query), ad.as_tensor(x_kv)
     (dt, inner), d = wq.shape, wo.shape[1]
-    if x_query.shape != x_kv.shape or x_query.shape[-1] != d:
+    if x_query.ndim != 2 or x_query.shape != x_kv.shape or x_query.shape[1] != d:
         raise ad.ShapeError(
-            f"attention expects two matching batches of {d}-vectors, "
+            f"attention expects two matching [N, {d}] batches, "
             f"got {x_query.shape} and {x_kv.shape}"
         )
     L, H, dh = d // dt, heads, inner // heads
-    n = x_query.size // d
+    n = x_query.shape[0]
     tq = ad.reshape(x_query, (n * L, dt))
     tkv = ad.reshape(x_kv, (n * L, dt))
 
@@ -86,11 +85,11 @@ def attend(x_query, x_kv, wq, wk, wv, wo, heads: int) -> Tensor:
     # The token mean commutes with the output projection, so pool first;
     # row i then holds its H pooled heads side by side, as wo expects.
     pooled = ad.reshape(ad.mean(ctx, axis=1), (n, inner))
-    return ad.reshape(ad.matmul(pooled, wo), x_query.shape)
+    return ad.matmul(pooled, wo)
 
 
 def self_attention(r_m, modality: str, params, heads: int) -> Tensor:
-    """Augment unimodal d-vectors ([N, d] or one [d]) with multi-head
+    """Augment a batch of unimodal features [N, d] with multi-head
     self-attention."""
     if modality not in ("T", "V"):
         raise ValueError(f"modality must be 'T' or 'V', got {modality!r}")
@@ -102,8 +101,9 @@ def self_attention(r_m, modality: str, params, heads: int) -> Tensor:
 
 
 def co_attention(z_t, z_v, params, heads: int) -> tuple[Tensor, Tensor]:
-    """Paired cross-attention: text queries against visual keys/values and
-    vice versa, each with its own output projection."""
+    """Paired cross-attention over two [N, d] batches: text queries against
+    visual keys/values and vice versa, each with its own output
+    projection."""
     z_tv = attend(
         z_t, z_v, params["attn.T.wq"], params["attn.V.wk"],
         params["attn.V.wv"], params["attn.TV.wo"], heads,
@@ -247,9 +247,13 @@ def kl_divergence(p, q) -> Tensor:
 
 
 def mutual_learning_loss(p_z, p_g) -> Tensor:
-    """Symmetric KL between the two branch distributions, batch-averaged."""
+    """Symmetric KL between the two branch distributions, matching [N, k]
+    batches, averaged over the N rows."""
     p_z, p_g = ad.as_tensor(p_z), ad.as_tensor(p_g)
-    if p_z.shape != p_g.shape:
-        raise ad.ShapeError(f"distributions disagree in shape: {p_z.shape} vs {p_g.shape}")
-    n = p_z.shape[0] if p_z.ndim == 2 else 1
+    if p_z.ndim != 2 or p_z.shape != p_g.shape:
+        raise ad.ShapeError(
+            f"mutual learning expects two matching [N, k] distributions, "
+            f"got {p_z.shape} and {p_g.shape}"
+        )
+    n = p_z.shape[0]
     return ad.scale(ad.add(kl_divergence(p_z, p_g), kl_divergence(p_g, p_z)), 0.5 / n)

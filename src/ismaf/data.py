@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -156,41 +156,40 @@ def save_dataset(bundle: DatasetBundle, out_dir) -> None:
             fh.write(json.dumps({"id": u.id}) + "\n")
 
 
-def _read_jsonl(path: Path):
+def _read_records(path: Path, record_type) -> list:
+    """One ``record_type`` per non-blank line of ``path``, built from the
+    line's JSON object by field name.  A line that is not valid JSON, not an
+    object, lacks a field or fails the record's checks raises ValueError
+    naming the file and line."""
+    names = [f.name for f in fields(record_type)]
+    records = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                yield json.loads(line)
+                obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{line_no}: invalid JSON ({exc})") from exc
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path}:{line_no}: expected a JSON object, got {type(obj).__name__}")
+            try:
+                records.append(record_type(*map(obj.__getitem__, names)))
+            except KeyError as exc:
+                raise ValueError(f"{path}:{line_no}: missing field {exc.args[0]!r}") from None
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from exc
+    return records
 
 
 def load_dataset(data_dir) -> DatasetBundle:
     data_dir = Path(data_dir)
-    posts = [
-        PostRecord(
-            id=obj["id"],
-            tokens=obj["tokens"],
-            visual_feat=obj["visual_feat"],
-            user_id=obj["user_id"],
-            label=obj["label"],
-        )
-        for obj in _read_jsonl(data_dir / "posts.jsonl")
-    ]
-    comments = [
-        CommentRecord(
-            id=obj["id"],
-            tokens=obj["tokens"],
-            user_id=obj["user_id"],
-            post_id=obj["post_id"],
-        )
-        for obj in _read_jsonl(data_dir / "comments.jsonl")
-    ]
-    users = [UserRecord(id=obj["id"]) for obj in _read_jsonl(data_dir / "users.jsonl")]
-    return DatasetBundle(posts, comments, users)
+    return DatasetBundle(
+        _read_records(data_dir / "posts.jsonl", PostRecord),
+        _read_records(data_dir / "comments.jsonl", CommentRecord),
+        _read_records(data_dir / "users.jsonl", UserRecord),
+    )
 
 
 # ---------------------------------------------------------------------------

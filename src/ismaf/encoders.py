@@ -12,10 +12,10 @@ from a row-tiled join that keeps only the pairs at or above the threshold,
 so building never holds an [n_nodes, n_nodes] matrix.  The GAT layers run on
 tape tensors, so gradients reach the embedding table, and each layer runs
 over an edge block: the edges whose messages can reach the rows the caller
-needs (``receptive_blocks``), or every edge of the graph.  The first layer
-can take its input as its rows' token weights and the embedding table,
-and then multiplies only the table by its weights; every layer folds its
-attention vectors into W, so each score is one product with the input.
+needs (``receptive_blocks``).  The first layer can take its input as its
+rows' token weights and the embedding table, and then multiplies only the
+table by its weights; every layer folds its attention vectors into W, so
+each score is one product with the input.
 """
 
 from __future__ import annotations
@@ -120,7 +120,8 @@ class SocialGraph:
     """Typed interaction graph over posts, comments and users.
 
     Edges are stored directed (each undirected pair in both directions, plus
-    one self-loop per node) so attention layers can consume them directly.
+    one self-loop per node).  The GAT layers run over ``EdgeBlock``s cut
+    from these edges by ``receptive_blocks``.
     ``token_weights`` defines the node features: a text's row holds its
     token counts over its length, a user's row is the mean of the rows of
     the texts it wrote (zero when it wrote nothing), and the features under
@@ -143,12 +144,6 @@ class SocialGraph:
     @property
     def n_nodes(self) -> int:
         return len(self.node_ids)
-
-    @property
-    def targets(self) -> np.ndarray:
-        """Output row i is input row i: the whole graph is the edge block
-        (``EdgeBlock``) that keeps every edge."""
-        return np.arange(self.n_nodes)
 
     def validate(self):
         n = self.n_nodes
@@ -334,8 +329,9 @@ class EdgeBlock:
     """The edges one GAT layer runs over.
 
     ``src`` indexes the layer's input rows and ``dst`` its output rows;
-    output row i is the node of input row ``targets[i]``.  A ``SocialGraph``
-    is the block with every edge and ``targets = arange(n_nodes)``.
+    output row i is the node of input row ``targets[i]``.  The block of a
+    whole ``SocialGraph`` is ``EdgeBlock(graph.src, graph.dst,
+    arange(graph.n_nodes))``.
     """
 
     src: np.ndarray
@@ -376,13 +372,14 @@ def receptive_blocks(graph: SocialGraph, rows: np.ndarray, layers: int) -> tuple
 
 def signed_gat_layer(
     feats: Tensor | tuple[Tensor, Tensor],
-    graph: EdgeBlock | SocialGraph,
+    graph: EdgeBlock,
     params,
     heads: int,
     leaky_slope: float,
     layer: int = 0,
 ) -> Tensor:
-    """One signed multi-head GAT layer over the edges of one block.
+    """One signed multi-head GAT layer over the edges of the ``EdgeBlock``
+    ``graph``.
 
     ``feats`` holds the block's input rows, or is a pair ``(weights,
     table)`` whose product they are: on the first layer, the constant
@@ -398,6 +395,11 @@ def signed_gat_layer(
     width equally; ``leaky_slope`` is the leaky relu's slope on negative
     scores.
     """
+    if not isinstance(graph, EdgeBlock):
+        raise ShapeError(
+            f"signed_gat_layer expects an EdgeBlock (src, dst, targets), "
+            f"got {type(graph).__name__}"
+        )
     n_out = graph.targets.size
     covered = np.zeros(n_out, dtype=bool)
     covered[graph.dst] = True

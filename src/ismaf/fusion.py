@@ -81,7 +81,8 @@ def adaptive_fuse(z_tv, z_vt, r_g, params) -> tuple[Tensor, Tensor]:
 
 
 def fuse_alternate(kind: str, z, r_g, params, heads: int) -> Tensor:
-    """Ablation fusion strategies over the intrinsic and social vectors.
+    """Ablation fusion strategies over the intrinsic and social [N, d]
+    batches.
 
     ``is-concat`` concatenates and linearly maps to d; ``is-att`` runs one
     cross-attention of z over the token-lifted r_g, pooled back to d.
@@ -109,21 +110,24 @@ def predict_labels(probs: np.ndarray) -> np.ndarray:
     return (probs[:, 1] > probs[:, 0]).astype(np.int64)
 
 
-def ce_loss(y_hat, labels) -> Tensor:
+def ce_loss(probs, labels) -> Tensor:
     """Binary cross-entropy on the rumor probability, mean-reduced.
 
-    Probabilities are effectively clamped to [1e-12, 1 - 1e-12] through the
-    log's internal epsilon.
+    ``probs`` is the classifier's [N, 2] output for the N ``labels``; its
+    column 1 is the rumor probability.  Probabilities are effectively
+    clamped to [1e-12, 1 - 1e-12] through the log's internal epsilon.
     """
-    y_hat = ad.as_tensor(y_hat)
+    probs = ad.as_tensor(probs)
     labels = np.asarray(labels, dtype=np.float64)
     if not np.isin(labels, (0.0, 1.0)).all():
         raise ValueError(f"labels must be 0 or 1, got {sorted(set(labels.tolist()))}")
-    if y_hat.ndim != 1 or y_hat.shape[0] != labels.shape[0]:
-        raise ad.ShapeError(
-            f"predictions {y_hat.shape} do not match labels {labels.shape}"
-        )
     n = labels.shape[0]
+    if probs.shape != (n, 2):
+        raise ad.ShapeError(
+            f"ce_loss expects the classifier's [{n}, 2] output for {n} labels, "
+            f"got {probs.shape}"
+        )
+    y_hat = ad.reshape(ad.slice_rows(ad.transpose(probs), 1, 2), (n,))
     pos = ad.mul(Tensor(labels), ad.log(y_hat))
     neg = ad.mul(Tensor(1.0 - labels), ad.log(ad.sub(Tensor(np.ones(n)), y_hat)))
     return ad.scale(ad.sum_(ad.add(pos, neg)), -1.0 / n)

@@ -96,7 +96,7 @@ class IsmafModel:
 
     # -- forward passes ------------------------------------------------------
 
-    def _unimodal(self, params, post_ids, training, rng, zero_social):
+    def _unimodal(self, params, post_ids, rng, zero_social):
         cfg = self.config
         tokens = self.dataset.padded_tokens(post_ids, self.seq_len)
         r_t = encoders.encode_text_batch(tokens, params, cfg.kernel_sizes)
@@ -106,7 +106,7 @@ class IsmafModel:
             r_g = Tensor(np.zeros((len(post_ids), cfg.d)))
         else:
             r_g = self.social_batch(params, post_ids)
-        if training:
+        if rng is not None:
             r_t = ad.dropout(r_t, cfg.dropout, rng)
             r_v = ad.dropout(r_v, cfg.dropout, rng)
             r_g = ad.dropout(r_g, cfg.dropout, rng)
@@ -116,14 +116,15 @@ class IsmafModel:
         self,
         params,
         post_ids,
-        training: bool = False,
         rng: np.random.Generator | None = None,
         zero_social: bool = False,
         with_losses: bool = True,
     ) -> ForwardResult:
+        """Run the pipeline on a batch of posts.  Dropout runs, drawing from
+        ``rng``, only when an ``rng`` is given."""
         cfg = self.config
         labels = np.array([self.dataset.post(pid).label for pid in post_ids])
-        r_t, r_v, r_g = self._unimodal(params, post_ids, training, rng, zero_social)
+        r_t, r_v, r_g = self._unimodal(params, post_ids, rng, zero_social)
         z_t = bridging.self_attention(r_t, "T", params, cfg.heads)
         z_v = bridging.self_attention(r_v, "V", params, cfg.heads)
         z_tv_b, z_vt_b = bridging.co_attention(z_t, z_v, params, cfg.heads)
@@ -134,15 +135,14 @@ class IsmafModel:
         else:
             x_fuse = fusion.fuse_alternate(cfg.fusion, z_b, r_g, params, cfg.heads)
             l_af = None
-        if training:
+        if rng is not None:
             x_fuse = ad.dropout(x_fuse, cfg.dropout, rng)
         probs = fusion.classify(x_fuse, params)
 
         if not with_losses:
             return ForwardResult(probs=probs.data.copy(), total=None, breakdown=None)
 
-        y_hat = ad.reshape(ad.slice_rows(ad.transpose(probs), 1, 2), (len(post_ids),))
-        l_ce = fusion.ce_loss(y_hat, labels)
+        l_ce = fusion.ce_loss(probs, labels)
         # A term of weight 0 is left out of the objective and its column
         # reads 0; scl, cmca and ml are then not computed at all.
         l_scl = l_cmca = l_ml = None
@@ -166,7 +166,7 @@ class IsmafModel:
     def predict(self, post_ids, zero_social: bool = False) -> np.ndarray:
         """Deterministic class predictions from the current parameters."""
         result = self.forward(
-            self.store.constants(), post_ids, training=False,
+            self.store.constants(), post_ids,
             zero_social=zero_social, with_losses=False,
         )
         return fusion.predict_labels(result.probs)

@@ -163,7 +163,7 @@ def train(config: TrainConfig, dataset: DatasetBundle) -> TrainResult:
             )
             tape = Tape()
             params = model.store.watch(tape)
-            result = model.forward(params, batch, training=True, rng=dropout_rng)
+            result = model.forward(params, batch, rng=dropout_rng)
             if not np.isfinite(result.breakdown.total):
                 terms = result.breakdown.as_dict()
                 bad = [k for k, v in terms.items() if k != "total" and not np.isfinite(v)]

@@ -2,7 +2,8 @@
 values.  Everything here is deliberately scalar-loop / direct-formula numpy,
 sharing no code with the package under test, except the plain versions of
 optimised paths (``text_cnn_per_offset``, ``token_weights_at``, ``social_graph_dense``,
-``signed_gat_layer_plain`` and ``social_batch_full_graph``, ``attention_per_post``, ``is_att_per_post``,
+``signed_gat_layer_plain`` and ``social_batch_full_graph`` with ``whole_graph_block``,
+``attention_per_post``, ``is_att_per_post``,
 ``attend_masked`` and the paths built on it, ``edge_aggregate_unfused``,
 and ``signed_softmax_chain``: ``abs_``, ``sub``, ``exp``, ``segment_sum``,
 ``gather_rows``, ``div`` and ``mul``, with a detached ``np.maximum.at``
@@ -18,6 +19,7 @@ import numpy as np
 
 from ismaf import autodiff as ad
 from ismaf.bridging import attend, co_attention, self_attention
+from ismaf.encoders import EdgeBlock
 
 
 def matmul_triple_loop(a, b):
@@ -396,10 +398,17 @@ def social_graph_dense(graph, posts, comments, embed, theta, connect_kinds):
     return np.concatenate([pair_src, loop]), np.concatenate([pair_dst, loop])
 
 
+def whole_graph_block(graph):
+    """The ``EdgeBlock`` of every edge of a ``SocialGraph``: output row i is
+    input row i."""
+    return EdgeBlock(graph.src, graph.dst, np.arange(graph.n_nodes))
+
+
 def signed_gat_layer_plain(feats, graph, params, heads, leaky_slope, layer=0):
-    """What ``encoders.signed_gat_layer`` computes, the plain way: the input
-    rows times W, each head's scores as the sum of ``Wh * a`` over its
-    columns, then the same signed softmax and edge aggregate."""
+    """What ``encoders.signed_gat_layer`` computes over the ``EdgeBlock``
+    ``graph``, the plain way: the input rows times W, each head's scores as
+    the sum of ``Wh * a`` over its columns, then the same signed softmax and
+    edge aggregate."""
     n_out = graph.targets.size
     w = params[f"gat.l{layer}.w"]
     head_dim = w.shape[1] // heads
@@ -431,40 +440,37 @@ def social_batch_full_graph(model, params, post_ids):
     (``signed_gat_layer_plain``) over every edge of the graph, then the batch
     rows gathered."""
     graph = model.graph
+    block = whole_graph_block(graph)
     out = ad.matmul(ad.Tensor(graph.token_weights), params["text.embed"])
     cfg = model.config
     for layer in range(cfg.gat_layers):
-        out = signed_gat_layer_plain(out, graph, params, cfg.heads, cfg.gat_leaky_slope, layer=layer)
+        out = signed_gat_layer_plain(out, block, params, cfg.heads, cfg.gat_leaky_slope, layer=layer)
     return ad.gather_rows(out, [graph.index[pid] for pid in post_ids])
-
-
-def _row(batch, i):
-    return ad.reshape(ad.slice_rows(batch, i, i + 1), (batch.shape[1],))
 
 
 def attention_per_post(params, r_t, r_v, heads):
     """What ``IsmafModel.forward`` computes with self- and co-attention, the
-    plain way: one post at a time, restacked into [N, d] matrices.  Returns
-    (z_t, z_v, z_tv, z_vt)."""
+    plain way: one post at a time, each a [1, d] row, restacked into [N, d]
+    matrices.  Returns (z_t, z_v, z_tv, z_vt)."""
     outs = ([], [], [], [])
     for i in range(r_t.shape[0]):
-        z_t = self_attention(_row(r_t, i), "T", params, heads)
-        z_v = self_attention(_row(r_v, i), "V", params, heads)
+        z_t = self_attention(ad.slice_rows(r_t, i, i + 1), "T", params, heads)
+        z_v = self_attention(ad.slice_rows(r_v, i, i + 1), "V", params, heads)
         z_tv, z_vt = co_attention(z_t, z_v, params, heads)
         for rows, z in zip(outs, (z_t, z_v, z_tv, z_vt)):
-            rows.append(ad.reshape(z, (1, r_t.shape[1])))
+            rows.append(z)
     return tuple(ad.concat(rows, axis=0) for rows in outs)
 
 
 def is_att_per_post(z, r_g, params, heads):
-    """What ``fuse_alternate("is-att")`` computes, one post at a time."""
-    rows = []
-    for i in range(z.shape[0]):
-        out = attend(
-            _row(z, i), _row(r_g, i), params["attn.F.wq"], params["attn.F.wk"],
-            params["attn.F.wv"], params["attn.F.wo"], heads,
+    """What ``fuse_alternate("is-att")`` computes, one [1, d] row at a time."""
+    rows = [
+        attend(
+            ad.slice_rows(z, i, i + 1), ad.slice_rows(r_g, i, i + 1), params["attn.F.wq"],
+            params["attn.F.wk"], params["attn.F.wv"], params["attn.F.wo"], heads,
         )
-        rows.append(ad.reshape(out, (1, z.shape[1])))
+        for i in range(z.shape[0])
+    ]
     return ad.concat(rows, axis=0)
 
 
@@ -482,7 +488,7 @@ def attend_masked(x_query, x_kv, wq, wk, wv, wo, heads):
     x_query, x_kv = ad.as_tensor(x_query), ad.as_tensor(x_kv)
     (dt, inner), d = wq.shape, wo.shape[1]
     L, H, dh = d // dt, heads, inner // heads
-    n = x_query.size // d
+    n = x_query.shape[0]
     tq = ad.reshape(x_query, (n * L, dt))
     tkv = ad.reshape(x_kv, (n * L, dt))
     # [N*L, inner] -> [N, L*H, dh]: row t*H+h of post i holds token t's
@@ -496,7 +502,7 @@ def attend_masked(x_query, x_kv, wq, wk, wv, wo, heads):
     attn = ad.softmax_rows(ad.reshape(ad.add(scores, mask), (n * L * H, L * H)))
     ctx = ad.batched_matmul(ad.reshape(attn, (n, L * H, L * H)), v)
     out_tokens = ad.matmul(ad.reshape(ctx, (n * L, inner)), wo)
-    return ad.mean(ad.reshape(out_tokens, x_query.shape[:-1] + (L, d)), axis=-2)
+    return ad.mean(ad.reshape(out_tokens, (n, L, d)), axis=1)
 
 
 def _attend_masked_named(params, x_query, x_kv, names, heads):

@@ -84,13 +84,13 @@ def test_criterion_2_oracle_equivalence(capsys):
     bridging.create_attention_params(store, 12, 2, 6)
     params = store.constants()
     x, y = rng.normal(size=12), rng.normal(size=12)
-    got = bridging.self_attention(Tensor(x), "T", params, 2).data
+    got = bridging.self_attention(Tensor(x[None, :]), "T", params, 2).data[0]
     want = oracles.attention_enumerated(
         x, x, store.value("attn.T.wq"), store.value("attn.T.wk"),
         store.value("attn.T.wv"), store.value("attn.T.wo"), 6, 2,
     )
     assert np.abs(got - want).max() < 1e-6
-    z_tv, z_vt = bridging.co_attention(Tensor(x), Tensor(y), params, 2)
+    z_tv, z_vt = bridging.co_attention(Tensor(x[None, :]), Tensor(y[None, :]), params, 2)
     want_tv = oracles.attention_enumerated(
         x, y, store.value("attn.T.wq"), store.value("attn.V.wk"),
         store.value("attn.V.wv"), store.value("attn.TV.wo"), 6, 2,
@@ -99,15 +99,15 @@ def test_criterion_2_oracle_equivalence(capsys):
         y, x, store.value("attn.V.wq"), store.value("attn.T.wk"),
         store.value("attn.T.wv"), store.value("attn.VT.wo"), 6, 2,
     )
-    assert np.abs(z_tv.data - want_tv).max() < 1e-6
-    assert np.abs(z_vt.data - want_vt).max() < 1e-6
+    assert np.abs(z_tv.data[0] - want_tv).max() < 1e-6
+    assert np.abs(z_vt.data[0] - want_vt).max() < 1e-6
 
     from ismaf.encoders import create_gat_params, signed_gat_layer
     from test_encoders import SLOPE, _manual_graph
 
     gstore = ParamStore(seed=4)
     create_gat_params(gstore, 4, 2, 1)
-    graph = _manual_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], d=4)
+    graph = _manual_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     h = rng.normal(size=(4, 4))
     got = signed_gat_layer(Tensor(h), graph, gstore.constants(), 2, SLOPE).data
     neighbors = [[j for j, i in zip(graph.src, graph.dst) if i == node] for node in range(4)]

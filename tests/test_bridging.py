@@ -103,51 +103,51 @@ def _attn_setup(d=12, heads=2, token_len=6, seed=0):
 class TestSelfAttention:
     def test_single_token_collapse_is_linear(self):
         store = _attn_setup(d=6, heads=2, token_len=1, seed=1)
-        x = _rng(7).normal(size=6)
+        x = _rng(7).normal(size=(1, 6))
         out = self_attention(Tensor(x), "T", store.constants(), 2)
         expected = x @ store.value("attn.T.wv") @ store.value("attn.T.wo")
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_zero_input_gives_zero_output(self):
         store = _attn_setup(seed=2)
-        out = self_attention(Tensor(np.zeros(12)), "V", store.constants(), 2)
-        np.testing.assert_allclose(out.data, np.zeros(12), atol=1e-15)
+        out = self_attention(Tensor(np.zeros((1, 12))), "V", store.constants(), 2)
+        np.testing.assert_allclose(out.data, np.zeros((1, 12)), atol=1e-15)
 
     def test_six_token_lift_matches_enumeration_oracle(self):
         store = _attn_setup(d=12, heads=2, token_len=6, seed=3)
         x = _rng(8).normal(size=12)
-        out = self_attention(Tensor(x), "T", store.constants(), 2)
+        out = self_attention(Tensor(x[None, :]), "T", store.constants(), 2)
         expected = oracles.attention_enumerated(
             x, x,
             store.value("attn.T.wq"), store.value("attn.T.wk"),
             store.value("attn.T.wv"), store.value("attn.T.wo"),
             6, 2,
         )
-        assert np.abs(out.data - expected).max() < 1e-10
+        assert np.abs(out.data[0] - expected).max() < 1e-10
 
     def test_uneven_head_split_projects_up(self):
         # token_dim 5 with 2 heads: internal width rounds up to 6.
         store = _attn_setup(d=10, heads=2, token_len=2, seed=4)
         assert store.value("attn.T.wq").shape == (5, 6)
         x = _rng(9).normal(size=10)
-        out = self_attention(Tensor(x), "T", store.constants(), 2)
+        out = self_attention(Tensor(x[None, :]), "T", store.constants(), 2)
         expected = oracles.attention_enumerated(
             x, x,
             store.value("attn.T.wq"), store.value("attn.T.wk"),
             store.value("attn.T.wv"), store.value("attn.T.wo"),
             2, 2,
         )
-        assert np.abs(out.data - expected).max() < 1e-10
+        assert np.abs(out.data[0] - expected).max() < 1e-10
 
     def test_unknown_modality_rejected(self):
         store = _attn_setup()
         with pytest.raises(ValueError, match="modality"):
-            self_attention(Tensor(np.zeros(12)), "G", store.constants(), 2)
+            self_attention(Tensor(np.zeros((1, 12))), "G", store.constants(), 2)
 
     def test_grad_check(self):
         store = _attn_setup(d=6, heads=2, token_len=3, seed=5)
-        store.create("x", (6,))
-        probe = Tensor(_rng(10).normal(size=6))
+        store.create("x", (1, 6))
+        probe = Tensor(_rng(10).normal(size=(1, 6)))
 
         def loss(params):
             out = self_attention(params["x"], "T", params, 2)
@@ -164,22 +164,22 @@ class TestCoAttention:
             store.assign(f"attn.V.{proj}", store.value(f"attn.T.{proj}").copy())
         store.assign("attn.TV.wo", store.value("attn.T.wo").copy())
         store.assign("attn.VT.wo", store.value("attn.T.wo").copy())
-        x = Tensor(_rng(11).normal(size=12))
+        x = Tensor(_rng(11).normal(size=(1, 12)))
         z_tv, z_vt = co_attention(x, x, store.constants(), 2)
         np.testing.assert_allclose(z_tv.data, z_vt.data, atol=1e-12)
 
     def test_zero_value_side_gives_zero(self):
         store = _attn_setup(seed=7)
-        z_t = Tensor(_rng(12).normal(size=12))
-        z_v = Tensor(np.zeros(12))
+        z_t = Tensor(_rng(12).normal(size=(1, 12)))
+        z_v = Tensor(np.zeros((1, 12)))
         z_tv, _ = co_attention(z_t, z_v, store.constants(), 2)
-        np.testing.assert_allclose(z_tv.data, np.zeros(12), atol=1e-15)
+        np.testing.assert_allclose(z_tv.data, np.zeros((1, 12)), atol=1e-15)
 
     def test_against_enumeration_oracle(self):
         store = _attn_setup(seed=8)
         rng = _rng(13)
         z_t, z_v = rng.normal(size=12), rng.normal(size=12)
-        z_tv, z_vt = co_attention(Tensor(z_t), Tensor(z_v), store.constants(), 2)
+        z_tv, z_vt = co_attention(Tensor(z_t[None, :]), Tensor(z_v[None, :]), store.constants(), 2)
         exp_tv = oracles.attention_enumerated(
             z_t, z_v,
             store.value("attn.T.wq"), store.value("attn.V.wk"),
@@ -192,8 +192,8 @@ class TestCoAttention:
             store.value("attn.T.wv"), store.value("attn.VT.wo"),
             6, 2,
         )
-        assert np.abs(z_tv.data - exp_tv).max() < 1e-10
-        assert np.abs(z_vt.data - exp_vt).max() < 1e-10
+        assert np.abs(z_tv.data[0] - exp_tv).max() < 1e-10
+        assert np.abs(z_vt.data[0] - exp_vt).max() < 1e-10
 
 
 # The paper point (d=300, 6 tokens of 50 entries, 8 heads padding the
@@ -345,6 +345,40 @@ def test_attention_rejects_mismatched_batches():
     store = _attn_setup()
     with pytest.raises(ad.ShapeError, match=r"\(3, 12\).*\(2, 12\)"):
         co_attention(Tensor(np.zeros((3, 12))), Tensor(np.zeros((2, 12))), store.constants(), 2)
+
+
+@pytest.mark.parametrize("path", ["self", "co", "is-att"])
+def test_attention_rejects_a_single_vector(path):
+    store = _attention_store(TrainConfig(d=12, heads=2, token_len=6))
+    x = Tensor(np.zeros(12))
+    call = {
+        "self": lambda p: self_attention(x, "T", p, 2),
+        "co": lambda p: co_attention(x, x, p, 2),
+        "is-att": lambda p: fuse_alternate("is-att", x, x, p, 2),
+    }[path]
+    with pytest.raises(ad.ShapeError, match=r"\[N, 12\] batches, got \(12,\)"):
+        call(store.constants())
+
+
+def test_attend_tape_records(monkeypatch):
+    # Two token lifts; per projection matmul, reshape, transpose, reshape;
+    # scores batched_matmul and scale, softmax, context batched_matmul; the
+    # token mean (sum, scale), the pooled reshape and the output matmul.
+    cfg = TrainConfig(d=12, heads=2, token_len=6)
+    tape = Tape()
+    params = _attention_store(cfg).watch(tape)
+    x = tape.watch(_batch(5, cfg.d, 46))
+    emitted = []
+    emit = ad.Tape.emit
+
+    def counting_emit(tape, *args):
+        emitted.append(1)
+        return emit(tape, *args)
+
+    monkeypatch.setattr(ad.Tape, "emit", counting_emit)
+    out = self_attention(x, "T", params, cfg.heads)
+    assert out.shape == (5, cfg.d)
+    assert len(emitted) == 22
 
 
 class TestIntrinsicRep:
@@ -541,6 +575,11 @@ class TestMutualLearningLoss:
             assert val >= 0.0
             if np.abs(p - q).max() > 1e-6:
                 assert val > 0.0
+
+    @pytest.mark.parametrize("shape_z, shape_g", [((2,), (2,)), ((3, 2), (2,)), ((3, 2), (3, 3))])
+    def test_anything_but_matching_batches_rejected(self, shape_z, shape_g):
+        with pytest.raises(ad.ShapeError, match=r"matching \[N, k\] distributions"):
+            mutual_learning_loss(Tensor(np.full(shape_z, 0.5)), Tensor(np.full(shape_g, 0.5)))
 
     def test_grad_check_through_full_branch(self):
         store = ParamStore(seed=35)

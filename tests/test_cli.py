@@ -92,6 +92,24 @@ class TestTrainEval:
         assert rc != 0
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, message", [
+        (None, "missing field 'label'"),
+        ("[1, 2]", "expected a JSON object, got list"),
+    ], ids=["missing-label", "list-line"])
+    def test_bad_posts_line_named_on_stderr(self, tmp_path, data_dir, config_file, capsys, line, message):
+        posts = data_dir / "posts.jsonl"
+        lines = posts.read_text().splitlines()
+        row = json.loads(lines[3])
+        del row["label"]
+        lines[3] = json.dumps(row) if line is None else line
+        posts.write_text("".join(x + "\n" for x in lines))
+        rc = main([
+            "train", "--config", str(config_file), "--data", str(data_dir),
+            "--out", str(tmp_path / "m.json"),
+        ])
+        assert rc != 0
+        assert capsys.readouterr().err == f"error: {posts}:4: {message}\n"
+
     def test_corrupt_model_nonzero(self, tmp_path, data_dir, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")

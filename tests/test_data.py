@@ -195,6 +195,42 @@ class TestJsonlRoundTrip:
         with pytest.raises(ValueError, match="posts.jsonl:21"):
             load_dataset(tmp_path)
 
+    @staticmethod
+    def _edit_line(tmp_path, name, edit):
+        """Save a 20-post corpus and replace line 4 of ``name``.jsonl with
+        ``edit`` of its parsed object."""
+        save_dataset(generate_synthetic(n=20, d=3, separation=0.0, seed=9), tmp_path)
+        path = tmp_path / f"{name}.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[3] = edit(json.loads(lines[3]))
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+    @pytest.mark.parametrize("name, field", [
+        ("posts", "label"), ("posts", "visual_feat"), ("comments", "post_id"), ("users", "id"),
+    ])
+    def test_missing_field_names_file_line_and_field(self, tmp_path, name, field):
+        def drop(row):
+            del row[field]
+            return json.dumps(row)
+
+        self._edit_line(tmp_path, name, drop)
+        with pytest.raises(ValueError, match=rf"{name}\.jsonl:4: missing field '{field}'$"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("name", ["posts", "comments", "users"])
+    @pytest.mark.parametrize("line, kind", [
+        ("[1, 2]", "list"), ("7", "int"), ('"p0"', "str"), ("null", "NoneType"),
+    ])
+    def test_line_that_is_not_an_object_names_file_and_line(self, tmp_path, name, line, kind):
+        self._edit_line(tmp_path, name, lambda row: line)
+        with pytest.raises(ValueError, match=rf"{name}\.jsonl:4: expected a JSON object, got {kind}$"):
+            load_dataset(tmp_path)
+
+    def test_failed_record_check_names_file_and_line(self, tmp_path):
+        self._edit_line(tmp_path, "posts", lambda row: json.dumps({**row, "label": 2}))
+        with pytest.raises(ValueError, match=r"posts\.jsonl:4: post p00003: label must be 0 or 1"):
+            load_dataset(tmp_path)
+
     def test_bad_label_rejected(self):
         with pytest.raises(ValueError, match="label"):
             PostRecord("p0", [1], np.zeros(2), "u0", 2)

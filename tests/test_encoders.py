@@ -21,6 +21,7 @@ from ismaf.data import (
     split_dataset,
 )
 from ismaf.encoders import (
+    EdgeBlock,
     SocialGraph,
     build_social_graph,
     create_gat_params,
@@ -209,26 +210,26 @@ class TestEncodeText:
 
 class TestProjectVisual:
     def test_zero_weights_zero_bias(self):
-        out = project_visual(np.ones(4), Tensor(np.zeros((4, 3))), Tensor(np.zeros(3)))
-        np.testing.assert_array_equal(out.data, np.zeros(3))
+        out = project_visual(np.ones((1, 4)), Tensor(np.zeros((4, 3))), Tensor(np.zeros(3)))
+        np.testing.assert_array_equal(out.data, np.zeros((1, 3)))
 
     def test_identity_on_nonnegative_input(self):
-        v = np.array([0.5, 0.0, 2.0])
+        v = np.array([[0.5, 0.0, 2.0]])
         out = project_visual(v, Tensor(np.eye(3)), Tensor(np.zeros(3)))
         np.testing.assert_array_equal(out.data, v)
 
     def test_against_matmul_oracle(self):
         rng = _rng(11)
-        v = rng.normal(size=5)
+        v = rng.normal(size=(2, 5))
         w = rng.normal(size=(5, 3))
         b = rng.normal(size=3)
         out = project_visual(v, Tensor(w), Tensor(b))
-        expected = np.maximum(oracles.matmul_triple_loop(v[None, :], w)[0] + b, 0.0)
+        expected = np.maximum(oracles.matmul_triple_loop(v, w) + b, 0.0)
         assert np.abs(out.data - expected).max() < 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(ad.ShapeError):
-            project_visual(np.ones(4), Tensor(np.zeros((5, 3))), Tensor(np.zeros(3)))
+            project_visual(np.ones((1, 4)), Tensor(np.zeros((5, 3))), Tensor(np.zeros(3)))
 
 
 # ---------------------------------------------------------------------------
@@ -631,16 +632,12 @@ def _gat_setup(d=4, heads=2, layers=1, seed=0):
     return store
 
 
-def _manual_graph(n, undirected_pairs, d=4):
+def _manual_graph(n, undirected_pairs):
+    """The block of every edge of an n-node graph: both directions of each
+    pair, then one self-loop per node; output row i is input row i."""
     src = [i for i, _ in undirected_pairs] + [j for _, j in undirected_pairs] + list(range(n))
     dst = [j for _, j in undirected_pairs] + [i for i, _ in undirected_pairs] + list(range(n))
-    return SocialGraph(
-        node_ids=[f"p{i}" for i in range(n)],
-        node_kinds=["post"] * n,
-        token_weights=np.zeros((n, d)),
-        src=np.array(src, dtype=np.int64),
-        dst=np.array(dst, dtype=np.int64),
-    )
+    return EdgeBlock(np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64), np.arange(n))
 
 
 class TestSignedGat:
@@ -652,7 +649,7 @@ class TestSignedGat:
         store.assign("gat.l0.a_dst", np.full(d, 0.3))
         w = np.abs(store.value("gat.l0.w"))
         store.assign("gat.l0.w", w)
-        graph = _manual_graph(1, [], d=d)
+        graph = _manual_graph(1, [])
         h = np.abs(_rng(16).normal(size=(1, d)))
         out = signed_gat_layer(Tensor(h), graph, store.constants(), 1, SLOPE)
         expected = np.tanh(h @ w @ store.value("gat.l0.wo"))
@@ -666,19 +663,19 @@ class TestSignedGat:
         store.assign("gat.l0.a_dst", np.abs(store.value("gat.l0.a_dst")))
         store.assign("gat.l0.w", np.abs(store.value("gat.l0.w")))
         n = 4
-        graph = _manual_graph(n, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], d=d)
+        graph = _manual_graph(n, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
         h = np.tile(np.abs(_rng(17).normal(size=d)), (n, 1))
         out = signed_gat_layer(Tensor(h), graph, store.constants(), 2, SLOPE)
         # Uniform alpha over n identical neighbors reproduces the single-node
         # computation exactly: sum_j (1/n) Wh = Wh.
-        single = _manual_graph(1, [], d=d)
+        single = _manual_graph(1, [])
         expected = signed_gat_layer(Tensor(h[:1]), single, store.constants(), 2, SLOPE)
         np.testing.assert_allclose(out.data, np.tile(expected.data, (n, 1)), atol=1e-10)
 
     def test_against_enumeration_oracle(self):
         d, heads = 4, 2
         store = _gat_setup(d=d, heads=heads, seed=3)
-        graph = _manual_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], d=d)
+        graph = _manual_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         h = _rng(18).normal(size=(4, d))
         out = signed_gat_layer(Tensor(h), graph, store.constants(), heads, SLOPE)
         neighbors = [[j for j, i in zip(graph.src, graph.dst) if i == node] for node in range(4)]
@@ -699,7 +696,7 @@ class TestSignedGat:
         # inputs the layer consumes; every (node, head) must normalize.
         d, heads = 4, 2
         store = _gat_setup(d=d, heads=heads, seed=4)
-        graph = _manual_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], d=d)
+        graph = _manual_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
         h = _rng(19).normal(size=(5, d))
         hw = h @ store.value("gat.l0.w")
         a_src, a_dst = store.value("gat.l0.a_src"), store.value("gat.l0.a_dst")
@@ -718,12 +715,19 @@ class TestSignedGat:
     def test_missing_self_loop_rejected(self):
         d = 4
         store = _gat_setup(d=d, seed=5)
-        graph = _manual_graph(3, [(0, 1)], d=d)
+        graph = _manual_graph(3, [(0, 1)])
         # Strip node 2's self-loop.
         keep = ~((graph.src == 2) & (graph.dst == 2))
-        graph.src, graph.dst = graph.src[keep], graph.dst[keep]
+        graph = EdgeBlock(graph.src[keep], graph.dst[keep], graph.targets)
         with pytest.raises(ValueError, match="self-loop"):
             signed_gat_layer(Tensor(np.zeros((3, d))), graph, store.constants(), 2, SLOPE)
+
+    def test_whole_social_graph_rejected(self):
+        store = _gat_setup(seed=5)
+        block = _manual_graph(2, [(0, 1)])
+        graph = SocialGraph(["p0", "p1"], ["post"] * 2, np.zeros((2, 4)), block.src, block.dst)
+        with pytest.raises(ad.ShapeError, match="expects an EdgeBlock .*got SocialGraph"):
+            signed_gat_layer(Tensor(np.zeros((2, 4))), graph, store.constants(), 2, SLOPE)
 
     @pytest.mark.parametrize("edit, message", [
         # A negative endpoint would index from the end of a node array.
@@ -733,7 +737,8 @@ class TestSignedGat:
         (lambda g: setattr(g, "dst", g.dst[1:]), "one length"),
     ], ids=["negative-src", "negative-dst", "dst-past-end", "length-mismatch"])
     def test_validate_rejects_bad_endpoints(self, edit, message):
-        graph = _manual_graph(3, [(0, 1), (1, 2)])
+        block = _manual_graph(3, [(0, 1), (1, 2)])
+        graph = SocialGraph(["p0", "p1", "p2"], ["post"] * 3, np.zeros((3, 4)), block.src, block.dst)
         graph.validate()
         edit(graph)
         with pytest.raises(ValueError, match=message):
@@ -742,7 +747,7 @@ class TestSignedGat:
     def test_grad_check(self):
         d = 3
         store = _gat_setup(d=d, heads=1, seed=6)
-        graph = _manual_graph(3, [(0, 1), (1, 2)], d=d)
+        graph = _manual_graph(3, [(0, 1), (1, 2)])
         h = _rng(20).normal(size=(3, d))
         probe = Tensor(_rng(21).normal(size=(3, d)))
 
@@ -757,11 +762,13 @@ class TestSignedGat:
         # 21,542 edges, each of them 4 * 32 wide as a message.
         data = generate_synthetic(n=60, d=16, separation=2.0, seed=3)
         embed = _rng(3).normal(size=(data.vocab_size, 4))
-        graph = build_social_graph(data.posts, data.comments, data.users, embed, theta=0.0)
+        graph = oracles.whole_graph_block(
+            build_social_graph(data.posts, data.comments, data.users, embed, theta=0.0)
+        )
         d, heads = 128, 4
         store = _gat_setup(d=d, heads=heads, seed=7)
-        feats = _rng(8).normal(size=(graph.n_nodes, d))
-        probe = Tensor(_rng(9).normal(size=(graph.n_nodes, d)))
+        feats = _rng(8).normal(size=(graph.targets.size, d))
+        probe = Tensor(_rng(9).normal(size=(graph.targets.size, d)))
         tape = ad.Tape()
         params = store.watch(tape)
         tracemalloc.start()
@@ -800,15 +807,15 @@ class TestExtractSocial:
         store.assign("gat.l0.wo", np.eye(d))
         store.assign("gat.l0.a_src", np.full(d, 0.5))
         store.assign("gat.l0.a_dst", np.full(d, 0.5))
-        graph = _manual_graph(1, [], d=d)
+        graph = _manual_graph(1, [])
         h = np.abs(_rng(23).normal(size=(1, d)))  # positive: e > 0, alpha = 1
         got = signed_gat_layer(Tensor(h), graph, store.constants(), 1, SLOPE)
-        np.testing.assert_allclose(got.data[graph.index["p0"]], np.tanh(h[0]), atol=1e-12)
+        np.testing.assert_allclose(got.data[0], np.tanh(h[0]), atol=1e-12)
 
     def test_matches_layer_oracle_fixture(self):
         d, heads = 4, 2
         store = _gat_setup(d=d, heads=heads, seed=9)
-        graph = _manual_graph(4, [(0, 1), (1, 2), (2, 3)], d=d)
+        graph = _manual_graph(4, [(0, 1), (1, 2), (2, 3)])
         h = _rng(24).normal(size=(4, d))
         out_nodes = signed_gat_layer(Tensor(h), graph, store.constants(), heads, SLOPE)
         neighbors = [[j for j, i in zip(graph.src, graph.dst) if i == node] for node in range(4)]
@@ -818,7 +825,7 @@ class TestExtractSocial:
             store.value("gat.l0.a_dst"), store.value("gat.l0.wo"),
             heads, SLOPE,
         )
-        got = out_nodes.data[graph.index["p2"]]
+        got = out_nodes.data[2]
         assert np.abs(got - expected[2]).max() < 1e-10
 
     def test_unknown_post_rejected(self):
@@ -918,8 +925,7 @@ def test_encoder_outputs_have_dimension_d():
     params = store.constants()
     rng = _rng(25)
     r_t = encode_text_batch(rng.integers(1, 15, size=(1, 8)), params, (2, 3, 4))
-    r_v = project_visual(rng.normal(size=5), params["visual.w"], params["visual.b"])
-    graph = _manual_graph(3, [(0, 1), (1, 2)], d=d)
-    nodes = signed_gat_layer(Tensor(rng.normal(size=(3, d))), graph, params, 2, SLOPE)
-    r_g = nodes.data[graph.index["p0"]]
-    assert r_t.shape == (1, d) and r_v.shape == (d,) and r_g.shape == (d,)
+    r_v = project_visual(rng.normal(size=(1, 5)), params["visual.w"], params["visual.b"])
+    graph = _manual_graph(3, [(0, 1), (1, 2)])
+    r_g = signed_gat_layer(Tensor(rng.normal(size=(3, d))), graph, params, 2, SLOPE)
+    assert r_t.shape == r_v.shape == (1, d) and r_g.shape == (3, d)

@@ -151,13 +151,19 @@ class TestClassify:
         np.testing.assert_array_equal(base, shifted)
 
 
+def _probs(y_hat):
+    """Two-class rows whose column 1 is the rumor probability ``y_hat``."""
+    y_hat = np.asarray(y_hat, dtype=float)
+    return Tensor(np.stack([1.0 - y_hat, y_hat], axis=1))
+
+
 class TestCeLoss:
     def test_confident_correct_is_zero(self):
-        assert ce_loss(Tensor([1.0]), [1]).item() == pytest.approx(0.0, abs=1e-9)
+        assert ce_loss(_probs([1.0]), [1]).item() == pytest.approx(0.0, abs=1e-9)
 
     def test_half_probability_is_log2(self):
         for label in (0, 1):
-            assert ce_loss(Tensor([0.5]), [label]).item() == pytest.approx(
+            assert ce_loss(_probs([0.5]), [label]).item() == pytest.approx(
                 math.log(2.0), abs=1e-12
             )
 
@@ -168,17 +174,29 @@ class TestCeLoss:
         expected = -sum(
             y * math.log(p) + (1 - y) * math.log(1 - p) for p, y in zip(y_hat, labels)
         ) / 4
-        assert ce_loss(Tensor(y_hat), labels).item() == pytest.approx(expected, abs=1e-10)
+        assert ce_loss(_probs(y_hat), labels).item() == pytest.approx(expected, abs=1e-10)
 
     def test_non_negative(self):
         rng = _rng(23)
         y_hat = rng.uniform(0.01, 0.99, size=6)
         labels = rng.integers(0, 2, size=6)
-        assert ce_loss(Tensor(y_hat), labels).item() >= 0.0
+        assert ce_loss(_probs(y_hat), labels).item() >= 0.0
 
     def test_bad_labels_rejected(self):
         with pytest.raises(ValueError, match="labels"):
-            ce_loss(Tensor([0.5]), [2])
+            ce_loss(_probs([0.5]), [2])
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 1), (4, 3), (3, 2), (2, 4, 2)])
+    def test_anything_but_one_two_class_row_per_label_rejected(self, shape):
+        with pytest.raises(ad.ShapeError, match=r"\[4, 2\] output for 4 labels"):
+            ce_loss(Tensor(np.full(shape, 0.5)), [0, 1, 1, 0])
+
+    def test_reads_only_the_rumor_column(self):
+        y_hat = _rng(25).uniform(0.05, 0.95, size=4)
+        labels = [0, 1, 1, 0]
+        want = ce_loss(_probs(y_hat), labels).item()
+        other = Tensor(np.stack([np.full(4, 7.0), y_hat], axis=1))
+        assert ce_loss(other, labels).item() == want
 
     def test_grad_check(self):
         store = ParamStore(seed=24)
@@ -186,9 +204,7 @@ class TestCeLoss:
         labels = [0, 1, 1, 0]
 
         def loss(params):
-            probs = ad.softmax_rows(params["logits"])
-            y_hat = ad.reshape(ad.slice_rows(ad.transpose(probs), 1, 2), (4,))
-            return ce_loss(y_hat, labels)
+            return ce_loss(ad.softmax_rows(params["logits"]), labels)
 
         assert ad.grad_check(loss, store) < 1e-4
 
@@ -278,8 +294,8 @@ class TestFuseAlternate:
         params["attn.F.wo"] = params["attn.T.wo"]
         x = _rng(31).normal(size=6)
         fused = fuse_alternate("is-att", Tensor(x[None, :]), Tensor(x[None, :]), params, 2)
-        direct = self_attention(Tensor(x), "T", params, 2)
-        np.testing.assert_allclose(fused.data[0], direct.data, atol=1e-12)
+        direct = self_attention(Tensor(x[None, :]), "T", params, 2)
+        np.testing.assert_allclose(fused.data, direct.data, atol=1e-12)
 
     def test_is_att_output_shape(self):
         store = ParamStore(seed=32)
