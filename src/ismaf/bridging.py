@@ -141,8 +141,15 @@ def scl_loss(features, labels, tau: float) -> Tensor:
         raise ad.ShapeError(
             f"features [{features.shape}] and labels [{len(labels)}] disagree"
         )
+    return _contrastive(features, labels, tau)
 
-    pos = (labels[:, None] == labels[None, :]) & ~np.eye(n, dtype=bool)
+
+def _contrastive(features: Tensor, labels: np.ndarray, tau: float) -> Tensor:
+    """The body of ``scl_loss`` past its input checks; ``cmca_loss`` runs it
+    on the stacked pairs."""
+    n = features.shape[0]
+    offdiag = ~np.eye(n, dtype=bool)
+    pos = (labels[:, None] == labels[None, :]) & offdiag
     pos_counts = pos.sum(axis=1)
     active = pos_counts > 0
     if not active.any():
@@ -151,7 +158,6 @@ def scl_loss(features, labels, tau: float) -> Tensor:
 
     f = ad.row_l2_normalize(features)
     sim = ad.scale(ad.matmul(f, ad.transpose(f)), 1.0 / tau)
-    offdiag = ~np.eye(n, dtype=bool)
     # Row-max over the off-diagonal is a constant shift; exact for the ratio.
     shift = np.where(offdiag, sim.data, -np.inf).max(axis=1, keepdims=True)
     shifted = ad.sub(sim, Tensor(shift))
@@ -171,9 +177,11 @@ def scl_loss(features, labels, tau: float) -> Tensor:
 def cmca_loss(z, r_g, tau: float) -> Tensor:
     """Contrastive alignment between intrinsic and social representations.
 
-    For each anchor on one side, the matched pair is the numerator; the
-    denominator sums same-side similarities over k != i plus cross-side
-    similarities over all k.  Both directions are averaged over 2N.
+    This is the supervised contrastive loss over the 2N stacked rows
+    ``[z; r_g]`` with each row's partner as its only positive: for each
+    anchor the matched pair is the numerator, and the denominator sums
+    same-side similarities over k != i plus cross-side similarities over
+    all k.  Both directions are averaged over 2N.
     """
     z, r_g = ad.as_tensor(z), ad.as_tensor(r_g)
     n = z.shape[0]
@@ -181,28 +189,7 @@ def cmca_loss(z, r_g, tau: float) -> Tensor:
         raise ValueError("cross-modal alignment needs a non-empty batch")
     if z.shape != r_g.shape:
         raise ad.ShapeError(f"batch shapes disagree: {z.shape} vs {r_g.shape}")
-
-    zn = ad.row_l2_normalize(z)
-    rn = ad.row_l2_normalize(r_g)
-    inv_tau = 1.0 / tau
-    s_zz = ad.scale(ad.matmul(zn, ad.transpose(zn)), inv_tau)
-    s_zr = ad.scale(ad.matmul(zn, ad.transpose(rn)), inv_tau)
-    s_rr = ad.scale(ad.matmul(rn, ad.transpose(rn)), inv_tau)
-    s_rz = ad.transpose(s_zr)
-
-    eye = Tensor(np.eye(n))
-    offdiag = Tensor(1.0 - np.eye(n))
-
-    def one_side(same, cross):
-        denom = ad.add(
-            ad.sum_(ad.mul(ad.exp(same), offdiag), axis=1),
-            ad.sum_(ad.exp(cross), axis=1),
-        )
-        matched = ad.sum_(ad.mul(cross, eye), axis=1)
-        return ad.sum_(ad.sub(ad.log(denom), matched))
-
-    total = ad.add(one_side(s_zz, s_zr), one_side(s_rr, s_rz))
-    return ad.scale(total, 1.0 / (2.0 * n))
+    return _contrastive(ad.concat([z, r_g], axis=0), np.tile(np.arange(n), 2), tau)
 
 
 # ---------------------------------------------------------------------------

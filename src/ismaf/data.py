@@ -14,7 +14,14 @@ SPLITS = ("train", "val", "test")
 
 
 def _check_tokens(record: str, tokens) -> None:
-    """Token ids start at 1: id 0 pads posts to a common length."""
+    """Token ids are integers from 1: id 0 pads posts to a common length."""
+    if type(tokens) is not list:
+        raise ValueError(
+            f"{record}: tokens must be a list of integer ids, got {type(tokens).__name__}"
+        )
+    for t in tokens:
+        if type(t) is not int:
+            raise ValueError(f"{record}: token id {t!r} is not an integer")
     low = min(tokens, default=1)
     if low < 0:
         raise ValueError(f"{record}: negative token id")

@@ -31,7 +31,10 @@ class LossBreakdown:
         parts = (self.ce, self.scl, self.cmca, self.ml, self.af, self.total)
         if not all(np.isfinite(parts)):
             raise ValueError(f"non-finite loss components: {parts}")
-        weighted = self.ce + sum(l * c for l, c in zip(self.lambdas, (self.scl, self.cmca, self.ml, self.af)))
+        # Summed in overall_loss's order, so the two totals agree exactly.
+        weighted = self.ce
+        for weight, part in zip(self.lambdas, (self.scl, self.cmca, self.ml, self.af)):
+            weighted += part * weight
         if abs(self.total - weighted) > 1e-9:
             raise ValueError(f"total {self.total} != weighted sum {weighted}")
         return self

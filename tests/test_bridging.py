@@ -457,6 +457,34 @@ class TestCmcaLoss:
         err = ad.grad_check(lambda p: cmca_loss(p["z"], p["r"], 0.5), store)
         assert err < 1e-4
 
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_is_scl_over_the_stacked_pairs(self, n):
+        # Each row of [z; r] has its partner as its only positive, so the
+        # contrastive denominator over the other 2N - 1 rows is CMCA's.
+        rng = _rng(20 + n)
+        z, r = rng.normal(size=(n, 6)), rng.normal(size=(n, 6))
+        for tau in (0.3, 1.0):
+            scl = oracles.scl_double_loop(np.vstack([z, r]), np.tile(np.arange(n), 2), tau)
+            assert scl == pytest.approx(oracles.cmca_double_loop(z, r, tau), rel=1e-12, abs=1e-12)
+
+    def test_tape_records(self, monkeypatch):
+        # The stacking concat, then the contrastive loss's row normalize,
+        # transpose, matmul, scale, shift, exp, mask, sum, log, reshape,
+        # sub, weight, sum and scale.
+        rng = _rng(21)
+        tape = Tape()
+        z, r = tape.watch(rng.normal(size=(5, 6))), tape.watch(rng.normal(size=(5, 6)))
+        emitted = []
+        emit = ad.Tape.emit
+
+        def counting_emit(tape, *args):
+            emitted.append(1)
+            return emit(tape, *args)
+
+        monkeypatch.setattr(ad.Tape, "emit", counting_emit)
+        cmca_loss(z, r, tau=0.5)
+        assert len(emitted) == 15
+
 
 # ---------------------------------------------------------------------------
 # mutual learning

@@ -231,6 +231,27 @@ class TestJsonlRoundTrip:
         with pytest.raises(ValueError, match=r"posts\.jsonl:4: post p00003: label must be 0 or 1"):
             load_dataset(tmp_path)
 
+    # A fractional id would run as its integer part; a string fails with a
+    # TypeError that names no file.  JSON true is a Python bool, not an id.
+    @pytest.mark.parametrize("name, record, tokens, message", [
+        ("posts", "post p00003", [1.5, 2.7, 3.0], "token id 1.5 is not an integer"),
+        ("posts", "post p00003", [2, 3.0], "token id 3.0 is not an integer"),
+        ("posts", "post p00003", [1, True], "token id True is not an integer"),
+        ("posts", "post p00003", "abc", "tokens must be a list of integer ids, got str"),
+        ("comments", "comment c00001_0", [4, None], "token id None is not an integer"),
+        ("comments", "comment c00001_0", 7, "tokens must be a list of integer ids, got int"),
+    ], ids=["fractional", "integral-float", "bool", "string", "null", "number"])
+    def test_non_integer_tokens_named_by_file_and_line(self, tmp_path, name, record, tokens, message):
+        self._edit_line(tmp_path, name, lambda row: json.dumps({**row, "tokens": tokens}))
+        with pytest.raises(ValueError, match=rf"{name}\.jsonl:4: {record}: {message}$"):
+            load_dataset(tmp_path)
+
+    def test_non_integer_tokens_rejected(self):
+        with pytest.raises(ValueError, match="post p0: token id 1.0 is not an integer"):
+            PostRecord("p0", [1.0], np.zeros(2), "u0", 0)
+        with pytest.raises(ValueError, match="comment c0: tokens must be a list of integer ids, got tuple"):
+            CommentRecord("c0", (1, 2), "u0", "p0")
+
     def test_bad_label_rejected(self):
         with pytest.raises(ValueError, match="label"):
             PostRecord("p0", [1], np.zeros(2), "u0", 2)

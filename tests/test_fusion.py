@@ -257,6 +257,23 @@ class TestOverallLoss:
         )
         assert bd.total == pytest.approx(0.5 + 0.3 + 1.4 + 1.2 + 1.6, abs=1e-12)
 
+    def test_breakdown_accepts_a_large_finite_total(self):
+        # At 2e7 the weighted terms summed in another order than
+        # overall_loss's differ from its total by more than 1e-9.
+        parts = [Tensor(v) for v in (0.1, 0.3, 1.1, 0.2, 5e7)]
+        lambdas = (0.3, 0.7, 0.4, 0.4)
+        total = overall_loss(*parts, lambdas=lambdas)
+        bd = breakdown_from_parts(*parts, total, lambdas)
+        assert bd.total == total.item()
+
+    def test_breakdown_check_sums_as_overall_loss_does(self):
+        rng = _rng(28)
+        for _ in range(200):
+            parts = [Tensor(v) for v in 10.0 ** rng.uniform(-3, 9, size=5)]
+            lambdas = tuple(rng.uniform(0, 1, size=4))
+            total = overall_loss(*parts, lambdas=lambdas)
+            breakdown_from_parts(*parts, total, lambdas)
+
     def test_breakdown_rejects_inconsistent_total(self):
         with pytest.raises(ValueError, match="weighted sum"):
             LossBreakdown(1.0, 1.0, 1.0, 1.0, 1.0, 99.0, (0.3, 0.7, 0.4, 0.4)).check()
