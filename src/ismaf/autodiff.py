@@ -338,18 +338,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return _emit(tape, out, tensors, vjp)
 
 
-def slice_rows(a, start: int, stop: int) -> Tensor:
-    a = as_tensor(a)
-    shape = a.data.shape
-
-    def vjp(g):
-        buf = np.zeros(shape)
-        buf[start:stop] = g
-        return (buf,)
-
-    return _emit(a.tape, a.data[start:stop], (a,), vjp)
-
-
 def _scatter(out, idx, vals, ufunc=np.add) -> None:
     """What ``ufunc.at(out, idx, vals)`` does, bitwise: each slot of ``out``
     takes its values in index order.
@@ -568,15 +556,15 @@ def exp(a) -> Tensor:
 
 
 def log(a) -> Tensor:
-    """Natural log clamped below at 1e-12; gradient is 0 in the clamped zone."""
+    """Natural log of a positive tensor, unclamped: a zero entry reads -inf.
+    Take class log-probabilities with ``log_softmax_rows`` instead."""
     a = as_tensor(a)
-    xs = np.maximum(a.data, EPS)
-    inside = a.data > EPS
+    x = a.data
 
     def vjp(g):
-        return (g * np.where(inside, 1.0 / xs, 0.0),)
+        return (g * (1.0 / x),)
 
-    return _emit(a.tape, np.log(xs), (a,), vjp)
+    return _emit(a.tape, np.log(x), (a,), vjp)
 
 
 def sum_(a, axis=None) -> Tensor:
@@ -610,6 +598,21 @@ def softmax_rows(a) -> Tensor:
         return (s * (g - (g * s).sum(axis=-1, keepdims=True)),)
 
     return _emit(a.tape, s, (a,), vjp)
+
+
+def log_softmax_rows(a) -> Tensor:
+    """Log of the softmax over the last axis: the input shifted by its row
+    max, minus the log of the shifted row's sum of exponentials.  Finite at
+    any logit gap, where the log of ``softmax_rows`` underflows to -inf."""
+    a = as_tensor(a)
+    x = a.data
+    shifted = x - x.max(axis=-1, keepdims=True)
+    out = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+    def vjp(g):
+        return (g - np.exp(out) * g.sum(axis=-1, keepdims=True),)
+
+    return _emit(a.tape, out, (a,), vjp)
 
 
 def row_l2_normalize(a) -> Tensor:

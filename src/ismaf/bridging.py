@@ -162,7 +162,8 @@ def _contrastive(features: Tensor, labels: np.ndarray, tau: float) -> Tensor:
     shift = np.where(offdiag, sim.data, -np.inf).max(axis=1, keepdims=True)
     shifted = ad.sub(sim, Tensor(shift))
     expvals = ad.mul(ad.exp(shifted), Tensor(offdiag.astype(float)))
-    log_denom = ad.log(ad.sum_(expvals, axis=1))  # [n]
+    # [n], each >= 1: a row's largest off-diagonal term is exp(0).
+    log_denom = ad.log(ad.sum_(expvals, axis=1))
     log_prob = ad.sub(shifted, ad.reshape(log_denom, (n, 1)))
 
     weights = np.zeros((n, n))
@@ -217,30 +218,23 @@ def project_common(z, r_g, params) -> tuple[Tensor, Tensor]:
 
 
 def label_distributions(e_z, e_g, params) -> tuple[Tensor, Tensor]:
-    """Per-branch class distributions from the common-space embeddings."""
-    p_z = ad.softmax_rows(ad.linear(e_z, params["ml.z.fc_w"], params["ml.z.fc_b"]))
-    p_g = ad.softmax_rows(ad.linear(e_g, params["ml.g.fc_w"], params["ml.g.fc_b"]))
-    return p_z, p_g
+    """Per-branch class log-probabilities, two [N, 2] batches, from the
+    common-space embeddings."""
+    log_p_z = ad.log_softmax_rows(ad.linear(e_z, params["ml.z.fc_w"], params["ml.z.fc_b"]))
+    log_p_g = ad.log_softmax_rows(ad.linear(e_g, params["ml.g.fc_w"], params["ml.g.fc_b"]))
+    return log_p_z, log_p_g
 
 
-def kl_divergence(p, q) -> Tensor:
-    """Sum of KL(P_i || Q_i) over the rows of matching [N, k] (or [k])
-    distribution arrays; entries are clamped at 1e-12 inside log, giving the
-    0*log(0) = 0 convention."""
-    p, q = ad.as_tensor(p), ad.as_tensor(q)
-    if p.shape != q.shape:
-        raise ad.ShapeError(f"distributions disagree in shape: {p.shape} vs {q.shape}")
-    return ad.sum_(ad.mul(p, ad.sub(ad.log(p), ad.log(q))))
-
-
-def mutual_learning_loss(p_z, p_g) -> Tensor:
-    """Symmetric KL between the two branch distributions, matching [N, k]
-    batches, averaged over the N rows."""
-    p_z, p_g = ad.as_tensor(p_z), ad.as_tensor(p_g)
-    if p_z.ndim != 2 or p_z.shape != p_g.shape:
+def mutual_learning_loss(log_p_z, log_p_g) -> Tensor:
+    """Symmetric KL between the two branch distributions, averaged over the
+    N rows: ``0.5/N * sum((p_z - p_g) * (log p_z - log p_g))``.  Takes the
+    two matching [N, k] batches of log-probabilities (``label_distributions``)."""
+    log_p_z, log_p_g = ad.as_tensor(log_p_z), ad.as_tensor(log_p_g)
+    if log_p_z.ndim != 2 or log_p_z.shape != log_p_g.shape:
         raise ad.ShapeError(
             f"mutual learning expects two matching [N, k] distributions, "
-            f"got {p_z.shape} and {p_g.shape}"
+            f"got {log_p_z.shape} and {log_p_g.shape}"
         )
-    n = p_z.shape[0]
-    return ad.scale(ad.add(kl_divergence(p_z, p_g), kl_divergence(p_g, p_z)), 0.5 / n)
+    n = log_p_z.shape[0]
+    gap = ad.mul(ad.sub(ad.exp(log_p_z), ad.exp(log_p_g)), ad.sub(log_p_z, log_p_g))
+    return ad.scale(ad.sum_(gap), 0.5 / n)

@@ -103,8 +103,9 @@ def fuse_alternate(kind: str, z, r_g, params, heads: int) -> Tensor:
 
 
 def classify(x_fuse, params) -> Tensor:
-    """Two-class distribution per row; column 1 is the rumor probability."""
-    return ad.softmax_rows(ad.linear(ad.as_tensor(x_fuse), params["clf.w"], params["clf.b"]))
+    """Two-class log-probabilities per row, [N, 2]; column 1 is the log of
+    the rumor probability."""
+    return ad.log_softmax_rows(ad.linear(ad.as_tensor(x_fuse), params["clf.w"], params["clf.b"]))
 
 
 def predict_labels(probs: np.ndarray) -> np.ndarray:
@@ -113,27 +114,24 @@ def predict_labels(probs: np.ndarray) -> np.ndarray:
     return (probs[:, 1] > probs[:, 0]).astype(np.int64)
 
 
-def ce_loss(probs, labels) -> Tensor:
-    """Binary cross-entropy on the rumor probability, mean-reduced.
+def ce_loss(log_probs, labels) -> Tensor:
+    """Cross-entropy of the N ``labels``, mean-reduced.
 
-    ``probs`` is the classifier's [N, 2] output for the N ``labels``; its
-    column 1 is the rumor probability.  Probabilities are effectively
-    clamped to [1e-12, 1 - 1e-12] through the log's internal epsilon.
+    ``log_probs`` is the classifier's [N, 2] output (``classify``); each
+    row's loss is minus the log-probability of its label's column.
     """
-    probs = ad.as_tensor(probs)
+    log_probs = ad.as_tensor(log_probs)
     labels = np.asarray(labels, dtype=np.float64)
     if not np.isin(labels, (0.0, 1.0)).all():
         raise ValueError(f"labels must be 0 or 1, got {sorted(set(labels.tolist()))}")
     n = labels.shape[0]
-    if probs.shape != (n, 2):
+    if log_probs.shape != (n, 2):
         raise ad.ShapeError(
             f"ce_loss expects the classifier's [{n}, 2] output for {n} labels, "
-            f"got {probs.shape}"
+            f"got {log_probs.shape}"
         )
-    y_hat = ad.reshape(ad.slice_rows(ad.transpose(probs), 1, 2), (n,))
-    pos = ad.mul(Tensor(labels), ad.log(y_hat))
-    neg = ad.mul(Tensor(1.0 - labels), ad.log(ad.sub(Tensor(np.ones(n)), y_hat)))
-    return ad.scale(ad.sum_(ad.add(pos, neg)), -1.0 / n)
+    onehot = np.stack([1.0 - labels, labels], axis=1)
+    return ad.scale(ad.sum_(ad.mul(Tensor(onehot), log_probs)), -1.0 / n)
 
 
 def overall_loss(ce, scl, cmca, ml, af, lambdas) -> Tensor:

@@ -54,8 +54,8 @@ def check_ml(seed: int) -> CheckResult:
 
     def loss(params):
         e_z, e_g = bridging.project_common(params["z"], params["r_g"], params)
-        p_z, p_g = bridging.label_distributions(e_z, e_g, params)
-        return bridging.mutual_learning_loss(p_z, p_g)
+        log_p_z, log_p_g = bridging.label_distributions(e_z, e_g, params)
+        return bridging.mutual_learning_loss(log_p_z, log_p_g)
 
     return CheckResult("mutual-learning", grad_check(loss, store))
 

@@ -123,7 +123,6 @@ class IsmafModel:
         """Run the pipeline on a batch of posts.  Dropout runs, drawing from
         ``rng``, only when an ``rng`` is given."""
         cfg = self.config
-        labels = np.array([self.dataset.post(pid).label for pid in post_ids])
         r_t, r_v, r_g = self._unimodal(params, post_ids, rng, zero_social)
         z_t = bridging.self_attention(r_t, "T", params, cfg.heads)
         z_v = bridging.self_attention(r_v, "V", params, cfg.heads)
@@ -137,12 +136,14 @@ class IsmafModel:
             l_af = None
         if rng is not None:
             x_fuse = ad.dropout(x_fuse, cfg.dropout, rng)
-        probs = fusion.classify(x_fuse, params)
+        log_probs = fusion.classify(x_fuse, params)
+        probs = np.exp(log_probs.data)
 
         if not with_losses:
-            return ForwardResult(probs=probs.data.copy(), total=None, breakdown=None)
+            return ForwardResult(probs=probs, total=None, breakdown=None)
 
-        l_ce = fusion.ce_loss(probs, labels)
+        labels = np.array([self.dataset.post(pid).label for pid in post_ids])
+        l_ce = fusion.ce_loss(log_probs, labels)
         # A term of weight 0 is left out of the objective and its column
         # reads 0; scl, cmca and ml are then not computed at all.
         l_scl = l_cmca = l_ml = None
@@ -153,15 +154,15 @@ class IsmafModel:
             l_cmca = bridging.cmca_loss(z_b, r_g, cfg.tau_cmca)
         if cfg.lambda3:
             e_z, e_g = bridging.project_common(z_b, r_g, params)
-            p_z, p_g = bridging.label_distributions(e_z, e_g, params)
-            l_ml = bridging.mutual_learning_loss(p_z, p_g)
+            log_p_z, log_p_g = bridging.label_distributions(e_z, e_g, params)
+            l_ml = bridging.mutual_learning_loss(log_p_z, log_p_g)
         if not cfg.lambda4:
             l_af = None
 
         lambdas = (cfg.lambda1, cfg.lambda2, cfg.lambda3, cfg.lambda4)
         total = fusion.overall_loss(l_ce, l_scl, l_cmca, l_ml, l_af, lambdas)
         breakdown = fusion.breakdown_from_parts(l_ce, l_scl, l_cmca, l_ml, l_af, total, lambdas)
-        return ForwardResult(probs=probs.data.copy(), total=total, breakdown=breakdown)
+        return ForwardResult(probs=probs, total=total, breakdown=breakdown)
 
     def predict(self, post_ids, zero_social: bool = False) -> np.ndarray:
         """Deterministic class predictions from the current parameters."""

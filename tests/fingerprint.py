@@ -1,6 +1,9 @@
 """Bitwise fingerprint of the pipeline on the benchmark's three corpora.
 
-Prints one JSON line with, per corpus, the sha256 of:
+Prints one JSON line with the BLAS thread setting it ran under
+(``blas_threads``: ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` as set
+in the environment, or null, and ``os.cpu_count()``) and, per corpus, the
+sha256 of:
 
 - ``token_weights``, ``src``, ``dst``: the social graph's token table and
   edges;
@@ -22,9 +25,10 @@ against any commit's sources:
     PYTHONPATH=/path/to/other/checkout/src python3 tests/fingerprint.py
 
 Two lines are equal exactly when every hashed number is bitwise equal.
-The numbers depend on the numpy and BLAS build, so compare lines from one
-machine and one install.  ``--posts N`` builds every corpus with N posts
-instead, for a quick check.
+The numbers depend on the numpy and BLAS build and on the BLAS thread
+count (OpenBLAS uses one thread per core unless told otherwise), so compare
+lines from one machine, one install and one ``blas_threads`` value.
+``--posts N`` builds every corpus with N posts instead, for a quick check.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -111,7 +116,13 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--posts", type=int, help="posts per corpus (default: each workload's own)")
     args = parser.parse_args(argv)
-    out = {}
+    out = {
+        "blas_threads": {
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+            "cpu_count": os.cpu_count(),
+        }
+    }
     for name, wl in workloads.WORKLOADS.items():
         if args.posts is not None:
             wl = dataclasses.replace(wl, n_posts=args.posts)

@@ -5,11 +5,13 @@ optimised paths (``text_cnn_per_offset``, ``token_weights_at``, ``social_graph_d
 ``signed_gat_layer_plain`` and ``social_batch_full_graph`` with ``whole_graph_block``,
 ``attention_per_post``, ``is_att_per_post``,
 ``attend_masked`` and the paths built on it, ``edge_aggregate_unfused``,
-and ``signed_softmax_chain``: ``abs_``, ``sub``, ``exp``, ``segment_sum``,
-``gather_rows``, ``div`` and ``mul``, with a detached ``np.maximum.at``
-shift and sign), which reuse the package's building blocks and differ from
-the optimised path only in what it skips or batches; the tape ops that left
-the package for them (``abs_``, ``div``, ``segment_sum``); and the plain
+``ce_clamped`` and ``ml_clamped`` (the losses from probabilities through
+clamped logs), and ``signed_softmax_chain``: ``abs_``, ``sub``, ``exp``,
+``segment_sum``, ``gather_rows``, ``div`` and ``mul``, with a detached
+``np.maximum.at`` shift and sign), which reuse the package's building blocks
+and differ from the optimised path only in what it skips or batches; the
+tape ops that left the package for them (``abs_``, ``div``, ``segment_sum``,
+``log_clamped``); and the plain
 ``ufunc.at`` scatters (``scatter_at``, the ``*_at`` ops built on it, and
 ``segment_max``)."""
 
@@ -87,8 +89,8 @@ def text_cnn_per_offset(tokens, params, kernel_sizes):
         n_windows = total - k + 1
         pre = None
         for j in range(k):
-            rows = ad.slice_rows(emb, j, j + n_windows)
-            term = ad.matmul(rows, ad.slice_rows(w, j * d, (j + 1) * d))
+            rows = ad.gather_rows(emb, np.arange(j, j + n_windows))
+            term = ad.matmul(rows, ad.gather_rows(w, np.arange(j * d, (j + 1) * d)))
             pre = term if pre is None else ad.add(pre, term)
         acts = ad.relu(ad.add(pre, b))
         starts = np.arange(n_windows)
@@ -198,6 +200,44 @@ def kl_direct(p, q, eps=1e-12):
     p = np.clip(np.asarray(p, dtype=float), eps, 1.0)
     q = np.clip(np.asarray(q, dtype=float), eps, 1.0)
     return float((np.asarray(p) * (np.log(p) - np.log(q))).sum())
+
+
+def log_clamped(a):
+    """Natural log clamped below at 1e-12, with gradient 0 inside the clamp:
+    the log that ``ce_clamped`` and ``ml_clamped`` take of probabilities."""
+    a = ad.as_tensor(a)
+    xs = np.maximum(a.data, ad.EPS)
+    inside = a.data > ad.EPS
+
+    def vjp(g):
+        return (g * np.where(inside, 1.0 / xs, 0.0),)
+
+    return ad._emit(a.tape, np.log(xs), (a,), vjp)
+
+
+def ce_clamped(probs, labels):
+    """What ``fusion.ce_loss`` computes, the plain way, from the [N, 2]
+    class probabilities: binary cross-entropy on the rumor column through
+    clamped logs, mean-reduced."""
+    probs = ad.as_tensor(probs)
+    labels = np.asarray(labels, dtype=np.float64)
+    n = labels.shape[0]
+    y_hat = ad.reshape(ad.gather_rows(ad.transpose(probs), [1]), (n,))
+    pos = ad.mul(ad.Tensor(labels), log_clamped(y_hat))
+    neg = ad.mul(ad.Tensor(1.0 - labels), log_clamped(ad.sub(ad.Tensor(np.ones(n)), y_hat)))
+    return ad.scale(ad.sum_(ad.add(pos, neg)), -1.0 / n)
+
+
+def ml_clamped(p_z, p_g):
+    """What ``bridging.mutual_learning_loss`` computes, the plain way, from
+    two [N, k] batches of probabilities: the two KL sums through clamped
+    logs, averaged and divided by N."""
+    p_z, p_g = ad.as_tensor(p_z), ad.as_tensor(p_g)
+
+    def kl(p, q):
+        return ad.sum_(ad.mul(p, ad.sub(log_clamped(p), log_clamped(q))))
+
+    return ad.scale(ad.add(kl(p_z, p_g), kl(p_g, p_z)), 0.5 / p_z.shape[0])
 
 
 def metrics_from_confusion(tp, fp, tn, fn):
@@ -454,8 +494,8 @@ def attention_per_post(params, r_t, r_v, heads):
     matrices.  Returns (z_t, z_v, z_tv, z_vt)."""
     outs = ([], [], [], [])
     for i in range(r_t.shape[0]):
-        z_t = self_attention(ad.slice_rows(r_t, i, i + 1), "T", params, heads)
-        z_v = self_attention(ad.slice_rows(r_v, i, i + 1), "V", params, heads)
+        z_t = self_attention(ad.gather_rows(r_t, [i]), "T", params, heads)
+        z_v = self_attention(ad.gather_rows(r_v, [i]), "V", params, heads)
         z_tv, z_vt = co_attention(z_t, z_v, params, heads)
         for rows, z in zip(outs, (z_t, z_v, z_tv, z_vt)):
             rows.append(z)
@@ -466,7 +506,7 @@ def is_att_per_post(z, r_g, params, heads):
     """What ``fuse_alternate("is-att")`` computes, one [1, d] row at a time."""
     rows = [
         attend(
-            ad.slice_rows(z, i, i + 1), ad.slice_rows(r_g, i, i + 1), params["attn.F.wq"],
+            ad.gather_rows(z, [i]), ad.gather_rows(r_g, [i]), params["attn.F.wq"],
             params["attn.F.wk"], params["attn.F.wv"], params["attn.F.wo"], heads,
         )
         for i in range(z.shape[0])

@@ -13,7 +13,6 @@ from ismaf.bridging import (
     create_fusion_attention_params,
     create_mutual_params,
     intrinsic_rep,
-    kl_divergence,
     label_distributions,
     mutual_learning_loss,
     project_common,
@@ -499,9 +498,9 @@ class TestProjectionAndDistributions:
         z = Tensor(_rng(21).normal(size=(3, 4)))
         e_z, e_g = project_common(z, z, store.constants())
         np.testing.assert_array_equal(e_z.data, np.zeros((3, 4)))
-        p_z, p_g = label_distributions(e_z, e_g, store.constants())
-        np.testing.assert_allclose(p_z.data, 0.5)
-        np.testing.assert_allclose(p_g.data, 0.5)
+        log_p_z, log_p_g = label_distributions(e_z, e_g, store.constants())
+        np.testing.assert_allclose(np.exp(log_p_z.data), 0.5)
+        np.testing.assert_allclose(np.exp(log_p_g.data), 0.5)
 
     def test_identity_projection_on_nonnegative_input(self):
         store = ParamStore(seed=22)
@@ -518,18 +517,18 @@ class TestProjectionAndDistributions:
         store.assign("ml.z.proj_w", np.eye(2))
         store.assign("ml.z.fc_w", np.eye(2))
         e_z, _ = project_common(Tensor([[math.log(3.0), 0.0]]), Tensor([[0.0, 0.0]]), store.constants())
-        p_z, _ = label_distributions(e_z, e_z, store.constants())
-        np.testing.assert_allclose(p_z.data[0], [0.75, 0.25], atol=1e-12)
+        log_p_z, _ = label_distributions(e_z, e_z, store.constants())
+        np.testing.assert_allclose(log_p_z.data[0], np.log([0.75, 0.25]), atol=1e-12)
 
     def test_distributions_sum_to_one(self):
         store = ParamStore(seed=25)
         create_mutual_params(store, d=5)
         z = Tensor(_rng(26).normal(size=(4, 5)))
         g = Tensor(_rng(27).normal(size=(4, 5)))
-        p_z, p_g = label_distributions(*project_common(z, g, store.constants()), store.constants())
-        np.testing.assert_allclose(p_z.data.sum(axis=1), 1.0, atol=1e-9)
-        np.testing.assert_allclose(p_g.data.sum(axis=1), 1.0, atol=1e-9)
-        assert (p_z.data >= 0).all() and (p_g.data >= 0).all()
+        log_p_z, log_p_g = label_distributions(*project_common(z, g, store.constants()), store.constants())
+        np.testing.assert_allclose(np.exp(log_p_z.data).sum(axis=1), 1.0, atol=1e-9)
+        np.testing.assert_allclose(np.exp(log_p_g.data).sum(axis=1), 1.0, atol=1e-9)
+        assert (log_p_z.data <= 0).all() and (log_p_g.data <= 0).all()
 
     def test_random_against_softmax_oracle(self):
         store = ParamStore(seed=28)
@@ -537,69 +536,60 @@ class TestProjectionAndDistributions:
         z = _rng(29).normal(size=(3, 4))
         g = _rng(30).normal(size=(3, 4))
         e_z, e_g = project_common(Tensor(z), Tensor(g), store.constants())
-        p_z, p_g = label_distributions(e_z, e_g, store.constants())
+        log_p_z, _ = label_distributions(e_z, e_g, store.constants())
         exp_ez = np.maximum(z @ store.value("ml.z.proj_w") + store.value("ml.z.proj_b"), 0)
         exp_pz = oracles.softmax_direct(exp_ez @ store.value("ml.z.fc_w") + store.value("ml.z.fc_b"))
-        assert np.abs(p_z.data - exp_pz).max() < 1e-12
+        assert np.abs(log_p_z.data - np.log(exp_pz)).max() < 1e-12
 
 
-class TestKlDivergence:
-    def test_self_divergence_is_zero(self):
-        p = np.array([0.3, 0.7])
-        assert kl_divergence(Tensor(p), Tensor(p)).item() == 0.0
+def _normalized(raw):
+    return raw / raw.sum(axis=-1, keepdims=True)
 
-    def test_degenerate_against_uniform_is_log2(self):
-        out = kl_divergence(Tensor([1.0, 0.0]), Tensor([0.5, 0.5]))
-        assert out.item() == pytest.approx(math.log(2.0), abs=1e-9)
 
-    def test_random_pair_against_direct_sum(self):
-        rng = _rng(31)
-        raw_p, raw_q = rng.random(4) + 0.1, rng.random(4) + 0.1
-        p, q = raw_p / raw_p.sum(), raw_q / raw_q.sum()
-        out = kl_divergence(Tensor(p), Tensor(q))
-        assert abs(out.item() - oracles.kl_direct(p, q)) < 1e-10
-
-    def test_non_negative(self):
-        rng = _rng(32)
-        for _ in range(10):
-            raw_p, raw_q = rng.random(3) + 0.01, rng.random(3) + 0.01
-            p, q = raw_p / raw_p.sum(), raw_q / raw_q.sum()
-            assert kl_divergence(Tensor(p), Tensor(q)).item() >= 0.0
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ad.ShapeError):
-            kl_divergence(Tensor([0.5, 0.5]), Tensor([0.2, 0.3, 0.5]))
+def _ml(p, q):
+    """Mutual-learning loss of two probability batches, fed as logs."""
+    return mutual_learning_loss(Tensor(np.log(p)), Tensor(np.log(q))).item()
 
 
 class TestMutualLearningLoss:
     def test_equal_distributions_give_zero(self):
         p = np.array([[0.4, 0.6], [0.9, 0.1]])
-        assert mutual_learning_loss(Tensor(p), Tensor(p.copy())).item() == 0.0
+        assert _ml(p, p.copy()) == 0.0
+
+    def test_mirrored_pair_is_half_log3(self):
+        # (0.5)(log 3) + (-0.5)(-log 3), halved.
+        p, q = np.array([[0.75, 0.25]]), np.array([[0.25, 0.75]])
+        assert _ml(p, q) == pytest.approx(0.5 * math.log(3.0), abs=1e-9)
 
     def test_symmetric_in_arguments(self):
         rng = _rng(33)
-        raw = rng.random((3, 2)) + 0.05
-        p = raw / raw.sum(axis=1, keepdims=True)
-        raw = rng.random((3, 2)) + 0.05
-        q = raw / raw.sum(axis=1, keepdims=True)
-        assert mutual_learning_loss(Tensor(p), Tensor(q)).item() == pytest.approx(
-            mutual_learning_loss(Tensor(q), Tensor(p)).item(), abs=1e-15
-        )
+        p = _normalized(rng.random((3, 2)) + 0.05)
+        q = _normalized(rng.random((3, 2)) + 0.05)
+        assert _ml(p, q) == pytest.approx(_ml(q, p), abs=1e-15)
 
     def test_closed_form_single_pair(self):
         p, q = np.array([[0.9, 0.1]]), np.array([[0.5, 0.5]])
         expected = 0.5 * (oracles.kl_direct(p[0], q[0]) + oracles.kl_direct(q[0], p[0]))
-        out = mutual_learning_loss(Tensor(p), Tensor(q))
-        assert out.item() == pytest.approx(expected, abs=1e-10)
+        assert _ml(p, q) == pytest.approx(expected, abs=1e-10)
+
+    def test_random_four_class_row_against_direct_sum(self):
+        rng = _rng(31)
+        p, q = _normalized(rng.random((1, 4)) + 0.1), _normalized(rng.random((1, 4)) + 0.1)
+        expected = 0.5 * (oracles.kl_direct(p[0], q[0]) + oracles.kl_direct(q[0], p[0]))
+        assert abs(_ml(p, q) - expected) < 1e-10
+
+    def test_non_negative_over_three_classes(self):
+        rng = _rng(32)
+        for _ in range(10):
+            p, q = _normalized(rng.random((1, 3)) + 0.01), _normalized(rng.random((1, 3)) + 0.01)
+            assert _ml(p, q) >= 0.0
 
     def test_non_negative_and_zero_only_at_equality(self):
         rng = _rng(34)
         for _ in range(10):
-            raw = rng.random((2, 2)) + 0.05
-            p = raw / raw.sum(axis=1, keepdims=True)
-            raw = rng.random((2, 2)) + 0.05
-            q = raw / raw.sum(axis=1, keepdims=True)
-            val = mutual_learning_loss(Tensor(p), Tensor(q)).item()
+            p = _normalized(rng.random((2, 2)) + 0.05)
+            q = _normalized(rng.random((2, 2)) + 0.05)
+            val = _ml(p, q)
             assert val >= 0.0
             if np.abs(p - q).max() > 1e-6:
                 assert val > 0.0
@@ -607,7 +597,9 @@ class TestMutualLearningLoss:
     @pytest.mark.parametrize("shape_z, shape_g", [((2,), (2,)), ((3, 2), (2,)), ((3, 2), (3, 3))])
     def test_anything_but_matching_batches_rejected(self, shape_z, shape_g):
         with pytest.raises(ad.ShapeError, match=r"matching \[N, k\] distributions"):
-            mutual_learning_loss(Tensor(np.full(shape_z, 0.5)), Tensor(np.full(shape_g, 0.5)))
+            mutual_learning_loss(
+                Tensor(np.full(shape_z, math.log(0.5))), Tensor(np.full(shape_g, math.log(0.5)))
+            )
 
     def test_grad_check_through_full_branch(self):
         store = ParamStore(seed=35)
@@ -617,10 +609,49 @@ class TestMutualLearningLoss:
 
         def loss(params):
             e_z, e_g = project_common(params["z"], params["g"], params)
-            p_z, p_g = label_distributions(e_z, e_g, params)
-            return mutual_learning_loss(p_z, p_g)
+            log_p_z, log_p_g = label_distributions(e_z, e_g, params)
+            return mutual_learning_loss(log_p_z, log_p_g)
 
         assert ad.grad_check(loss, store) < 1e-4
+
+    def test_branch_probability_below_1e12_keeps_teaching(self):
+        # Branch z's logits favour class 1 by 30, so p_z[0] = e^-30/(1 + e^-30)
+        # sits below the 1e-12 that a clamped log would floor; branch g is
+        # uniform.  Per row, d/dx_j = 0.5 (p_j - q_j + p_j (log p_j - log q_j
+        # - KL(p || q))) for p = softmax(x).
+        store = ParamStore(seed=36)
+        create_mutual_params(store, d=2)
+        for name in ("ml.z.fc_w", "ml.g.fc_w", "ml.g.fc_b"):
+            store.assign(name, np.zeros_like(store.value(name)))
+        store.assign("ml.z.fc_b", np.array([0.0, 30.0]))
+        tape = Tape()
+        params = store.watch(tape)
+        e = Tensor(np.ones((1, 2)))
+        loss = mutual_learning_loss(*label_distributions(e, e, params))
+        tape.backward(loss)
+        p = oracles.softmax_direct(np.array([0.0, 30.0]))
+        log_ratio = np.log(p) - np.log(0.5)
+        want = 0.5 * (p - 0.5 + p * (log_ratio - (p * log_ratio).sum()))
+        assert p[0] < 1e-12
+        np.testing.assert_allclose(tape.grad(params["ml.z.fc_b"]), want, rtol=1e-9)
+
+    def test_matches_the_clamped_log_oracle(self):
+        # Away from the clamp the two agree in value and gradient.
+        rng = _rng(37)
+        logits = rng.normal(size=(5, 2)) * 4, rng.normal(size=(5, 2)) * 4
+        results = []
+        for fn in (
+            lambda x, y: mutual_learning_loss(ad.log_softmax_rows(x), ad.log_softmax_rows(y)),
+            lambda x, y: oracles.ml_clamped(ad.softmax_rows(x), ad.softmax_rows(y)),
+        ):
+            tape = Tape()
+            x, y = (tape.watch(v) for v in logits)
+            loss = fn(x, y)
+            tape.backward(loss)
+            results.append((loss.item(), np.concatenate([tape.grad(x), tape.grad(y)])))
+        (value, grad), (want_value, want_grad) = results
+        assert abs(value - want_value) <= 1e-12 * abs(want_value)
+        assert np.abs(grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
 
 
 def test_contrastive_config_validation():

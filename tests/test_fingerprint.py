@@ -29,6 +29,12 @@ def test_two_processes_print_the_same_line():
     assert first == second
     assert first.count("\n") == 1
     record = json.loads(first)
+    threads = record.pop("blas_threads")
+    assert threads == {
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+        "cpu_count": os.cpu_count(),
+    }
     assert set(record) == {"train-dense", "train-sparse", "eval-paper"}
     nothing = hashlib.sha256().hexdigest()
     for name, hashes in record.items():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ismaf import autodiff as ad
-from ismaf.autodiff import ParamStore, Tensor
+from ismaf.autodiff import ParamStore, Tape, Tensor
 from ismaf.bridging import create_attention_params, create_fusion_attention_params, self_attention
 from ismaf.fusion import (
     LossBreakdown,
@@ -116,27 +116,27 @@ class TestClassify:
     def test_zero_logits_give_half(self):
         store = _fusion_store(d=4, seed=13)
         store.assign("clf.w", np.zeros((4, 2)))
-        probs = classify(Tensor(_rng(14).normal(size=(3, 4))), store.constants())
-        np.testing.assert_allclose(probs.data, 0.5)
+        log_probs = classify(Tensor(_rng(14).normal(size=(3, 4))), store.constants())
+        np.testing.assert_allclose(np.exp(log_probs.data), 0.5)
 
     def test_logit_gap_closed_form(self):
         store = _fusion_store(d=2, seed=15)
         store.assign("clf.w", np.eye(2))
-        probs = classify(Tensor([[0.0, math.log(9.0)]]), store.constants())
-        assert probs.data[0, 1] == pytest.approx(0.9, abs=1e-12)
+        log_probs = classify(Tensor([[0.0, math.log(9.0)]]), store.constants())
+        assert log_probs.data[0, 1] == pytest.approx(math.log(0.9), abs=1e-12)
 
     def test_against_softmax_oracle(self):
         store = _fusion_store(d=4, seed=16)
         x = _rng(17).normal(size=(5, 4))
-        probs = classify(Tensor(x), store.constants())
+        log_probs = classify(Tensor(x), store.constants())
         expected = oracles.softmax_direct(x @ store.value("clf.w") + store.value("clf.b"))
-        assert np.abs(probs.data - expected).max() < 1e-12
+        assert np.abs(log_probs.data - np.log(expected)).max() < 1e-12
 
     def test_valid_distribution(self):
         store = _fusion_store(d=4, seed=18)
-        probs = classify(Tensor(_rng(19).normal(size=(6, 4)) * 10), store.constants())
-        np.testing.assert_allclose(probs.data.sum(axis=1), 1.0, atol=1e-9)
-        assert (probs.data >= 0).all()
+        log_probs = classify(Tensor(_rng(19).normal(size=(6, 4)) * 10), store.constants())
+        np.testing.assert_allclose(np.exp(log_probs.data).sum(axis=1), 1.0, atol=1e-9)
+        assert (log_probs.data <= 0).all()
 
     def test_prediction_argmax_with_tie_to_zero(self):
         probs = np.array([[0.5, 0.5], [0.4, 0.6], [0.7, 0.3]])
@@ -146,24 +146,26 @@ class TestClassify:
         store = _fusion_store(d=2, seed=20)
         store.assign("clf.w", np.eye(2))
         logits = _rng(21).normal(size=(4, 2))
-        base = predict_labels(classify(Tensor(logits), store.constants()).data)
-        shifted = predict_labels(classify(Tensor(logits + 3.7), store.constants()).data)
+        base = predict_labels(np.exp(classify(Tensor(logits), store.constants()).data))
+        shifted = predict_labels(np.exp(classify(Tensor(logits + 3.7), store.constants()).data))
         np.testing.assert_array_equal(base, shifted)
 
 
-def _probs(y_hat):
-    """Two-class rows whose column 1 is the rumor probability ``y_hat``."""
+def _log_probs(y_hat):
+    """Two-class log-probability rows whose column 1 is the log of the rumor
+    probability ``y_hat``."""
     y_hat = np.asarray(y_hat, dtype=float)
-    return Tensor(np.stack([1.0 - y_hat, y_hat], axis=1))
+    return Tensor(np.log(np.stack([1.0 - y_hat, y_hat], axis=1)))
 
 
 class TestCeLoss:
     def test_confident_correct_is_zero(self):
-        assert ce_loss(_probs([1.0]), [1]).item() == pytest.approx(0.0, abs=1e-9)
+        # A gap of 1000: the non-rumor column reads -1000, not log(0).
+        assert ce_loss(Tensor([[-1000.0, 0.0]]), [1]).item() == pytest.approx(0.0, abs=1e-9)
 
     def test_half_probability_is_log2(self):
         for label in (0, 1):
-            assert ce_loss(_probs([0.5]), [label]).item() == pytest.approx(
+            assert ce_loss(_log_probs([0.5]), [label]).item() == pytest.approx(
                 math.log(2.0), abs=1e-12
             )
 
@@ -174,29 +176,31 @@ class TestCeLoss:
         expected = -sum(
             y * math.log(p) + (1 - y) * math.log(1 - p) for p, y in zip(y_hat, labels)
         ) / 4
-        assert ce_loss(_probs(y_hat), labels).item() == pytest.approx(expected, abs=1e-10)
+        assert ce_loss(_log_probs(y_hat), labels).item() == pytest.approx(expected, abs=1e-10)
 
     def test_non_negative(self):
         rng = _rng(23)
         y_hat = rng.uniform(0.01, 0.99, size=6)
         labels = rng.integers(0, 2, size=6)
-        assert ce_loss(_probs(y_hat), labels).item() >= 0.0
+        assert ce_loss(_log_probs(y_hat), labels).item() >= 0.0
 
     def test_bad_labels_rejected(self):
         with pytest.raises(ValueError, match="labels"):
-            ce_loss(_probs([0.5]), [2])
+            ce_loss(_log_probs([0.5]), [2])
 
     @pytest.mark.parametrize("shape", [(4,), (4, 1), (4, 3), (3, 2), (2, 4, 2)])
     def test_anything_but_one_two_class_row_per_label_rejected(self, shape):
         with pytest.raises(ad.ShapeError, match=r"\[4, 2\] output for 4 labels"):
-            ce_loss(Tensor(np.full(shape, 0.5)), [0, 1, 1, 0])
+            ce_loss(Tensor(np.full(shape, math.log(0.5))), [0, 1, 1, 0])
 
-    def test_reads_only_the_rumor_column(self):
+    def test_reads_only_the_label_column(self):
         y_hat = _rng(25).uniform(0.05, 0.95, size=4)
-        labels = [0, 1, 1, 0]
-        want = ce_loss(_probs(y_hat), labels).item()
-        other = Tensor(np.stack([np.full(4, 7.0), y_hat], axis=1))
-        assert ce_loss(other, labels).item() == want
+        labels = np.array([0, 1, 1, 0])
+        log_probs = _log_probs(y_hat)
+        want = ce_loss(log_probs, labels).item()
+        other = log_probs.data.copy()
+        other[np.arange(4), 1 - labels] = 7.0
+        assert ce_loss(Tensor(other), labels).item() == want
 
     def test_grad_check(self):
         store = ParamStore(seed=24)
@@ -204,9 +208,39 @@ class TestCeLoss:
         labels = [0, 1, 1, 0]
 
         def loss(params):
-            return ce_loss(ad.softmax_rows(params["logits"]), labels)
+            return ce_loss(ad.log_softmax_rows(params["logits"]), labels)
 
         assert ad.grad_check(loss, store) < 1e-4
+
+    def test_confidently_wrong_rumor_keeps_teaching(self):
+        # Logits favour non-rumor by 30; the probability of the label is
+        # e^-30 / (1 + e^-30), below the 1e-12 that a clamped log would floor.
+        store = _fusion_store(d=2, seed=26)
+        store.assign("clf.w", np.eye(2))
+        tape = Tape()
+        x = tape.watch(np.array([[30.0, 0.0]]))
+        loss = ce_loss(classify(x, store.constants()), [1])
+        tape.backward(loss)
+        assert loss.item() == pytest.approx(30.0 + math.log1p(math.exp(-30.0)), rel=1e-15)
+        np.testing.assert_allclose(tape.grad(x), [[1.0, -1.0]], rtol=1e-12)
+
+    def test_matches_the_clamped_log_oracle(self):
+        # Away from the clamp the two agree in value and gradient.
+        labels = [0, 1, 1, 0, 1]
+        logits = _rng(27).normal(size=(5, 2)) * 4
+        results = []
+        for fn in (
+            lambda x: ce_loss(ad.log_softmax_rows(x), labels),
+            lambda x: oracles.ce_clamped(ad.softmax_rows(x), labels),
+        ):
+            tape = Tape()
+            x = tape.watch(logits)
+            loss = fn(x)
+            tape.backward(loss)
+            results.append((loss.item(), tape.grad(x)))
+        (value, grad), (want_value, want_grad) = results
+        assert abs(value - want_value) <= 1e-12 * abs(want_value)
+        assert np.abs(grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
 
 
 class TestOverallLoss:
