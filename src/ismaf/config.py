@@ -7,7 +7,7 @@ import typing
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .encoders import CONNECT_KINDS
+from .encoders import CONNECT_KINDS, check_theta
 from .fusion import FUSION_KINDS
 
 
@@ -64,8 +64,7 @@ class TrainConfig:
         for name in ("lambda1", "lambda2", "lambda3", "lambda4"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not 0.0 <= self.theta < 1.0:
-            raise ValueError(f"theta must lie in [0, 1), got {self.theta}")
+        check_theta(self.theta)
         if self.fusion not in FUSION_KINDS:
             raise ValueError(f"fusion must be one of {FUSION_KINDS}, got {self.fusion!r}")
         if self.connect_kinds not in CONNECT_KINDS:

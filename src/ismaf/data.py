@@ -4,8 +4,9 @@ synthetic corpus generator used for desk-scale experiments."""
 from __future__ import annotations
 
 import functools
+import itertools
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -67,17 +68,25 @@ class UserRecord:
     id: str
 
 
+def text_tokens(texts) -> tuple[np.ndarray, np.ndarray]:
+    """Each text's token count, and all texts' tokens in order (int64 arrays)."""
+    lengths = np.fromiter((len(rec.tokens) for rec in texts), dtype=np.int64, count=len(texts))
+    tokens = np.fromiter(
+        itertools.chain.from_iterable(rec.tokens for rec in texts),
+        dtype=np.int64, count=int(lengths.sum()),
+    )
+    return lengths, tokens
+
+
 @dataclass
 class DatasetBundle:
     posts: list[PostRecord]
     comments: list[CommentRecord]
     users: list[UserRecord]
     split: dict[str, str] | None = None
-    _post_by_id: dict[str, PostRecord] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        self._post_by_id = {p.id: p for p in self.posts}
-        if len(self._post_by_id) != len(self.posts):
+        if len({p.id for p in self.posts}) != len(self.posts):
             raise ValueError("duplicate post ids")
         if self.posts:
             first = self.posts[0]
@@ -88,9 +97,6 @@ class DatasetBundle:
                         f"post {p.id}: {p.visual_feat.shape[0]} visual features, "
                         f"but post {first.id} has {dim}"
                     )
-
-    def post(self, post_id: str) -> PostRecord:
-        return self._post_by_id[post_id]
 
     def split_ids(self, name: str) -> list[str]:
         if self.split is None:
@@ -103,25 +109,8 @@ class DatasetBundle:
     def vocab_size(self) -> int:
         """One more than the largest token id, at least 2; the records are
         fixed after construction, so the scan runs once."""
-        top = 0
-        for rec in list(self.posts) + list(self.comments):
-            if rec.tokens:
-                top = max(top, max(rec.tokens))
-        return max(top + 1, 2)
-
-    @property
-    def max_post_len(self) -> int:
-        return max(len(p.tokens) for p in self.posts)
-
-    def padded_tokens(self, post_ids, seq_len: int) -> np.ndarray:
-        """Pad post token lists with token 0 to a rectangular [N, seq_len]."""
-        out = np.zeros((len(post_ids), seq_len), dtype=np.int64)
-        for i, pid in enumerate(post_ids):
-            toks = self.post(pid).tokens
-            if len(toks) > seq_len:
-                raise ValueError(f"post {pid}: {len(toks)} tokens exceed seq_len {seq_len}")
-            out[i, : len(toks)] = toks
-        return out
+        _, tokens = text_tokens(list(self.posts) + list(self.comments))
+        return max(int(tokens.max(initial=0)) + 1, 2)
 
 
 # ---------------------------------------------------------------------------

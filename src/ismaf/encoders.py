@@ -27,6 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamStore, ShapeError, Tensor
+from .data import text_tokens
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +166,12 @@ SIM_TILE = 512  # rows per block of build_social_graph's similarity join
 CONNECT_KINDS = ("all", "same-kind")
 
 
+def check_theta(theta: float) -> None:
+    """The similarity threshold lies in (-1, 1]: at -1 every pair is an edge."""
+    if not -1.0 < theta <= 1.0:
+        raise ValueError(f"theta must lie in (-1, 1], got {theta}")
+
+
 def _token_table(lengths, tokens, authors, n_nodes: int, vocab: int) -> np.ndarray:
     """``SocialGraph.token_weights``: ``n_nodes`` rows, the texts' first.  A
     text's row is its token counts over its length (``lengths`` per text,
@@ -212,7 +219,7 @@ def build_social_graph(
     similarity edges: its cosine is undefined, not 0.  Edges are ordered
     by source, then destination, with the self-loops last.
 
-    ``theta`` must lie in (-1, 1]: at -1 every pair would be an edge.
+    ``theta`` must lie in (-1, 1] (``check_theta``).
     ``connect_kinds`` is "all" (similarity edges may join any node kinds) or
     "same-kind" (similarity edges only within one kind).
 
@@ -229,8 +236,7 @@ def build_social_graph(
     pairs and the similarity join; every record check, the token table and
     ``SocialGraph.validate`` still run.
     """
-    if not -1.0 < theta <= 1.0:
-        raise ValueError(f"theta must lie in (-1, 1], got {theta}")
+    check_theta(theta)
     if connect_kinds not in CONNECT_KINDS:
         raise ValueError(f"unknown connect_kinds {connect_kinds!r}")
     node_ids = [p.id for p in posts] + [c.id for c in comments] + [u.id for u in users]
@@ -253,8 +259,7 @@ def build_social_graph(
     # Texts fill the first rows (see _token_table).
     texts = list(posts) + list(comments)
     n, n_texts, vocab = len(node_ids), len(texts), embed.shape[0]
-    lengths = np.array([len(rec.tokens) for rec in texts], dtype=np.int64)
-    tokens = np.array([tok for rec in texts for tok in rec.tokens], dtype=np.int64)
+    lengths, tokens = text_tokens(texts)
     authors = np.array([index[rec.user_id] for rec in texts], dtype=np.int64)
     outside = (tokens < 0) | (tokens >= vocab)
     if outside.any():

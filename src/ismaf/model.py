@@ -1,6 +1,10 @@
 """End-to-end model assembly: parameter creation, per-batch forward pass over
 all five loss components, and the classification-only path used at eval time.
 
+A batch maps its post ids to graph rows once (``IsmafModel.rows``); posts
+fill the graph's first rows, so every stage indexes the post arrays built
+with the model by those rows.
+
 The social graph's structure is frozen: it is built from the initial
 token-embedding means when a model is created, and a loaded model takes the
 edges its checkpoint stored (``serialize``); node features are recomputed
@@ -18,7 +22,7 @@ from . import autodiff as ad
 from . import bridging, encoders, fusion
 from .autodiff import ParamStore, Tensor
 from .config import TrainConfig
-from .data import DatasetBundle
+from .data import DatasetBundle, text_tokens
 
 
 @dataclass
@@ -29,7 +33,9 @@ class ForwardResult:
 
 
 class IsmafModel:
-    """Parameters plus the fixed graph/context needed to run the pipeline."""
+    """Parameters plus the fixed graph/context needed to run the pipeline.
+    ``tokens``, ``visual`` and ``labels`` hold the posts in dataset order;
+    the tokens are padded with 0 to max(longest post, largest kernel)."""
 
     def __init__(self, config: TrainConfig, dataset: DatasetBundle, edges=None):
         """``edges``: the ``(src, dst)`` of a graph built before for this
@@ -38,12 +44,15 @@ class IsmafModel:
             raise ValueError("dataset has no posts")
         self.config = config
         self.dataset = dataset
-        self.seq_len = max(dataset.max_post_len, max(config.kernel_sizes))
-        self.visual_dim = int(dataset.posts[0].visual_feat.shape[0])
+        lengths, flat = text_tokens(dataset.posts)
+        self.tokens = np.zeros((lengths.size, max(lengths.max(), *config.kernel_sizes)), dtype=np.int64)
+        self.tokens[np.arange(self.tokens.shape[1]) < lengths[:, None]] = flat
+        self.visual = np.stack([p.visual_feat for p in dataset.posts])
+        self.labels = np.array([p.label for p in dataset.posts])
 
         self.store = ParamStore(seed=config.seed)
         encoders.create_text_params(self.store, dataset.vocab_size, config.d, config.kernel_sizes)
-        encoders.create_visual_params(self.store, self.visual_dim, config.d)
+        encoders.create_visual_params(self.store, self.visual.shape[1], config.d)
         encoders.create_gat_params(self.store, config.d, config.heads, config.gat_layers)
         bridging.create_attention_params(self.store, config.d, config.heads, config.token_len)
         bridging.create_mutual_params(self.store, config.d)
@@ -67,20 +76,24 @@ class IsmafModel:
 
     # -- graph plumbing ----------------------------------------------------
 
-    def social_batch(self, params, post_ids) -> Tensor:
-        """Social vectors [N, d] of the given nodes after the GAT stack.
+    def rows(self, post_ids) -> np.ndarray:
+        """Graph rows of ``post_ids``, which index the post arrays too; the
+        id of a comment, a user or nothing raises ``KeyError``."""
+        n_posts = self.labels.size
+        rows = np.array([self.graph.index.get(pid, n_posts) for pid in post_ids], dtype=np.int64)
+        outside = rows >= n_posts
+        if outside.any():
+            raise KeyError(f"unknown post id {post_ids[int(np.argmax(outside))]!r}")
+        return rows
+
+    def social_batch(self, params, rows) -> Tensor:
+        """Social vectors [N, d] of the given graph rows after the GAT stack.
 
         The layers run only over the edges whose messages can reach these
         rows, which gives the same rows as running them over every edge.
         The first layer takes its input rows as the pair of their token
         weights and the embedding table, whose product they are.
         """
-        rows = []
-        for pid in post_ids:
-            row = self.graph.index.get(pid)
-            if row is None or self.graph.node_kinds[row] != "post":
-                raise KeyError(f"unknown post id {pid!r}")
-            rows.append(row)
         outputs, positions = np.unique(rows, return_inverse=True)
         cfg = self.config
         inputs, blocks = encoders.receptive_blocks(self.graph, outputs, cfg.gat_layers)
@@ -96,16 +109,14 @@ class IsmafModel:
 
     # -- forward passes ------------------------------------------------------
 
-    def _unimodal(self, params, post_ids, rng, zero_social):
+    def _unimodal(self, params, rows, rng, zero_social):
         cfg = self.config
-        tokens = self.dataset.padded_tokens(post_ids, self.seq_len)
-        r_t = encoders.encode_text_batch(tokens, params, cfg.kernel_sizes)
-        visual = np.stack([self.dataset.post(pid).visual_feat for pid in post_ids])
-        r_v = encoders.project_visual(Tensor(visual), params["visual.w"], params["visual.b"])
+        r_t = encoders.encode_text_batch(self.tokens[rows], params, cfg.kernel_sizes)
+        r_v = encoders.project_visual(Tensor(self.visual[rows]), params["visual.w"], params["visual.b"])
         if zero_social:
-            r_g = Tensor(np.zeros((len(post_ids), cfg.d)))
+            r_g = Tensor(np.zeros((rows.size, cfg.d)))
         else:
-            r_g = self.social_batch(params, post_ids)
+            r_g = self.social_batch(params, rows)
         if rng is not None:
             r_t = ad.dropout(r_t, cfg.dropout, rng)
             r_v = ad.dropout(r_v, cfg.dropout, rng)
@@ -120,10 +131,11 @@ class IsmafModel:
         zero_social: bool = False,
         with_losses: bool = True,
     ) -> ForwardResult:
-        """Run the pipeline on a batch of posts.  Dropout runs, drawing from
-        ``rng``, only when an ``rng`` is given."""
+        """Run the pipeline on a batch of posts, given by id.  Dropout runs,
+        drawing from ``rng``, only when an ``rng`` is given."""
         cfg = self.config
-        r_t, r_v, r_g = self._unimodal(params, post_ids, rng, zero_social)
+        rows = self.rows(post_ids)
+        r_t, r_v, r_g = self._unimodal(params, rows, rng, zero_social)
         z_t = bridging.self_attention(r_t, "T", params, cfg.heads)
         z_v = bridging.self_attention(r_v, "V", params, cfg.heads)
         z_tv_b, z_vt_b = bridging.co_attention(z_t, z_v, params, cfg.heads)
@@ -142,7 +154,7 @@ class IsmafModel:
         if not with_losses:
             return ForwardResult(probs=probs, total=None, breakdown=None)
 
-        labels = np.array([self.dataset.post(pid).label for pid in post_ids])
+        labels = self.labels[rows]
         l_ce = fusion.ce_loss(log_probs, labels)
         # A term of weight 0 is left out of the objective and its column
         # reads 0; scl, cmca and ml are then not computed at all.

@@ -25,7 +25,6 @@ large block that would change how the heap serves the calls after it.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -35,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import TrainConfig
-from .data import DatasetBundle
+from .data import DatasetBundle, text_tokens
 from .model import IsmafModel
 
 MAGIC = b"ISMAF checkpoint\n"
@@ -54,11 +53,7 @@ def _record_fingerprint(dataset: DatasetBundle) -> dict[str, str]:
     the node ids in row order (posts, comments, users), every text's
     tokens, and the links (each text's author, each comment's post)."""
     texts = list(dataset.posts) + list(dataset.comments)
-    lengths = np.array([len(rec.tokens) for rec in texts], dtype=np.int64)
-    tokens = np.fromiter(
-        itertools.chain.from_iterable(rec.tokens for rec in texts),
-        dtype=np.int64, count=int(lengths.sum()),
-    )
+    lengths, tokens = text_tokens(texts)
     kinds = (dataset.posts, dataset.comments, dataset.users)
     ids = [[rec.id for rec in records] for records in kinds]
     links = [[rec.user_id for rec in texts], [c.post_id for c in dataset.comments]]

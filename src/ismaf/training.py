@@ -213,7 +213,7 @@ def evaluate(
     if not ids:
         raise ValueError(f"split {split!r} is empty")
     predicted = model.predict(ids, zero_social=zero_social)
-    actual = [dataset.post(pid).label for pid in ids]
+    actual = model.labels[model.rows(ids)]
     return MetricsReport.from_predictions(predicted, actual)
 
 

@@ -14,12 +14,17 @@ sha256 of:
   saved checkpoint loads back into;
 - ``checkpoint``: the bytes of that checkpoint.
 
+Beside the hashes, ``records_per_step`` lists the distinct numbers of tape
+records (``Tape.emit`` calls) that the training steps wrote between one
+Adam step and the next, sorted; it is null for eval-paper, which does not
+train.
+
 The corpora and configs are those of the benchmark workloads
 (``perfbench/workloads.py``) at corpus seed 7.  The eval-paper model is not
 trained: as in the benchmark, its checkpoint holds the initial parameters.
 The script uses only the public ``ismaf`` API (and wraps
-``training.Adam.step`` to see the gradients), so one copy of it runs
-against any commit's sources:
+``training.Adam.step`` to see the gradients and ``autodiff.Tape.emit`` to
+count records), so one copy of it runs against any commit's sources:
 
     PYTHONPATH=src python3 tests/fingerprint.py
     PYTHONPATH=/path/to/other/checkout/src python3 tests/fingerprint.py
@@ -45,7 +50,7 @@ from pathlib import Path
 import numpy as np
 
 import ismaf
-from ismaf import training
+from ismaf import autodiff, training
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
@@ -67,30 +72,39 @@ def _hash(named_arrays) -> str:
 
 
 def _train(config, split):
-    """``ismaf.train`` with each Adam step's gradients fed to a digest."""
+    """``ismaf.train`` with each Adam step's gradients fed to a digest and
+    the tape records written before each step counted."""
     grads = hashlib.sha256()
-    step = training.Adam.step
+    step, emit = training.Adam.step, autodiff.Tape.emit
+    records, per_step = [0], set()
 
     def recording_step(self, step_grads, lr):
         for name, g in step_grads.items():
             _update(grads, name, g)
+        per_step.add(records[0])
+        records[0] = 0
         return step(self, step_grads, lr)
 
-    training.Adam.step = recording_step
+    def counting_emit(self, *args, **kwargs):
+        records[0] += 1
+        return emit(self, *args, **kwargs)
+
+    training.Adam.step, autodiff.Tape.emit = recording_step, counting_emit
     try:
         result = ismaf.train(config, split)
     finally:
-        training.Adam.step = step
-    return result.model, result.history, grads.hexdigest()
+        training.Adam.step, autodiff.Tape.emit = step, emit
+    return result.model, result.history, grads.hexdigest(), sorted(per_step)
 
 
-def fingerprint(wl: workloads.Workload) -> dict[str, str]:
+def fingerprint(wl: workloads.Workload) -> dict:
     config = workloads.config(ismaf, wl)
     split = ismaf.split_dataset(workloads.corpus(ismaf, wl, SEED), config.fractions, config.seed)
     if wl.kind == "train":
-        model, history, grads = _train(config, split)
+        model, history, grads, records = _train(config, split)
     else:
         model, history, grads = ismaf.IsmafModel(config, split), [], hashlib.sha256().hexdigest()
+        records = None
     losses = np.array([list(epoch.losses.as_dict().values()) for epoch in history], dtype=np.float64)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.json"
@@ -109,6 +123,7 @@ def fingerprint(wl: workloads.Workload) -> dict[str, str]:
         "params": _hash(model.store.items()),
         "probs": _hash([("probs", probs)]),
         "checkpoint": checkpoint,
+        "records_per_step": records,
     }
 
 

@@ -13,9 +13,11 @@ and differ from the optimised path only in what it skips or batches; the
 tape ops that left the package for them (``abs_``, ``div``, ``segment_sum``,
 ``log_clamped``); and the plain
 ``ufunc.at`` scatters (``scatter_at``, the ``*_at`` ops built on it, and
-``segment_max``)."""
+``segment_max``); and ``grad_check_entries``, ``ad.grad_check`` with
+every entry reported."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -266,6 +268,43 @@ def central_diff(f, x, h=1e-4):
     return g
 
 
+class GradEntry(NamedTuple):
+    name: str
+    index: tuple
+    analytic: float
+    numeric: float
+    rel_error: float
+
+
+def grad_check_entries(f, store, h=1e-4):
+    """``ad.grad_check`` entry by entry: one ``GradEntry`` per parameter
+    entry, in store order, with the same arithmetic, so the largest
+    ``rel_error`` is ``grad_check``'s result and its entry names where."""
+    tape = ad.Tape()
+    leaves = store.watch(tape)
+    tape.backward(f(leaves))
+    consts = store.constants()
+    entries = []
+    for name in store.names():
+        base = store.value(name)
+        analytic = tape.grad(leaves[name])
+        for index in np.ndindex(base.shape):
+            work = base.copy()
+            consts[name] = ad.Tensor(work)
+            work[index] = base[index] + h
+            f_plus = float(f(consts).data)
+            work[index] = base[index] - h
+            f_minus = float(f(consts).data)
+            numeric = (f_plus - f_minus) / (2.0 * h)
+            denom = max(abs(analytic[index]), abs(numeric), 1e-8)
+            entries.append(GradEntry(
+                name, index, float(analytic[index]), numeric,
+                float(abs(analytic[index] - numeric) / denom),
+            ))
+        consts[name] = ad.Tensor(base)
+    return entries
+
+
 def scatter_at(ufunc, out, idx, vals):
     """``ufunc.at`` on a copy of ``out``: the plain row-wise scatter that
     ``ad._scatter`` runs as one ``ufunc.at`` over flat keys."""
@@ -474,18 +513,18 @@ def signed_gat_layer_plain(feats, graph, params, heads, leaky_slope, layer=0):
     return ad.tanh(ad.matmul(agg, wo))
 
 
-def social_batch_full_graph(model, params, post_ids):
+def social_batch_full_graph(model, params, rows):
     """What ``IsmafModel.social_batch`` computes, the plain way: every node's
     features as ``token_weights @ embed``, every plain GAT layer
-    (``signed_gat_layer_plain``) over every edge of the graph, then the batch
-    rows gathered."""
+    (``signed_gat_layer_plain``) over every edge of the graph, then the
+    graph rows ``rows`` gathered."""
     graph = model.graph
     block = whole_graph_block(graph)
     out = ad.matmul(ad.Tensor(graph.token_weights), params["text.embed"])
     cfg = model.config
     for layer in range(cfg.gat_layers):
         out = signed_gat_layer_plain(out, block, params, cfg.heads, cfg.gat_leaky_slope, layer=layer)
-    return ad.gather_rows(out, [graph.index[pid] for pid in post_ids])
+    return ad.gather_rows(out, rows)
 
 
 def attention_per_post(params, r_t, r_v, heads):

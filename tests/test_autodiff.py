@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ismaf import autodiff as ad
+from ismaf import gradcheck
 from ismaf.autodiff import ParamStore, ShapeError, Tape, Tensor
 
 import oracles
@@ -770,6 +771,22 @@ def test_grad_check_softmax_cross_entropy():
         return ad.scale(ad.sum_(ad.mul(Tensor(onehot), ad.log(probs))), -0.25)
 
     assert ad.grad_check(loss, store) < 1e-5
+
+
+def test_grad_check_entries_worst_is_grad_check():
+    # The composite gate at seed 0, with the loss and store it checks.
+    seen = []
+
+    def spy(f, store, *args):
+        seen.append((f, store))
+        return ad.grad_check(f, store, *args)
+
+    with mock.patch.object(gradcheck, "grad_check", spy):
+        gate = gradcheck.check_composite(0).max_rel_error
+    (f, store), = seen
+    entries = oracles.grad_check_entries(f, store)
+    assert [e.name for e in entries] == [n for n, v in store.items() for _ in range(v.size)]
+    assert max(e.rel_error for e in entries) == gate
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,10 @@ from ismaf.data import (
     load_dataset,
     save_dataset,
     split_dataset,
+    text_tokens,
 )
+from ismaf.config import TrainConfig
+from ismaf.model import IsmafModel
 
 
 def _posts_with_labels(label_counts):
@@ -142,11 +145,11 @@ class TestGenerateSynthetic:
         bundle = generate_synthetic(n=100, d=4, separation=0.0, graph_noise=0.0, seed=6)
         user_ids = [u.id for u in bundle.users]
         community = {uid: int(i >= len(user_ids) // 2) for i, uid in enumerate(user_ids)}
+        label = {p.id: p.label for p in bundle.posts}
         for p in bundle.posts:
             assert community[p.user_id] == p.label
         for c in bundle.comments:
-            post_label = bundle.post(c.post_id).label
-            assert community[c.user_id] == post_label
+            assert community[c.user_id] == label[c.post_id]
 
     def test_validation(self):
         with pytest.raises(ValueError, match="n >= 20"):
@@ -311,11 +314,35 @@ class TestDatasetBundle:
         ids = sum((ds.split_ids(s) for s in ("train", "val", "test")), [])
         assert sorted(ids) == sorted(p.id for p in ds.posts)
 
-    def test_padded_tokens_shape_and_content(self):
-        posts = [PostRecord("p0", [3, 4], np.zeros(2), "u0", 0)]
-        bundle = DatasetBundle(posts, [], [UserRecord("u0")])
-        padded = bundle.padded_tokens(["p0"], seq_len=5)
-        np.testing.assert_array_equal(padded, [[3, 4, 0, 0, 0]])
+    @pytest.mark.parametrize("long_post", [False, True], ids=["kernel-wide", "post-wide"])
+    def test_model_post_arrays_match_records(self, long_post):
+        # The matrix is as wide as the largest kernel (5) or the longest
+        # post, whichever is wider; shorter posts are padded with token 0.
+        tokens = [[3, 4], [], [5, 6, 7, 8, 9, 10] if long_post else [5]]
+        posts = [
+            PostRecord(f"p{i}", toks, np.full(2, i + 0.5), "u0", i % 2)
+            for i, toks in enumerate(tokens)
+        ]
+        bundle = DatasetBundle(posts, [CommentRecord("c0", [11], "u0", "p0")], [UserRecord("u0")])
+        model = IsmafModel(TrainConfig(d=6, heads=2, token_len=3), bundle)
+        width = 6 if long_post else 5
+        assert model.tokens.shape == (3, width) and model.tokens.dtype == np.int64
+        for row, post in zip(model.tokens, posts):
+            np.testing.assert_array_equal(row, post.tokens + [0] * (width - len(post.tokens)))
+        np.testing.assert_array_equal(model.visual, np.stack([p.visual_feat for p in posts]))
+        np.testing.assert_array_equal(model.labels, [p.label for p in posts])
+        np.testing.assert_array_equal(model.rows(["p2", "p0", "p2"]), [2, 0, 2])
+
+    def test_text_tokens_flattens_in_order(self):
+        texts = [
+            PostRecord("p0", [3, 4], np.zeros(2), "u0", 0),
+            CommentRecord("c0", [], "u0", "p0"),
+            CommentRecord("c1", [7], "u0", "p0"),
+        ]
+        lengths, tokens = text_tokens(texts)
+        np.testing.assert_array_equal(lengths, [2, 0, 1])
+        np.testing.assert_array_equal(tokens, [3, 4, 7])
+        assert lengths.dtype == tokens.dtype == np.int64
 
     def test_vocab_size_from_records(self):
         posts = [PostRecord("p0", [3, 9], np.zeros(2), "u0", 0)]

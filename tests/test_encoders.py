@@ -527,6 +527,15 @@ class TestBuildSocialGraph:
         posts, comments, users = _fixture_records()
         with pytest.raises(ValueError, match=r"theta must lie in \(-1, 1\]"):
             build_social_graph(posts, comments, users, np.ones((2, 2)), theta=theta)
+        # TrainConfig checks finiteness first, so nan reads "must be finite".
+        with pytest.raises(ValueError, match=r"theta must (lie in \(-1, 1\]|be finite)"):
+            TrainConfig(theta=theta)
+
+    def test_negative_theta_accepted(self):
+        # TrainConfig and the graph build take one range, (-1, 1].
+        model = _social_model(n=20, theta=-0.5)
+        assert model.config.theta == -0.5
+        assert model.graph.src.size > _social_model(n=20, theta=0.5).graph.src.size
 
     @pytest.mark.parametrize("tile", ["1", "7", "exact", "default"])
     @pytest.mark.parametrize("connect_kinds", ["all", "same-kind"])
@@ -794,10 +803,9 @@ class TestExtractSocial:
     def test_zero_layers_returns_initial_embedding(self):
         model = _social_model(gat_layers=0)
         params = model.store.constants()
-        pid = model.dataset.posts[1].id
-        got = model.social_batch(params, [pid])
-        row = model.graph.index[pid]
-        expected = model.graph.token_weights[[row]] @ params["text.embed"].data
+        rows = model.rows([model.dataset.posts[1].id])
+        got = model.social_batch(params, rows)
+        expected = model.graph.token_weights[rows] @ params["text.embed"].data
         np.testing.assert_array_equal(got.data[0], expected[0])
 
     def test_identity_layer_on_isolated_node_is_nonlinearity(self):
@@ -832,7 +840,9 @@ class TestExtractSocial:
         model = _social_model()
         pid = model.dataset.posts[0].id
         with pytest.raises(KeyError, match="nope"):
-            model.social_batch(model.store.constants(), [pid, "nope"])
+            model.rows([pid, "nope"])
+        with pytest.raises(KeyError, match="nope"):
+            model.predict([pid, "nope"])
 
     @pytest.mark.parametrize("kind", ["comments", "users"])
     def test_comment_or_user_id_rejected_as_post(self, kind):
@@ -840,7 +850,9 @@ class TestExtractSocial:
         pid = model.dataset.posts[0].id
         other = getattr(model.dataset, kind)[0].id
         with pytest.raises(KeyError, match=f"unknown post id '{other}'"):
-            model.social_batch(model.store.constants(), [pid, other])
+            model.rows([pid, other])
+        with pytest.raises(KeyError, match=f"unknown post id '{other}'"):
+            model.predict([pid, other])
 
 
 # Corpora shaped like the benchmark's training workloads, at test size: the
@@ -874,7 +886,7 @@ def _shared_neighbour_batches(model):
 def _rows_and_grads(model, social, batch, probe):
     tape = ad.Tape()
     params = model.store.watch(tape)
-    out = social(params, batch)
+    out = social(params, model.rows(batch))
     tape.backward(ad.sum_(ad.mul(out, probe)))
     return out.data, {name: tape.grad(t) for name, t in params.items()}
 

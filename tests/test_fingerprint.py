@@ -38,7 +38,13 @@ def test_two_processes_print_the_same_line():
     assert set(record) == {"train-dense", "train-sparse", "eval-paper"}
     nothing = hashlib.sha256().hexdigest()
     for name, hashes in record.items():
+        records = hashes.pop("records_per_step")
         assert set(hashes) == KEYS, name
         assert all(len(h) == 64 for h in hashes.values()), name
         # The train corpora take Adam steps; eval-paper's model is untrained.
         assert (hashes["grads"] == nothing) == (name == "eval-paper"), name
+        if name == "eval-paper":
+            assert records is None
+        else:
+            assert records and all(type(n) is int and n > 0 for n in records), name
+            assert records == sorted(set(records)), name

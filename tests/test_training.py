@@ -228,7 +228,8 @@ class TestEvaluate:
         assert len(calls) == 1
         np.testing.assert_array_equal(calls[0], chunked)
         assert 0 < chunked.sum() < len(ids)
-        assert report == MetricsReport.from_predictions(chunked, [ds.post(pid).label for pid in ids])
+        label = {p.id: p.label for p in ds.posts}
+        assert report == MetricsReport.from_predictions(chunked, [label[pid] for pid in ids])
 
     def test_report_format_four_decimals(self):
         report = MetricsReport.from_predictions([1, 0, 1], [1, 1, 1])
@@ -330,9 +331,9 @@ class TestSerialization:
         with pytest.raises(ModelFileError, match=r"version 1 .*re-run `ismaf train`"):
             load_model(path, tiny_data)
 
-    # TrainConfig takes theta in [0, 1), so 0.999 stands for the top of the
-    # range: there the edges are the structural ones and the similarity
-    # pairs of equal texts.
+    # theta lies in (-1, 1]; 0.999 stands for the top of the range: there
+    # the edges are the structural ones and the similarity pairs of equal
+    # texts.
     @pytest.mark.parametrize("overrides", [
         {}, {"connect_kinds": "same-kind"}, {"theta": 0.0}, {"theta": 0.999},
     ], ids=["all-kinds", "same-kind", "theta-0", "theta-0.999"])
