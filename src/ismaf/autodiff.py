@@ -7,10 +7,11 @@ list in reverse, accumulating vector-Jacobian products into per-node gradient
 buffers keyed by node id, and consumes the records as it goes, so a tape
 runs backward once.  A record's vector-Jacobian product keeps only the arrays
 it reads (an input's shape, not its values, where the shape is enough), since
-the tape holds every record until backward.  ``matmul``, ``batched_matmul``
-and ``mul`` compute no gradient for a constant operand (known when the op
-is recorded) and return None for it, so a record keeps an operand's values
-only when the other operand is on the tape.
+the tape holds every record until backward.  ``matmul`` and ``mul`` compute
+no gradient for a constant operand (known when the op is recorded) and
+return None for it, so a record keeps an operand's values only when the
+other operand is on the tape.  A composite op such as ``token_attention``
+is one record whose vjp is its chain's backward, written out.
 
 Scatters (the per-destination sums of ``signed_segment_softmax`` and of its
 gradient, the gradient of a row gather, and the edge message sum
@@ -61,9 +62,6 @@ class Tensor:
     @property
     def size(self):
         return self.data.size
-
-    def item(self) -> float:
-        return float(self.data)
 
     def __repr__(self):
         tag = "const" if self.tape is None else f"node {self.node_id}"
@@ -268,48 +266,75 @@ def matmul(a, b) -> Tensor:
     return _emit(tape, a.data @ b.data, (a, b), vjp)
 
 
-def batched_matmul(a, b) -> Tensor:
-    """Matrix product of matching 3-D stacks: [B, m, k] x [B, k, n] -> [B, m, n]."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 3 or b.data.ndim != 3:
-        raise ShapeError(
-            f"batched_matmul expects 3-D operands, got {a.data.shape} x {b.data.shape}"
-        )
-    if a.data.shape[0] != b.data.shape[0] or a.data.shape[2] != b.data.shape[1]:
-        raise ShapeError(
-            f"batched_matmul batch or inner dimensions disagree: "
-            f"{a.data.shape} x {b.data.shape}"
-        )
-    tape = _tape_of(a, b)
-    keep_a = a.data if b.tape is not None else None
-    keep_b = b.data if a.tape is not None else None
+def token_attention(x_query, x_kv, wq, wk, wv, wo, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention within token-lifted rows.
+
+    ``x_query`` and ``x_kv`` are [N, d] batches, each row lifted into L
+    tokens of width dt, where ``wq``, ``wk`` and ``wv`` are [dt, inner] and
+    ``wo`` is [inner, d].  Per row and head, the query tokens attend over the
+    row's L key/value tokens; the head outputs are mean-pooled over the
+    tokens and projected by ``wo``, [N, d].  The result and every gradient
+    are bitwise those of the chain of reshapes, transposes, matmuls, softmax
+    and token mean that the op replaces: the forward makes the chain's numpy
+    calls on the same layouts and the vjp its backward, with the softmax's
+    as ``P * (dP - rowsum(dP * P))``.  The record keeps the token rows, the
+    per-head q, k and v, the weights P and the pooled rows.
+    """
+    # Key/value before query: a tensor passed as both takes its gradients in
+    # the chain's order.
+    parents = tuple(as_tensor(t) for t in (x_kv, x_query, wq, wk, wv, wo))
+    wq, wk, wv, wo = (t.data for t in parents[2:])
+    x_shape, (dt, inner), d = parents[0].data.shape, wq.shape, wo.shape[1]
+    n, L = x_shape[0], d // dt
+    dh = inner // heads
+    tkv, tq = (t.data.reshape(n * L, dt) for t in parents[:2])
+    qv_axes, k_axes = (0, 2, 1, 3), (0, 2, 3, 1)
+
+    def per_head(tokens, w, axes):
+        # [N*L, inner] -> [N, L, H, dh] -> (row, head) pairs as the batch axis.
+        split = (tokens @ w).reshape(n, L, heads, dh).transpose(axes)
+        return split.reshape((n * heads,) + split.shape[2:])
+
+    def merged(g, axes):  # per-head gradient -> [N*L, inner]
+        return g.reshape((n, heads) + g.shape[1:]).transpose(np.argsort(axes)).reshape(n * L, inner)
+
+    q, k, v = per_head(tq, wq, qv_axes), per_head(tkv, wk, k_axes), per_head(tkv, wv, qv_axes)
+    scale_qk = 1.0 / math.sqrt(dh)
+    scores = (q @ k) * scale_qk
+    ex = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = ex / ex.sum(axis=-1, keepdims=True)
+    # The token mean commutes with the output projection, so pool first;
+    # row i then holds its H pooled heads side by side, as wo expects.
+    pooled = ((p @ v).sum(axis=1) * (1.0 / L)).reshape(n, inner)
 
     def vjp(g):
+        g_sum = (g @ wo.T).reshape(n * heads, dh) * (1.0 / L)
+        g_ctx = np.broadcast_to(g_sum[:, None, :], (n * heads, L, dh)).copy()
+        g_p = g_ctx @ v.swapaxes(1, 2)
+        g_scores = p * (g_p - (g_p * p).sum(axis=-1, keepdims=True)) * scale_qk
+        gq = merged(g_scores @ k.swapaxes(1, 2), qv_axes)
+        gk = merged(q.swapaxes(1, 2) @ g_scores, k_axes)
+        gv = merged(p.swapaxes(1, 2) @ g_ctx, qv_axes)
+        g_kv = gv @ wv.T
+        g_kv += gk @ wk.T
         return (
-            g @ keep_b.swapaxes(1, 2) if keep_b is not None else None,
-            keep_a.swapaxes(1, 2) @ g if keep_a is not None else None,
+            g_kv.reshape(x_shape), (gq @ wq.T).reshape(x_shape),
+            tq.T @ gq, tkv.T @ gk, tkv.T @ gv, pooled.T @ g,
         )
 
-    return _emit(tape, a.data @ b.data, (a, b), vjp)
+    return _emit(_tape_of(*parents), pooled @ wo, parents, vjp)
 
 
-def transpose(a, axes=None) -> Tensor:
-    """Permute the axes of a tensor as ``np.transpose`` does; by default,
-    swap the last two axes of a 2-D or 3-D tensor."""
+def transpose(a) -> Tensor:
+    """Swap the last two axes of a 2-D or 3-D tensor."""
     a = as_tensor(a)
-    ndim = a.data.ndim
-    if axes is None:
-        if ndim not in (2, 3):
-            raise ShapeError(f"transpose expects a 2-D or 3-D tensor, got {a.data.shape}")
-        axes = (*range(ndim - 2), ndim - 1, ndim - 2)
-    elif sorted(axes) != list(range(ndim)):
-        raise ShapeError(f"transpose axes {tuple(axes)} do not permute {a.data.shape}")
-    inverse = np.argsort(axes)
+    if a.data.ndim not in (2, 3):
+        raise ShapeError(f"transpose expects a 2-D or 3-D tensor, got {a.data.shape}")
 
     def vjp(g):
-        return (g.transpose(inverse),)
+        return (g.swapaxes(-1, -2),)
 
-    return _emit(a.tape, a.data.transpose(axes), (a,), vjp)
+    return _emit(a.tape, a.data.swapaxes(-1, -2), (a,), vjp)
 
 
 def reshape(a, shape) -> Tensor:
@@ -580,30 +605,10 @@ def sum_(a, axis=None) -> Tensor:
     return _emit(a.tape, out, (a,), vjp)
 
 
-def mean(a, axis=None) -> Tensor:
-    a = as_tensor(a)
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return scale(sum_(a, axis=axis), 1.0 / n)
-
-
-def softmax_rows(a) -> Tensor:
-    """Softmax over the last axis (the rows of a matrix), stabilized by
-    row-max subtraction."""
-    a = as_tensor(a)
-    x = a.data
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    s = e / e.sum(axis=-1, keepdims=True)
-
-    def vjp(g):
-        return (s * (g - (g * s).sum(axis=-1, keepdims=True)),)
-
-    return _emit(a.tape, s, (a,), vjp)
-
-
 def log_softmax_rows(a) -> Tensor:
     """Log of the softmax over the last axis: the input shifted by its row
     max, minus the log of the shifted row's sum of exponentials.  Finite at
-    any logit gap, where the log of ``softmax_rows`` underflows to -inf."""
+    any logit gap, where the log of the softmax underflows to -inf."""
     a = as_tensor(a)
     x = a.data
     shifted = x - x.max(axis=-1, keepdims=True)

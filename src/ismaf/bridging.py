@@ -4,9 +4,9 @@ consistency alignment, and mutual learning between the two branch classifiers.
 
 Attention operates on a token lift: each d-vector is reshaped into
 ``token_len`` tokens of d/token_len entries, attended, and mean-pooled back
-to d.  It takes a batch of rows at once and attends within each row only:
-every (row, head) pair is one entry of a batched matmul, so each softmax
-runs over one head's ``token_len`` tokens.  Of the ``TrainConfig`` values,
+to d.  It takes a batch of rows at once and attends within each row only,
+as one tape op (``autodiff.token_attention``) whose softmax runs over one
+(row, head) pair's ``token_len`` tokens.  Of the ``TrainConfig`` values,
 attention takes only the head count: the token and inner widths are read
 from the query projection, d from the output projection, and ``token_len``
 is d over the token width.
@@ -61,31 +61,13 @@ def attend(x_query, x_kv, wq, wk, wv, wo, heads: int) -> Tensor:
     [N, d]: per row, the token mean of the projected head outputs.
     """
     x_query, x_kv = ad.as_tensor(x_query), ad.as_tensor(x_kv)
-    (dt, inner), d = wq.shape, wo.shape[1]
+    d = wo.shape[1]
     if x_query.ndim != 2 or x_query.shape != x_kv.shape or x_query.shape[1] != d:
         raise ad.ShapeError(
             f"attention expects two matching [N, {d}] batches, "
             f"got {x_query.shape} and {x_kv.shape}"
         )
-    L, H, dh = d // dt, heads, inner // heads
-    n = x_query.shape[0]
-    tq = ad.reshape(x_query, (n * L, dt))
-    tkv = ad.reshape(x_kv, (n * L, dt))
-
-    def per_head(tokens, w, axes):
-        # [N*L, H*dh] -> [N, L, H, dh] -> (row, head) pairs as the batch axis.
-        split = ad.transpose(ad.reshape(ad.matmul(tokens, w), (n, L, H, dh)), axes)
-        return ad.reshape(split, (n * H,) + split.shape[2:])
-
-    q = per_head(tq, wq, (0, 2, 1, 3))  # [N*H, L, dh]
-    k = per_head(tkv, wk, (0, 2, 3, 1))  # [N*H, dh, L]
-    v = per_head(tkv, wv, (0, 2, 1, 3))  # [N*H, L, dh]
-    scores = ad.scale(ad.batched_matmul(q, k), 1.0 / math.sqrt(dh))
-    ctx = ad.batched_matmul(ad.softmax_rows(scores), v)
-    # The token mean commutes with the output projection, so pool first;
-    # row i then holds its H pooled heads side by side, as wo expects.
-    pooled = ad.reshape(ad.mean(ctx, axis=1), (n, inner))
-    return ad.matmul(pooled, wo)
+    return ad.token_attention(x_query, x_kv, wq, wk, wv, wo, heads)
 
 
 def self_attention(r_m, modality: str, params, heads: int) -> Tensor:

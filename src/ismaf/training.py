@@ -140,10 +140,10 @@ def train(config: TrainConfig, dataset: DatasetBundle) -> TrainResult:
     """
     if dataset.split is None:
         dataset = split_dataset(dataset, config.fractions, config.seed)
-    model = IsmafModel(config, dataset)
     train_ids = dataset.split_ids("train")
     if len(train_ids) < 2:
         raise ValueError(f"training split too small: {len(train_ids)} posts")
+    model = IsmafModel(config, dataset)
 
     optimizer = Adam(model.store)
     best_state = model.store.snapshot()

@@ -4,14 +4,16 @@ sharing no code with the package under test, except the plain versions of
 optimised paths (``text_cnn_per_offset``, ``token_weights_at``, ``social_graph_dense``,
 ``signed_gat_layer_plain`` and ``social_batch_full_graph`` with ``whole_graph_block``,
 ``attention_per_post``, ``is_att_per_post``,
-``attend_masked`` and the paths built on it, ``edge_aggregate_unfused``,
+``attend_masked`` and ``attend_chain`` with the paths built on them
+(``attention_with``, ``is_att_with``), ``edge_aggregate_unfused``,
 ``ce_clamped`` and ``ml_clamped`` (the losses from probabilities through
 clamped logs), and ``signed_softmax_chain``: ``abs_``, ``sub``, ``exp``,
 ``segment_sum``, ``gather_rows``, ``div`` and ``mul``, with a detached
 ``np.maximum.at`` shift and sign), which reuse the package's building blocks
 and differ from the optimised path only in what it skips or batches; the
 tape ops that left the package for them (``abs_``, ``div``, ``segment_sum``,
-``log_clamped``); and the plain
+``log_clamped``, ``batched_matmul``, ``transpose_axes``, ``softmax_rows`` and
+``mean``); and the plain
 ``ufunc.at`` scatters (``scatter_at``, the ``*_at`` ops built on it, and
 ``segment_max``); and ``grad_check_entries``, ``ad.grad_check`` with
 every entry reported."""
@@ -527,6 +529,63 @@ def social_batch_full_graph(model, params, rows):
     return ad.gather_rows(out, rows)
 
 
+def batched_matmul(a, b):
+    """Matrix product of matching 3-D stacks: [B, m, k] x [B, k, n] -> [B, m, n]."""
+    a, b = ad.as_tensor(a), ad.as_tensor(b)
+    if a.data.ndim != 3 or b.data.ndim != 3:
+        raise ad.ShapeError(
+            f"batched_matmul expects 3-D operands, got {a.data.shape} x {b.data.shape}"
+        )
+    if a.data.shape[0] != b.data.shape[0] or a.data.shape[2] != b.data.shape[1]:
+        raise ad.ShapeError(
+            f"batched_matmul batch or inner dimensions disagree: "
+            f"{a.data.shape} x {b.data.shape}"
+        )
+    keep_a = a.data if b.tape is not None else None
+    keep_b = b.data if a.tape is not None else None
+
+    def vjp(g):
+        return (
+            g @ keep_b.swapaxes(1, 2) if keep_b is not None else None,
+            keep_a.swapaxes(1, 2) @ g if keep_a is not None else None,
+        )
+
+    return ad._emit(ad._tape_of(a, b), a.data @ b.data, (a, b), vjp)
+
+
+def transpose_axes(a, axes):
+    """Permute the axes of a tensor as ``np.transpose`` does."""
+    a = ad.as_tensor(a)
+    if sorted(axes) != list(range(a.data.ndim)):
+        raise ad.ShapeError(f"transpose axes {tuple(axes)} do not permute {a.data.shape}")
+    inverse = np.argsort(axes)
+
+    def vjp(g):
+        return (g.transpose(inverse),)
+
+    return ad._emit(a.tape, a.data.transpose(axes), (a,), vjp)
+
+
+def softmax_rows(a):
+    """Softmax over the last axis (the rows of a matrix), stabilized by
+    row-max subtraction."""
+    a = ad.as_tensor(a)
+    x = a.data
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    s = e / e.sum(axis=-1, keepdims=True)
+
+    def vjp(g):
+        return (s * (g - (g * s).sum(axis=-1, keepdims=True)),)
+
+    return ad._emit(a.tape, s, (a,), vjp)
+
+
+def mean(a, axis=None):
+    a = ad.as_tensor(a)
+    n = a.data.size if axis is None else a.data.shape[axis]
+    return ad.scale(ad.sum_(a, axis=axis), 1.0 / n)
+
+
 def attention_per_post(params, r_t, r_v, heads):
     """What ``IsmafModel.forward`` computes with self- and co-attention, the
     plain way: one post at a time, each a [1, d] row, restacked into [N, d]
@@ -575,30 +634,59 @@ def attend_masked(x_query, x_kv, wq, wk, wv, wo, heads):
     q = ad.reshape(ad.matmul(tq, wq), (n, L * H, dh))
     k = ad.reshape(ad.matmul(tkv, wk), (n, L * H, dh))
     v = ad.reshape(ad.matmul(tkv, wv), (n, L * H, dh))
-    scores = ad.scale(ad.batched_matmul(q, ad.transpose(k)), 1.0 / math.sqrt(dh))
+    scores = ad.scale(batched_matmul(q, ad.transpose(k)), 1.0 / math.sqrt(dh))
     head = np.arange(L * H) % H
     mask = ad.Tensor(np.where(head[:, None] == head[None, :], 0.0, NEG_MASK))
-    attn = ad.softmax_rows(ad.reshape(ad.add(scores, mask), (n * L * H, L * H)))
-    ctx = ad.batched_matmul(ad.reshape(attn, (n, L * H, L * H)), v)
+    attn = softmax_rows(ad.reshape(ad.add(scores, mask), (n * L * H, L * H)))
+    ctx = batched_matmul(ad.reshape(attn, (n, L * H, L * H)), v)
     out_tokens = ad.matmul(ad.reshape(ctx, (n * L, inner)), wo)
-    return ad.mean(ad.reshape(out_tokens, (n, L, d)), axis=1)
+    return mean(ad.reshape(out_tokens, (n, L, d)), axis=1)
 
 
-def _attend_masked_named(params, x_query, x_kv, names, heads):
-    wq, wk, wv, wo = (params[f"attn.{name}"] for name in names)
-    return attend_masked(x_query, x_kv, wq, wk, wv, wo, heads)
+def attend_chain(x_query, x_kv, wq, wk, wv, wo, heads):
+    """What ``ad.token_attention`` computes, as the chain of tape ops it
+    replaces: the token lifts, per projection a matmul, reshape, transpose
+    and reshape into (row, head) pairs, the scores' batched matmul and
+    scale, the softmax, the context's batched matmul, the token mean and
+    the output projection."""
+    x_query, x_kv = ad.as_tensor(x_query), ad.as_tensor(x_kv)
+    (dt, inner), d = wq.shape, wo.shape[1]
+    L, H, dh = d // dt, heads, inner // heads
+    n = x_query.shape[0]
+    tq = ad.reshape(x_query, (n * L, dt))
+    tkv = ad.reshape(x_kv, (n * L, dt))
+
+    def per_head(tokens, w, axes):
+        # [N*L, H*dh] -> [N, L, H, dh] -> (row, head) pairs as the batch axis.
+        split = transpose_axes(ad.reshape(ad.matmul(tokens, w), (n, L, H, dh)), axes)
+        return ad.reshape(split, (n * H,) + split.shape[2:])
+
+    q = per_head(tq, wq, (0, 2, 1, 3))  # [N*H, L, dh]
+    k = per_head(tkv, wk, (0, 2, 3, 1))  # [N*H, dh, L]
+    v = per_head(tkv, wv, (0, 2, 1, 3))  # [N*H, L, dh]
+    scores = ad.scale(batched_matmul(q, k), 1.0 / math.sqrt(dh))
+    ctx = batched_matmul(softmax_rows(scores), v)
+    pooled = ad.reshape(mean(ctx, axis=1), (n, inner))
+    return ad.matmul(pooled, wo)
 
 
-def attention_masked(params, r_t, r_v, heads):
-    """``attention_per_post``'s outputs from one batched ``attend_masked``
-    call per attention.  Returns (z_t, z_v, z_tv, z_vt)."""
-    z_t = _attend_masked_named(params, r_t, r_t, ("T.wq", "T.wk", "T.wv", "T.wo"), heads)
-    z_v = _attend_masked_named(params, r_v, r_v, ("V.wq", "V.wk", "V.wv", "V.wo"), heads)
-    z_tv = _attend_masked_named(params, z_t, z_v, ("T.wq", "V.wk", "V.wv", "TV.wo"), heads)
-    z_vt = _attend_masked_named(params, z_v, z_t, ("V.wq", "T.wk", "T.wv", "VT.wo"), heads)
+def attention_with(attend_fn, params, r_t, r_v, heads):
+    """``attention_per_post``'s outputs from one batched call of
+    ``attend_fn`` (``attend_masked`` or ``attend_chain``) per attention.
+    Returns (z_t, z_v, z_tv, z_vt)."""
+
+    def att(x_query, x_kv, names):
+        wq, wk, wv, wo = (params[f"attn.{name}"] for name in names)
+        return attend_fn(x_query, x_kv, wq, wk, wv, wo, heads)
+
+    z_t = att(r_t, r_t, ("T.wq", "T.wk", "T.wv", "T.wo"))
+    z_v = att(r_v, r_v, ("V.wq", "V.wk", "V.wv", "V.wo"))
+    z_tv = att(z_t, z_v, ("T.wq", "V.wk", "V.wv", "TV.wo"))
+    z_vt = att(z_v, z_t, ("V.wq", "T.wk", "T.wv", "VT.wo"))
     return z_t, z_v, z_tv, z_vt
 
 
-def is_att_masked(z, r_g, params, heads):
-    """What ``fuse_alternate("is-att")`` computes, with ``attend_masked``."""
-    return _attend_masked_named(params, z, r_g, ("F.wq", "F.wk", "F.wv", "F.wo"), heads)
+def is_att_with(attend_fn, z, r_g, params, heads):
+    """What ``fuse_alternate("is-att")`` computes, with ``attend_fn``."""
+    wq, wk, wv, wo = (params[f"attn.F.{proj}"] for proj in ("wq", "wk", "wv", "wo"))
+    return attend_fn(z, r_g, wq, wk, wv, wo, heads)

@@ -50,7 +50,7 @@ class TestMatmul:
     def test_batched_against_triple_loop(self):
         rng = _rng(4)
         a, b = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 4, 2))
-        out = ad.batched_matmul(Tensor(a), Tensor(b))
+        out = oracles.batched_matmul(Tensor(a), Tensor(b))
         for i in range(2):
             assert np.abs(out.data[i] - oracles.matmul_triple_loop(a[i], b[i])).max() < 1e-12
 
@@ -58,7 +58,7 @@ class TestMatmul:
     def test_batched_shape_mismatch_names_both_shapes(self, b_shape):
         pattern = r"\(2, 3, 4\).*" + re.escape(str(b_shape))
         with pytest.raises(ShapeError, match=pattern):
-            ad.batched_matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros(b_shape)))
+            oracles.batched_matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros(b_shape)))
 
     @pytest.mark.parametrize("a_shape, b_shape", [((4,), (4, 3)), ((3, 4), (4,)), ((4,), (4,))])
     def test_vector_operand_rejected(self, a_shape, b_shape):
@@ -68,25 +68,25 @@ class TestMatmul:
 
 class TestSoftmaxRows:
     def test_uniform(self):
-        out = ad.softmax_rows(Tensor([[0.0, 0.0, 0.0]]))
+        out = oracles.softmax_rows(Tensor([[0.0, 0.0, 0.0]]))
         np.testing.assert_allclose(out.data, [[1 / 3, 1 / 3, 1 / 3]])
 
     def test_two_element_closed_form(self):
         c = 1.0
-        out = ad.softmax_rows(Tensor([[2.0, 2.0 + c]]))
+        out = oracles.softmax_rows(Tensor([[2.0, 2.0 + c]]))
         expected = [1 / (1 + np.e), np.e / (1 + np.e)]
         np.testing.assert_allclose(out.data[0], expected, atol=1e-12)
 
     def test_against_direct_formula(self):
         x = _rng(4).normal(size=(5, 7))
-        out = ad.softmax_rows(Tensor(x))
+        out = oracles.softmax_rows(Tensor(x))
         assert np.abs(out.data - oracles.softmax_direct(x)).max() < 1e-12
 
     def test_last_axis_of_any_rank(self):
         x = _rng(6).normal(size=(2, 3, 5))
-        out = ad.softmax_rows(Tensor(x))
+        out = oracles.softmax_rows(Tensor(x))
         assert np.abs(out.data - oracles.softmax_direct(x)).max() < 1e-12
-        np.testing.assert_array_equal(ad.softmax_rows(Tensor(x[0, 1])).data, out.data[0, 1])
+        np.testing.assert_array_equal(oracles.softmax_rows(Tensor(x[0, 1])).data, out.data[0, 1])
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -97,7 +97,7 @@ class TestSoftmaxRows:
         )
     )
     def test_rows_sum_to_one(self, x):
-        out = ad.softmax_rows(Tensor(x))
+        out = oracles.softmax_rows(Tensor(x))
         np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-9)
 
 
@@ -108,7 +108,7 @@ class TestLogSoftmaxRows:
         assert np.abs(out.data - np.log(oracles.softmax_direct(x))).max() < 1e-12
 
     def test_finite_at_a_gap_of_1000(self):
-        # exp(-1000) underflows to 0, so the log of softmax_rows reads -inf.
+        # exp(-1000) underflows to 0, so the log of the softmax reads -inf.
         out = ad.log_softmax_rows(Tensor([[0.0, 1000.0], [1000.0, 1000.0]]))
         np.testing.assert_array_equal(out.data, [[-1000.0, 0.0], [-np.log(2.0)] * 2])
 
@@ -167,7 +167,7 @@ class TestBackward:
         lambda t: ad.sub(t, Tensor(np.ones(4))),
         lambda t: oracles.div(Tensor(np.ones(4)), t),
         lambda t: ad.gather_rows(t, [0, 2, 2]),
-        ad.softmax_rows,
+        oracles.softmax_rows,
         lambda t: ad.group_max(t, 3),
     ], ids=["add", "sub", "div", "gather_rows", "softmax_rows", "group_max"])
     def test_record_does_not_hold_unread_input(self, op):
@@ -194,13 +194,18 @@ class TestBackward:
 class TestLayoutOps:
     def test_transpose_permutes_axes(self):
         x = _rng(5).normal(size=(2, 3, 4, 5))
-        out = ad.transpose(Tensor(x), (0, 2, 3, 1))
+        out = oracles.transpose_axes(Tensor(x), (0, 2, 3, 1))
         np.testing.assert_array_equal(out.data, np.transpose(x, (0, 2, 3, 1)))
 
     @pytest.mark.parametrize("axes", [(0, 1), (0, 2, 2, 1), (1, 2, 3, 4)])
     def test_transpose_rejects_non_permutation(self, axes):
         with pytest.raises(ShapeError, match=r"\(2, 3, 4, 5\)"):
-            ad.transpose(Tensor(np.zeros((2, 3, 4, 5))), axes)
+            oracles.transpose_axes(Tensor(np.zeros((2, 3, 4, 5))), axes)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3, 4, 5)])
+    def test_transpose_takes_matrices_and_stacks_only(self, shape):
+        with pytest.raises(ShapeError, match="2-D or 3-D"):
+            ad.transpose(Tensor(np.zeros(shape)))
 
     def test_concat_split_roundtrip_exact(self):
         rng = _rng(8)
@@ -564,7 +569,7 @@ class TestConstantOperands:
         "matmul": (ad.matmul, (5, 4), (4, 3)),
         "mul": (ad.mul, (3, 4), (3, 4)),
         "mul_broadcast": (ad.mul, (3, 4), (4,)),
-        "batched_matmul": (ad.batched_matmul, (2, 3, 4), (2, 4, 5)),
+        "batched_matmul": (oracles.batched_matmul, (2, 3, 4), (2, 4, 5)),
     }
 
     @staticmethod
@@ -608,7 +613,7 @@ class TestConstantOperands:
     # taped right operand and its gradient are a few KiB.
     @pytest.mark.parametrize("op, constant_shape, taped_shape", [
         (ad.matmul, (4096, 2048), (2048, 2)),
-        (ad.batched_matmul, (8, 512, 1024), (8, 1024, 2)),
+        (oracles.batched_matmul, (8, 512, 1024), (8, 1024, 2)),
     ], ids=["matmul", "batched_matmul"])
     def test_backward_computes_no_gradient_for_a_constant(self, op, constant_shape, taped_shape):
         constant = Tensor(np.ones(constant_shape))
@@ -648,18 +653,18 @@ _OP_CASES = {
     "exp": ({"a": (3, 3)}, lambda p: ad.exp(p["a"])),
     "log": ({"a": (3, 3)}, lambda p: ad.log(ad.add(ad.mul(p["a"], p["a"]), Tensor(np.full((3, 3), 0.3))))),
     "abs": ({"a": (4, 3)}, lambda p: oracles.abs_(p["a"])),
-    "softmax_rows": ({"a": (3, 5)}, lambda p: ad.softmax_rows(p["a"])),
-    "softmax_rows_3d": ({"a": (2, 3, 4)}, lambda p: ad.softmax_rows(p["a"])),
+    "softmax_rows": ({"a": (3, 5)}, lambda p: oracles.softmax_rows(p["a"])),
+    "softmax_rows_3d": ({"a": (2, 3, 4)}, lambda p: oracles.softmax_rows(p["a"])),
     "log_softmax_rows": ({"a": (3, 5)}, lambda p: ad.log_softmax_rows(p["a"])),
     "row_l2_normalize": ({"a": (3, 5)}, lambda p: ad.row_l2_normalize(p["a"])),
-    "mean_axis0": ({"a": (4, 3)}, lambda p: ad.mean(p["a"], axis=0)),
+    "mean_axis0": ({"a": (4, 3)}, lambda p: oracles.mean(p["a"], axis=0)),
     "sum_axis1": ({"a": (4, 3)}, lambda p: ad.sum_(p["a"], axis=1)),
     "transpose": ({"a": (3, 4)}, lambda p: ad.transpose(p["a"])),
     "transpose_3d": ({"a": (2, 3, 4)}, lambda p: ad.transpose(p["a"])),
-    "transpose_axes": ({"a": (2, 3, 4, 5)}, lambda p: ad.transpose(p["a"], (0, 2, 3, 1))),
+    "transpose_axes": ({"a": (2, 3, 4, 5)}, lambda p: oracles.transpose_axes(p["a"], (0, 2, 3, 1))),
     "batched_matmul": (
         {"a": (2, 3, 4), "b": (2, 4, 2)},
-        lambda p: ad.batched_matmul(p["a"], p["b"]),
+        lambda p: oracles.batched_matmul(p["a"], p["b"]),
     ),
     "reshape": ({"a": (3, 4)}, lambda p: ad.reshape(p["a"], (2, 6))),
     "concat": (
@@ -719,6 +724,31 @@ _HUB_CASES = {
 }
 
 
+# The hand-written vjp of token attention: one input as both queries and
+# keys/values (token_len 2, 2 heads), two inputs, and 4 heads over a token
+# width of 6 that they do not divide (inner width 8).
+_ATTENTION_CASES = {
+    "self": (
+        {"x": (3, 8), "wq": (4, 4), "wk": (4, 4), "wv": (4, 4), "wo": (4, 8)},
+        lambda p: ad.token_attention(p["x"], p["x"], p["wq"], p["wk"], p["wv"], p["wo"], 2),
+    ),
+    "co": (
+        {"x": (3, 8), "y": (3, 8), "wq": (4, 4), "wk": (4, 4), "wv": (4, 4), "wo": (4, 8)},
+        lambda p: ad.token_attention(p["x"], p["y"], p["wq"], p["wk"], p["wv"], p["wo"], 2),
+    ),
+    "uneven_heads": (
+        {"x": (3, 12), "y": (3, 12), "wq": (6, 8), "wk": (6, 8), "wv": (6, 8), "wo": (8, 12)},
+        lambda p: ad.token_attention(p["x"], p["y"], p["wq"], p["wk"], p["wv"], p["wo"], 4),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ATTENTION_CASES))
+@pytest.mark.parametrize("seed", range(5))
+def test_token_attention_grad_check(case, seed):
+    _assert_grad_check(*_ATTENTION_CASES[case], seed)
+
+
 @pytest.mark.parametrize("op_name", sorted(_OP_CASES))
 @pytest.mark.parametrize("seed", range(10))
 def test_op_grad_check(op_name, seed):
@@ -767,7 +797,7 @@ def test_grad_check_softmax_cross_entropy():
     onehot[np.arange(4), labels] = 1.0
 
     def loss(params):
-        probs = ad.softmax_rows(params["logits"])
+        probs = oracles.softmax_rows(params["logits"])
         return ad.scale(ad.sum_(ad.mul(Tensor(onehot), ad.log(probs))), -0.25)
 
     assert ad.grad_check(loss, store) < 1e-5
@@ -837,7 +867,7 @@ def test_forward_values_finite():
     rng = _rng(12)
     x = Tensor(rng.normal(size=(4, 6)))
     outs = [
-        ad.softmax_rows(x),
+        oracles.softmax_rows(x),
         ad.row_l2_normalize(x),
         ad.log(oracles.abs_(x)),
         ad.exp(x),

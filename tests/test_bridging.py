@@ -38,42 +38,42 @@ class TestSclLoss:
         feats = _rng(0).normal(size=(2, 6))
         with caplog.at_level(logging.WARNING, logger="ismaf.bridging"):
             out = scl_loss(feats, [0, 1], tau=0.5)
-        assert out.item() == 0.0
+        assert float(out.data) == 0.0
         assert any("no anchor has a positive" in rec.message for rec in caplog.records)
 
     def test_two_identical_samples_same_label_is_zero(self):
         row = _rng(1).normal(size=6)
         out = scl_loss(np.stack([row, row]), [1, 1], tau=0.5)
-        assert out.item() == pytest.approx(0.0, abs=1e-12)
+        assert float(out.data) == pytest.approx(0.0, abs=1e-12)
 
     def test_against_double_loop_oracle(self):
         feats = _rng(2).normal(size=(4, 9))
         labels = [0, 0, 1, 1]
         out = scl_loss(feats, labels, tau=0.5)
         expected = oracles.scl_double_loop(feats, labels, 0.5)
-        assert abs(out.item() - expected) < 1e-6
+        assert abs(float(out.data) - expected) < 1e-6
 
     def test_uneven_labels_against_oracle(self):
         feats = _rng(3).normal(size=(5, 7))
         labels = [0, 1, 1, 1, 0]
         for tau in (0.2, 0.5, 1.0):
             out = scl_loss(feats, labels, tau=tau)
-            assert abs(out.item() - oracles.scl_double_loop(feats, labels, tau)) < 1e-6
+            assert abs(float(out.data) - oracles.scl_double_loop(feats, labels, tau)) < 1e-6
 
     def test_anchor_without_positive_is_skipped_not_poisoning(self):
         feats = _rng(4).normal(size=(3, 5))
         labels = [0, 0, 1]  # the lone label-1 anchor contributes nothing
         out = scl_loss(feats, labels, tau=0.5)
-        assert abs(out.item() - oracles.scl_double_loop(feats, labels, 0.5)) < 1e-6
+        assert abs(float(out.data) - oracles.scl_double_loop(feats, labels, 0.5)) < 1e-6
 
     def test_permutation_invariance(self):
         rng = _rng(5)
         feats = rng.normal(size=(6, 8))
         labels = np.array([0, 1, 0, 1, 1, 0])
-        base = scl_loss(feats, labels, tau=0.5).item()
+        base = float(scl_loss(feats, labels, tau=0.5).data)
         for seed in range(3):
             perm = _rng(seed).permutation(6)
-            assert scl_loss(feats[perm], labels[perm], tau=0.5).item() == pytest.approx(
+            assert float(scl_loss(feats[perm], labels[perm], tau=0.5).data) == pytest.approx(
                 base, abs=1e-9
             )
 
@@ -223,13 +223,20 @@ _ATTENTION_PATHS = {
 }
 
 
-# case -> the same outputs from oracles.attend_masked, the [L*H, L*H]
-# masked softmax that the per-head batch replaced.
-_MASKED_PATHS = {
-    "self": lambda p, x, y, heads: oracles.attention_masked(p, x, y, heads)[:2],
-    "co": lambda p, x, y, heads: oracles.attention_masked(p, x, y, heads)[2:],
-    "is-att": lambda p, x, y, heads: (oracles.is_att_masked(x, y, p, heads),),
-}
+def _oracle_paths(attend_fn):
+    """case -> the same outputs with every attention through ``attend_fn``."""
+    return {
+        "self": lambda p, x, y, heads: oracles.attention_with(attend_fn, p, x, y, heads)[:2],
+        "co": lambda p, x, y, heads: oracles.attention_with(attend_fn, p, x, y, heads)[2:],
+        "is-att": lambda p, x, y, heads: (oracles.is_att_with(attend_fn, x, y, p, heads),),
+    }
+
+
+# oracles.attend_masked is the [L*H, L*H] masked softmax that the per-head
+# batch replaced; oracles.attend_chain the chain of tape ops that
+# ad.token_attention replaced.
+_MASKED_PATHS = _oracle_paths(oracles.attend_masked)
+_CHAIN_PATHS = _oracle_paths(oracles.attend_chain)
 
 
 def _enumerated(store, case, x, y, cfg):
@@ -267,14 +274,16 @@ def _attention_store(cfg):
 
 def _outputs_and_grads(store, path, x, y, heads):
     """Outputs of ``path`` and the gradients of a fixed random contraction
-    of them with respect to every parameter and both inputs."""
+    of them with respect to every parameter and both inputs.  The inputs
+    also feed a later term of the loss, as r_t feeds SCL in the model, so
+    their gradients are already partly summed when attention's arrive."""
     tape = Tape()
     params = store.watch(tape)
     tx, ty = tape.watch(x), tape.watch(y)
     outs = path(params, tx, ty, heads)
     probe = _rng(43)
     loss = ad.sum_(ad.concat(
-        [ad.mul(o, Tensor(probe.normal(size=o.shape))) for o in outs], axis=1
+        [ad.mul(o, Tensor(probe.normal(size=o.shape))) for o in outs + (tx, ty)], axis=1
     ))
     tape.backward(loss)
     grads = {name: tape.grad(t) for name, t in params.items()}
@@ -290,25 +299,35 @@ class TestBatchedAttention:
     replaced, and each row against the per-head enumeration oracle."""
 
     @staticmethod
-    def _assert_match(case, shape, n, plain):
+    def _assert_match(case, shape, n, plain, bitwise=False):
         cfg = _BATCH_CONFIGS[shape]
         store = _attention_store(cfg)
         x, y = _batch(n, cfg.d, 41), _batch(n, cfg.d, 42)
         batched, _ = _ATTENTION_PATHS[case]
         outs, grads = _outputs_and_grads(store, batched, x, y, cfg.heads)
         want_outs, want_grads = _outputs_and_grads(store, plain, x, y, cfg.heads)
+
+        def same(got, want, name=""):
+            if bitwise:
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+            else:
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
+
         for out, want in zip(outs, want_outs, strict=True):
             assert out.shape == x.shape
-            np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
+            same(out, want)
         assert grads.keys() == want_grads.keys()
         for name, g in grads.items():
-            np.testing.assert_allclose(g, want_grads[name], rtol=0, atol=1e-12, err_msg=name)
+            same(g, want_grads[name], name)
 
     def test_rows_and_gradients_match_per_post_loop(self, case, shape, n):
         self._assert_match(case, shape, n, _ATTENTION_PATHS[case][1])
 
     def test_rows_and_gradients_match_masked_attend(self, case, shape, n):
         self._assert_match(case, shape, n, _MASKED_PATHS[case])
+
+    def test_rows_and_gradients_equal_the_chain_bitwise(self, case, shape, n):
+        self._assert_match(case, shape, n, _CHAIN_PATHS[case], bitwise=True)
 
     def test_rows_match_enumeration_oracle(self, case, shape, n):
         cfg = _BATCH_CONFIGS[shape]
@@ -323,21 +342,32 @@ class TestBatchedAttention:
 
 
 @pytest.mark.parametrize("shape", sorted(_BATCH_CONFIGS))
-def test_attention_softmax_runs_over_one_heads_tokens(monkeypatch, shape):
+def test_attention_softmax_runs_over_one_heads_tokens(shape):
+    # Row 0 of wv is zero, so adding a to entry 0 of every token of a row
+    # moves each of its keys by a * wk[0] and leaves its values alone: each
+    # query's scores over the row's tokens move by one constant per head.
+    # A softmax over one head's tokens cancels that; one across heads, rows
+    # or queries would not, and moving one token's key changes the output.
     cfg = _BATCH_CONFIGS[shape]
-    store = _attention_store(cfg)
-    widths = []
-    softmax_rows = ad.softmax_rows
-
-    def recording_softmax(a):
-        widths.append(a.shape[-1])
-        return softmax_rows(a)
-
-    monkeypatch.setattr(ad, "softmax_rows", recording_softmax)
+    wq, wk, wv, wo = (
+        _attention_store(cfg).value(f"attn.T.{proj}") for proj in ("wq", "wk", "wv", "wo")
+    )
+    wv = wv.copy()
+    wv[0] = 0.0
     x, y = _batch(5, cfg.d, 44), _batch(5, cfg.d, 45)
-    for batched, _ in _ATTENTION_PATHS.values():
-        batched(store.constants(), Tensor(x), Tensor(y), cfg.heads)
-    assert widths and set(widths) == {cfg.token_len}
+
+    def attend_shifted(shift):  # [5, token_len], added to entry 0 of y's tokens
+        tokens = y.reshape(5, cfg.token_len, -1).copy()
+        tokens[:, :, 0] += shift
+        kv = Tensor(tokens.reshape(y.shape))
+        return ad.token_attention(Tensor(x), kv, wq, wk, wv, wo, cfg.heads).data
+
+    base = attend_shifted(np.zeros((5, cfg.token_len)))
+    per_row = np.repeat(_rng(47).normal(size=(5, 1)) * 3, cfg.token_len, axis=1)
+    np.testing.assert_allclose(attend_shifted(per_row), base, rtol=0, atol=1e-10)
+    one_token = np.zeros_like(per_row)
+    one_token[:, 0] = per_row[:, 0]
+    assert np.abs(attend_shifted(one_token) - base).max() > 1e-3
 
 
 def test_attention_rejects_mismatched_batches():
@@ -360,9 +390,8 @@ def test_attention_rejects_a_single_vector(path):
 
 
 def test_attend_tape_records(monkeypatch):
-    # Two token lifts; per projection matmul, reshape, transpose, reshape;
-    # scores batched_matmul and scale, softmax, context batched_matmul; the
-    # token mean (sum, scale), the pooled reshape and the output matmul.
+    # The whole attention is one token_attention record: its vjp writes out
+    # the backward of the 22-record chain (oracles.attend_chain).
     cfg = TrainConfig(d=12, heads=2, token_len=6)
     tape = Tape()
     params = _attention_store(cfg).watch(tape)
@@ -377,7 +406,7 @@ def test_attend_tape_records(monkeypatch):
     monkeypatch.setattr(ad.Tape, "emit", counting_emit)
     out = self_attention(x, "T", params, cfg.heads)
     assert out.shape == (5, cfg.d)
-    assert len(emitted) == 22
+    assert len(emitted) == 1
 
 
 class TestIntrinsicRep:
@@ -404,7 +433,7 @@ class TestCmcaLoss:
     def test_single_pair_collapses_to_zero(self):
         rng = _rng(16)
         out = cmca_loss(rng.normal(size=(1, 5)), rng.normal(size=(1, 5)), tau=0.5)
-        assert abs(out.item()) < 1e-12
+        assert abs(float(out.data)) < 1e-12
 
     def test_two_orthogonal_pairs_frozen_value(self):
         # All four vectors mutually orthogonal: every similarity is 0, so at
@@ -413,23 +442,23 @@ class TestCmcaLoss:
         z = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]])
         r = np.array([[0, 0, 1.0, 0], [0, 0, 0, 1.0]])
         out = cmca_loss(z, r, tau=1.0)
-        assert out.item() == pytest.approx(math.log(3.0), abs=1e-9)
-        assert out.item() == pytest.approx(oracles.cmca_double_loop(z, r, 1.0), abs=1e-9)
+        assert float(out.data) == pytest.approx(math.log(3.0), abs=1e-9)
+        assert float(out.data) == pytest.approx(oracles.cmca_double_loop(z, r, 1.0), abs=1e-9)
 
     def test_against_double_loop_oracle(self):
         rng = _rng(17)
         z, r = rng.normal(size=(4, 6)), rng.normal(size=(4, 6))
         for tau in (0.3, 0.5, 1.0):
             out = cmca_loss(z, r, tau=tau)
-            assert abs(out.item() - oracles.cmca_double_loop(z, r, tau)) < 1e-6
+            assert abs(float(out.data) - oracles.cmca_double_loop(z, r, tau)) < 1e-6
 
     def test_permutation_invariance(self):
         rng = _rng(18)
         z, r = rng.normal(size=(5, 6)), rng.normal(size=(5, 6))
-        base = cmca_loss(z, r, tau=0.5).item()
+        base = float(cmca_loss(z, r, tau=0.5).data)
         for seed in range(3):
             perm = _rng(seed).permutation(5)
-            assert cmca_loss(z[perm], r[perm], tau=0.5).item() == pytest.approx(
+            assert float(cmca_loss(z[perm], r[perm], tau=0.5).data) == pytest.approx(
                 base, abs=1e-9
             )
 
@@ -442,7 +471,7 @@ class TestCmcaLoss:
             r = np.array(
                 [[math.sin(angle), 0, math.cos(angle), 0], [0, 0, 0, 1.0]]
             )
-            losses.append(cmca_loss(z, r, tau=0.5).item())
+            losses.append(float(cmca_loss(z, r, tau=0.5).data))
         assert losses[0] > losses[1] > losses[2]
 
     def test_empty_batch_rejected(self):
@@ -548,7 +577,7 @@ def _normalized(raw):
 
 def _ml(p, q):
     """Mutual-learning loss of two probability batches, fed as logs."""
-    return mutual_learning_loss(Tensor(np.log(p)), Tensor(np.log(q))).item()
+    return float(mutual_learning_loss(Tensor(np.log(p)), Tensor(np.log(q))).data)
 
 
 class TestMutualLearningLoss:
@@ -642,13 +671,13 @@ class TestMutualLearningLoss:
         results = []
         for fn in (
             lambda x, y: mutual_learning_loss(ad.log_softmax_rows(x), ad.log_softmax_rows(y)),
-            lambda x, y: oracles.ml_clamped(ad.softmax_rows(x), ad.softmax_rows(y)),
+            lambda x, y: oracles.ml_clamped(oracles.softmax_rows(x), oracles.softmax_rows(y)),
         ):
             tape = Tape()
             x, y = (tape.watch(v) for v in logits)
             loss = fn(x, y)
             tape.backward(loss)
-            results.append((loss.item(), np.concatenate([tape.grad(x), tape.grad(y)])))
+            results.append((float(loss.data), np.concatenate([tape.grad(x), tape.grad(y)])))
         (value, grad), (want_value, want_grad) = results
         assert abs(value - want_value) <= 1e-12 * abs(want_value)
         assert np.abs(grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()

@@ -141,6 +141,17 @@ class TestTrainLoop:
         result = train(cfg, tiny_data)
         assert not result.model.store.value("text.embed")[0].any()
 
+    def test_tiny_training_split_fails_before_the_graph_is_built(self, tiny_data):
+        first = tiny_data.posts[0].id
+        one = dataclasses.replace(
+            tiny_data, split={p.id: "train" if p.id == first else "test" for p in tiny_data.posts}
+        )
+        unbuilt = mock.patch.object(
+            encoders, "build_social_graph", side_effect=AssertionError("graph built")
+        )
+        with unbuilt, pytest.raises(ValueError, match="training split too small: 1 posts"):
+            train(_tiny_config(), one)
+
 
 class TestAdam:
     def test_single_step_matches_hand_computation(self):
