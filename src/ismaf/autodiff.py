@@ -325,16 +325,52 @@ def token_attention(x_query, x_kv, wq, wk, wv, wo, heads: int) -> Tensor:
     return _emit(_tape_of(*parents), pooled @ wo, parents, vjp)
 
 
-def transpose(a) -> Tensor:
-    """Swap the last two axes of a 2-D or 3-D tensor."""
-    a = as_tensor(a)
-    if a.data.ndim not in (2, 3):
-        raise ShapeError(f"transpose expects a 2-D or 3-D tensor, got {a.data.shape}")
+def conv_max_pool(emb, inv, w, b) -> Tensor:
+    """One kernel size of the text CNN: relu of the bias plus each token
+    row's max over its windows, [N, f].  ``emb`` is the [U, d] embeddings of
+    a batch's distinct tokens, the int array ``inv`` its [N, seq_len] token
+    rows as rows of ``emb``, and ``w`` [k*d, f], block j for window offset j;
+    the pool keeps each row's first maximal window.  Bitwise the chain of
+    tape ops it replaces: the forward makes the chain's numpy calls on the
+    same layouts, the vjp its backward."""
+    parents = tuple(as_tensor(t) for t in (emb, w, b))
+    e, wd, bias = (t.data for t in parents)
+    (u, d), f = e.shape, wd.shape[1]
+    k = wd.shape[0] // d
+    n, n_windows = inv.shape[0], inv.shape[1] - k + 1
+    # [k*f, d], row j*f + c is column c of block j, so row u*k + j of proj
+    # is distinct token u times block j.
+    blocks = wd.reshape(k, d, f).swapaxes(-1, -2).reshape(k * f, d)
+    proj = (e @ blocks.swapaxes(-1, -2)).reshape(u * k, f)
+    # Offset j of every window, for j = 0..k-1: [k, n, n_windows] rows of proj.
+    ids = np.stack([inv[:, j:j + n_windows] * k + j for j in range(k)]).reshape(-1)
+    windows = proj[ids].reshape(k, n * n_windows, f).sum(axis=0).reshape(n, n_windows, f)
+    first = windows.argmax(axis=1)[:, None, :]  # [n, 1, f]
+    pre = np.take_along_axis(windows, first, axis=1)[:, 0] + bias
+    mask = pre > 0
 
     def vjp(g):
-        return (g.swapaxes(-1, -2),)
+        g = g * mask
+        g_windows = np.zeros((n, n_windows, f))
+        np.put_along_axis(g_windows, first, g[:, None, :], axis=1)
+        g_proj = np.zeros((u, k * f))  # row u*k + j of its [U*k, f] view: token u, block j
+        _scatter(g_proj.reshape(u * k, f), ids, np.tile(g_windows.reshape(-1, f), (k, 1)))
+        g_w = (e.T @ g_proj).reshape(d, k, f).swapaxes(0, 1).reshape(k * d, f)
+        return g_proj @ blocks, g_w, g.sum(axis=0)
 
-    return _emit(a.tape, a.data.swapaxes(-1, -2), (a,), vjp)
+    return _emit(_tape_of(*parents), np.where(mask, pre, 0.0), parents, vjp)
+
+
+def transpose(a) -> Tensor:
+    """Swap the two axes of a matrix."""
+    a = as_tensor(a)
+    if a.data.ndim != 2:
+        raise ShapeError(f"transpose expects a 2-D tensor, got {a.data.shape}")
+
+    def vjp(g):
+        return (g.T,)
+
+    return _emit(a.tape, a.data.T, (a,), vjp)
 
 
 def reshape(a, shape) -> Tensor:
@@ -511,29 +547,6 @@ def signed_segment_softmax(e, dst, n_out: int) -> Tensor:
         return ((gq / bsafe + g_denom[seg]) * ex * sign,)
 
     return _emit(e.tape, ex / bsafe * sign, (e,), vjp)
-
-
-def group_max(a, n_groups: int) -> Tensor:
-    """Max over each of ``n_groups`` runs of equally many consecutive rows,
-    [n_groups*m, f] -> [n_groups, f]; the gradient flows to the first
-    attaining row of each group and column."""
-    a = as_tensor(a)
-    x = a.data
-    if x.ndim != 2 or n_groups < 1 or x.shape[0] == 0 or x.shape[0] % n_groups:
-        raise ShapeError(
-            f"group_max needs 2-D rows in {n_groups} equal non-empty groups, got {x.shape}"
-        )
-    groups = x.reshape(n_groups, -1, x.shape[1])
-    first = groups.argmax(axis=1)[:, None, :]  # [n_groups, 1, f]
-    out = np.take_along_axis(groups, first, axis=1)[:, 0]
-    shape, group_shape = x.shape, groups.shape
-
-    def vjp(g):
-        buf = np.zeros(group_shape)
-        np.put_along_axis(buf, first, g[:, None, :], axis=1)
-        return (buf.reshape(shape),)
-
-    return _emit(a.tape, out, (a,), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -140,9 +140,9 @@ def _contrastive(features: Tensor, labels: np.ndarray, tau: float) -> Tensor:
 
     f = ad.row_l2_normalize(features)
     sim = ad.scale(ad.matmul(f, ad.transpose(f)), 1.0 / tau)
-    # Row-max over the off-diagonal is a constant shift; exact for the ratio.
+    # Shift by the off-diagonal row max, exact for the ratio; a diagonal of 0 cannot overflow exp.
     shift = np.where(offdiag, sim.data, -np.inf).max(axis=1, keepdims=True)
-    shifted = ad.sub(sim, Tensor(shift))
+    shifted = ad.sub(sim, Tensor(np.where(offdiag, shift, sim.data)))
     expvals = ad.mul(ad.exp(shifted), Tensor(offdiag.astype(float)))
     # [n], each >= 1: a row's largest off-diagonal term is exp(0).
     log_denom = ad.log(ad.sum_(expvals, axis=1))

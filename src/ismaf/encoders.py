@@ -53,21 +53,18 @@ def encode_text_batch(tokens, params, kernel_sizes) -> Tensor:
     The vocabulary and d are the shape of ``text.embed``, each kernel
     size's filter count is the width of its ``text.conv{k}.w``, and
     ``seq_len`` is the batch's width, at least the largest kernel size.
-    Per kernel size k, with the [k*d, f] conv weight split into k blocks of
-    d rows: each distinct token of the batch is embedded and multiplied by
-    every block once, a window's pre-activation is the sum of its k tokens'
-    products with their blocks, and each post's windows are max-pooled; the
-    bias and relu come after the pool, which gives the same values, since
-    both are monotone.  The pooled maps are concatenated across kernel sizes.
+    Per kernel size k, ``ad.conv_max_pool`` convolves the batch's distinct
+    tokens with the [k*d, f] conv weight and max-pools each post's windows;
+    the pooled maps are concatenated across kernel sizes.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.ndim != 2:
         raise ShapeError(f"token batch must be [N, seq_len], got {tokens.shape}")
     if tokens.size == 0:
         raise ValueError("empty token sequence")
-    n, seq_len = tokens.shape
+    seq_len = tokens.shape[1]
     embed = params["text.embed"]
-    vocab_size, d = embed.shape
+    vocab_size = embed.shape[0]
     if tokens.min() < 0 or tokens.max() >= vocab_size:
         raise ValueError(
             f"token id out of vocabulary range [0, {vocab_size}): "
@@ -81,20 +78,10 @@ def encode_text_batch(tokens, params, kernel_sizes) -> Tensor:
     vocab, inv = np.unique(tokens, return_inverse=True)
     inv = inv.reshape(tokens.shape)  # flat on numpy 1.x, shaped on 2.x
     emb = ad.gather_rows(embed, vocab)  # [U, d]
-    pooled = []
-    for k in kernel_sizes:
-        w = params[f"text.conv{k}.w"]
-        f = w.shape[1]
-        # [d, k*f], column j*f + c is column c of weight block j, so row
-        # u*k + j of proj is distinct token u times block j.
-        blocks = ad.transpose(ad.reshape(ad.transpose(ad.reshape(w, (k, d, f))), (k * f, d)))
-        proj = ad.reshape(ad.matmul(emb, blocks), (vocab.size * k, f))
-        n_windows = seq_len - k + 1
-        # Offset j of every window, for j = 0..k-1: [k, n, n_windows] rows of proj.
-        ids = np.stack([inv[:, j:j + n_windows] * k + j for j in range(k)])
-        terms = ad.reshape(ad.gather_rows(proj, ids.reshape(-1)), (k, n * n_windows, f))
-        pre = ad.group_max(ad.sum_(terms, axis=0), n)
-        pooled.append(ad.relu(ad.add(pre, params[f"text.conv{k}.b"])))
+    pooled = [
+        ad.conv_max_pool(emb, inv, params[f"text.conv{k}.w"], params[f"text.conv{k}.b"])
+        for k in kernel_sizes
+    ]
     return ad.concat(pooled, axis=1)
 
 

@@ -1,7 +1,8 @@
 """Independent brute-force reference implementations used to freeze expected
 values.  Everything here is deliberately scalar-loop / direct-formula numpy,
 sharing no code with the package under test, except the plain versions of
-optimised paths (``text_cnn_per_offset``, ``token_weights_at``, ``social_graph_dense``,
+optimised paths (``text_cnn_per_offset``, ``text_cnn_chain``,
+``token_weights_at``, ``social_graph_dense``,
 ``signed_gat_layer_plain`` and ``social_batch_full_graph`` with ``whole_graph_block``,
 ``attention_per_post``, ``is_att_per_post``,
 ``attend_masked`` and ``attend_chain`` with the paths built on them
@@ -12,8 +13,8 @@ clamped logs), and ``signed_softmax_chain``: ``abs_``, ``sub``, ``exp``,
 ``np.maximum.at`` shift and sign), which reuse the package's building blocks
 and differ from the optimised path only in what it skips or batches; the
 tape ops that left the package for them (``abs_``, ``div``, ``segment_sum``,
-``log_clamped``, ``batched_matmul``, ``transpose_axes``, ``softmax_rows`` and
-``mean``); and the plain
+``log_clamped``, ``batched_matmul``, ``transpose_axes``, ``softmax_rows``,
+``mean`` and ``group_max``); and the plain
 ``ufunc.at`` scatters (``scatter_at``, the ``*_at`` ops built on it, and
 ``segment_max``); and ``grad_check_entries``, ``ad.grad_check`` with
 every entry reported."""
@@ -101,6 +102,58 @@ def text_cnn_per_offset(tokens, params, kernel_sizes):
         valid = starts[(starts % seq_len) <= seq_len - k]
         pooled.append(segment_max(ad.gather_rows(acts, valid), valid // seq_len, n))
     return ad.concat(pooled, axis=1)
+
+
+def text_cnn_chain(tokens, params, kernel_sizes):
+    """What ``ad.conv_max_pool`` computes per kernel size in
+    ``encode_text_batch``, as the chain of tape ops it replaces: per kernel
+    size four weight layout ops, the distinct tokens' matmul with the weight
+    blocks, reshape, the offset-major window gather, reshape, the sum over
+    offsets, ``group_max``, the bias add and relu."""
+    tokens = np.asarray(tokens, dtype=np.int64)
+    n, seq_len = tokens.shape
+    vocab, inv = np.unique(tokens, return_inverse=True)
+    inv = inv.reshape(tokens.shape)
+    d = params["text.embed"].shape[1]
+    emb = ad.gather_rows(params["text.embed"], vocab)  # [U, d]
+    pooled = []
+    for k in kernel_sizes:
+        w = params[f"text.conv{k}.w"]
+        f = w.shape[1]
+        # [d, k*f], column j*f + c is column c of weight block j, so row
+        # u*k + j of proj is distinct token u times block j.
+        blocks = ad.transpose(ad.reshape(transpose_axes(ad.reshape(w, (k, d, f)), (0, 2, 1)), (k * f, d)))
+        proj = ad.reshape(ad.matmul(emb, blocks), (vocab.size * k, f))
+        n_windows = seq_len - k + 1
+        # Offset j of every window, for j = 0..k-1: [k, n, n_windows] rows of proj.
+        ids = np.stack([inv[:, j:j + n_windows] * k + j for j in range(k)])
+        terms = ad.reshape(ad.gather_rows(proj, ids.reshape(-1)), (k, n * n_windows, f))
+        pre = group_max(ad.sum_(terms, axis=0), n)
+        pooled.append(ad.relu(ad.add(pre, params[f"text.conv{k}.b"])))
+    return ad.concat(pooled, axis=1)
+
+
+def group_max(a, n_groups):
+    """Max over each of ``n_groups`` runs of equally many consecutive rows,
+    [n_groups*m, f] -> [n_groups, f]; the gradient flows to the first
+    attaining row of each group and column."""
+    a = ad.as_tensor(a)
+    x = a.data
+    if x.ndim != 2 or n_groups < 1 or x.shape[0] == 0 or x.shape[0] % n_groups:
+        raise ad.ShapeError(
+            f"group_max needs 2-D rows in {n_groups} equal non-empty groups, got {x.shape}"
+        )
+    groups = x.reshape(n_groups, -1, x.shape[1])
+    first = groups.argmax(axis=1)[:, None, :]  # [n_groups, 1, f]
+    out = np.take_along_axis(groups, first, axis=1)[:, 0]
+    shape, group_shape = x.shape, groups.shape
+
+    def vjp(g):
+        buf = np.zeros(group_shape)
+        np.put_along_axis(buf, first, g[:, None, :], axis=1)
+        return (buf.reshape(shape),)
+
+    return ad._emit(a.tape, out, (a,), vjp)
 
 
 def attention_enumerated(x_q, x_kv, wq, wk, wv, wo, token_len, heads):
@@ -634,7 +687,7 @@ def attend_masked(x_query, x_kv, wq, wk, wv, wo, heads):
     q = ad.reshape(ad.matmul(tq, wq), (n, L * H, dh))
     k = ad.reshape(ad.matmul(tkv, wk), (n, L * H, dh))
     v = ad.reshape(ad.matmul(tkv, wv), (n, L * H, dh))
-    scores = ad.scale(batched_matmul(q, ad.transpose(k)), 1.0 / math.sqrt(dh))
+    scores = ad.scale(batched_matmul(q, transpose_axes(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
     head = np.arange(L * H) % H
     mask = ad.Tensor(np.where(head[:, None] == head[None, :], 0.0, NEG_MASK))
     attn = softmax_rows(ad.reshape(ad.add(scores, mask), (n * L * H, L * H)))

@@ -514,6 +514,22 @@ class TestCmcaLoss:
         assert len(emitted) == 15
 
 
+# A row's diagonal similarity is 1/tau, up to 2/tau above its off-diagonal
+# max; at tau = 1e-3 its exp overflows, and an overflow masked by a 0 is a
+# NaN loss and NaN gradients.
+@pytest.mark.parametrize("loss", [
+    lambda x: scl_loss(x, np.array([0, 1, 0, 1, 0, 1]), 1e-3),
+    lambda x: cmca_loss(ad.gather_rows(x, [0, 1, 2]), ad.gather_rows(x, [3, 4, 5]), 1e-3),
+], ids=["scl", "cmca"])
+def test_contrastive_finite_at_small_temperature(loss):
+    tape = Tape()
+    x = tape.watch(_rng(22).normal(size=(6, 32)))
+    out = loss(x)
+    tape.backward(out)
+    assert np.isfinite(out.data)
+    assert np.isfinite(tape.grad(x)).all()
+
+
 # ---------------------------------------------------------------------------
 # mutual learning
 

@@ -51,6 +51,36 @@ def _text_setup(seed=0, d=6, vocab=12, kernels=(2, 3)):
     return store
 
 
+# Posts of 8, 5, 2, 1 and 0 real tokens over 12 tokens: every post pads
+# differently.  Then 40 posts of 30 or 25 real tokens over 20,000 tokens:
+# nearly every token occurs once.
+_TEXT_CNN_CASES = pytest.mark.parametrize("kernels, vocab, lengths", [
+    ((1,), 13, [8, 5, 2, 1, 0]),
+    ((2, 3), 13, [8, 5, 2, 1, 0]),
+    ((3, 4, 5), 13, [8, 5, 2, 1, 0]),
+    ((2, 8), 13, [8, 5, 2, 1, 0]),
+    ((3, 4, 5), 20_000, [30, 25] * 20),
+], ids=["kernels0", "kernels1", "kernels2", "kernels3", "vocab20000"])
+
+
+def _text_cnn_run(encode, kernels, vocab, lengths, on_tape=True):
+    """Rows of ``encode`` on one of the cases above, d = 7, and, on the
+    tape, every parameter's gradient of their dot product with a probe."""
+    seq_len = max(lengths)
+    store = _text_setup(seed=11, d=7, vocab=vocab, kernels=kernels)
+    rng = _rng(12)
+    tokens = rng.integers(1, vocab, size=(len(lengths), seq_len))
+    tokens[np.arange(seq_len) >= np.array(lengths)[:, None]] = 0
+    if not on_tape:
+        return encode(tokens, store.constants(), kernels).data, {}
+    probe = Tensor(rng.normal(size=(len(lengths), 7)))
+    tape = ad.Tape()
+    params = store.watch(tape)
+    out = encode(tokens, params, kernels)
+    tape.backward(ad.sum_(ad.mul(out, probe)))
+    return out.data, {name: tape.grad(t) for name, t in params.items()}
+
+
 class TestEncodeText:
     def test_zero_embeddings_zero_bias_gives_zero(self):
         store = _text_setup()
@@ -126,42 +156,33 @@ class TestEncodeText:
         assert sum(filters) == 32
         assert max(filters) - min(filters) <= 1
 
-    # Posts of 8, 5, 2, 1 and 0 real tokens over 12 tokens: every post pads
-    # differently.  Then 40 posts of 30 or 25 real tokens over 20,000 tokens:
-    # nearly every token occurs once.
-    @pytest.mark.parametrize("kernels, vocab, lengths", [
-        ((1,), 13, [8, 5, 2, 1, 0]),
-        ((2, 3), 13, [8, 5, 2, 1, 0]),
-        ((3, 4, 5), 13, [8, 5, 2, 1, 0]),
-        ((2, 8), 13, [8, 5, 2, 1, 0]),
-        ((3, 4, 5), 20_000, [30, 25] * 20),
-    ], ids=["kernels0", "kernels1", "kernels2", "kernels3", "vocab20000"])
+    @_TEXT_CNN_CASES
     def test_matches_per_offset_oracle(self, kernels, vocab, lengths):
-        seq_len = max(lengths)
-        store = _text_setup(seed=11, d=7, vocab=vocab, kernels=kernels)
-        rng = _rng(12)
-        tokens = rng.integers(1, vocab, size=(len(lengths), seq_len))
-        tokens[np.arange(seq_len) >= np.array(lengths)[:, None]] = 0
-        probe = Tensor(rng.normal(size=(len(lengths), 7)))
-
-        def run(encode):
-            tape = ad.Tape()
-            params = store.watch(tape)
-            out = encode(tokens, params, kernels)
-            tape.backward(ad.sum_(ad.mul(out, probe)))
-            return out.data, {name: tape.grad(t) for name, t in params.items()}
-
-        got, got_grads = run(encode_text_batch)
-        want, want_grads = run(oracles.text_cnn_per_offset)
+        got, got_grads = _text_cnn_run(encode_text_batch, kernels, vocab, lengths)
+        want, want_grads = _text_cnn_run(oracles.text_cnn_per_offset, kernels, vocab, lengths)
         assert np.abs(got - want).max() <= 1e-12
         for name in want_grads:  # text.embed and every text.conv{k}.w/b
             assert np.abs(got_grads[name] - want_grads[name]).max() <= 1e-12, name
 
+    # The op replaced this chain of tape ops; its forward and vjp make the
+    # chain's numpy calls, so rows and gradients agree to the bit, on the
+    # tape and on constant parameters (the evaluate path).
+    @_TEXT_CNN_CASES
+    def test_bitwise_the_chain_oracle(self, kernels, vocab, lengths):
+        got, got_grads = _text_cnn_run(encode_text_batch, kernels, vocab, lengths)
+        want, want_grads = _text_cnn_run(oracles.text_cnn_chain, kernels, vocab, lengths)
+        assert got.tobytes() == want.tobytes()
+        for name in want_grads:
+            assert got_grads[name].shape == want_grads[name].shape, name
+            assert got_grads[name].tobytes() == want_grads[name].tobytes(), name
+        const, _ = _text_cnn_run(encode_text_batch, kernels, vocab, lengths, on_tape=False)
+        const_chain, _ = _text_cnn_run(oracles.text_cnn_chain, kernels, vocab, lengths, on_tape=False)
+        assert const.tobytes() == const_chain.tobytes() == got.tobytes()
+
     @pytest.mark.parametrize("kernels", [(1,), (2, 3), (3, 4, 5)])
     def test_tape_records_per_kernel(self, monkeypatch, kernels):
-        # One gather of the distinct tokens; per kernel size four weight
-        # layout ops, matmul, reshape, gather, reshape, sum, group_max, add,
-        # relu; then one concat.
+        # One gather of the distinct tokens, one conv_max_pool per kernel
+        # size, then one concat.
         store = _text_setup(seed=13, kernels=kernels)
         emitted = []
         emit = ad.Tape.emit
@@ -173,24 +194,24 @@ class TestEncodeText:
         monkeypatch.setattr(ad.Tape, "emit", counting_emit)
         tokens = _rng(14).integers(1, 12, size=(3, 8))
         encode_text_batch(tokens, store.watch(ad.Tape()), kernels)
-        assert len(emitted) == 12 * len(kernels) + 2
+        assert len(emitted) == len(kernels) + 2
 
     def test_matmuls_have_one_row_per_distinct_token(self, monkeypatch):
         # 4 posts of 8 slots over 5 distinct tokens: 20+ windows per kernel
-        # size, but no matmul may see more than 5 rows.
+        # size, but each kernel's op multiplies only the 5 distinct tokens'
+        # embeddings by its weight.
         store = _text_setup(seed=17)
         tokens = _rng(18).choice([0, 3, 4, 7, 11], size=(4, 8))
         rows = []
-        matmul = ad.matmul
+        conv_max_pool = ad.conv_max_pool
 
-        def counting_matmul(a, b):
-            rows.append(a.shape[0])
-            return matmul(a, b)
+        def counting_op(emb, inv, w, b):
+            rows.append(emb.shape[0])
+            return conv_max_pool(emb, inv, w, b)
 
-        monkeypatch.setattr(ad, "matmul", counting_matmul)
+        monkeypatch.setattr(ad, "conv_max_pool", counting_op)
         encode_text_batch(tokens, store.watch(ad.Tape()), (2, 3))
-        assert len(rows) == 2
-        assert max(rows) <= np.unique(tokens).size == 5
+        assert rows == [5, 5] and np.unique(tokens).size == 5
 
     def test_grad_check(self):
         store = _text_setup(seed=9, d=4, vocab=7, kernels=(2,))

@@ -22,7 +22,7 @@ from ismaf.training import (
     sweep_lambda,
     train,
 )
-from ismaf.autodiff import ParamStore
+from ismaf.autodiff import ParamStore, Tape
 
 import oracles
 
@@ -151,6 +151,28 @@ class TestTrainLoop:
         )
         with unbuilt, pytest.raises(ValueError, match="training split too small: 1 posts"):
             train(_tiny_config(), one)
+
+    # The size of a step's design: the tape records (``Tape.emit`` calls) of
+    # one training step of 64 posts, forward and backward, per fusion.
+    @pytest.mark.parametrize("fusion, records", [("af", 129), ("is-concat", 120), ("is-att", 118)])
+    def test_step_tape_records(self, monkeypatch, fusion, records):
+        cfg = TrainConfig(d=32, token_len=4, fusion=fusion)
+        data = split_dataset(generate_synthetic(n=100, d=32, separation=2.0, seed=3), cfg.fractions, cfg.seed)
+        model = IsmafModel(cfg, data)
+        emitted = []
+        emit = Tape.emit
+
+        def counting_emit(tape, *args):
+            emitted.append(1)
+            return emit(tape, *args)
+
+        monkeypatch.setattr(Tape, "emit", counting_emit)
+        tape = Tape()
+        batch = data.split_ids("train")[:64]
+        assert len(batch) == 64
+        result = model.forward(model.store.watch(tape), batch, rng=np.random.default_rng(0))
+        tape.backward(result.total)
+        assert len(emitted) == records
 
 
 class TestAdam:
