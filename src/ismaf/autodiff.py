@@ -13,12 +13,15 @@ return None for it, so a record keeps an operand's values only when the
 other operand is on the tape.  A composite op such as ``token_attention``
 is one record whose vjp is its chain's backward, written out.
 
-Scatters (the per-destination sums of ``signed_segment_softmax`` and of its
-gradient, the gradient of a row gather, and the edge message sum
-``edge_aggregate`` with its gradient) add the values that land in each
-output slot in index order, as ``np.add.at`` does, so their results are
-bitwise equal to it.  ``_scatter`` runs each, and the per-destination max
-that shifts the softmax, as one ``ufunc.at`` over the flattened output.
+Sums over index lists add the values that land in each output slot in
+index order from zero, as ``np.add.at`` does, so their results are
+bitwise equal to it.  The edge message sum ``edge_aggregate`` and its
+gradient list the edges slot by slot over rows sorted by degree
+(``_jagged``) and run no ``ufunc.at``.  ``_scatter`` runs the others (the
+per-destination sums of ``signed_segment_softmax`` and of its gradient,
+the gradient of a row gather, and ``conv_max_pool``'s gradient), and the
+per-destination max that shifts the softmax, as one ``ufunc.at`` over the
+flattened output.
 
 Single-threaded by design: one tape per training context.  Tensors are safe
 to share read-only across threads; a tape must never be mutated concurrently.
@@ -437,7 +440,42 @@ def gather_rows(a, indices) -> Tensor:
     return _emit(a.tape, a.data[idx], (a,), vjp)
 
 
-EDGE_CHUNK = 2048  # edges per block of edge_aggregate, forward and backward
+EDGE_CHUNK = 2048  # edges per gathered block of edge_aggregate, forward and backward
+
+
+def _jagged(idx, n: int):
+    """Jagged-diagonal plan of the edges keyed on ``idx`` (entries in ``[0, n)``).
+
+    The rows are ordered by their number of edges, most first (stable), and
+    the edges are listed slot-major: slot 0 of every row, then slot 1, and
+    so on, each row's edges in edge order.  The rows that hold slot j are
+    then a prefix of the ordered rows.  Returns the ordered rows that hold
+    an edge, the listed edges, and their blocks of ``EDGE_CHUNK`` as pairs
+    ``(a, spans)``: the block starts at listed edge a, and a span ``(i, j,
+    r)`` says that its entries i to j-1 are one slot of the ordered rows r
+    onwards.
+    """
+    n_edges = idx.size
+    deg = np.bincount(idx, minlength=n)
+    rows = np.argsort(-deg, kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[rows] = np.arange(n)
+    # Each row's edges in edge order, row after row (numpy radix-sorts up
+    # to 16 bits), and the slot each of them takes in its row.
+    by_row = np.argsort(idx.astype(np.min_scalar_type(n)), kind="stable")
+    slot = np.arange(n_edges) - np.repeat(np.cumsum(deg) - deg, deg)
+    start = np.concatenate(([0], np.cumsum(np.bincount(slot))))  # each slot's first listing
+    order = np.empty(n_edges, dtype=np.int64)
+    order[start[slot] + np.repeat(rank, deg)] = by_row
+    # Spans break at every slot and at every block.
+    cuts = np.union1d(start, np.arange(0, n_edges, EDGE_CHUNK))
+    p, q = cuts[:-1], cuts[1:]
+    r = p - start[np.searchsorted(start, p, side="right") - 1]
+    i = p % EDGE_CHUNK
+    spans = list(zip(i.tolist(), (i + q - p).tolist(), r.tolist()))
+    firsts = np.flatnonzero(i == 0).tolist() + [len(spans)]
+    blocks = [(k * EDGE_CHUNK, spans[f:e]) for k, (f, e) in enumerate(zip(firsts, firsts[1:]))]
+    return rows[: np.count_nonzero(deg)], order, blocks
 
 
 def edge_aggregate(h, alpha, src, dst, n_out: int) -> Tensor:
@@ -447,10 +485,19 @@ def edge_aggregate(h, alpha, src, dst, n_out: int) -> Tensor:
     ``alpha`` is [E, heads]; output row i sums ``alpha[e, k] * h[src[e], head
     k]`` over the edges e with ``dst[e] == i``.  The result and both gradients
     are bitwise those of gathering ``h[src]``, weighting each head's slice and
-    scattering the messages onto ``dst``, but no [E, heads*head_dim] array is
-    held: forward and backward run over blocks of ``EDGE_CHUNK`` edges in
-    edge order, each scattered in index order, and the backward recomputes
-    each block's gathers instead of keeping them on the tape.
+    summing the messages onto ``dst`` with ``np.add.at``, but no
+    [E, heads*head_dim] array is held and no ``ufunc.at`` runs.
+
+    The sum runs slot by slot over the output rows sorted by degree
+    (``_jagged``): slot j adds each row's j-th message, in edge order, with
+    one contiguous add over a prefix of the rows, so every cell takes its
+    messages in ``np.add.at``'s order, from +0.0.  The messages are gathered
+    and weighted in blocks of ``EDGE_CHUNK`` listed edges.  The backward
+    does the same keyed on ``src``: it reads ``h`` once in source order,
+    where each slot's source rows are a prefix, and recomputes each block's
+    gathers instead of keeping them on the tape.  ``_scatter`` still serves
+    the softmax sums, the row-gather gradient and ``conv_max_pool``'s
+    gradient.
     """
     h, alpha = as_tensor(h), as_tensor(alpha)
     src = np.asarray(src, dtype=np.int64)
@@ -468,34 +515,49 @@ def edge_aggregate(h, alpha, src, dst, n_out: int) -> Tensor:
     (n_in, width), heads = h.data.shape, alpha.data.shape[1]
     if width % heads:
         raise ShapeError(f"width {width} of h is not a multiple of {heads} heads")
+    head_dim = width // heads
     for name, idx, n in (("src", src, n_in), ("dst", dst, n_out)):
         if idx.size and (idx.min() < 0 or idx.max() >= n):
             raise IndexError(
                 f"edge {name} out of range [0, {n}): min {idx.min()}, max {idx.max()}"
             )
     hd, al = h.data, alpha.data
-    blocks = [slice(a, a + EDGE_CHUNK) for a in range(0, src.size, EDGE_CHUNK)]
 
-    def heads_of(rows):  # [rows, width] -> [rows, heads, head_dim]
-        return rows.reshape(rows.shape[0], heads, -1)
-
-    # The products are formed in place: each block's gathers are fresh copies.
+    # Each block is gathered into one reused buffer and weighted in place;
+    # mode="clip" lets take fill it unbuffered, and the indices are checked.
+    rows, order, blocks = _jagged(dst, n_out)
+    acc = np.zeros((rows.size, heads, head_dim))
+    msg = np.empty((min(src.size, EDGE_CHUNK), heads, head_dim))
+    for a, spans in blocks:
+        blk = order[a : a + EDGE_CHUNK]
+        hd.take(src[blk], axis=0, out=msg[: blk.size].reshape(blk.size, width), mode="clip")
+        msg[: blk.size] *= al.take(blk, axis=0)[:, :, None]
+        for i, j, r in spans:
+            acc[r : r + j - i] += msg[i:j]
+    del msg  # freed before out is made, so the forward never holds both
     out = np.zeros((n_out, width))
-    for blk in blocks:
-        msg = heads_of(hd[src[blk]])
-        msg *= al[blk, :, None]
-        _scatter(out, dst[blk], msg)
+    out[rows] = acc.reshape(rows.size, width)
 
     def vjp(g):
-        dh = np.zeros(hd.shape)
+        rows, order, blocks = _jagged(src, n_in)
+        h_rows = hd.take(rows, axis=0).reshape(rows.size, heads, head_dim)
+        dh_rows = np.zeros(h_rows.shape)
         dalpha = np.empty(al.shape)
-        for blk in blocks:
-            g_blk = heads_of(g[dst[blk]])
-            h_blk = heads_of(hd[src[blk]])
-            h_blk *= g_blk
-            dalpha[blk] = h_blk.sum(axis=2)
-            g_blk *= al[blk, :, None]
-            _scatter(dh, src[blk], g_blk)
+        g_blk, prod = np.empty((2, min(src.size, EDGE_CHUNK), heads, head_dim))
+        for a, spans in blocks:
+            blk = order[a : a + EDGE_CHUNK]
+            g.take(dst[blk], axis=0, out=g_blk[: blk.size].reshape(blk.size, width), mode="clip")
+            for i, j, r in spans:
+                np.multiply(h_rows[r : r + j - i], g_blk[i:j], out=prod[i:j])
+            # Reduced as the unfused product's gradient is: not at all when
+            # head_dim is 1, which keeps a -0.0 product.
+            dalpha[blk] = _unbroadcast(prod[: blk.size], (blk.size, heads, 1))[:, :, 0]
+            g_blk[: blk.size] *= al.take(blk, axis=0)[:, :, None]
+            for i, j, r in spans:
+                dh_rows[r : r + j - i] += g_blk[i:j]
+        del h_rows, g_blk, prod  # freed before dh is made, so the end adds nothing to the loop's peak
+        dh = np.zeros(hd.shape)
+        dh[rows] = dh_rows.reshape(rows.size, width)
         return dh, dalpha
 
     return _emit(_tape_of(h, alpha), out, (h, alpha), vjp)

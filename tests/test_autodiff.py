@@ -340,8 +340,8 @@ class TestScatter:
         assert out.dtype == expected.dtype
         assert out.tobytes() == expected.tobytes()
 
-    # edge_aggregate's forward scatters its blocks one after another into one
-    # output, which must equal one scatter over all of their edges.
+    # A scatter continues from the values already in ``out``, as ufunc.at
+    # does, so two successive scatters equal one over all of their entries.
     @settings(max_examples=100, deadline=None)
     @given(case=_scatter_cases(), cut=st.floats(0.0, 1.0))
     def test_successive_calls_match_one_ufunc_at(self, case, cut):
@@ -386,7 +386,7 @@ class TestScatter:
 
 
 # ---------------------------------------------------------------------------
-# edge_aggregate: blocked, fused message sum against the unfused ops
+# edge_aggregate: jagged-diagonal message sum against the unfused ops
 
 
 def _rows_and_grads(aggregate, h, alpha, probe):
@@ -395,6 +395,35 @@ def _rows_and_grads(aggregate, h, alpha, probe):
     out = aggregate(ht, at)
     tape.backward(ad.sum_(ad.mul(out, Tensor(probe))))
     return out.data, tape.grad(ht), tape.grad(at)
+
+
+@st.composite
+def _edge_cases(draw):
+    """An edge_aggregate input: up to ~700 edges in random order over
+    hub-shaped destinations and sources, with rows that take no edge on
+    either side, signed zeros in h, alpha and the output's gradient, and
+    the ``EDGE_CHUNK`` to run it with (small ones split slots across
+    blocks)."""
+    heads = draw(st.sampled_from([1, 2, 8]))
+    head_dim = draw(st.sampled_from([1, 2, 38]))
+    n_edges = draw(st.integers(0, 700))
+    n_in, n_out = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    chunk = draw(st.sampled_from([1, 5, 64, ad.EDGE_CHUNK]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+
+    def endpoints(n):  # a few hubs take most edges; the unused rows none
+        used = rng.permutation(n)[: rng.integers(1, n + 1)]
+        weight = rng.pareto(1.0, size=used.size) + 0.01
+        return rng.choice(used, size=n_edges, p=weight / weight.sum())
+
+    src, dst = endpoints(n_in), endpoints(n_out)
+    h = rng.normal(size=(n_in, heads * head_dim))
+    alpha = rng.normal(size=(n_edges, heads))
+    probe = rng.normal(size=(n_out, h.shape[1]))
+    for a in (h, alpha, probe):
+        a[rng.random(a.shape) < 0.1] = -0.0
+    h[rng.integers(n_in)] = -0.0  # a source whose messages are all -0.0
+    return src, dst, h, alpha, probe, n_out, chunk
 
 
 class TestEdgeAggregate:
@@ -429,6 +458,87 @@ class TestEdgeAggregate:
             )
         for name, g, e in zip(("rows", "d h", "d alpha"), got, expected):
             assert g.shape == e.shape and g.tobytes() == e.tobytes(), name
+
+    @staticmethod
+    def _both(case):
+        src, dst, h, alpha, probe, n_out, chunk = case
+        expected = _rows_and_grads(
+            lambda ht, at: oracles.edge_aggregate_unfused(ht, at, src, dst, n_out), h, alpha, probe
+        )
+        with mock.patch.object(ad, "EDGE_CHUNK", chunk):
+            got = _rows_and_grads(
+                lambda ht, at: ad.edge_aggregate(ht, at, src, dst, n_out), h, alpha, probe
+            )
+        return got, expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_edge_cases())
+    def test_matches_unfused_bitwise_on_any_edges(self, case):
+        got, expected = self._both(case)
+        for name, g, e in zip(("rows", "d h", "d alpha"), got, expected):
+            assert g.shape == e.shape and g.tobytes() == e.tobytes(), name
+        # A row without an in-edge reads +0.0, as np.add.at into zeros does.
+        src, dst, _, _, _, n_out, _ = case
+        empty = np.bincount(dst, minlength=n_out) == 0
+        assert not np.signbit(got[0][empty]).any()
+
+    # inf and NaN in one source row: the NaN cells (inf * 0, inf - inf and
+    # NaN itself) are the oracle's, and every other cell is bitwise equal.
+    # NaN payloads are not compared.
+    @settings(max_examples=100, deadline=None)
+    @given(case=_edge_cases(), seed=st.integers(0, 2**16))
+    def test_non_finite_row_matches_unfused(self, case, seed):
+        src, dst, h, alpha, probe, n_out, chunk = case
+        rng = _rng(seed)
+        h[rng.integers(h.shape[0])] = rng.choice([np.inf, -np.inf, np.nan, 1.0, 0.0], h.shape[1])
+        with np.errstate(invalid="ignore"):
+            got, expected = self._both((src, dst, h, alpha, probe, n_out, chunk))
+        for name, g, e in zip(("rows", "d h", "d alpha"), got, expected):
+            nan = np.isnan(e)
+            assert (np.isnan(g) == nan).all(), name
+            assert g[~nan].tobytes() == e[~nan].tobytes(), name
+
+    # 20,000 edges of width 2 into 1,000 rows: a 16 KB output against
+    # 160 KB per [E] int array, so a record that kept the plan, or the
+    # degree-ordered accumulator (another 16 KB), reads well over the output.
+    def test_record_holds_only_the_output(self):
+        rng = _rng(6)
+        n_out, n_edges = 1000, 20_000
+        h, alpha = rng.normal(size=(300, 2)), rng.normal(size=(n_edges, 2))
+        src, dst = rng.integers(0, 300, n_edges), rng.integers(0, n_out, n_edges)
+        ad.edge_aggregate(h, alpha, src, dst, n_out)  # numpy's one-time set-up is not the op's
+        tape = Tape()
+        ht, at = tape.watch(h), tape.watch(alpha)
+        tracemalloc.start()
+        try:
+            out = ad.edge_aggregate(ht, at, src, dst, n_out)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 1.25 * out.data.nbytes + 4096, held / out.data.nbytes
+        tape.backward(ad.sum_(out))
+        assert np.isfinite(tape.grad(ht)).all()
+
+    # 40,000 input rows of width 16 (5.1 MB) into 50 output rows: the
+    # forward's traced peak stays within a few outputs, one gathered block
+    # and its weights, and O(E) ints, so a copy of h fails it.
+    def test_forward_peak_has_no_copy_of_h(self):
+        rng = _rng(7)
+        n_in, n_out, n_edges, heads, width = 40_000, 50, 4000, 2, 16
+        h = rng.normal(size=(n_in, width))
+        alpha = rng.normal(size=(n_edges, heads))
+        src, dst = rng.integers(0, n_in, n_edges), rng.integers(0, n_out, n_edges)
+        ad.edge_aggregate(h, alpha, src, dst, n_out)  # numpy's one-time set-up is not the op's
+        tracemalloc.start()
+        try:
+            out = ad.edge_aggregate(Tensor(h), Tensor(alpha), src, dst, n_out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block = ad.EDGE_CHUNK * (width + heads + 1) * 8
+        bound = 3 * out.data.nbytes + block + 12 * n_edges * 8
+        assert bound < h.nbytes / 3
+        assert peak < bound, (peak, bound)
 
     @pytest.mark.parametrize("alpha_shape", [(6, 2), (4, 2), (5,), (5, 2, 1), (5, 0)])
     def test_alpha_must_be_edges_by_heads(self, alpha_shape):
