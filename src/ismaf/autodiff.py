@@ -17,14 +17,21 @@ Sums over index lists add the values that land in each output slot in
 index order from zero, as ``np.add.at`` does, so their results are
 bitwise equal to it.  The edge message sum ``edge_aggregate`` and its
 gradient list the edges slot by slot over rows sorted by degree
-(``_jagged``) and run no ``ufunc.at``.  ``_scatter`` runs the others (the
+(``_jagged``) and run no ``ufunc.at``; they gather the messages in blocks
+sized by bytes (``EDGE_BLOCK_BYTES``), so a block's buffers stay in a
+core's L2 cache at any width.  ``_scatter`` runs the others (the
 per-destination sums of ``signed_segment_softmax`` and of its gradient,
-the gradient of a row gather, and ``conv_max_pool``'s gradient), and the
-per-destination max that shifts the softmax, as one ``ufunc.at`` over the
-flattened output.
+and the gradient of a row gather), and the per-destination max that
+shifts the softmax, as one ``ufunc.at`` over the flattened output;
+``conv_max_pool``'s gradient is one ``np.add.at`` over the flat keys of
+each row's first maximal window.
 
 Single-threaded by design: one tape per training context.  Tensors are safe
 to share read-only across threads; a tape must never be mutated concurrently.
+The edge sums stay on one thread too: split over two, they lose inside a
+step, because OpenBLAS's worker thread keeps the second core spinning for
+50-200 ms after every matrix product, and one always comes a few ms
+before them.
 """
 
 from __future__ import annotations
@@ -335,7 +342,9 @@ def conv_max_pool(emb, inv, w, b) -> Tensor:
     rows as rows of ``emb``, and ``w`` [k*d, f], block j for window offset j;
     the pool keeps each row's first maximal window.  Bitwise the chain of
     tape ops it replaces: the forward makes the chain's numpy calls on the
-    same layouts, the vjp its backward."""
+    same layouts, and the vjp its backward without the +0.0 terms of the
+    windows that are not a row's first maximum, one ``np.add.at`` of k*N*f
+    entries instead of k*N*W*f."""
     parents = tuple(as_tensor(t) for t in (emb, w, b))
     e, wd, bias = (t.data for t in parents)
     (u, d), f = e.shape, wd.shape[1]
@@ -354,10 +363,13 @@ def conv_max_pool(emb, inv, w, b) -> Tensor:
 
     def vjp(g):
         g = g * mask
-        g_windows = np.zeros((n, n_windows, f))
-        np.put_along_axis(g_windows, first, g[:, None, :], axis=1)
+        # Only each row's first maximal window takes a gradient: the chain's
+        # other windows add +0.0, which changes no cell of a sum from +0.0.
+        # Keys ids[j, n, first[n, c]]*f + c, in (j, n, c) order.
+        hit = np.take_along_axis(ids.reshape(k, n, n_windows), first.reshape(1, n, f), axis=2)
         g_proj = np.zeros((u, k * f))  # row u*k + j of its [U*k, f] view: token u, block j
-        _scatter(g_proj.reshape(u * k, f), ids, np.tile(g_windows.reshape(-1, f), (k, 1)))
+        np.add.at(g_proj.reshape(-1), (hit * f + np.arange(f)).reshape(-1),
+                  np.broadcast_to(g, (k, n, f)).reshape(-1))
         g_w = (e.T @ g_proj).reshape(d, k, f).swapaxes(0, 1).reshape(k * d, f)
         return g_proj @ blocks, g_w, g.sum(axis=0)
 
@@ -411,7 +423,8 @@ def _scatter(out, idx, vals, ufunc=np.add) -> None:
     ``slot * width + column``: each key still takes its values in index
     order, and on narrow rows numpy's 1-D ``ufunc.at`` is several times
     faster than its row-wise 2-D path.  ``out`` must be C-contiguous, since the flat view of
-    any other layout is a copy.
+    any other layout is a copy.  It serves ``signed_segment_softmax``'s max
+    and sums and ``gather_rows``' gradient.
     """
     if not out.flags.c_contiguous:
         raise ValueError("scatter output must be C-contiguous; its flat view would be a copy")
@@ -440,17 +453,17 @@ def gather_rows(a, indices) -> Tensor:
     return _emit(a.tape, a.data[idx], (a,), vjp)
 
 
-EDGE_CHUNK = 2048  # edges per gathered block of edge_aggregate, forward and backward
+EDGE_BLOCK_BYTES = 512 * 1024  # bytes per gathered block buffer of edge_aggregate
 
 
-def _jagged(idx, n: int):
+def _jagged(idx, n: int, block: int):
     """Jagged-diagonal plan of the edges keyed on ``idx`` (entries in ``[0, n)``).
 
     The rows are ordered by their number of edges, most first (stable), and
     the edges are listed slot-major: slot 0 of every row, then slot 1, and
     so on, each row's edges in edge order.  The rows that hold slot j are
     then a prefix of the ordered rows.  Returns the ordered rows that hold
-    an edge, the listed edges, and their blocks of ``EDGE_CHUNK`` as pairs
+    an edge, the listed edges, and their blocks of ``block`` edges as pairs
     ``(a, spans)``: the block starts at listed edge a, and a span ``(i, j,
     r)`` says that its entries i to j-1 are one slot of the ordered rows r
     onwards.
@@ -468,13 +481,13 @@ def _jagged(idx, n: int):
     order = np.empty(n_edges, dtype=np.int64)
     order[start[slot] + np.repeat(rank, deg)] = by_row
     # Spans break at every slot and at every block.
-    cuts = np.union1d(start, np.arange(0, n_edges, EDGE_CHUNK))
+    cuts = np.union1d(start, np.arange(0, n_edges, block))
     p, q = cuts[:-1], cuts[1:]
     r = p - start[np.searchsorted(start, p, side="right") - 1]
-    i = p % EDGE_CHUNK
+    i = p % block
     spans = list(zip(i.tolist(), (i + q - p).tolist(), r.tolist()))
     firsts = np.flatnonzero(i == 0).tolist() + [len(spans)]
-    blocks = [(k * EDGE_CHUNK, spans[f:e]) for k, (f, e) in enumerate(zip(firsts, firsts[1:]))]
+    blocks = [(k * block, spans[f:e]) for k, (f, e) in enumerate(zip(firsts, firsts[1:]))]
     return rows[: np.count_nonzero(deg)], order, blocks
 
 
@@ -492,12 +505,17 @@ def edge_aggregate(h, alpha, src, dst, n_out: int) -> Tensor:
     (``_jagged``): slot j adds each row's j-th message, in edge order, with
     one contiguous add over a prefix of the rows, so every cell takes its
     messages in ``np.add.at``'s order, from +0.0.  The messages are gathered
-    and weighted in blocks of ``EDGE_CHUNK`` listed edges.  The backward
-    does the same keyed on ``src``: it reads ``h`` once in source order,
-    where each slot's source rows are a prefix, and recomputes each block's
-    gathers instead of keeping them on the tape.  ``_scatter`` still serves
-    the softmax sums, the row-gather gradient and ``conv_max_pool``'s
-    gradient.
+    and weighted in blocks of listed edges sized by bytes: each block buffer
+    holds at most ``EDGE_BLOCK_BYTES`` (and at least one edge), so at width
+    304 a block is 215 edges and its gather, weighting and slot adds stay in
+    a core's L2 cache, while at width 32 it is 2,048 edges.  The block size
+    decides only which listed edges share a buffer, never the order of a
+    cell's terms.  The backward does the same keyed on ``src``, with two
+    such buffers (the gathered gradient rows and their products with
+    ``h``): it reads ``h`` once in source order, where each slot's source
+    rows are a prefix, and recomputes each block's gathers instead of
+    keeping them on the tape.  ``_scatter`` still serves the softmax sums
+    and the row-gather gradient.
     """
     h, alpha = as_tensor(h), as_tensor(alpha)
     src = np.asarray(src, dtype=np.int64)
@@ -525,11 +543,12 @@ def edge_aggregate(h, alpha, src, dst, n_out: int) -> Tensor:
 
     # Each block is gathered into one reused buffer and weighted in place;
     # mode="clip" lets take fill it unbuffered, and the indices are checked.
-    rows, order, blocks = _jagged(dst, n_out)
+    block = max(1, EDGE_BLOCK_BYTES // (hd.itemsize * max(width, 1)))
+    rows, order, blocks = _jagged(dst, n_out, block)
     acc = np.zeros((rows.size, heads, head_dim))
-    msg = np.empty((min(src.size, EDGE_CHUNK), heads, head_dim))
+    msg = np.empty((min(src.size, block), heads, head_dim))
     for a, spans in blocks:
-        blk = order[a : a + EDGE_CHUNK]
+        blk = order[a : a + block]
         hd.take(src[blk], axis=0, out=msg[: blk.size].reshape(blk.size, width), mode="clip")
         msg[: blk.size] *= al.take(blk, axis=0)[:, :, None]
         for i, j, r in spans:
@@ -539,13 +558,13 @@ def edge_aggregate(h, alpha, src, dst, n_out: int) -> Tensor:
     out[rows] = acc.reshape(rows.size, width)
 
     def vjp(g):
-        rows, order, blocks = _jagged(src, n_in)
+        rows, order, blocks = _jagged(src, n_in, block)
         h_rows = hd.take(rows, axis=0).reshape(rows.size, heads, head_dim)
         dh_rows = np.zeros(h_rows.shape)
         dalpha = np.empty(al.shape)
-        g_blk, prod = np.empty((2, min(src.size, EDGE_CHUNK), heads, head_dim))
+        g_blk, prod = np.empty((2, min(src.size, block), heads, head_dim))
         for a, spans in blocks:
-            blk = order[a : a + EDGE_CHUNK]
+            blk = order[a : a + block]
             g.take(dst[blk], axis=0, out=g_blk[: blk.size].reshape(blk.size, width), mode="clip")
             for i, j, r in spans:
                 np.multiply(h_rows[r : r + j - i], g_blk[i:j], out=prod[i:j])

@@ -86,27 +86,59 @@ class TrainResult:
     best_val_accuracy: float = 0.0
 
 
+ADAM_SLICE = 65_536  # elements per slice of an Adam update, so its temporaries stay in cache
+
+
 class Adam:
     """Adam with bias correction; the learning rate is supplied per step so
-    epoch-level decay stays outside the optimizer."""
+    epoch-level decay stays outside the optimizer.
+
+    A step updates the moments in place, over slices of at most
+    ``ADAM_SLICE`` elements, with the textbook formula's elementwise ops on
+    the same operands in the same order, so it is bitwise that formula.
+    Each parameter's new value is a fresh array, so an array that
+    ``store.value`` returned earlier is never changed."""
 
     def __init__(self, store: ParamStore, betas=(0.9, 0.999), eps=1e-8):
         self.store = store
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.t = 0
-        self._m = {name: np.zeros_like(val) for name, val in store.items()}
-        self._v = {name: np.zeros_like(val) for name, val in store.items()}
+        # C-contiguous, so their flat views below are views, not copies.
+        self._m = {name: np.zeros(val.shape) for name, val in store.items()}
+        self._v = {name: np.zeros(val.shape) for name, val in store.items()}
 
     def step(self, grads: dict[str, np.ndarray], lr: float):
         self.t += 1
-        correct1 = 1.0 - self.beta1**self.t
-        correct2 = 1.0 - self.beta2**self.t
+        b1, b2, eps = self.beta1, self.beta2, self.eps
+        correct1 = 1.0 - b1**self.t
+        correct2 = 1.0 - b2**self.t
+        buf = np.empty((2, min(ADAM_SLICE, max((g.size for g in grads.values()), default=0))))
         for name, g in grads.items():
-            m = self._m[name] = self.beta1 * self._m[name] + (1 - self.beta1) * g
-            v = self._v[name] = self.beta2 * self._v[name] + (1 - self.beta2) * (g * g)
-            update = (m / correct1) / (np.sqrt(v / correct2) + self.eps)
-            self.store.assign(name, self.store.value(name) - lr * update)
+            p = self.store.value(name)
+            new = np.empty(p.shape)
+            m, v, out = self._m[name].reshape(-1), self._v[name].reshape(-1), new.reshape(-1)
+            g, p = np.ravel(g), np.ravel(p)
+            for a in range(0, out.size, ADAM_SLICE):
+                s = slice(a, a + ADAM_SLICE)
+                t, u = buf[:, : out[s].size]
+                # m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*(g*g)
+                np.multiply(g[s], 1 - b1, out=t)
+                m[s] *= b1
+                m[s] += t
+                np.multiply(g[s], g[s], out=t)
+                t *= 1 - b2
+                v[s] *= b2
+                v[s] += t
+                # p - lr * ((m/correct1) / (sqrt(v/correct2) + eps))
+                np.divide(m[s], correct1, out=u)
+                np.divide(v[s], correct2, out=t)
+                np.sqrt(t, out=t)
+                t += eps
+                u /= t
+                u *= lr
+                np.subtract(p[s], u, out=out[s])
+            self.store.assign(name, new)
 
 
 def _epoch_batches(ids, batch_size, rng):

@@ -8,7 +8,8 @@ optimised paths (``text_cnn_per_offset``, ``text_cnn_chain``,
 ``attend_masked`` and ``attend_chain`` with the paths built on them
 (``attention_with``, ``is_att_with``), ``edge_aggregate_unfused``,
 ``ce_clamped`` and ``ml_clamped`` (the losses from probabilities through
-clamped logs), and ``signed_softmax_chain``: ``abs_``, ``sub``, ``exp``,
+clamped logs), ``AdamAllocating`` (the Adam step as whole-array formulas),
+and ``signed_softmax_chain``: ``abs_``, ``sub``, ``exp``,
 ``segment_sum``, ``gather_rows``, ``div`` and ``mul``, with a detached
 ``np.maximum.at`` shift and sign), which reuse the package's building blocks
 and differ from the optimised path only in what it skips or batches; the
@@ -27,6 +28,7 @@ import numpy as np
 from ismaf import autodiff as ad
 from ismaf.bridging import attend, co_attention, self_attention
 from ismaf.encoders import EdgeBlock
+from ismaf.training import Adam
 
 
 def matmul_triple_loop(a, b):
@@ -743,3 +745,19 @@ def is_att_with(attend_fn, z, r_g, params, heads):
     """What ``fuse_alternate("is-att")`` computes, with ``attend_fn``."""
     wq, wk, wv, wo = (params[f"attn.F.{proj}"] for proj in ("wq", "wk", "wv", "wo"))
     return attend_fn(z, r_g, wq, wk, wv, wo, heads)
+
+
+class AdamAllocating(Adam):
+    """``training.Adam`` with the step that its in-place sliced one replaced:
+    the textbook formulas over whole arrays, each making new moment and
+    parameter arrays."""
+
+    def step(self, grads, lr):
+        self.t += 1
+        correct1 = 1.0 - self.beta1**self.t
+        correct2 = 1.0 - self.beta2**self.t
+        for name, g in grads.items():
+            m = self._m[name] = self.beta1 * self._m[name] + (1 - self.beta1) * g
+            v = self._v[name] = self.beta2 * self._v[name] + (1 - self.beta2) * (g * g)
+            update = (m / correct1) / (np.sqrt(v / correct2) + self.eps)
+            self.store.assign(name, self.store.value(name) - lr * update)

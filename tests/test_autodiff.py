@@ -402,13 +402,16 @@ def _edge_cases(draw):
     """An edge_aggregate input: up to ~700 edges in random order over
     hub-shaped destinations and sources, with rows that take no edge on
     either side, signed zeros in h, alpha and the output's gradient, and
-    the ``EDGE_CHUNK`` to run it with (small ones split slots across
-    blocks)."""
+    the ``EDGE_BLOCK_BYTES`` to run it with: below one row (one edge per
+    block), 5 or 64 rows and a part, or the module's own (small ones split
+    slots across blocks)."""
     heads = draw(st.sampled_from([1, 2, 8]))
     head_dim = draw(st.sampled_from([1, 2, 38]))
     n_edges = draw(st.integers(0, 700))
     n_in, n_out = draw(st.integers(1, 40)), draw(st.integers(1, 40))
-    chunk = draw(st.sampled_from([1, 5, 64, ad.EDGE_CHUNK]))
+    row = 8 * heads * head_dim  # bytes of one message
+    block_bytes = draw(st.sampled_from([row // 2, row, 5 * row, 64 * row, ad.EDGE_BLOCK_BYTES]))
+    block_bytes += draw(st.integers(0, row - 1))  # a part row adds no edge
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
 
     def endpoints(n):  # a few hubs take most edges; the unused rows none
@@ -423,7 +426,7 @@ def _edge_cases(draw):
     for a in (h, alpha, probe):
         a[rng.random(a.shape) < 0.1] = -0.0
     h[rng.integers(n_in)] = -0.0  # a source whose messages are all -0.0
-    return src, dst, h, alpha, probe, n_out, chunk
+    return src, dst, h, alpha, probe, n_out, block_bytes
 
 
 class TestEdgeAggregate:
@@ -441,8 +444,8 @@ class TestEdgeAggregate:
         probe = rng.normal(size=(len(self.DST_MULT), h.shape[1]))
         return src, dst, h, alpha, probe
 
-    # 1 and 7 leave a short last block, 96 divides the 480 edges exactly and
-    # 1000 puts every edge in one block.
+    # Blocks of 1 and 7 edges leave a short last block, 96 divides the 480
+    # edges exactly and 1000 puts every edge in one block.
     @pytest.mark.parametrize("chunk", [1, 7, 96, 1000])
     @pytest.mark.parametrize("seed", range(2))
     def test_matches_unfused_bitwise(self, chunk, seed):
@@ -452,7 +455,7 @@ class TestEdgeAggregate:
         expected = _rows_and_grads(
             lambda ht, at: oracles.edge_aggregate_unfused(ht, at, src, dst, n_out), h, alpha, probe
         )
-        with mock.patch.object(ad, "EDGE_CHUNK", chunk):
+        with mock.patch.object(ad, "EDGE_BLOCK_BYTES", chunk * h[0].nbytes):
             got = _rows_and_grads(
                 lambda ht, at: ad.edge_aggregate(ht, at, src, dst, n_out), h, alpha, probe
             )
@@ -461,11 +464,11 @@ class TestEdgeAggregate:
 
     @staticmethod
     def _both(case):
-        src, dst, h, alpha, probe, n_out, chunk = case
+        src, dst, h, alpha, probe, n_out, block_bytes = case
         expected = _rows_and_grads(
             lambda ht, at: oracles.edge_aggregate_unfused(ht, at, src, dst, n_out), h, alpha, probe
         )
-        with mock.patch.object(ad, "EDGE_CHUNK", chunk):
+        with mock.patch.object(ad, "EDGE_BLOCK_BYTES", block_bytes):
             got = _rows_and_grads(
                 lambda ht, at: ad.edge_aggregate(ht, at, src, dst, n_out), h, alpha, probe
             )
@@ -488,11 +491,11 @@ class TestEdgeAggregate:
     @settings(max_examples=100, deadline=None)
     @given(case=_edge_cases(), seed=st.integers(0, 2**16))
     def test_non_finite_row_matches_unfused(self, case, seed):
-        src, dst, h, alpha, probe, n_out, chunk = case
         rng = _rng(seed)
+        h = case[2]
         h[rng.integers(h.shape[0])] = rng.choice([np.inf, -np.inf, np.nan, 1.0, 0.0], h.shape[1])
         with np.errstate(invalid="ignore"):
-            got, expected = self._both((src, dst, h, alpha, probe, n_out, chunk))
+            got, expected = self._both(case)
         for name, g, e in zip(("rows", "d h", "d alpha"), got, expected):
             nan = np.isnan(e)
             assert (np.isnan(g) == nan).all(), name
@@ -519,12 +522,28 @@ class TestEdgeAggregate:
         tape.backward(ad.sum_(out))
         assert np.isfinite(tape.grad(ht)).all()
 
-    # 40,000 input rows of width 16 (5.1 MB) into 50 output rows: the
+    @staticmethod
+    def _block_edges(width):
+        return ad.EDGE_BLOCK_BYTES // (8 * width)
+
+    # A block buffer holds EDGE_BLOCK_BYTES of messages: 215 edges at the
+    # paper's width 304, 2,048 at width 32, and one edge at any width.
+    @pytest.mark.parametrize("width, edges", [(304, 215), (32, 2048), (ad.EDGE_BLOCK_BYTES // 4, 1)])
+    def test_blocks_are_sized_by_bytes(self, width, edges):
+        h, alpha = np.ones((3, width)), np.ones((5, 2))
+        with mock.patch.object(ad, "_jagged", wraps=ad._jagged) as plan:
+            tape = Tape()
+            ht = tape.watch(h)
+            tape.backward(ad.sum_(ad.edge_aggregate(ht, alpha, [0, 1, 2, 1, 0], [0, 0, 1, 1, 1], 2)))
+        assert [c.args[2] for c in plan.call_args_list] == [edges, edges]
+
+    # 10,000 input rows of width 64 (5.1 MB) into 50 output rows: the
     # forward's traced peak stays within a few outputs, one gathered block
-    # and its weights, and O(E) ints, so a copy of h fails it.
+    # of EDGE_BLOCK_BYTES (1,024 edges) and its weights, and O(E) ints, so a
+    # copy of h fails it, and so does a block of 2,048 edges.
     def test_forward_peak_has_no_copy_of_h(self):
         rng = _rng(7)
-        n_in, n_out, n_edges, heads, width = 40_000, 50, 4000, 2, 16
+        n_in, n_out, n_edges, heads, width = 10_000, 50, 4000, 2, 64
         h = rng.normal(size=(n_in, width))
         alpha = rng.normal(size=(n_edges, heads))
         src, dst = rng.integers(0, n_in, n_edges), rng.integers(0, n_out, n_edges)
@@ -535,9 +554,41 @@ class TestEdgeAggregate:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        block = ad.EDGE_CHUNK * (width + heads + 1) * 8
+        block = self._block_edges(width) * (width + heads + 1) * 8
         bound = 3 * out.data.nbytes + block + 12 * n_edges * 8
         assert bound < h.nbytes / 3
+        assert peak < bound, (peak, bound)
+
+    # 5,000 edges from 200 input rows of width 8*38 = 304 into 50 output
+    # rows: the backward's traced peak holds h's used rows and their
+    # gradient, dh, dalpha, the loss's own gradient of the output twice, two
+    # block buffers of EDGE_BLOCK_BYTES (215 edges each) and O(E) ints.  Two
+    # buffers of 2,048 edges, 10 MB, fail it.
+    def test_backward_peak_holds_two_byte_sized_blocks(self):
+        rng = _rng(8)
+        n_in, n_out, n_edges, heads, width = 200, 50, 5000, 8, 304
+        h = rng.normal(size=(n_in, width))
+        alpha = rng.normal(size=(n_edges, heads))
+        src, dst = rng.integers(0, n_in, n_edges), rng.integers(0, n_out, n_edges)
+        probe = Tensor(rng.normal(size=(n_out, width)))
+
+        def recorded():
+            tape = Tape()
+            ht, at = tape.watch(h), tape.watch(alpha)
+            return tape, ad.sum_(ad.mul(ad.edge_aggregate(ht, at, src, dst, n_out), probe))
+
+        tape, loss = recorded()
+        tape.backward(loss)  # numpy's one-time set-up is not the op's
+        tape, loss = recorded()
+        tracemalloc.start()
+        try:
+            tape.backward(loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        blocks = 2 * self._block_edges(width) * width * 8
+        bound = 3 * h.nbytes + alpha.nbytes + 2 * probe.data.nbytes + blocks + 12 * n_edges * 8
+        assert bound < 2 * 2048 * width * 8
         assert peak < bound, (peak, bound)
 
     @pytest.mark.parametrize("alpha_shape", [(6, 2), (4, 2), (5,), (5, 2, 1), (5, 0)])

@@ -53,27 +53,38 @@ def _text_setup(seed=0, d=6, vocab=12, kernels=(2, 3)):
 
 # Posts of 8, 5, 2, 1 and 0 real tokens over 12 tokens: every post pads
 # differently.  Then 40 posts of 30 or 25 real tokens over 20,000 tokens:
-# nearly every token occurs once.
-_TEXT_CNN_CASES = pytest.mark.parametrize("kernels, vocab, lengths", [
-    ((1,), 13, [8, 5, 2, 1, 0]),
-    ((2, 3), 13, [8, 5, 2, 1, 0]),
-    ((3, 4, 5), 13, [8, 5, 2, 1, 0]),
-    ((2, 8), 13, [8, 5, 2, 1, 0]),
-    ((3, 4, 5), 20_000, [30, 25] * 20),
-], ids=["kernels0", "kernels1", "kernels2", "kernels3", "vocab20000"])
+# nearly every token occurs once.  Last, integer-valued embeddings, weights
+# and biases over 3 tokens, so windows tie exactly and many rows meet the
+# relu's kink at 0, with a third of the probe -0.0: a gradient routed to any
+# window but a row's first maximal one, or a lost sign, shows in the bits.
+_TEXT_CNN_CASES = pytest.mark.parametrize("kernels, vocab, lengths, ints", [
+    ((1,), 13, [8, 5, 2, 1, 0], False),
+    ((2, 3), 13, [8, 5, 2, 1, 0], False),
+    ((3, 4, 5), 13, [8, 5, 2, 1, 0], False),
+    ((2, 8), 13, [8, 5, 2, 1, 0], False),
+    ((3, 4, 5), 20_000, [30, 25] * 20, False),
+    ((1, 2, 3), 4, [9, 7, 4, 2, 1, 0] * 3, True),
+], ids=["kernels0", "kernels1", "kernels2", "kernels3", "vocab20000", "ties"])
 
 
-def _text_cnn_run(encode, kernels, vocab, lengths, on_tape=True):
+def _text_cnn_run(encode, kernels, vocab, lengths, ints=False, on_tape=True):
     """Rows of ``encode`` on one of the cases above, d = 7, and, on the
     tape, every parameter's gradient of their dot product with a probe."""
     seq_len = max(lengths)
     store = _text_setup(seed=11, d=7, vocab=vocab, kernels=kernels)
     rng = _rng(12)
+    if ints:
+        for name, value in store.items():
+            store.assign(name, rng.integers(-1, 2, size=value.shape).astype(float))
+        store.value("text.embed")[0] = 0.0
     tokens = rng.integers(1, vocab, size=(len(lengths), seq_len))
     tokens[np.arange(seq_len) >= np.array(lengths)[:, None]] = 0
     if not on_tape:
         return encode(tokens, store.constants(), kernels).data, {}
-    probe = Tensor(rng.normal(size=(len(lengths), 7)))
+    probe = rng.normal(size=(len(lengths), 7))
+    if ints:
+        probe[rng.random(probe.shape) < 1 / 3] = -0.0
+    probe = Tensor(probe)
     tape = ad.Tape()
     params = store.watch(tape)
     out = encode(tokens, params, kernels)
@@ -157,9 +168,9 @@ class TestEncodeText:
         assert max(filters) - min(filters) <= 1
 
     @_TEXT_CNN_CASES
-    def test_matches_per_offset_oracle(self, kernels, vocab, lengths):
-        got, got_grads = _text_cnn_run(encode_text_batch, kernels, vocab, lengths)
-        want, want_grads = _text_cnn_run(oracles.text_cnn_per_offset, kernels, vocab, lengths)
+    def test_matches_per_offset_oracle(self, kernels, vocab, lengths, ints):
+        got, got_grads = _text_cnn_run(encode_text_batch, kernels, vocab, lengths, ints)
+        want, want_grads = _text_cnn_run(oracles.text_cnn_per_offset, kernels, vocab, lengths, ints)
         assert np.abs(got - want).max() <= 1e-12
         for name in want_grads:  # text.embed and every text.conv{k}.w/b
             assert np.abs(got_grads[name] - want_grads[name]).max() <= 1e-12, name
@@ -168,15 +179,15 @@ class TestEncodeText:
     # chain's numpy calls, so rows and gradients agree to the bit, on the
     # tape and on constant parameters (the evaluate path).
     @_TEXT_CNN_CASES
-    def test_bitwise_the_chain_oracle(self, kernels, vocab, lengths):
-        got, got_grads = _text_cnn_run(encode_text_batch, kernels, vocab, lengths)
-        want, want_grads = _text_cnn_run(oracles.text_cnn_chain, kernels, vocab, lengths)
+    def test_bitwise_the_chain_oracle(self, kernels, vocab, lengths, ints):
+        got, got_grads = _text_cnn_run(encode_text_batch, kernels, vocab, lengths, ints)
+        want, want_grads = _text_cnn_run(oracles.text_cnn_chain, kernels, vocab, lengths, ints)
         assert got.tobytes() == want.tobytes()
         for name in want_grads:
             assert got_grads[name].shape == want_grads[name].shape, name
             assert got_grads[name].tobytes() == want_grads[name].tobytes(), name
-        const, _ = _text_cnn_run(encode_text_batch, kernels, vocab, lengths, on_tape=False)
-        const_chain, _ = _text_cnn_run(oracles.text_cnn_chain, kernels, vocab, lengths, on_tape=False)
+        const, _ = _text_cnn_run(encode_text_batch, kernels, vocab, lengths, ints, on_tape=False)
+        const_chain, _ = _text_cnn_run(oracles.text_cnn_chain, kernels, vocab, lengths, ints, on_tape=False)
         assert const.tobytes() == const_chain.tobytes() == got.tobytes()
 
     @pytest.mark.parametrize("kernels", [(1,), (2, 3), (3, 4, 5)])

@@ -14,6 +14,7 @@ from ismaf.data import CommentRecord, DatasetBundle, UserRecord, generate_synthe
 from ismaf.model import IsmafModel
 from ismaf.serialize import ModelFileError, load_model, save_model
 from ismaf.training import (
+    ADAM_SLICE,
     Adam,
     MetricsReport,
     TrainingDiverged,
@@ -186,6 +187,51 @@ class TestAdam:
         # First step with bias correction reduces to w - lr * g / (|g| + eps).
         expected = np.array([1.0, -2.0]) - 0.1 * g / (np.abs(g) + 1e-8)
         np.testing.assert_allclose(store.value("w"), expected, atol=1e-9)
+
+    # Bitwise the whole-array formulas over 5 steps, with gradients from 1e-8
+    # to 10 in size and some -0.0: a parameter of more than one slice, a
+    # gradient that is a column view (as concat's vjp hands back through
+    # np.split(axis=1)), and a stored parameter that is a strided,
+    # column-major view (np.zeros_like moments would copy on reshape).  An
+    # array that store.value returned before the steps keeps its bytes.
+    def test_bitwise_the_allocating_step(self):
+        rng = np.random.default_rng(9)
+        values = {
+            "big": rng.normal(size=(3, ADAM_SLICE + 77)),
+            "split": rng.normal(size=(5, 9)),
+            "strided": rng.normal(size=(6, 4)),
+            "bias": rng.normal(size=(7,)),
+        }
+
+        def store_of():
+            store = ParamStore(seed=0)
+            for name, value in values.items():
+                store.create(name, value.shape, init="zeros")
+                # "strided": a column-major view of every other row of a copy.
+                store.assign(name, np.repeat(value.T, 2, axis=0)[::2].T if name == "strided" else value.copy())
+            return store
+
+        def grad(shape):
+            g = 10.0 ** rng.uniform(-8, 1, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+            g[rng.random(shape) < 0.05] = -0.0
+            return g
+
+        store, oracle_store = store_of(), store_of()
+        assert not store.value("strided").flags.c_contiguous
+        adam, oracle = Adam(store), oracles.AdamAllocating(oracle_store)
+        held = {name: store.value(name) for name in values}
+        held_bytes = {name: a.tobytes() for name, a in held.items()}
+        for step in range(5):
+            grads = {name: grad(v.shape) for name, v in values.items()}
+            grads["split"] = np.split(grad((5, 20)), [9], axis=1)[0]
+            assert not grads["split"].flags.c_contiguous
+            adam.step(grads, lr=0.01 * (step + 1))
+            oracle.step(grads, lr=0.01 * (step + 1))
+            for name in values:
+                assert adam._m[name].tobytes() == oracle._m[name].tobytes(), (step, name, "m")
+                assert adam._v[name].tobytes() == oracle._v[name].tobytes(), (step, name, "v")
+                assert store.value(name).tobytes() == oracle_store.value(name).tobytes(), (step, name)
+        assert {name: a.tobytes() for name, a in held.items()} == held_bytes
 
     def test_decay_applied_per_epoch(self, tiny_data):
         # lr decay must make later epochs step shorter; probing indirectly:
