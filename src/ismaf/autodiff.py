@@ -15,14 +15,13 @@ is one record whose vjp is its chain's backward, written out.
 
 Sums over index lists add the values that land in each output slot in
 index order from zero, as ``np.add.at`` does, so their results are
-bitwise equal to it.  The edge message sum ``edge_aggregate`` and its
-gradient list the edges slot by slot over rows sorted by degree
-(``_jagged``) and run no ``ufunc.at``; they gather the messages in blocks
-sized by bytes (``EDGE_BLOCK_BYTES``), so a block's buffers stay in a
-core's L2 cache at any width.  ``_scatter`` runs the others (the
-per-destination sums of ``signed_segment_softmax`` and of its gradient,
-and the gradient of a row gather), and the per-destination max that
-shifts the softmax, as one ``ufunc.at`` over the flattened output;
+bitwise equal to it.  Every sum over the edges of ``signed_gat`` (its
+softmax's max and sums, their gradient, the score gathers' gradients and
+the message sum and its gradient) lists the edges slot by slot over rows
+sorted by degree (``_jagged``) and runs no ``ufunc.at``; the messages are
+gathered in blocks sized by bytes (``EDGE_BLOCK_BYTES``), so a block's
+buffers stay in a core's L2 cache at any width.  ``_scatter`` runs the
+gradient of a row gather as one ``np.add.at`` over the flattened output;
 ``conv_max_pool``'s gradient is one ``np.add.at`` over the flat keys of
 each row's first maximal window.
 
@@ -414,23 +413,22 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return _emit(tape, out, tensors, vjp)
 
 
-def _scatter(out, idx, vals, ufunc=np.add) -> None:
-    """What ``ufunc.at(out, idx, vals)`` does, bitwise: each slot of ``out``
+def _scatter(out, idx, vals) -> None:
+    """What ``np.add.at(out, idx, vals)`` does, bitwise: each slot of ``out``
     takes its values in index order.
 
     ``idx`` holds entries in ``[0, len(out))`` and ``vals`` one row per entry.
-    The scatter is one ``ufunc.at`` on the flattened ``out`` over the keys
+    The scatter is one ``np.add.at`` on the flattened ``out`` over the keys
     ``slot * width + column``: each key still takes its values in index
     order, and on narrow rows numpy's 1-D ``ufunc.at`` is several times
     faster than its row-wise 2-D path.  ``out`` must be C-contiguous, since the flat view of
-    any other layout is a copy.  It serves ``signed_segment_softmax``'s max
-    and sums and ``gather_rows``' gradient.
+    any other layout is a copy.  It serves ``gather_rows``' gradient.
     """
     if not out.flags.c_contiguous:
         raise ValueError("scatter output must be C-contiguous; its flat view would be a copy")
     width = math.prod(out.shape[1:])
     keys = idx.reshape(-1, 1) * width + np.arange(width)
-    ufunc.at(out.reshape(-1), keys.reshape(-1), vals.reshape(-1))
+    np.add.at(out.reshape(-1), keys.reshape(-1), vals.reshape(-1))
 
 
 def gather_rows(a, indices) -> Tensor:
@@ -453,7 +451,7 @@ def gather_rows(a, indices) -> Tensor:
     return _emit(a.tape, a.data[idx], (a,), vjp)
 
 
-EDGE_BLOCK_BYTES = 512 * 1024  # bytes per gathered block buffer of edge_aggregate
+EDGE_BLOCK_BYTES = 512 * 1024  # bytes per gathered block buffer of signed_gat's message sum
 
 
 def _jagged(idx, n: int, block: int):
@@ -491,62 +489,32 @@ def _jagged(idx, n: int, block: int):
     return rows[: np.count_nonzero(deg)], order, blocks
 
 
-def edge_aggregate(h, alpha, src, dst, n_out: int) -> Tensor:
-    """Attention-weighted sum of the messages along directed edges.
+def _plan_reduce(plan, vals, n: int, ufunc=np.add, start=0.0) -> np.ndarray:
+    """What ``ufunc.at(np.full((n,) + vals.shape[1:], start), idx, vals)`` does,
+    bitwise, for the edges keyed on ``idx`` whose ``_jagged`` plan is ``plan``:
+    slot j reduces each row's j-th value into a prefix of the rows, in edge order."""
+    rows, order, blocks = plan
+    listed = vals.take(order, axis=0)
+    acc = np.full((rows.size,) + vals.shape[1:], start)
+    for a, spans in blocks:
+        for i, j, r in spans:
+            cell = acc[r : r + j - i]
+            ufunc(cell, listed[a + i : a + j], out=cell)
+    out = np.full((n,) + vals.shape[1:], start)
+    out[rows] = acc
+    return out
 
-    ``h`` is [n_in, heads*head_dim], head k in columns k*head_dim onwards, and
-    ``alpha`` is [E, heads]; output row i sums ``alpha[e, k] * h[src[e], head
-    k]`` over the edges e with ``dst[e] == i``.  The result and both gradients
-    are bitwise those of gathering ``h[src]``, weighting each head's slice and
-    summing the messages onto ``dst`` with ``np.add.at``, but no
-    [E, heads*head_dim] array is held and no ``ufunc.at`` runs.
 
-    The sum runs slot by slot over the output rows sorted by degree
-    (``_jagged``): slot j adds each row's j-th message, in edge order, with
-    one contiguous add over a prefix of the rows, so every cell takes its
-    messages in ``np.add.at``'s order, from +0.0.  The messages are gathered
-    and weighted in blocks of listed edges sized by bytes: each block buffer
-    holds at most ``EDGE_BLOCK_BYTES`` (and at least one edge), so at width
-    304 a block is 215 edges and its gather, weighting and slot adds stay in
-    a core's L2 cache, while at width 32 it is 2,048 edges.  The block size
-    decides only which listed edges share a buffer, never the order of a
-    cell's terms.  The backward does the same keyed on ``src``, with two
-    such buffers (the gathered gradient rows and their products with
-    ``h``): it reads ``h`` once in source order, where each slot's source
-    rows are a prefix, and recomputes each block's gathers instead of
-    keeping them on the tape.  ``_scatter`` still serves the softmax sums
-    and the row-gather gradient.
-    """
-    h, alpha = as_tensor(h), as_tensor(alpha)
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    if src.ndim != 1 or src.shape != dst.shape:
-        raise ShapeError(
-            f"edge src and dst must be 1-D of one length, got {src.shape} and {dst.shape}"
-        )
-    if h.data.ndim != 2 or alpha.data.ndim != 2 or alpha.data.shape[0] != src.size \
-            or alpha.data.shape[1] < 1:
-        raise ShapeError(
-            f"edge_aggregate expects h [n_in, width] and alpha [{src.size}, heads], "
-            f"got {h.data.shape} and {alpha.data.shape}"
-        )
-    (n_in, width), heads = h.data.shape, alpha.data.shape[1]
-    if width % heads:
-        raise ShapeError(f"width {width} of h is not a multiple of {heads} heads")
-    head_dim = width // heads
-    for name, idx, n in (("src", src, n_in), ("dst", dst, n_out)):
-        if idx.size and (idx.min() < 0 or idx.max() >= n):
-            raise IndexError(
-                f"edge {name} out of range [0, {n}): min {idx.min()}, max {idx.max()}"
-            )
-    hd, al = h.data, alpha.data
-
+def _message_sum(hd, al, src, plan, block: int, n_out: int) -> np.ndarray:
+    """Row i of the [n_out, width] result sums ``al[e, k] * hd[src[e], head
+    k]`` over the edges e keyed on row i by ``plan`` (``_jagged`` over the
+    destinations, in blocks of ``block`` edges), bitwise as ``np.add.at``."""
+    rows, order, blocks = plan
+    heads, width = al.shape[1], hd.shape[1]
     # Each block is gathered into one reused buffer and weighted in place;
     # mode="clip" lets take fill it unbuffered, and the indices are checked.
-    block = max(1, EDGE_BLOCK_BYTES // (hd.itemsize * max(width, 1)))
-    rows, order, blocks = _jagged(dst, n_out, block)
-    acc = np.zeros((rows.size, heads, head_dim))
-    msg = np.empty((min(src.size, block), heads, head_dim))
+    acc = np.zeros((rows.size, heads, width // heads))
+    msg = np.empty((min(src.size, block), heads, width // heads))
     for a, spans in blocks:
         blk = order[a : a + block]
         hd.take(src[blk], axis=0, out=msg[: blk.size].reshape(blk.size, width), mode="clip")
@@ -556,78 +524,143 @@ def edge_aggregate(h, alpha, src, dst, n_out: int) -> Tensor:
     del msg  # freed before out is made, so the forward never holds both
     out = np.zeros((n_out, width))
     out[rows] = acc.reshape(rows.size, width)
-
-    def vjp(g):
-        rows, order, blocks = _jagged(src, n_in, block)
-        h_rows = hd.take(rows, axis=0).reshape(rows.size, heads, head_dim)
-        dh_rows = np.zeros(h_rows.shape)
-        dalpha = np.empty(al.shape)
-        g_blk, prod = np.empty((2, min(src.size, block), heads, head_dim))
-        for a, spans in blocks:
-            blk = order[a : a + block]
-            g.take(dst[blk], axis=0, out=g_blk[: blk.size].reshape(blk.size, width), mode="clip")
-            for i, j, r in spans:
-                np.multiply(h_rows[r : r + j - i], g_blk[i:j], out=prod[i:j])
-            # Reduced as the unfused product's gradient is: not at all when
-            # head_dim is 1, which keeps a -0.0 product.
-            dalpha[blk] = _unbroadcast(prod[: blk.size], (blk.size, heads, 1))[:, :, 0]
-            g_blk[: blk.size] *= al.take(blk, axis=0)[:, :, None]
-            for i, j, r in spans:
-                dh_rows[r : r + j - i] += g_blk[i:j]
-        del h_rows, g_blk, prod  # freed before dh is made, so the end adds nothing to the loop's peak
-        dh = np.zeros(hd.shape)
-        dh[rows] = dh_rows.reshape(rows.size, width)
-        return dh, dalpha
-
-    return _emit(_tape_of(h, alpha), out, (h, alpha), vjp)
+    return out
 
 
-def _segment_ids(segment_ids, n_rows: int, num_segments: int) -> np.ndarray:
-    seg = np.asarray(segment_ids, dtype=np.int64)
-    if seg.shape != (n_rows,):
-        raise ShapeError(
-            f"segment ids must be one per row, shape ({n_rows},), got {seg.shape}"
-        )
-    if seg.size and (seg.min() < 0 or seg.max() >= num_segments):
-        raise IndexError(
-            f"segment id out of range [0, {num_segments}): "
-            f"min {seg.min()}, max {seg.max()}"
-        )
-    return seg
+def _message_sum_grad(g, hd, al, src, dst, plan, block: int):
+    """The gradients of ``_message_sum``'s rows w.r.t. ``hd`` and ``al``,
+    given theirs ``g``, over ``plan``: ``_jagged`` over ``src``, in blocks
+    of ``block`` edges."""
+    rows, order, blocks = plan
+    heads, width = al.shape[1], hd.shape[1]
+    h_rows = hd.take(rows, axis=0).reshape(rows.size, heads, width // heads)
+    dh_rows = np.zeros(h_rows.shape)
+    dalpha = np.empty(al.shape)
+    g_blk, prod = np.empty((2, min(src.size, block), heads, width // heads))
+    for a, spans in blocks:
+        blk = order[a : a + block]
+        g.take(dst[blk], axis=0, out=g_blk[: blk.size].reshape(blk.size, width), mode="clip")
+        for i, j, r in spans:
+            np.multiply(h_rows[r : r + j - i], g_blk[i:j], out=prod[i:j])
+        # Reduced as the unfused product's gradient is: not at all when
+        # head_dim is 1, which keeps a -0.0 product.
+        dalpha[blk] = _unbroadcast(prod[: blk.size], (blk.size, heads, 1))[:, :, 0]
+        g_blk[: blk.size] *= al.take(blk, axis=0)[:, :, None]
+        for i, j, r in spans:
+            dh_rows[r : r + j - i] += g_blk[i:j]
+    del h_rows, g_blk, prod  # freed before dh is made, so the end adds nothing to the loop's peak
+    dh = np.zeros(hd.shape)
+    dh[rows] = dh_rows.reshape(rows.size, width)
+    return dh, dalpha
 
 
-def signed_segment_softmax(e, dst, n_out: int) -> Tensor:
-    """Signed softmax of edge scores over each destination's in-edges.
+def signed_gat(feats, w, a_src, a_dst, wo, src, dst, targets, heads: int, slope: float) -> Tensor:
+    """One signed multi-head GAT layer over the directed edges ``src[e] ->
+    dst[e]``, [n_out, d]; output row i is input row ``targets[i]``, each a
+    distinct row.
 
-    ``e`` is [E, heads]; per head, row j of the result is ``sign(e_j) *
-    exp(|e_j|) / sum_k exp(|e_k|)`` over the edges k with ``dst[k] ==
-    dst[j]``, each segment shifted by its largest ``|e|``.  The result and
-    the gradient are bitwise those of the plain chain of elementwise ops, a
-    segment sum over ``dst`` and a row gather; the record keeps only the
-    exponentials, the guarded denominators and the signs.
+    ``feats`` is the [n_in, d] input rows, or a pair ``(weights, table)``
+    of constant [n_in, vocab] weights and a [vocab, d] table whose product
+    they are, each product M of the rows taken as ``weights @ (table @ M)``.
+    ``w`` is [d, width], head k in columns k*width/heads onwards, ``a_src``
+    and ``a_dst`` are [width] and ``wo`` [width, d].  Per head, edge e's
+    score is the leaky relu (``slope`` below zero) of ``s_src[src[e]] +
+    s_dst[targets[dst[e]]]``, each s the input rows times the per-head sums
+    of ``w * a``; its weight is ``sign(score) * exp(|score|)`` over the sum
+    of ``exp(|score|)`` over ``dst[e]``'s in-edges (each shifted by their
+    largest ``|score|``) plus ``EPS``.  Output row i is the tanh of the
+    weighted sum of its in-edges' source rows of ``rows @ w``, times ``wo``.
+
+    The result and every gradient are bitwise those of the chain of tape
+    ops the op replaces: the forward makes the chain's numpy calls on the
+    same layouts and the vjp its backward, adding the three gradients of
+    the input and of ``w`` in the tape's order (from ``s_dst``, from
+    ``s_src``, then from ``rows @ w``).  The sums over the edges run on a
+    ``_jagged`` plan over ``dst``, built in the forward and kept, or over
+    ``src``, built in the vjp: slot j adds each row's j-th term with one
+    contiguous add over a prefix of the rows, so every cell takes its terms
+    in edge order from +0.0.  The messages are gathered and weighted in
+    blocks of listed edges that hold at most ``EDGE_BLOCK_BYTES`` (and at
+    least one edge); the block size decides only which edges share a
+    buffer, never the order of a cell's terms.  No [E, width] array is made: the backward reads ``rows
+    @ w`` once in source order and regathers each block.  The record keeps
+    the scores' exponentials, signs and leaky relu mask and the per-row
+    denominators, not the weights.
     """
-    e = as_tensor(e)
-    if e.data.ndim != 2:
-        raise ShapeError(f"signed_segment_softmax expects e [E, heads], got {e.data.shape}")
-    seg = _segment_ids(dst, e.data.shape[0], n_out)
-    sign = np.sign(e.data)
-    mag = np.abs(e.data)
-    shape = (n_out, e.data.shape[1])
-    shift = np.full(shape, -np.inf)
-    _scatter(shift, seg, mag, np.maximum)
-    ex = np.exp(mag - shift[seg])
-    denom = np.zeros(shape)
-    _scatter(denom, seg, ex)
-    # The chain's divisor guard; an edge's segment sums to at least exp(0) = 1.
-    bsafe = denom[seg] + EPS
+    pair = isinstance(feats, tuple)
+    weights = as_tensor(feats[0]).data if pair else None
+    parents = tuple(as_tensor(t) for t in (feats[1] if pair else feats, w, a_src, a_dst, wo))
+    x, wd, asrc, adst, wod = (t.data for t in parents)
+    src, dst, targets = (np.asarray(i, dtype=np.int64) for i in (src, dst, targets))
+    if src.ndim != 1 or src.shape != dst.shape:
+        raise ShapeError(
+            f"edge src and dst must be 1-D of one length, got {src.shape} and {dst.shape}"
+        )
+    (d, width), n_in, n_out = wd.shape, (weights if pair else x).shape[0], targets.size
+    if width % heads:
+        raise ShapeError(f"width {width} of w is not a multiple of {heads} heads")
+    for name, idx, n in (("src", src, n_in), ("dst", dst, n_out), ("targets", targets, n_in)):
+        if idx.size and (idx.min() < 0 or idx.max() >= n):
+            raise IndexError(
+                f"edge {name} out of range [0, {n}): min {idx.min()}, max {idx.max()}"
+            )
+    split = (d, heads, width // heads)
+
+    def rows_times(m):  # the input rows times m
+        return weights @ (x @ m) if pair else x @ m
+
+    def rows_times_grad(g, m):  # the gradients of the input and of m, given rows_times(m)'s
+        if pair:
+            g = weights.T @ g
+        return g @ m.T, x.T @ g
+
+    def head_sums_grad(g, a):  # the gradients of w and of a, given (w * a)'s per-head sums'
+        g = np.broadcast_to(g[:, :, None], split).reshape(d, width)
+        return g * a, (g * wd).sum(axis=0)
+
+    hw = rows_times(wd)  # [n_in, width]
+    p_src, p_dst = ((wd * a).reshape(split).sum(axis=2) for a in (asrc, adst))  # [d, heads]
+    # Scores, magnitudes and exponentials share one [E, heads] buffer: the chain freed each in turn.
+    ex = rows_times(p_src)[src] + rows_times(p_dst)[targets[dst]]
+    pos = ex > 0
+    np.multiply(ex, slope, out=ex, where=~pos)
+    sign = np.sign(ex)
+    block = max(1, EDGE_BLOCK_BYTES // (hw.itemsize * max(width, 1)))
+    plan = _jagged(dst, n_out, block)
+    np.abs(ex, out=ex)
+    ex -= _plan_reduce(plan, ex, n_out, np.maximum, -np.inf)[dst]
+    np.exp(ex, out=ex)
+    denom = _plan_reduce(plan, ex, n_out)
+
+    def alpha():  # the guarded divisors and the weights, [E, heads] each
+        bsafe = denom[dst] + EPS
+        return bsafe, ex / bsafe * sign
+
+    agg = _message_sum(hw, alpha()[1], src, plan, block, n_out)
+    out = np.tanh(agg @ wod)
 
     def vjp(g):
-        gq = g * sign
-        g_denom = np.zeros(shape)
-        _scatter(g_denom, seg, -gq * ex / (bsafe * bsafe))
-        return ((gq / bsafe + g_denom[seg]) * ex * sign,)
+        g = g * (1.0 - out * out)
+        bsafe, al = alpha()
+        src_plan = _jagged(src, n_in, block)
+        dh, dalpha = _message_sum_grad(g @ wod.T, hw, al, src, dst, src_plan, block)
+        gq = dalpha * sign
+        g_denom = _plan_reduce(plan, -gq * ex / (bsafe * bsafe), n_out)
+        g_pre = (gq / bsafe + g_denom[dst]) * ex * sign * np.where(pos, 1.0, slope)
+        g_s_dst = np.zeros((n_in, heads))
+        g_s_dst[targets] = _plan_reduce(plan, g_pre, n_out)
+        g_x, g_p_dst = rows_times_grad(g_s_dst, p_dst)
+        g_x_src, g_p_src = rows_times_grad(_plan_reduce(src_plan, g_pre, n_in), p_src)
+        g_x += g_x_src
+        g_x_hw, g_w_hw = rows_times_grad(dh, wd)
+        g_x += g_x_hw
+        g_w, g_a_dst = head_sums_grad(g_p_dst, adst)
+        g_w_src, g_a_src = head_sums_grad(g_p_src, asrc)
+        g_w += g_w_src
+        g_w += g_w_hw
+        return g_x, g_w, g_a_src, g_a_dst, agg.T @ g
 
-    return _emit(e.tape, ex / bsafe * sign, (e,), vjp)
+    return _emit(_tape_of(*parents), out, parents, vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -642,16 +675,6 @@ def relu(a) -> Tensor:
         return (g * mask,)
 
     return _emit(a.tape, np.where(mask, a.data, 0.0), (a,), vjp)
-
-
-def leaky_relu(a, slope: float = 0.2) -> Tensor:
-    a = as_tensor(a)
-    pos = a.data > 0
-
-    def vjp(g):
-        return (g * np.where(pos, 1.0, slope),)
-
-    return _emit(a.tape, np.where(pos, a.data, slope * a.data), (a,), vjp)
 
 
 def tanh(a) -> Tensor:

@@ -40,8 +40,16 @@ class TrainConfig:
 
     def __post_init__(self):
         for name, kind in _FIELD_TYPES.items():
-            if kind is float and not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if typing.get_origin(kind) is tuple:  # a bool is no number here; an int is a float
+                want, typed = "a tuple of ints", type(value) is tuple and all(type(k) is int for k in value)
+            else:
+                want = kind.__name__
+                typed = isinstance(value, (int, float) if kind is float else kind) and type(value) is not bool
+            if not typed:
+                raise ValueError(f"{name} must be {want}, got {value!r}")
+            if kind is float and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         for name in ("train_frac", "val_frac", "test_frac"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
@@ -101,8 +109,8 @@ class TrainConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         clean = dict(raw)
-        if "kernel_sizes" in clean:
-            clean["kernel_sizes"] = tuple(int(k) for k in clean["kernel_sizes"])
+        if isinstance(clean.get("kernel_sizes"), list):
+            clean["kernel_sizes"] = tuple(clean["kernel_sizes"])
         return cls(**clean)
 
 

@@ -9,8 +9,8 @@ construction is a pure numpy function of the records and a token-embedding
 table; the graph keeps each node's token weights, so a node's feature under
 any table is its row of ``token_weights @ embed``.  Similarity edges come
 from a row-tiled join that keeps only the pairs at or above the threshold,
-so building never holds an [n_nodes, n_nodes] matrix.  The GAT layers run on
-tape tensors, so gradients reach the embedding table, and each layer runs
+so building never holds an [n_nodes, n_nodes] matrix.  Each GAT layer is one
+tape op, ``ad.signed_gat``, so gradients reach the embedding table, and runs
 over an edge block: the edges whose messages can reach the rows the caller
 needs (``receptive_blocks``).  The first layer can take its input as its
 rows' token weights and the embedding table, and then multiplies only the
@@ -371,60 +371,29 @@ def signed_gat_layer(
     layer: int = 0,
 ) -> Tensor:
     """One signed multi-head GAT layer over the edges of the ``EdgeBlock``
-    ``graph``.
+    ``graph``, as one tape record (``ad.signed_gat``).
 
     ``feats`` holds the block's input rows, or is a pair ``(weights,
     table)`` whose product they are: on the first layer, the constant
     [n_in, vocab] token weights of the input rows and the [vocab, d]
-    embedding table.  A pair's products are taken as
-    ``weights @ (table @ M)``, so no [n_in, d] array is formed.  The
-    result holds the block's output rows.
-    Per head: e_ij = leaky_relu(a_src.Wh_j + a_dst.Wh_i) over directed edges
+    embedding table, and then no [n_in, d] array is formed.  The result
+    holds the block's output rows.
+    Per head: e_ij = LeakyReLU(a_src.Wh_j + a_dst.Wh_i) over directed edges
     j -> i; alpha_ij = sign(e_ij) * softmax_j(|e_ij|); output row i
     aggregates alpha-weighted Wh_j, heads are concatenated, projected back to
-    d, tanh.  The scores a.Wh are each one product of the input with the
-    [d, heads] per-head sums of ``W * a``.  The ``heads`` heads share W's
-    width equally; ``leaky_slope`` is the leaky relu's slope on negative
-    scores.
+    d, tanh.  The ``heads`` heads share W's width equally; ``leaky_slope``
+    is the leaky relu's slope on negative scores.
     """
     if not isinstance(graph, EdgeBlock):
         raise ShapeError(
             f"signed_gat_layer expects an EdgeBlock (src, dst, targets), "
             f"got {type(graph).__name__}"
         )
-    n_out = graph.targets.size
-    covered = np.zeros(n_out, dtype=bool)
+    covered = np.zeros(graph.targets.size, dtype=bool)
     covered[graph.dst] = True
     if not covered.all():
         raise ValueError("node without any in-edge; self-loops are required")
-
-    w = params[f"gat.l{layer}.w"]
-    a_src = params[f"gat.l{layer}.a_src"]
-    a_dst = params[f"gat.l{layer}.a_dst"]
-    wo = params[f"gat.l{layer}.wo"]
-    head_dim = w.shape[1] // heads
-
-    def per_head_sum(x: Tensor) -> Tensor:  # [rows, heads*head_dim] -> [rows, heads]
-        return ad.sum_(ad.reshape(x, (x.shape[0], heads, head_dim)), axis=2)
-
-    def project(m: Tensor) -> Tensor:  # the input rows times m
-        if isinstance(feats, tuple):
-            weights, table = feats
-            return ad.matmul(weights, ad.matmul(table, m))
-        return ad.matmul(feats, m)
-
-    hw = project(w)  # [n_in, heads*head_dim]
-    s_src = project(per_head_sum(ad.mul(w, a_src)))  # [n_in, heads]
-    s_dst = project(per_head_sum(ad.mul(w, a_dst)))
-    e = ad.leaky_relu(
-        ad.add(
-            ad.gather_rows(s_src, graph.src),
-            ad.gather_rows(s_dst, graph.targets[graph.dst]),
-        ),
-        leaky_slope,
-    )  # [E, heads], scores for edge src -> dst grouped by dst
-
-    alpha = ad.signed_segment_softmax(e, graph.dst, n_out)
-
-    agg = ad.edge_aggregate(hw, alpha, graph.src, graph.dst, n_out)
-    return ad.tanh(ad.matmul(agg, wo))
+    return ad.signed_gat(
+        feats, *(params[f"gat.l{layer}.{name}"] for name in ("w", "a_src", "a_dst", "wo")),
+        graph.src, graph.dst, graph.targets, heads, leaky_slope,
+    )

@@ -132,7 +132,7 @@ def _array_table(path, table, size: int) -> dict[str, tuple]:
     for entry in table:
         if not (
             isinstance(entry, list) and len(entry) == 3 and isinstance(entry[0], str)
-            and isinstance(entry[2], list) and all(isinstance(s, int) and s >= 0 for s in entry[2])
+            and isinstance(entry[2], list) and all(type(s) is int and s >= 0 for s in entry[2])
         ):
             raise ModelFileError(f"{path}: malformed array table entry {entry!r}")
         name, dtype, shape = entry

@@ -6,16 +6,17 @@ optimised paths (``text_cnn_per_offset``, ``text_cnn_chain``,
 ``signed_gat_layer_plain`` and ``social_batch_full_graph`` with ``whole_graph_block``,
 ``attention_per_post``, ``is_att_per_post``,
 ``attend_masked`` and ``attend_chain`` with the paths built on them
-(``attention_with``, ``is_att_with``), ``edge_aggregate_unfused``,
-``ce_clamped`` and ``ml_clamped`` (the losses from probabilities through
-clamped logs), ``AdamAllocating`` (the Adam step as whole-array formulas),
-and ``signed_softmax_chain``: ``abs_``, ``sub``, ``exp``,
-``segment_sum``, ``gather_rows``, ``div`` and ``mul``, with a detached
-``np.maximum.at`` shift and sign), which reuse the package's building blocks
-and differ from the optimised path only in what it skips or batches; the
-tape ops that left the package for them (``abs_``, ``div``, ``segment_sum``,
-``log_clamped``, ``batched_matmul``, ``transpose_axes``, ``softmax_rows``,
-``mean`` and ``group_max``); and the plain
+(``attention_with``, ``is_att_with``), ``gat_layer_chain`` with
+``edge_aggregate_unfused`` and ``signed_softmax_chain`` (``abs_``,
+``sub``, ``exp``, ``segment_sum``, ``gather_rows``, ``div`` and ``mul``,
+with a detached ``np.maximum.at`` shift and sign), ``ce_clamped`` and
+``ml_clamped`` (the losses from probabilities through clamped logs) and
+``AdamAllocating`` (the Adam step as whole-array formulas), which reuse the
+package's building blocks and differ from the optimised path only in what
+it skips or batches; the tape ops that left the package for them
+(``leaky_relu``, ``abs_``, ``div``, ``segment_sum``, ``log_clamped``,
+``batched_matmul``, ``transpose_axes``, ``softmax_rows``, ``mean`` and
+``group_max``); and the plain
 ``ufunc.at`` scatters (``scatter_at``, the ``*_at`` ops built on it, and
 ``segment_max``); and ``grad_check_entries``, ``ad.grad_check`` with
 every entry reported."""
@@ -390,19 +391,43 @@ def segment_max_at(x, seg, num_segments):
     return out, (rows == first[seg]).astype(float)
 
 
+def _segment_ids(segment_ids, n_rows, num_segments):
+    seg = np.asarray(segment_ids, dtype=np.int64)
+    if seg.shape != (n_rows,):
+        raise ad.ShapeError(
+            f"segment ids must be one per row, shape ({n_rows},), got {seg.shape}"
+        )
+    if seg.size and (seg.min() < 0 or seg.max() >= num_segments):
+        raise IndexError(
+            f"segment id out of range [0, {num_segments}): "
+            f"min {seg.min()}, max {seg.max()}"
+        )
+    return seg
+
+
 def segment_max(a, segment_ids, num_segments):
     """Per-segment max over the rows of a tape tensor, through
     ``segment_max_at``; the gradient flows to the first attaining row of each
     segment and column.  Segment ids are checked as ``segment_sum`` checks
     them."""
     a = ad.as_tensor(a)
-    seg = ad._segment_ids(segment_ids, a.shape[0], num_segments)
+    seg = _segment_ids(segment_ids, a.shape[0], num_segments)
     out, mask = segment_max_at(a.data, seg, num_segments)
 
     def vjp(g):
         return (g[seg] * mask,)
 
     return ad.Tensor(out) if a.tape is None else a.tape.emit(out, (a,), vjp)
+
+
+def leaky_relu(a, slope):
+    a = ad.as_tensor(a)
+    pos = a.data > 0
+
+    def vjp(g):
+        return (g * np.where(pos, 1.0, slope),)
+
+    return ad._emit(a.tape, np.where(pos, a.data, slope * a.data), (a,), vjp)
 
 
 def abs_(a):
@@ -433,7 +458,7 @@ def segment_sum(a, segment_ids, num_segments):
     """Sum the rows of a 2-D tape tensor into ``num_segments`` groups, with
     ``ad._scatter``."""
     a = ad.as_tensor(a)
-    seg = ad._segment_ids(segment_ids, a.data.shape[0], num_segments)
+    seg = _segment_ids(segment_ids, a.data.shape[0], num_segments)
     out = np.zeros((num_segments, a.data.shape[1]))
     ad._scatter(out, seg, a.data)
 
@@ -444,9 +469,9 @@ def segment_sum(a, segment_ids, num_segments):
 
 
 def signed_softmax_chain(e, dst, n_out):
-    """What ``ad.signed_segment_softmax`` computes, as the chain of tape ops
-    it replaces: ``sign(e) * softmax(|e|)`` per destination, with the shift
-    and the sign detached."""
+    """The signed softmax of ``ad.signed_gat``, as a chain of tape ops:
+    ``sign(e) * softmax(|e|)`` per destination, with the shift and the sign
+    detached."""
     e = ad.as_tensor(e)
     sign = np.sign(e.data)
     mag = abs_(e)
@@ -458,9 +483,9 @@ def signed_softmax_chain(e, dst, n_out):
 
 
 def edge_aggregate_unfused(h, alpha, src, dst, n_out):
-    """What ``ad.edge_aggregate`` computes, the plain way: every edge's source
-    row gathered whole, each head's slice weighted by its alpha, and the
-    [E, heads*head_dim] messages summed per destination."""
+    """The message sum of ``ad.signed_gat``, the plain way: every edge's
+    source row gathered whole, each head's slice weighted by its alpha, and
+    the [E, heads*head_dim] messages summed per destination."""
     n_edges, heads = alpha.shape
     width = h.shape[1]
     msg = ad.mul(
@@ -468,6 +493,40 @@ def edge_aggregate_unfused(h, alpha, src, dst, n_out):
         ad.reshape(alpha, (n_edges, heads, 1)),
     )
     return segment_sum(ad.reshape(msg, (n_edges, width)), dst, n_out)
+
+
+def gat_layer_chain(feats, graph, params, heads, leaky_slope, layer=0):
+    """What ``encoders.signed_gat_layer`` computes, as the chain of tape ops
+    that ``ad.signed_gat`` replaces: the scores folded into W (each one
+    product of the input rows with the per-head sums of ``W * a``), the
+    leaky relu, ``signed_softmax_chain``, ``edge_aggregate_unfused``, ``wo``
+    and tanh.  ``feats`` is a tensor or a ``(weights, table)`` pair."""
+    n_out = graph.targets.size
+    w = params[f"gat.l{layer}.w"]
+    head_dim = w.shape[1] // heads
+
+    def per_head_sum(x):  # [rows, heads*head_dim] -> [rows, heads]
+        return ad.sum_(ad.reshape(x, (x.shape[0], heads, head_dim)), axis=2)
+
+    def project(m):  # the input rows times m
+        if isinstance(feats, tuple):
+            weights, table = feats
+            return ad.matmul(weights, ad.matmul(table, m))
+        return ad.matmul(feats, m)
+
+    hw = project(w)
+    s_src = project(per_head_sum(ad.mul(w, params[f"gat.l{layer}.a_src"])))
+    s_dst = project(per_head_sum(ad.mul(w, params[f"gat.l{layer}.a_dst"])))
+    e = leaky_relu(
+        ad.add(
+            ad.gather_rows(s_src, graph.src),
+            ad.gather_rows(s_dst, graph.targets[graph.dst]),
+        ),
+        leaky_slope,
+    )
+    alpha = signed_softmax_chain(e, graph.dst, n_out)
+    agg = edge_aggregate_unfused(hw, alpha, graph.src, graph.dst, n_out)
+    return ad.tanh(ad.matmul(agg, params[f"gat.l{layer}.wo"]))
 
 
 def node_features_direct(posts, comments, users, embed):
@@ -543,8 +602,8 @@ def whole_graph_block(graph):
 def signed_gat_layer_plain(feats, graph, params, heads, leaky_slope, layer=0):
     """What ``encoders.signed_gat_layer`` computes over the ``EdgeBlock``
     ``graph``, the plain way: the input rows times W, each head's scores as
-    the sum of ``Wh * a`` over its columns, then the same signed softmax and
-    edge aggregate."""
+    the sum of ``Wh * a`` over its columns, then the signed softmax and
+    message sum of ``gat_layer_chain``."""
     n_out = graph.targets.size
     w = params[f"gat.l{layer}.w"]
     head_dim = w.shape[1] // heads
@@ -558,15 +617,15 @@ def signed_gat_layer_plain(feats, graph, params, heads, leaky_slope, layer=0):
     hw = ad.matmul(feats, w)
     s_src = per_head_sum(ad.mul(hw, a_src))
     s_dst = per_head_sum(ad.mul(hw, a_dst))
-    e = ad.leaky_relu(
+    e = leaky_relu(
         ad.add(
             ad.gather_rows(s_src, graph.src),
             ad.gather_rows(s_dst, graph.targets[graph.dst]),
         ),
         leaky_slope,
     )
-    alpha = ad.signed_segment_softmax(e, graph.dst, n_out)
-    agg = ad.edge_aggregate(hw, alpha, graph.src, graph.dst, n_out)
+    alpha = signed_softmax_chain(e, graph.dst, n_out)
+    agg = edge_aggregate_unfused(hw, alpha, graph.src, graph.dst, n_out)
     return ad.tanh(ad.matmul(agg, wo))
 
 

@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from ismaf import autodiff as ad
 from ismaf import gradcheck
 from ismaf.autodiff import ParamStore, ShapeError, Tape, Tensor
+from ismaf.encoders import EdgeBlock
 
 import oracles
 
@@ -329,14 +330,12 @@ def _scatter_cases(draw):
 
 
 class TestScatter:
-    # np.maximum is the softmax shift's scatter: a tie between -0.0 and 0.0
-    # keeps the value that came first, so the order of a slot's values shows.
     @settings(max_examples=150, deadline=None)
-    @given(case=_scatter_cases(), ufunc=st.sampled_from([np.add, np.maximum]))
-    def test_matches_ufunc_at(self, case, ufunc):
+    @given(case=_scatter_cases())
+    def test_matches_ufunc_at(self, case):
         out, idx, vals = case
-        expected = oracles.scatter_at(ufunc, out, idx, vals)
-        ad._scatter(out, idx, vals, ufunc)
+        expected = oracles.scatter_at(np.add, out, idx, vals)
+        ad._scatter(out, idx, vals)
         assert out.dtype == expected.dtype
         assert out.tobytes() == expected.tobytes()
 
@@ -386,7 +385,42 @@ class TestScatter:
 
 
 # ---------------------------------------------------------------------------
-# edge_aggregate: jagged-diagonal message sum against the unfused ops
+# signed_gat's sums over a jagged-diagonal plan against ufunc.at
+
+
+class TestPlanReduce:
+    # np.maximum is the softmax shift's reduction: a tie between -0.0 and
+    # 0.0 keeps the value that came first, so the order of a slot's values
+    # shows.  Blocks of 1 and 7 edges split slots across blocks.
+    @settings(max_examples=150, deadline=None)
+    @given(case=_scatter_cases(), ufunc=st.sampled_from([np.add, np.maximum]),
+           block=st.sampled_from([1, 7, 64, 4096]))
+    def test_matches_ufunc_at(self, case, ufunc, block):
+        out, idx, vals = case
+        vals, n = vals.astype(np.float64), out.shape[0]
+        start = 0.0 if ufunc is np.add else -np.inf
+        expected = oracles.scatter_at(ufunc, np.full(out.shape, start), idx, vals)
+        got = ad._plan_reduce(ad._jagged(idx, n, block), vals, n, ufunc, start)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# signed_gat's message sum: jagged-diagonal sum against the unfused ops
+
+
+def _edge_aggregate(h, alpha, src, dst, n_out):
+    """``signed_gat``'s message sum and its gradient as one tape op, over
+    the plans and the block size that the op builds."""
+    h, alpha = ad.as_tensor(h), ad.as_tensor(alpha)
+    src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+    block = max(1, ad.EDGE_BLOCK_BYTES // (8 * h.shape[1]))
+    out = ad._message_sum(h.data, alpha.data, src, ad._jagged(dst, n_out, block), block, n_out)
+
+    def vjp(g):
+        plan = ad._jagged(src, h.shape[0], block)
+        return ad._message_sum_grad(g, h.data, alpha.data, src, dst, plan, block)
+
+    return ad._emit(ad._tape_of(h, alpha), out, (h, alpha), vjp)
 
 
 def _rows_and_grads(aggregate, h, alpha, probe):
@@ -399,7 +433,7 @@ def _rows_and_grads(aggregate, h, alpha, probe):
 
 @st.composite
 def _edge_cases(draw):
-    """An edge_aggregate input: up to ~700 edges in random order over
+    """A message sum's input: up to ~700 edges in random order over
     hub-shaped destinations and sources, with rows that take no edge on
     either side, signed zeros in h, alpha and the output's gradient, and
     the ``EDGE_BLOCK_BYTES`` to run it with: below one row (one edge per
@@ -457,7 +491,7 @@ class TestEdgeAggregate:
         )
         with mock.patch.object(ad, "EDGE_BLOCK_BYTES", chunk * h[0].nbytes):
             got = _rows_and_grads(
-                lambda ht, at: ad.edge_aggregate(ht, at, src, dst, n_out), h, alpha, probe
+                lambda ht, at: _edge_aggregate(ht, at, src, dst, n_out), h, alpha, probe
             )
         for name, g, e in zip(("rows", "d h", "d alpha"), got, expected):
             assert g.shape == e.shape and g.tobytes() == e.tobytes(), name
@@ -470,7 +504,7 @@ class TestEdgeAggregate:
         )
         with mock.patch.object(ad, "EDGE_BLOCK_BYTES", block_bytes):
             got = _rows_and_grads(
-                lambda ht, at: ad.edge_aggregate(ht, at, src, dst, n_out), h, alpha, probe
+                lambda ht, at: _edge_aggregate(ht, at, src, dst, n_out), h, alpha, probe
             )
         return got, expected
 
@@ -501,40 +535,18 @@ class TestEdgeAggregate:
             assert (np.isnan(g) == nan).all(), name
             assert g[~nan].tobytes() == e[~nan].tobytes(), name
 
-    # 20,000 edges of width 2 into 1,000 rows: a 16 KB output against
-    # 160 KB per [E] int array, so a record that kept the plan, or the
-    # degree-ordered accumulator (another 16 KB), reads well over the output.
-    def test_record_holds_only_the_output(self):
-        rng = _rng(6)
-        n_out, n_edges = 1000, 20_000
-        h, alpha = rng.normal(size=(300, 2)), rng.normal(size=(n_edges, 2))
-        src, dst = rng.integers(0, 300, n_edges), rng.integers(0, n_out, n_edges)
-        ad.edge_aggregate(h, alpha, src, dst, n_out)  # numpy's one-time set-up is not the op's
-        tape = Tape()
-        ht, at = tape.watch(h), tape.watch(alpha)
-        tracemalloc.start()
-        try:
-            out = ad.edge_aggregate(ht, at, src, dst, n_out)
-            held, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert held < 1.25 * out.data.nbytes + 4096, held / out.data.nbytes
-        tape.backward(ad.sum_(out))
-        assert np.isfinite(tape.grad(ht)).all()
-
     @staticmethod
     def _block_edges(width):
         return ad.EDGE_BLOCK_BYTES // (8 * width)
 
     # A block buffer holds EDGE_BLOCK_BYTES of messages: 215 edges at the
-    # paper's width 304, 2,048 at width 32, and one edge at any width.
+    # paper's width 304, 2,048 at width 32, and one edge at any width.  The
+    # op plans over dst in its forward and over src in its vjp.
     @pytest.mark.parametrize("width, edges", [(304, 215), (32, 2048), (ad.EDGE_BLOCK_BYTES // 4, 1)])
     def test_blocks_are_sized_by_bytes(self, width, edges):
-        h, alpha = np.ones((3, width)), np.ones((5, 2))
         with mock.patch.object(ad, "_jagged", wraps=ad._jagged) as plan:
             tape = Tape()
-            ht = tape.watch(h)
-            tape.backward(ad.sum_(ad.edge_aggregate(ht, alpha, [0, 1, 2, 1, 0], [0, 0, 1, 1, 1], 2)))
+            tape.backward(ad.sum_(_gat(tape.watch(np.ones((3, 1))), width=width)))
         assert [c.args[2] for c in plan.call_args_list] == [edges, edges]
 
     # 10,000 input rows of width 64 (5.1 MB) into 50 output rows: the
@@ -547,10 +559,10 @@ class TestEdgeAggregate:
         h = rng.normal(size=(n_in, width))
         alpha = rng.normal(size=(n_edges, heads))
         src, dst = rng.integers(0, n_in, n_edges), rng.integers(0, n_out, n_edges)
-        ad.edge_aggregate(h, alpha, src, dst, n_out)  # numpy's one-time set-up is not the op's
+        _edge_aggregate(h, alpha, src, dst, n_out)  # numpy's one-time set-up is not the op's
         tracemalloc.start()
         try:
-            out = ad.edge_aggregate(Tensor(h), Tensor(alpha), src, dst, n_out)
+            out = _edge_aggregate(Tensor(h), Tensor(alpha), src, dst, n_out)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -575,7 +587,7 @@ class TestEdgeAggregate:
         def recorded():
             tape = Tape()
             ht, at = tape.watch(h), tape.watch(alpha)
-            return tape, ad.sum_(ad.mul(ad.edge_aggregate(ht, at, src, dst, n_out), probe))
+            return tape, ad.sum_(ad.mul(_edge_aggregate(ht, at, src, dst, n_out), probe))
 
         tape, loss = recorded()
         tape.backward(loss)  # numpy's one-time set-up is not the op's
@@ -591,133 +603,132 @@ class TestEdgeAggregate:
         assert bound < 2 * 2048 * width * 8
         assert peak < bound, (peak, bound)
 
-    @pytest.mark.parametrize("alpha_shape", [(6, 2), (4, 2), (5,), (5, 2, 1), (5, 0)])
-    def test_alpha_must_be_edges_by_heads(self, alpha_shape):
-        with pytest.raises(ShapeError, match=r"alpha \[5, heads\]"):
-            ad.edge_aggregate(np.zeros((3, 4)), np.zeros(alpha_shape), [0] * 5, [0] * 5, 2)
-
     def test_width_must_be_a_multiple_of_heads(self):
-        with pytest.raises(ShapeError, match="width 5 .* multiple of 2 heads"):
-            ad.edge_aggregate(np.zeros((3, 5)), np.zeros((5, 2)), [0] * 5, [0] * 5, 2)
+        with pytest.raises(ShapeError, match="width 5 of w .* multiple of 2 heads"):
+            _gat(np.zeros((3, 1)), width=5)
 
     @pytest.mark.parametrize("src, dst", [([0] * 5, [0] * 4), ([0] * 4, [0] * 5), ([[0] * 5], [[0] * 5])])
     def test_src_and_dst_must_be_one_length(self, src, dst):
         with pytest.raises(ShapeError, match="src and dst"):
-            ad.edge_aggregate(np.zeros((3, 4)), np.zeros((5, 2)), src, dst, 2)
+            _gat(np.zeros((3, 1)), src=src, dst=dst)
 
     @pytest.mark.parametrize("end, ids, pattern", [
         ("src", [0, 1, 3, 2, 0], r"src out of range \[0, 3\)"),
         ("src", [0, -1, 2, 2, 0], r"src out of range \[0, 3\)"),
         ("dst", [0, 1, 2, 1, 0], r"dst out of range \[0, 2\)"),
         ("dst", [0, 1, -1, 1, 0], r"dst out of range \[0, 2\)"),
+        ("targets", [0, 3], r"targets out of range \[0, 3\)"),
+        ("targets", [-1, 1], r"targets out of range \[0, 3\)"),
     ])
     def test_endpoint_out_of_range(self, end, ids, pattern):
-        edges = {"src": [0] * 5, "dst": [0] * 5, end: ids}
+        edges = {"src": [0] * 5, "dst": [0] * 5, "targets": [0, 1], end: ids}
         with pytest.raises(IndexError, match=pattern):
-            ad.edge_aggregate(np.zeros((3, 4)), np.zeros((5, 2)), edges["src"], edges["dst"], 2)
+            _gat(np.zeros((3, 1)), **edges)
+
+
+def _gat(x, width=4, src=(0, 1, 2, 1, 0), dst=(0, 0, 1, 1, 1), targets=(0, 1)):
+    """``ad.signed_gat`` with 2 heads and weights of ones, from the rows ``x``
+    over five edges into two rows."""
+    d = x.shape[1]
+    ones = (np.ones((d, width)), np.ones(width), np.ones(width), np.ones((width, d)))
+    return ad.signed_gat(x, *ones, src, dst, targets, 2, 0.2)
 
 
 # ---------------------------------------------------------------------------
-# signed_segment_softmax: one op against the chain of tape ops it replaces
+# signed_gat's signed softmax: the op against the chain of tape ops it replaces
+
+
+def _gat_op(leaves, src, dst, targets, heads):
+    return ad.signed_gat(leaves[0], *leaves[1:], src, dst, targets, heads, 0.2)
+
+
+def _gat_chain(leaves, src, dst, targets, heads):
+    params = dict(zip(("gat.l0.w", "gat.l0.a_src", "gat.l0.a_dst", "gat.l0.wo"), leaves[1:]))
+    return oracles.gat_layer_chain(leaves[0], EdgeBlock(src, dst, targets), params, heads, 0.2)
 
 
 class TestSignedSegmentSoftmax:
     # Hub-shaped destinations over 14 slots: hubs, single-edge segments and
     # two empty ones (slots 12 and 13).
     DST_MULT = [150, 120, 90, 60, 30, 15, 8, 4, 2, 1, 1, 1, 0, 0]
-    HEADS = 8
+    HEADS, N_IN, D = 8, 20, 4
 
     def _case(self, seed):
         rng = _rng(seed)
         dst = rng.permutation(np.repeat(np.arange(len(self.DST_MULT)), self.DST_MULT))
-        e = rng.normal(size=(dst.size, self.HEADS))
-        e[rng.random(e.shape) < 0.05] = 0.0  # sign 0: no weight, no gradient
-        e[dst == 9] = 0.0  # a single-edge segment that is all zeros
-        return dst, e, rng.normal(size=e.shape)
+        src = rng.integers(0, self.N_IN, size=dst.size)
+        targets = rng.permutation(self.N_IN)[: len(self.DST_MULT)]
+        x = rng.normal(size=(self.N_IN, self.D))
+        # Scores are 0 (sign 0: no weight, no gradient) from a zero row into
+        # one: on some edges into hub 0, and on the single edge into slot 9.
+        x[targets[[0, 9]]] = 0.0
+        src[dst == 9] = targets[9]
+        src[np.flatnonzero(dst == 0)[::7]] = targets[0]
+        weights = [rng.normal(size=s) for s in ((self.D, 2 * self.HEADS), (2 * self.HEADS,),
+                                                (2 * self.HEADS,), (2 * self.HEADS, self.D))]
+        return [x] + weights, (src, dst, targets, self.HEADS)
 
     @staticmethod
-    def _rows_and_grad(op, e, probe):
+    def _rows_and_grads(layer, values, edges):
         tape = Tape()
-        et = tape.watch(e)
-        out = op(et)
-        tape.backward(ad.sum_(ad.mul(out, Tensor(probe))))
-        return out.data, tape.grad(et)
+        leaves = [tape.watch(v) for v in values]
+        out = layer(leaves, *edges)
+        tape.backward(ad.sum_(ad.mul(out, Tensor(_rng(99).normal(size=out.shape)))))
+        return [out.data] + [tape.grad(t) for t in leaves]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_chain_bitwise(self, seed):
-        dst, e, probe = self._case(seed)
-        n_out = len(self.DST_MULT)
-        assert (e == 0).any() and (e != 0).any()
-        expected = self._rows_and_grad(
-            lambda t: oracles.signed_softmax_chain(t, dst, n_out), e, probe
-        )
-        got = self._rows_and_grad(
-            lambda t: ad.signed_segment_softmax(t, dst, n_out), e, probe
-        )
-        for name, g, x in zip(("rows", "d e"), got, expected):
+        values, edges = self._case(seed)
+        expected = self._rows_and_grads(_gat_chain, values, edges)
+        got = self._rows_and_grads(_gat_op, values, edges)
+        for name, g, x in zip(("rows", "d x", "d w", "d a_src", "d a_dst", "d wo"), got, expected):
             assert g.shape == x.shape and g.tobytes() == x.tobytes(), name
 
-    # The shift, read from the op's own scatter, over magnitudes that hold
-    # 0, inf and NaN (the NaN and inf of |e| propagate into their segments).
+    # The shift, from the op's reduction, over magnitudes that hold 0, inf
+    # and NaN (the NaN and inf of |e| propagate into their segments).
     @pytest.mark.parametrize("seed", range(3))
     def test_shift_matches_maximum_at(self, seed):
-        dst, _, _ = self._case(seed)
+        _, (_, dst, _, _) = self._case(seed)
         n_out = len(self.DST_MULT)
         pool = np.array([-0.0, 0.0, 0.5, 2.0, np.inf, -np.inf, np.nan])
-        e = _rng(seed + 10).choice(pool, size=(dst.size, self.HEADS))
-        with mock.patch.object(ad, "_scatter", wraps=ad._scatter) as spy, \
-                np.errstate(invalid="ignore"):
-            ad.signed_segment_softmax(Tensor(e), dst, n_out)
-        (shift,) = [c.args[0] for c in spy.call_args_list if c.args[3:] == (np.maximum,)]
+        mag = np.abs(_rng(seed + 10).choice(pool, size=(dst.size, self.HEADS)))
+        shift = ad._plan_reduce(ad._jagged(dst, n_out, 7), mag, n_out, np.maximum, -np.inf)
         expected = oracles.scatter_at(
-            np.maximum, np.full((n_out, self.HEADS), -np.inf), dst, np.abs(e)
+            np.maximum, np.full((n_out, self.HEADS), -np.inf), dst, mag
         )
         assert np.isnan(expected).any() and np.isinf(expected).any()
         assert shift.tobytes() == expected.tobytes()
 
     def test_constant_input_gives_constant_rows(self):
-        dst, e, _ = self._case(0)
-        out = ad.signed_segment_softmax(Tensor(e), dst, len(self.DST_MULT))
+        values, edges = self._case(0)
+        consts = [Tensor(v) for v in values]
+        out = _gat_op(consts, *edges)
         assert out.tape is None
-        np.testing.assert_array_equal(
-            out.data, oracles.signed_softmax_chain(Tensor(e), dst, len(self.DST_MULT)).data
-        )
+        assert out.data.tobytes() == _gat_chain(consts, *edges).data.tobytes()
 
-    @pytest.mark.parametrize("shape", [(5,), (5, 2, 1)])
-    def test_scores_must_be_edges_by_heads(self, shape):
-        with pytest.raises(ShapeError, match=r"e \[E, heads\]"):
-            ad.signed_segment_softmax(np.zeros(shape), [0] * 5, 2)
-
-    @pytest.mark.parametrize("dst", [[0] * 4, [0] * 6, [[0] * 5]])
-    def test_dst_must_be_one_per_edge(self, dst):
-        with pytest.raises(ShapeError, match=r"\(5,\)"):
-            ad.signed_segment_softmax(np.zeros((5, 2)), dst, 2)
-
-    @pytest.mark.parametrize("dst", [[0, 1, 2, 1, 0], [0, 1, -1, 1, 0]])
-    def test_dst_out_of_range(self, dst):
-        with pytest.raises(IndexError, match=r"\[0, 2\)"):
-            ad.signed_segment_softmax(np.zeros((5, 2)), dst, 2)
-
-    def test_record_holds_under_five_edge_arrays(self):
-        # The chain keeps six [E, heads] arrays on the tape (its output, |e|'s
-        # sign, exp's result, div's guarded divisor and quotient, the
-        # detached sign); the op keeps its output, the exponentials, the
-        # guarded divisors and the signs.
+    def test_record_holds_under_three_edge_arrays(self):
+        # 20,000 edges into 500 rows, whose [500, 8] arrays are each 1/40
+        # of an [E, heads] array.  The chain's records keep over six
+        # [E, heads] arrays here; the op's keeps the scores' exponentials and
+        # signs, and 1/8 of one each for their leaky relu mask and the
+        # dst plan's [E] ints, so keeping the weights or divisors fails it.
         rng = _rng(4)
         dst = np.repeat(np.arange(500), 40)
-        e = rng.normal(size=(dst.size, self.HEADS))
+        edges = (rng.integers(0, 500, dst.size), dst, np.arange(500), self.HEADS)
+        values = [rng.normal(size=s) for s in ((500, 2), (2, 8), (8,), (8,), (8, 2))]
+        _gat_op(values, *edges)  # numpy's one-time set-up is not the op's
         tape = Tape()
-        et = tape.watch(e)
+        leaves = [tape.watch(v) for v in values]
         tracemalloc.start()
         try:
-            out = ad.signed_segment_softmax(et, dst, 500)
+            out = _gat_op(leaves, *edges)
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        units = held / e.nbytes
-        assert units < 4.5, units
+        units = held / (dst.size * self.HEADS * 8)
+        assert units < 2.5, units
         tape.backward(ad.sum_(out))
-        assert np.isfinite(tape.grad(et)).all()
+        assert np.isfinite(tape.grad(leaves[0])).all()
 
 
 # ---------------------------------------------------------------------------
@@ -809,7 +820,6 @@ _OP_CASES = {
     "div": ({"a": (3, 3), "b": (3, 3)}, lambda p: oracles.div(p["a"], ad.add(ad.mul(p["b"], p["b"]), Tensor(np.full((3, 3), 0.5))))),
     "scale": ({"a": (3, 4)}, lambda p: ad.scale(p["a"], -1.7)),
     "relu": ({"a": (4, 4)}, lambda p: ad.relu(p["a"])),
-    "leaky_relu": ({"a": (4, 4)}, lambda p: ad.leaky_relu(p["a"], 0.2)),
     "tanh": ({"a": (4, 4)}, lambda p: ad.tanh(p["a"])),
     "exp": ({"a": (3, 3)}, lambda p: ad.exp(p["a"])),
     "log": ({"a": (3, 3)}, lambda p: ad.log(ad.add(ad.mul(p["a"], p["a"]), Tensor(np.full((3, 3), 0.3))))),
@@ -841,13 +851,6 @@ _OP_CASES = {
         {"a": (5, 2)},
         lambda p: oracles.segment_sum(p["a"], [0, 1, 0, 2, 1], 3),
     ),
-    # Segment 3 is empty.  No segment has a single edge: its weight is
-    # sign(e) / (1 + 1e-12), whose gradient is the guard's 1e-12-scale
-    # residue, below what central differences resolve.
-    "signed_segment_softmax": (
-        {"e": (7, 3)},
-        lambda p: ad.signed_segment_softmax(p["e"], [0, 0, 1, 2, 1, 2, 0], 4),
-    ),
     # The per-offset text CNN oracle's pool (see TestLayoutOps).
     "segment_max": (
         {"a": (5, 2)},
@@ -859,10 +862,6 @@ _OP_CASES = {
         {"emb": (4, 3), "w": (6, 5), "b": (5,)},
         lambda p: ad.conv_max_pool(p["emb"], np.array([[0, 1, 2, 3, 1], [3, 3, 0, 2, 1]]), p["w"], p["b"]),
     ),
-    "edge_aggregate": (
-        {"h": (4, 6), "alpha": (7, 3)},
-        lambda p: ad.edge_aggregate(p["h"], p["alpha"], [0, 1, 3, 2, 0, 3, 1], [0, 0, 1, 2, 2, 1, 0], 3),
-    ),
     # The mask is re-seeded per call, so the function stays deterministic.
     "dropout_apply": (
         {"a": (4, 5)},
@@ -873,18 +872,30 @@ _OP_CASES = {
 
 # Hub-shaped index, 60 rows over 3 slots, so each slot takes many values.
 _HUB = _rng(5).permutation(np.repeat([1, 0, 2], [40, 15, 5]))
+_HUB_EDGES = (_rng(6).integers(1, 10, size=60), _HUB, [11, 0, 10], 2)  # src, dst, targets, heads
+_HUB_ROWS = np.where(np.isin(np.arange(12), _HUB_EDGES[2]), 0.01, 1.0)[:, None]
+_HUB_WEIGHTS = _rng(6).uniform(-1.0, 1.0, size=(12, 4)) * _HUB_ROWS
 _HUB_CASES = {
     "gather_rows_hub": ({"a": (3, 4)}, lambda p: ad.gather_rows(p["a"], _HUB)),
     "segment_sum_hub": ({"a": (60, 4)}, lambda p: oracles.segment_sum(p["a"], _HUB, 3)),
-    "signed_segment_softmax_hub": (
-        {"e": (60, 4)},
-        lambda p: ad.signed_segment_softmax(p["e"], _HUB, 3),
-    ),
     # No scatter: the oracle pool, here over segments of uneven size.
     "segment_max_hub": ({"a": (60, 4)}, lambda p: oracles.segment_max(p["a"], _HUB, 3)),
-    "edge_aggregate_hub": (
-        {"h": (3, 4), "alpha": (60, 2)},
-        lambda p: ad.edge_aggregate(p["h"], p["alpha"], _HUB[::-1], _HUB, 3),
+    # The signed GAT layer over the hub, its sources spread over 12 input
+    # rows, given as rows or as constant weights times a table.  Central
+    # differences resolve neither a single-edge segment's gradient (its
+    # weight is sign(e) / (1 + 1e-12)) nor a_dst's where a head's scores
+    # into each row share one sign (the signed softmax does not move when
+    # a row's scores shift alike): the target rows, which no edge leaves,
+    # are scaled by 0.01, so the scores into a row lie on both sides of 0.
+    "signed_gat_hub": (
+        {"x": (12, 3), "w": (3, 4), "a_src": (4,), "a_dst": (4,), "wo": (4, 3)},
+        lambda p: _gat_op([ad.mul(p["x"], Tensor(_HUB_ROWS))] + [p[k] for k in ("w", "a_src", "a_dst", "wo")],
+                          *_HUB_EDGES),
+    ),
+    "signed_gat_hub_pair": (
+        {"table": (4, 3), "w": (3, 4), "a_src": (4,), "a_dst": (4,), "wo": (4, 3)},
+        lambda p: _gat_op([(_HUB_WEIGHTS, p["table"])] + [p[k] for k in ("w", "a_src", "a_dst", "wo")],
+                          *_HUB_EDGES),
     ),
 }
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -151,3 +155,38 @@ class TestSweepCommand:
         ])
         assert rc != 0
         assert "error:" in capsys.readouterr().err
+
+
+# numpy is the package's only runtime dependency: a process that imports
+# ismaf, trains one step and builds the CLI parser loads from files no
+# top-level module but the standard library's, numpy's and ismaf's, so a
+# stray import of a test extra such as hypothesis fails here even where the
+# extras are installed.  The modules that site hooks load at start-up are
+# not the package's, nor are those that Cython's runtime makes in memory.
+_ONE_STEP = """
+import sys
+start = set(sys.modules)
+import ismaf
+from ismaf import cli, training
+steps = []
+step = training.Adam.step
+training.Adam.step = lambda self, *args: steps.append(step(self, *args))
+cfg = ismaf.TrainConfig(d=8, heads=2, batch_size=64, epochs=1, token_len=4,
+                        kernel_sizes=(2, 3), gat_layers=1)
+ismaf.train(cfg, ismaf.generate_synthetic(n=40, d=8, separation=2.0, seed=1))
+cli._build_parser()
+loaded = {name for name, m in sys.modules.items() if name not in start and getattr(m, "__file__", None)}
+print(len(steps), *sorted({name.partition(".")[0] for name in loaded}))
+"""
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", _ONE_STEP], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    steps, *loaded = done.stdout.split()
+    assert steps == "1" and {"ismaf", "numpy"} <= set(loaded)
+    assert set(loaded) - set(sys.stdlib_module_names) - {"ismaf", "numpy"} == set()

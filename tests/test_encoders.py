@@ -823,6 +823,104 @@ class TestSignedGat:
         assert peak < edge_by_width, (peak, edge_by_width)
 
 
+# Output rows of a hub-shaped block: a hub, rows of few in-edges, and rows
+# whose only in-edge is their self-loop.
+_HUB_IN_DEGREES = (300, 120, 40, 9, 2, 1, 1)
+
+
+def _hub_case(form, d, heads, seed=0, n_in=60, vocab=40):
+    """A hub-shaped block, its layer's inputs and a probe of its rows.  The
+    in-edges of each output row come in random order, its self-loop among
+    them, from the first 50 input rows, so the last 10 send none but their
+    self-loops, if they are output rows.  The
+    first output row (the hub), the last one (a self-loop alone) and one
+    source row are zero, so the edges between them score exactly 0.  The
+    input is a tensor or a pair of constant token weights and a table."""
+    rng = _rng(seed)
+    targets = rng.permutation(n_in)[: len(_HUB_IN_DEGREES)]
+    src = np.concatenate([
+        np.r_[t, rng.integers(0, 50, size=k - 1)] for t, k in zip(targets, _HUB_IN_DEGREES)
+    ])
+    dst = np.repeat(np.arange(len(_HUB_IN_DEGREES)), _HUB_IN_DEGREES)
+    order = rng.permutation(src.size)
+    block = EdgeBlock(src[order], dst[order], targets)
+    zero = np.r_[targets[[0, -1]], src[dst == 0][:40:4]]
+    store = _gat_setup(d=d, heads=heads, seed=seed)
+    if form == "tensor":
+        rows = rng.normal(size=(n_in, d))
+        rows[zero] = 0.0
+        leaves, feats = ("rows",), lambda t: t["rows"]
+        values = {"rows": rows}
+    else:
+        weights = rng.random((n_in, vocab)) * (rng.random((n_in, vocab)) < 0.2)
+        weights[zero] = 0.0
+        leaves, feats = ("table",), lambda t: (Tensor(weights), t["table"])
+        values = {"table": rng.normal(size=(vocab, d))}
+    values.update(store.snapshot())
+    probe = Tensor(rng.normal(size=(targets.size, d)))
+    return block, values, feats, probe
+
+
+def _layer_rows_and_grads(layer, case, heads):
+    block, values, feats, probe = case
+    tape = ad.Tape()
+    leaves = {name: tape.watch(v) for name, v in values.items()}
+    out = layer(feats(leaves), block, leaves, heads, SLOPE)
+    tape.backward(ad.sum_(ad.mul(out, probe)))
+    return out.data, {name: tape.grad(t) for name, t in leaves.items()}
+
+
+class TestOneRecordLayer:
+    """``signed_gat_layer``, one ``ad.signed_gat`` record, against the chain
+    of tape ops it replaces, ``oracles.gat_layer_chain``.  Output rows
+    without an in-edge, which the layer refuses, are in
+    ``test_autodiff.TestSignedSegmentSoftmax``."""
+
+    # Blocks of 7 rows split the hub's slots across blocks; the default
+    # gathers each slot of the other rows in one.
+    @pytest.mark.parametrize("rows_per_block", [None, 7])
+    @pytest.mark.parametrize("d, heads", [(300, 8), (300, 1)])
+    @pytest.mark.parametrize("form", ["tensor", "pair"])
+    def test_rows_and_gradients_match_chain_bitwise(self, form, d, heads, rows_per_block):
+        case = _hub_case(form, d, heads)
+        expected = _layer_rows_and_grads(oracles.gat_layer_chain, case, heads)
+        block_bytes = ad.EDGE_BLOCK_BYTES if rows_per_block is None else rows_per_block * 8 * 304
+        with mock.patch.object(ad, "EDGE_BLOCK_BYTES", block_bytes):
+            got = _layer_rows_and_grads(signed_gat_layer, case, heads)
+        assert got[0].tobytes() == expected[0].tobytes()
+        for name, want in expected[1].items():
+            assert got[1][name].tobytes() == want.tobytes(), name
+
+    def test_one_record_per_layer(self):
+        block, values, feats, _ = _hub_case("pair", 16, 2)
+        tape = ad.Tape()
+        leaves = {name: tape.watch(v) for name, v in values.items()}
+        with mock.patch.object(ad.Tape, "emit", autospec=True, side_effect=ad.Tape.emit) as emit:
+            signed_gat_layer(feats(leaves), block, leaves, 2, SLOPE)
+        assert emit.call_count == 1
+
+    # On a d=300, 8-head block, the record keeps no more than the chain's
+    # records do, so fusing keeps no extra [E, heads] array until backward.
+    @pytest.mark.parametrize("form", ["tensor", "pair"])
+    def test_record_keeps_no_more_than_the_chain(self, form):
+        block, values, feats, _ = _hub_case(form, 300, 8)
+        held = {}
+        for layer in (signed_gat_layer, oracles.gat_layer_chain):
+            tape = ad.Tape()
+            leaves = {name: tape.watch(v) for name, v in values.items()}
+            layer(feats(leaves), block, leaves, 8, SLOPE)  # numpy's one-time set-up is not the layer's
+            tape = ad.Tape()
+            leaves = {name: tape.watch(v) for name, v in values.items()}
+            tracemalloc.start()
+            try:
+                out = layer(feats(leaves), block, leaves, 8, SLOPE)
+                held[layer], _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            del out
+        assert held[signed_gat_layer] <= held[oracles.gat_layer_chain], held
+
+
 def _social_model(n=40, d=8, heads=2, gat_layers=1, theta=0.6, wide_vocab=False):
     data = generate_synthetic(n=n, d=d, separation=2.0, seed=31)
     if wide_vocab:

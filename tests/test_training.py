@@ -155,7 +155,7 @@ class TestTrainLoop:
 
     # The size of a step's design: the tape records (``Tape.emit`` calls) of
     # one training step of 64 posts, forward and backward, per fusion.
-    @pytest.mark.parametrize("fusion, records", [("af", 129), ("is-concat", 120), ("is-att", 118)])
+    @pytest.mark.parametrize("fusion, records", [("af", 94), ("is-concat", 85), ("is-att", 83)])
     def test_step_tape_records(self, monkeypatch, fusion, records):
         cfg = TrainConfig(d=32, token_len=4, fusion=fusion)
         data = split_dataset(generate_synthetic(n=100, d=32, separation=2.0, seed=3), cfg.fractions, cfg.seed)
@@ -498,6 +498,33 @@ class TestSerialization:
         with pytest.raises(ModelFileError, match=re.escape("bad config: unknown config keys: ['ablate_af']")):
             load_model(path, tiny_data)
 
+    # JSON values that int() or Python's bool-is-int would let through.
+    @pytest.mark.parametrize("key, value, message", [
+        ("heads", True, "heads must be int, got True"),
+        ("gat_layers", True, "gat_layers must be int, got True"),
+        ("epochs", 2.5, "epochs must be int, got 2.5"),
+        ("d", 8.0, "d must be int, got 8.0"),
+        ("kernel_sizes", [2.7, 3], "kernel_sizes must be a tuple of ints, got (2.7, 3)"),
+        ("lr", False, "lr must be float, got False"),
+    ])
+    def test_mistyped_config_value_rejected(self, saved, tiny_data, key, value, message):
+        path = saved
+        header, body = _checkpoint_parts(path)
+        header["config"][key] = value
+        _write_checkpoint(path, header, body)
+        with pytest.raises(ModelFileError, match=re.escape(f"bad config: {message}")):
+            load_model(path, tiny_data)
+
+    # [true, n] would read as [1, n]: the same bytes, another shape.
+    def test_boolean_array_dimension_rejected(self, saved, tiny_data):
+        path = saved
+        header, body = _checkpoint_parts(path)
+        name, dtype, shape = header["arrays"][0]
+        header["arrays"][0] = [name, dtype, [True] + shape]
+        _write_checkpoint(path, header, body)
+        with pytest.raises(ModelFileError, match="malformed array table entry"):
+            load_model(path, tiny_data)
+
     # Edges crafted under a valid checksum.
     @pytest.mark.parametrize("craft, message", [
         ("short-out-degree", r"out_degree has shape \(\d+,\), expected"),
@@ -675,6 +702,21 @@ class TestConfigFile:
         path.write_text(lines)
         with pytest.raises(ValueError, match=re.escape(f"unknown config keys: [{keys}]")):
             load_config(path)
+
+    # A bool is no number, an int is no float in an int field, and kernel
+    # sizes are not rounded; an int is a float.
+    @pytest.mark.parametrize("field, value", [
+        ("heads", True), ("gat_layers", True), ("epochs", 2.5), ("d", 32.0),
+        ("kernel_sizes", (2.7,)), ("lr", True), ("fusion", 1),
+    ])
+    def test_mistyped_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be "):
+            TrainConfig(**{field: value})
+        with pytest.raises(ValueError, match=f"{field} must be "):
+            TrainConfig.from_dict({field: list(value) if isinstance(value, tuple) else value})
+
+    def test_int_is_a_float(self):
+        assert TrainConfig(lr=1, dropout=0).lr == 1.0
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError, match="batch_size"):
