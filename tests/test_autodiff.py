@@ -845,11 +845,24 @@ _OP_CASES = {
         {"a": (4, 3)},
         lambda p: ad.gather_rows(p["a"], [0, 2, 2, 1]),
     ),
-    # abs, div and segment_sum are the oracle chain's ops (see
-    # TestSignedSegmentSoftmax).
+    # abs, div, segment_sum and leaky_relu are ops of the chain that
+    # signed_gat is checked against bitwise (see TestSignedSegmentSoftmax),
+    # and the chain's signed softmax and message sum are checked whole.
     "segment_sum": (
         {"a": (5, 2)},
         lambda p: oracles.segment_sum(p["a"], [0, 1, 0, 2, 1], 3),
+    ),
+    "leaky_relu": ({"a": (4, 4)}, lambda p: oracles.leaky_relu(p["a"], 0.2)),
+    # Segment 3 is empty.  No segment has a single edge: its weight is
+    # sign(e) / (1 + 1e-12), whose gradient is the guard's 1e-12-scale
+    # residue, below what central differences resolve.
+    "signed_segment_softmax": (
+        {"e": (7, 3)},
+        lambda p: oracles.signed_softmax_chain(p["e"], [0, 0, 1, 2, 1, 2, 0], 4),
+    ),
+    "edge_aggregate": (
+        {"h": (4, 6), "alpha": (7, 3)},
+        lambda p: oracles.edge_aggregate_unfused(p["h"], p["alpha"], [0, 1, 3, 2, 0, 3, 1], [0, 0, 1, 2, 2, 1, 0], 3),
     ),
     # The per-offset text CNN oracle's pool (see TestLayoutOps).
     "segment_max": (
@@ -878,6 +891,15 @@ _HUB_WEIGHTS = _rng(6).uniform(-1.0, 1.0, size=(12, 4)) * _HUB_ROWS
 _HUB_CASES = {
     "gather_rows_hub": ({"a": (3, 4)}, lambda p: ad.gather_rows(p["a"], _HUB)),
     "segment_sum_hub": ({"a": (60, 4)}, lambda p: oracles.segment_sum(p["a"], _HUB, 3)),
+    # The reference chain's signed softmax and message sum over the hub.
+    "signed_segment_softmax_hub": (
+        {"e": (60, 4)},
+        lambda p: oracles.signed_softmax_chain(p["e"], _HUB, 3),
+    ),
+    "edge_aggregate_hub": (
+        {"h": (3, 4), "alpha": (60, 2)},
+        lambda p: oracles.edge_aggregate_unfused(p["h"], p["alpha"], _HUB[::-1], _HUB, 3),
+    ),
     # No scatter: the oracle pool, here over segments of uneven size.
     "segment_max_hub": ({"a": (60, 4)}, lambda p: oracles.segment_max(p["a"], _HUB, 3)),
     # The signed GAT layer over the hub, its sources spread over 12 input
