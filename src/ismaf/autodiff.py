@@ -21,9 +21,10 @@ the message sum and its gradient) lists the edges slot by slot over rows
 sorted by degree (``_jagged``) and runs no ``ufunc.at``; the messages are
 gathered in blocks sized by bytes (``EDGE_BLOCK_BYTES``), so a block's
 buffers stay in a core's L2 cache at any width.  ``_scatter`` runs the
-gradient of a row gather as one ``np.add.at`` over the flattened output;
-``conv_max_pool``'s gradient is one ``np.add.at`` over the flat keys of
-each row's first maximal window.
+gradient of a row gather as one ``np.add.at`` over the flattened output.
+``conv_max_pool``'s forward pools with a plain max over the windows; only
+its vjp finds each row's first maximal window, and its gradient is one
+``np.add.at`` over that window's flat keys.
 
 Single-threaded by design: one tape per training context.  Tensors are safe
 to share read-only across threads; a tape must never be mutated concurrently.
@@ -285,9 +286,12 @@ def token_attention(x_query, x_kv, wq, wk, wv, wo, heads: int) -> Tensor:
     tokens and projected by ``wo``, [N, d].  The result and every gradient
     are bitwise those of the chain of reshapes, transposes, matmuls, softmax
     and token mean that the op replaces: the forward makes the chain's numpy
-    calls on the same layouts and the vjp its backward, with the softmax's
-    as ``P * (dP - rowsum(dP * P))``.  The record keeps the token rows, the
-    per-head q, k and v, the weights P and the pooled rows.
+    calls on the same layouts, except that the softmax's row max is L-1
+    ``np.maximum`` passes over the key slices (it may differ only in the
+    sign of a zero, which ``exp(scores - max)`` cannot see), and the vjp
+    its backward, with the softmax's as ``P * (dP - rowsum(dP * P))``.  The
+    record keeps the token rows, the per-head q, k and v, the weights P and
+    the pooled rows.
     """
     # Key/value before query: a tensor passed as both takes its gradients in
     # the chain's order.
@@ -310,7 +314,11 @@ def token_attention(x_query, x_kv, wq, wk, wv, wo, heads: int) -> Tensor:
     q, k, v = per_head(tq, wq, qv_axes), per_head(tkv, wk, k_axes), per_head(tkv, wv, qv_axes)
     scale_qk = 1.0 / math.sqrt(dh)
     scores = (q @ k) * scale_qk
-    ex = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    # numpy's max over a short last axis pays per row; slice maxima do not.
+    top = scores[..., :1].copy()
+    for j in range(1, L):
+        np.maximum(top, scores[..., j:j + 1], out=top)
+    ex = np.exp(scores - top)
     p = ex / ex.sum(axis=-1, keepdims=True)
     # The token mean commutes with the output projection, so pool first;
     # row i then holds its H pooled heads side by side, as wo expects.
@@ -338,12 +346,15 @@ def conv_max_pool(emb, inv, w, b) -> Tensor:
     """One kernel size of the text CNN: relu of the bias plus each token
     row's max over its windows, [N, f].  ``emb`` is the [U, d] embeddings of
     a batch's distinct tokens, the int array ``inv`` its [N, seq_len] token
-    rows as rows of ``emb``, and ``w`` [k*d, f], block j for window offset j;
-    the pool keeps each row's first maximal window.  Bitwise the chain of
-    tape ops it replaces: the forward makes the chain's numpy calls on the
-    same layouts, and the vjp its backward without the +0.0 terms of the
-    windows that are not a row's first maximum, one ``np.add.at`` of k*N*f
-    entries instead of k*N*W*f."""
+    rows as rows of ``emb``, and ``w`` [k*d, f], block j for window offset j.
+    Bitwise the chain of tape ops it replaces, whose pool keeps each row's
+    first maximal window: the forward makes the chain's numpy calls on the
+    same layouts up to the windows and pools with their max, which differs
+    from the first maximal window at most in the sign of a zero or the bits
+    of a NaN, both of which ``relu(max + bias)`` maps to 0.0.  The vjp finds
+    the first maximal window in the windows its record keeps and runs the
+    chain's backward without the +0.0 terms of the other windows, one
+    ``np.add.at`` of k*N*f entries instead of k*N*W*f."""
     parents = tuple(as_tensor(t) for t in (emb, w, b))
     e, wd, bias = (t.data for t in parents)
     (u, d), f = e.shape, wd.shape[1]
@@ -356,8 +367,7 @@ def conv_max_pool(emb, inv, w, b) -> Tensor:
     # Offset j of every window, for j = 0..k-1: [k, n, n_windows] rows of proj.
     ids = np.stack([inv[:, j:j + n_windows] * k + j for j in range(k)]).reshape(-1)
     windows = proj[ids].reshape(k, n * n_windows, f).sum(axis=0).reshape(n, n_windows, f)
-    first = windows.argmax(axis=1)[:, None, :]  # [n, 1, f]
-    pre = np.take_along_axis(windows, first, axis=1)[:, 0] + bias
+    pre = windows.max(axis=1) + bias
     mask = pre > 0
 
     def vjp(g):
@@ -365,6 +375,7 @@ def conv_max_pool(emb, inv, w, b) -> Tensor:
         # Only each row's first maximal window takes a gradient: the chain's
         # other windows add +0.0, which changes no cell of a sum from +0.0.
         # Keys ids[j, n, first[n, c]]*f + c, in (j, n, c) order.
+        first = windows.argmax(axis=1)[:, None, :]  # [n, 1, f]
         hit = np.take_along_axis(ids.reshape(k, n, n_windows), first.reshape(1, n, f), axis=2)
         g_proj = np.zeros((u, k * f))  # row u*k + j of its [U*k, f] view: token u, block j
         np.add.at(g_proj.reshape(-1), (hit * f + np.arange(f)).reshape(-1),
@@ -623,7 +634,7 @@ def signed_gat(feats, w, a_src, a_dst, wo, src, dst, targets, heads: int, slope:
     # Scores, magnitudes and exponentials share one [E, heads] buffer: the chain freed each in turn.
     ex = rows_times(p_src)[src] + rows_times(p_dst)[targets[dst]]
     pos = ex > 0
-    np.multiply(ex, slope, out=ex, where=~pos)
+    ex *= np.where(pos, 1.0, slope)
     sign = np.sign(ex)
     block = max(1, EDGE_BLOCK_BYTES // (hw.itemsize * max(width, 1)))
     plan = _jagged(dst, n_out, block)

@@ -333,32 +333,31 @@ class EdgeBlock:
 
 def receptive_blocks(graph: SocialGraph, rows: np.ndarray, layers: int) -> tuple[np.ndarray, list[EdgeBlock]]:
     """Edge blocks of a ``layers``-deep GAT stack whose last layer outputs
-    the graph rows ``rows`` (sorted, unique).
+    the graph rows ``rows`` (unique; output row i is ``rows[i]``).
 
     Walks back one layer at a time: a layer keeps the in-edges of its output
     rows, in graph order, so each per-node sum adds its terms in the same
     order as over the whole graph; their sources (and the output rows
-    themselves) are the layer's input rows and the outputs of the layer
-    below.  Returns the first layer's input rows and the blocks, first layer
-    first.
+    themselves) are the layer's input rows, in graph order, and the outputs
+    of the layer below.  Nodes map to input positions through a running
+    count of the input mask and to output positions through a rank array,
+    so a layer sorts nothing and costs O(nodes + edges).  Returns the first
+    layer's input rows and the blocks, first layer first.
     """
     blocks = []
     outputs = np.asarray(rows, dtype=np.int64)
     wanted = np.zeros(graph.n_nodes, dtype=bool)
+    out_rank = np.zeros(graph.n_nodes, dtype=np.int64)
     for _ in range(layers):
         wanted[:] = False
         wanted[outputs] = True
         keep = wanted[graph.dst]
         src, dst = graph.src[keep], graph.dst[keep]
-        inputs = np.union1d(src, outputs)
-        blocks.append(
-            EdgeBlock(
-                src=np.searchsorted(inputs, src),
-                dst=np.searchsorted(outputs, dst),
-                targets=np.searchsorted(inputs, outputs),
-            )
-        )
-        outputs = inputs
+        out_rank[outputs] = np.arange(outputs.size)
+        wanted[src] = True  # now the input rows
+        in_rank = np.cumsum(wanted, dtype=np.int64) - 1
+        blocks.append(EdgeBlock(src=in_rank[src], dst=out_rank[dst], targets=in_rank[outputs]))
+        outputs = np.flatnonzero(wanted).astype(np.int64, copy=False)
     return outputs, blocks[::-1]
 
 

@@ -4,6 +4,7 @@ sharing no code with the package under test, except the plain versions of
 optimised paths (``text_cnn_per_offset``, ``text_cnn_chain``,
 ``token_weights_at``, ``social_graph_dense``,
 ``signed_gat_layer_plain`` and ``social_batch_full_graph`` with ``whole_graph_block``,
+``receptive_blocks_sorted``,
 ``attention_per_post``, ``is_att_per_post``,
 ``attend_masked`` and ``attend_chain`` with the paths built on them
 (``attention_with``, ``is_att_with``), ``gat_layer_chain`` with
@@ -597,6 +598,31 @@ def whole_graph_block(graph):
     """The ``EdgeBlock`` of every edge of a ``SocialGraph``: output row i is
     input row i."""
     return EdgeBlock(graph.src, graph.dst, np.arange(graph.n_nodes))
+
+
+def receptive_blocks_sorted(graph, rows, layers):
+    """What ``encoders.receptive_blocks`` computes for sorted unique
+    ``rows``, the sorting way: each layer's input rows as the ``np.union1d``
+    of its kept sources and its outputs, and every position found by
+    ``np.searchsorted``."""
+    blocks = []
+    outputs = np.asarray(rows, dtype=np.int64)
+    wanted = np.zeros(graph.n_nodes, dtype=bool)
+    for _ in range(layers):
+        wanted[:] = False
+        wanted[outputs] = True
+        keep = wanted[graph.dst]
+        src, dst = graph.src[keep], graph.dst[keep]
+        inputs = np.union1d(src, outputs)
+        blocks.append(
+            EdgeBlock(
+                src=np.searchsorted(inputs, src),
+                dst=np.searchsorted(outputs, dst),
+                targets=np.searchsorted(inputs, outputs),
+            )
+        )
+        outputs = inputs
+    return outputs, blocks[::-1]
 
 
 def signed_gat_layer_plain(feats, graph, params, heads, leaky_slope, layer=0):

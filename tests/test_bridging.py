@@ -197,9 +197,14 @@ class TestCoAttention:
 
 # The paper point (d=300, 6 tokens of 50 entries, 8 heads padding the
 # projection up to 56) and the CI point's width with one entry per head.
+# Then one token (its softmax is 1), and 8 and 12 tokens: the softmax's row
+# max runs as token_len - 1 slice maxima.
 _BATCH_CONFIGS = {
     "d32": TrainConfig(d=32, heads=8, token_len=4),
     "d300": TrainConfig(d=300, heads=8, token_len=6),
+    "L1": TrainConfig(d=16, heads=2, token_len=1),
+    "L8": TrainConfig(d=40, heads=2, token_len=8),
+    "L12": TrainConfig(d=36, heads=2, token_len=12),
 }
 
 
@@ -341,7 +346,42 @@ class TestBatchedAttention:
                 assert np.abs(out.data[i] - want).max() < 1e-6
 
 
+def _extreme_batch(d, token_len, seed):
+    """Rows whose scores tie (row 0's key tokens are one token), are zeros
+    of both signs (row 1's queries are -0.0; row 2's query and key
+    products underflow), or are near 1e160 (row 3), then a plain row."""
+    x, y = _batch(5, d, seed), _batch(5, d, seed + 1)
+    y[0] = np.tile(y[0, : d // token_len], token_len)
+    x[1] = -0.0
+    x[2], y[2] = -1e-170, np.abs(y[2]) * 1e-170
+    x[3] *= 1e80
+    y[3] *= 1e80
+    return x, y
+
+
 @pytest.mark.parametrize("shape", sorted(_BATCH_CONFIGS))
+def test_extreme_scores_equal_the_chain_bitwise(shape):
+    # The op's row max is slice maxima and the chain's a max reduction; a
+    # zero max's sign may differ, which exp(scores - max) cannot show.
+    cfg = _BATCH_CONFIGS[shape]
+    x, y = _extreme_batch(cfg.d, cfg.token_len, 48)
+
+    def path(attend_fn):
+        names = ("T.wq", "V.wk", "V.wv", "TV.wo")
+        return lambda p, tx, ty, heads: (attend_fn(tx, ty, *(p[f"attn.{n}"] for n in names), heads),)
+
+    store = _attention_store(cfg)
+    (out,), grads = _outputs_and_grads(store, path(ad.token_attention), x, y, cfg.heads)
+    (want,), want_grads = _outputs_and_grads(store, path(oracles.attend_chain), x, y, cfg.heads)
+    assert np.isfinite(out).all()
+    assert out.tobytes() == want.tobytes()
+    assert grads.keys() == want_grads.keys()
+    for name, g in grads.items():
+        assert g.tobytes() == want_grads[name].tobytes(), name
+
+
+# One token's softmax is 1 whatever its key, so L1 has nothing to show here.
+@pytest.mark.parametrize("shape", sorted(s for s, c in _BATCH_CONFIGS.items() if c.token_len > 1))
 def test_attention_softmax_runs_over_one_heads_tokens(shape):
     # Row 0 of wv is zero, so adding a to entry 0 of every token of a row
     # moves each of its keys by a * wk[0] and leaves its values alone: each

@@ -224,6 +224,92 @@ class TestEncodeText:
         encode_text_batch(tokens, store.watch(ad.Tape()), (2, 3))
         assert rows == [5, 5] and np.unique(tokens).size == 5
 
+    # The pool is a plain max; the chain's takes each row's first maximal
+    # window.  They may differ in the sign of a zero max or the bits of a
+    # NaN one, and relu(max + bias) must hide both.  Embedding row 1 is
+    # +0.0 and row 2's products with w underflow to -0.0, so windows over
+    # tokens 1 and 2 tie at zero, between +0.0 and -0.0 wherever the
+    # window sums keep a -0.0 term (numpy 2.4's sum starts from +0.0 and
+    # keeps none); row 3 is NaN.
+    _POOL_EDGES = pytest.mark.parametrize("case, bias", [
+        ("zero-tie", 0.0), ("zero-tie", -0.0), ("nan-window", None), ("all-padding", None),
+        ("one-window", None),
+    ], ids=["zero-tie-bias+0", "zero-tie-bias-0", "nan-window", "all-padding", "one-window"])
+    _POOL_TOKENS = {
+        "zero-tie": [[1, 2, 1, 2], [2, 1, 2, 1], [2, 2, 2, 2], [1, 1, 1, 1]],
+        "nan-window": [[1, 3, 2, 4], [3, 3, 3, 3], [2, 4, 1, 1]],
+        "all-padding": [[0, 0, 0, 0], [1, 2, 0, 0], [0, 0, 0, 0]],
+        "one-window": [[1, 2, 3], [4, 0, 0], [0, 0, 0]],  # seq_len == k
+    }
+
+    @classmethod
+    def _pool_edge_run(cls, encode, case, bias, on_tape):
+        k, d = (3 if case == "one-window" else 1), 2
+        embed = _rng(50).normal(size=(5, d))
+        embed[0] = 0.0
+        w = _rng(51).normal(size=(k * d, d))
+        b = _rng(52).normal(size=d) if bias is None else np.full(d, bias)
+        if case == "zero-tie":
+            embed[1], embed[2] = 0.0, -1e-200
+            w[:] = 1e-200
+        if case == "nan-window":
+            embed[3] = np.nan
+        store = _text_setup(seed=0, d=d, vocab=5, kernels=(k,))
+        for name, value in (("text.embed", embed), (f"text.conv{k}.w", w), (f"text.conv{k}.b", b)):
+            store.assign(name, value)
+        tokens = np.array(cls._POOL_TOKENS[case])
+        if not on_tape:
+            return encode(tokens, store.constants(), (k,)).data, {}
+        tape = ad.Tape()
+        params = store.watch(tape)
+        out = encode(tokens, params, (k,))
+        tape.backward(ad.sum_(ad.mul(out, Tensor(_rng(53).normal(size=out.shape)))))
+        return out.data, {name: tape.grad(t) for name, t in params.items()}
+
+    @_POOL_EDGES
+    @pytest.mark.parametrize("on_tape", [True, False])
+    def test_pool_edge_cases_bitwise_the_chain_oracle(self, case, bias, on_tape):
+        got, got_grads = self._pool_edge_run(encode_text_batch, case, bias, on_tape)
+        want, want_grads = self._pool_edge_run(oracles.text_cnn_chain, case, bias, on_tape)
+        assert got.tobytes() == want.tobytes()
+        for name in want_grads:
+            assert got_grads[name].tobytes() == want_grads[name].tobytes(), name
+
+    def test_gradient_goes_to_the_first_maximal_window(self):
+        # Tokens 1 and 2 embed alike, so both windows of [1, 2] tie; only
+        # token 1, the first, takes the gradient.
+        store = _text_setup(seed=0, d=1, vocab=3, kernels=(1,))
+        store.assign("text.embed", np.array([[0.0], [1.0], [1.0]]))
+        store.assign("text.conv1.w", np.array([[2.0]]))
+        store.assign("text.conv1.b", np.array([0.5]))
+        tape = ad.Tape()
+        params = store.watch(tape)
+        tape.backward(ad.sum_(encode_text_batch(np.array([[1, 2]]), params, (1,))))
+        np.testing.assert_array_equal(tape.grad(params["text.embed"]), [[0.0], [2.0], [0.0]])
+
+    def test_pool_record_keeps_the_windows_and_nothing_larger(self):
+        # 64 rows of 38 windows by 100 filters.  The record keeps the
+        # [64, 38, 100] windows, for the vjp's argmax, plus arrays of at
+        # most a fifth of their size (the window ids, the weight blocks,
+        # the mask); a second windows-sized array, such as a transposed
+        # copy for the argmax, fails it.
+        rng = _rng(54)
+        emb, w, b = rng.normal(size=(20, 100)), rng.normal(size=(300, 100)), rng.normal(size=100)
+        inv = rng.integers(0, 20, size=(64, 40))
+        ad.conv_max_pool(emb, inv, w, b)  # numpy's one-time set-up is not the op's
+        tape = ad.Tape()
+        leaves = [tape.watch(v) for v in (emb, w, b)]
+        tracemalloc.start()
+        try:
+            out = ad.conv_max_pool(leaves[0], inv, leaves[1], leaves[2])
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        units = held / (64 * 38 * 100 * 8)
+        assert 1.0 <= units < 1.5, units
+        tape.backward(ad.sum_(out))
+        assert np.isfinite(tape.grad(leaves[1])).all()
+
     def test_grad_check(self):
         store = _text_setup(seed=9, d=4, vocab=7, kernels=(2,))
         tokens = np.array([[1, 2, 3, 4, 5]])
@@ -1057,6 +1143,68 @@ class TestReceptiveField:
         into_hop = np.isin(graph.dst, graph.src[into_post])
         assert first.src.size == into_hop.sum() < graph.src.size
         np.testing.assert_array_equal(inputs, np.unique(graph.src[into_hop]))
+
+
+def _random_graph(seed, n=30, n_edges=90, lonely=5):
+    """A graph of n nodes with random directed edges in random order, each
+    node's self-loop among them; the last ``lonely`` nodes take no edge but
+    their self-loop."""
+    rng = _rng(seed)
+    src = rng.integers(0, n, size=n_edges)
+    dst = rng.integers(0, n - lonely, size=n_edges)
+    src, dst = np.concatenate([src, np.arange(n)]), np.concatenate([dst, np.arange(n)])
+    order = rng.permutation(src.size)
+    return SocialGraph(
+        node_ids=[str(i) for i in range(n)], node_kinds=["post"] * n,
+        token_weights=np.zeros((n, 1)), src=src[order], dst=dst[order],
+    )
+
+
+def _receptive_rows(case, n=30, lonely=5):
+    rng = _rng(3)
+    return {
+        "random": np.sort(rng.choice(n, size=8, replace=False)),
+        "one-row": np.array([rng.integers(n)]),
+        "every-row": np.arange(n),
+        "self-loop-only": np.arange(n - lonely, n),
+    }[case]
+
+
+class TestReceptiveBlocksOracle:
+    """``receptive_blocks`` ranks nodes through a running count of a mask;
+    ``oracles.receptive_blocks_sorted`` is the union1d/searchsorted walk it
+    replaced.  The arrays must match in value and be int64 on every
+    platform (a bool cumsum gives the platform int)."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("case", ["random", "one-row", "every-row", "self-loop-only"])
+    @pytest.mark.parametrize("layers", [0, 1, 2, 3])
+    def test_matches_the_sorting_walk(self, seed, case, layers):
+        graph = _random_graph(seed)
+        rows = _receptive_rows(case)
+        inputs, blocks = receptive_blocks(graph, rows, layers)
+        want_inputs, want_blocks = oracles.receptive_blocks_sorted(graph, rows, layers)
+        assert inputs.dtype == np.int64
+        np.testing.assert_array_equal(inputs, want_inputs)
+        assert len(blocks) == len(want_blocks) == layers
+        for block, want in zip(blocks, want_blocks):
+            for name in ("src", "dst", "targets"):
+                got = getattr(block, name)
+                assert got.dtype == np.int64, name
+                np.testing.assert_array_equal(got, getattr(want, name), err_msg=name)
+
+    def test_unsorted_rows_keep_their_order(self):
+        # Output row i of the last block is rows[i]; every index still
+        # names the graph's own endpoints, in graph order.
+        graph = _random_graph(1)
+        rows = _rng(2).permutation(30)[:9]
+        inputs, (first, last) = receptive_blocks(graph, rows, 2)
+        middle = inputs[first.targets]
+        for block, ins, outs in ((first, inputs, middle), (last, middle, rows)):
+            keep = np.isin(graph.dst, outs)
+            np.testing.assert_array_equal(ins[block.src], graph.src[keep])
+            np.testing.assert_array_equal(outs[block.dst], graph.dst[keep])
+            np.testing.assert_array_equal(ins[block.targets], outs)
 
 
 def test_encoder_outputs_have_dimension_d():
