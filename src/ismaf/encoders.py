@@ -9,10 +9,14 @@ construction is a pure numpy function of the records and a token-embedding
 table; the graph keeps each node's token weights, so a node's feature under
 any table is its row of ``token_weights @ embed``.  Similarity edges come
 from a row-tiled join that keeps only the pairs at or above the threshold,
-so building never holds an [n_nodes, n_nodes] matrix.  Each GAT layer is one
-tape op, ``ad.signed_gat``, so gradients reach the embedding table, and runs
-over an edge block: the edges whose messages can reach the rows the caller
-needs (``receptive_blocks``).  The first layer can take its input as its
+so building never holds an [n_nodes, n_nodes] matrix.  The join screens
+every pair with float32 cosines and settles in float64 only the pairs
+whose float32 cosine lies in a band around the threshold, twice as wide
+as float32's error bound, so it keeps a float64 join's edges while
+nearly all of its arithmetic runs in float32.  Each GAT layer is one
+tape op, ``ad.signed_gat``, so gradients reach the embedding table, and
+runs over an edge block: the edges whose messages can reach the rows the
+caller needs (``receptive_blocks``).  The first layer can take its input as its
 rows' token weights and the embedding table, and then multiplies only the
 table by its weights; every layer folds its attention vectors into W, so
 each score is one product with the input.
@@ -214,9 +218,31 @@ def build_social_graph(
     found by one sort of their flat keys, so no temporary the size of the
     table is made; a token id outside ``[0, embed.shape[0])`` raises
     ``ValueError`` naming its text.  The similarity join runs over blocks of
-    ``SIM_TILE`` rows, reads each block's pairs >= theta with one flat
+    ``SIM_TILE`` rows, reads each block's candidate pairs with one flat
     nonzero, and the pairs are deduplicated by one sort of their keys, so
     memory beside the table is O(SIM_TILE * n_nodes + edges).
+
+    The join's cosines are dots of unit rows (each feature over its norm
+    plus 1e-12).  Each block's cosines are one float32 product of the unit
+    rows rounded to float32, which is within gamma_(d+2) ~ (d + 2) * 2**-24
+    of the exact dot of the float64 unit rows in any summation order
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, section 3.1,
+    plus one rounding of each component).  The band is more than twice
+    that, (d + 4) * 2**-23 either side of theta: a pair above it is an
+    edge, a pair below it is not, and a pair inside it is settled by the
+    float64 dot of its two unit rows.  So every pair whose float64 cosine
+    is more than a few float64 ulps from theta gets a float64 join's
+    verdict.  The few closer to theta are decided by how that dot rounds,
+    where a float64 GEMM would decide them by how the GEMM rounds, and the
+    edges depend on neither the BLAS nor its thread count.  At theta = 1
+    every pair is in the band, and the 1e-12 keeps the dot of two identical
+    unit rows about 2e-12 / norm below 1: twins join only where the norm is
+    above ~1e4, and there as the dot rounds.  Each block's float32 product
+    is freed before the next is made, so the join holds one product at a
+    time beside the float64 unit rows and their float32 copy.  A product
+    kept alive across blocks moves glibc's dynamic mmap threshold, which
+    changes how the arrays made after it are served: it slowed a small
+    graph's whole setup by up to a fifth (ROADMAP, "Checked and rejected").
 
     ``edges``, a ``(src, dst)`` pair of a graph built before from the same
     records and inputs (a checkpoint stores it), replaces the structural
@@ -267,25 +293,34 @@ def build_social_graph(
     cols = [authors, np.array([index[c.post_id] for c in comments], dtype=np.int64)]
 
     # Similarity pairs i < j, one block of rows at a time against the
-    # columns from the block's first row on; pairs inside the diagonal block
-    # also come out as j < i, and the deduplication below merges them.
-    feats = token_weights @ embed
-    norms = np.sqrt((feats * feats).sum(axis=1, keepdims=True))
-    unit = feats / (norms + 1e-12)
+    # columns from the block's first row on.  The float32 cosines screen
+    # every pair; those within ``band`` of theta are settled in float64.
+    unit = token_weights @ embed
+    norms = np.sqrt((unit * unit).sum(axis=1, keepdims=True))
+    unit /= norms + 1e-12
+    unit32 = unit.astype(np.float32)
     zero = norms[:, 0] == 0
-    kinds = np.array([{"post": 0, "comment": 1, "user": 2}[k] for k in node_kinds])
+    if connect_kinds == "same-kind":
+        kinds = np.repeat(np.arange(3), [len(posts), len(comments), len(users)])
+    band = (embed.shape[1] + 4) * 2.0**-23
+    low, high = np.float32(theta - band), np.float32(theta + band)
     for a in range(0, n, SIM_TILE):
         b = min(a + SIM_TILE, n)
-        hit = unit[a:b] @ unit[a:].T >= theta  # column k is node a + k
-        # A zero feature has no direction, so no similarity edges.
-        hit[zero[a:b]] = False
-        hit[:, zero[a:]] = False
+        cos = unit32[a:b] @ unit32[a:].T  # column k is node a + k
+        at = np.flatnonzero(cos >= low)
+        near = cos.reshape(-1)[at] <= high
+        del cos  # before the next block's product is made (see the docstring)
+        r, c = np.divmod(at, n - a)
+        r += a
+        c += a
+        # Each pair once; a zero feature has no direction, so no similarity edges.
+        keep = (r < c) & ~zero[r] & ~zero[c]
         if connect_kinds == "same-kind":
-            hit &= kinds[a:b, None] == kinds[None, a:]
-        np.fill_diagonal(hit, False)
-        r, c = np.divmod(np.flatnonzero(hit), n - a)
-        rows.append(r + a)
-        cols.append(c + a)
+            keep &= kinds[r] == kinds[c]
+        near &= keep
+        keep[near] = np.einsum("ij,ij->i", unit[r[near]], unit[c[near]]) >= theta
+        rows.append(r[keep])
+        cols.append(c[keep])
 
     # Both directions of every pair, sorted into row-major order (by source,
     # then destination) and deduplicated, then one self-loop per node.

@@ -168,7 +168,10 @@ def _read(f, body: int, entry) -> np.ndarray:
 
 def _stored_edges(path, out_degree: np.ndarray, dst: np.ndarray, n: int):
     """The graph's ``(src, dst)`` from its stored non-loop edges, with one
-    self-loop per node appended."""
+    self-loop per node appended.  ``save_model`` stores each source's
+    destinations strictly increasing and never the source itself, so a
+    repeated, unordered or self edge is refused: it would run the model on
+    another graph."""
     if out_degree.shape != (n,):
         raise ModelFileError(
             f"{path}: graph.out_degree has shape {out_degree.shape}, expected ({n},) for {n} nodes"
@@ -185,8 +188,12 @@ def _stored_edges(path, out_degree: np.ndarray, dst: np.ndarray, n: int):
     if dst.size and (dst.min() < 0 or dst.max() >= n):
         raise ModelFileError(f"{path}: graph.dst holds a node outside [0, {n})")
     loop = np.arange(n)
-    src = np.concatenate([np.repeat(loop, out_degree), loop])
-    return src, np.concatenate([dst.astype(np.int64), loop])
+    src = np.repeat(loop, out_degree)
+    if (dst == src).any():
+        raise ModelFileError(f"{path}: graph.dst holds a self-loop, which is never stored")
+    if ((np.diff(dst) <= 0) & (src[1:] == src[:-1])).any():
+        raise ModelFileError(f"{path}: graph.dst is not strictly increasing within a source")
+    return np.concatenate([src, loop]), np.concatenate([dst.astype(np.int64), loop])
 
 
 def _check_shape(path, name: str, have: tuple, want: tuple) -> None:

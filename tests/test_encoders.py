@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import math
 import tracemalloc
 from unittest import mock
 
@@ -744,6 +745,108 @@ class TestBuildSocialGraph:
             tracemalloc.stop()
         table = g.token_weights.nbytes
         assert peak < 1.5 * table, (peak, table)
+
+
+# Offsets from theta, in units of the join's float64 band (d + 4) * 2**-23,
+# of the planted pairs' cosines: deep inside the band, where the float32
+# cosine alone often lands on the wrong side of theta, halfway and at its
+# edge, and outside it.
+_BAND_OFFSETS = (1e-4, 1e-3, 0.5, 0.99, 1.01, 2.0)
+
+
+def _band(d):
+    return (d + 4) * 2.0**-23
+
+
+def _planted_records(vectors):
+    """One post per feature vector, each with a private token whose row of
+    the returned table is the vector, all written by one user."""
+    posts = [PostRecord(f"p{i}", [i + 1], np.zeros(2), "u0", 0) for i in range(len(vectors))]
+    embed = np.vstack([np.zeros(vectors.shape[1]), vectors])
+    return posts, [UserRecord("u0")], embed
+
+
+def _similar_pairs(g):
+    return {(s, t) for s, t in zip(g.src.tolist(), g.dst.tolist()) if s != t}
+
+
+class TestSimilarityBand:
+    @pytest.mark.parametrize("theta", [-0.5, 0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("d", [4, 32, 300])
+    def test_planted_pairs_match_dense_oracle(self, d, theta):
+        # Four pairs per signed offset, each a random unit x and
+        # y = c x + sqrt(1 - c^2) z with z a unit orthogonal to x, scaled
+        # to norms in [0.5, 2]: their float64 cosine is c to ~1e-12.
+        rng = _rng(d)
+        targets = [theta + sign * off * _band(d) for off in _BAND_OFFSETS for sign in (-1, 1)] * 4
+        vectors = []
+        for c in targets:
+            x, z = np.linalg.qr(rng.normal(size=(d, 2)))[0].T
+            vectors += [x * rng.uniform(0.5, 2), (c * x + math.sqrt(1 - c * c) * z) * rng.uniform(0.5, 2)]
+        posts, users, embed = _planted_records(np.array(vectors))
+        g = build_social_graph(posts, [], users, embed, theta)
+        src, dst = oracles.social_graph_dense(g, posts, [], embed, theta, "all")
+        np.testing.assert_array_equal(g.src, src)
+        np.testing.assert_array_equal(g.dst, dst)
+        pairs = _similar_pairs(g)
+        assert [(2 * k, 2 * k + 1) in pairs for k in range(len(targets))] == [c >= theta for c in targets]
+
+    # At theta = 1 every pair is in the band, and identical features join
+    # exactly when the float64 dot of their unit row with itself, as the
+    # join settles it, rounds to 1 or more.  At norm 1 the 1e-12 in the
+    # unit rows' divisor keeps that dot ~2e-12 below 1: no twins join.  At
+    # norm 1e6 the 1e-12 is lost in rounding, so the verdict is the dot's
+    # rounding: an axis-aligned twin joins (its dot is exactly 1), and
+    # random directions go either way.
+    @pytest.mark.parametrize("d", [4, 32, 300])
+    @pytest.mark.parametrize("norm", [1.0, 1e6])
+    def test_identical_features_at_theta_one(self, d, norm):
+        rng = _rng(d)
+        twins = rng.normal(size=(40, d))
+        twins[0] = np.eye(d)[0]
+        twins *= norm / np.linalg.norm(twins, axis=1, keepdims=True)
+        posts, users, embed = _planted_records(np.repeat(twins, 2, axis=0))
+        g = build_social_graph(posts, [], users, embed, theta=1.0)
+        feats = (g.token_weights @ embed)[:80]
+        unit = feats / (np.sqrt((feats * feats).sum(axis=1, keepdims=True)) + 1e-12)  # as the join makes them
+        np.testing.assert_array_equal(unit[0::2], unit[1::2])  # twins' rows are bitwise equal
+        self_dot = np.einsum("ij,ij->i", unit[0::2], unit[0::2])
+        joined = np.flatnonzero(self_dot >= 1.0)
+        # Node 80 is the user, whose feature is the mean of all posts.
+        pairs = {(s, t) for s, t in _similar_pairs(g) if 80 not in (s, t)}
+        assert pairs == {(2 * k + i, 2 * k + 1 - i) for k in joined.tolist() for i in (0, 1)}
+        if norm == 1.0:
+            assert joined.size == 0 and self_dot.max() < 1 - 1e-12
+        else:
+            assert joined[0] == 0 and 0 < joined.size < 40
+
+    # The band holds twice the float32 error bound: a float32 dot of two
+    # length-d rows, each component rounded to float32 once, is within
+    # gamma_(d+2) * sum |x_i y_i| of the exact dot (Higham, Accuracy and
+    # Stability of Numerical Algorithms, section 3.1), and
+    # 2 * (d + 2) * 2**-24 < (d + 4) * 2**-23.
+    @pytest.mark.parametrize("pattern", ["equal", "alternating", "halves"])
+    def test_float32_dot_error_within_half_band(self, pattern):
+        worst = 0.0
+        for d in range(1, 513):
+            # Magnitudes float32 cannot hold, so every product rounds.
+            x = (1 + np.arange(d) * (math.pi * 1e-4)) / math.sqrt(d)
+            if pattern == "equal":
+                x = np.full(d, 1 / math.sqrt(d))
+                y = x
+            elif pattern == "alternating":  # + - + - ..., cancelling pairwise
+                y = x * np.where(np.arange(d) % 2, -1.0, 1.0)
+            else:  # + for the first half, - for the second: the sum climbs, then cancels
+                y = x * np.where(np.arange(d) < d // 2, 1.0, -1.0)
+            x, y = x / np.linalg.norm(x), y / np.linalg.norm(y)
+            rows = np.stack([x, y]).astype(np.float32)
+            exact = math.fsum(x * y)
+            bound = (d + 2) * 2.0**-24 / (1 - (d + 2) * 2.0**-24) * math.fsum(np.abs(x * y))
+            for got in ((rows @ rows.T)[0, 1], (rows[:1] @ rows[1:].T)[0, 0]):
+                err = abs(float(got) - exact)
+                assert err <= bound < _band(d) / 2, (d, err, bound)
+                worst = max(worst, err / _band(d))
+        assert worst > 0
 
 
 # ---------------------------------------------------------------------------

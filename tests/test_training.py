@@ -532,6 +532,9 @@ class TestSerialization:
         ("sum-mismatch", "sums to"),
         ("negative-dst", "outside"),
         ("dst-past-end", "outside"),
+        ("repeated-edge", "not strictly increasing within a source"),
+        ("unordered-dst", "not strictly increasing within a source"),
+        ("stored-self-loop", "holds a self-loop"),
     ])
     def test_crafted_edges_rejected(self, saved, tiny_data, craft, message):
         path = saved
@@ -547,6 +550,18 @@ class TestSerialization:
             out[0] += 1
         elif craft == "negative-dst":
             dst[0] = -1
+        elif craft in ("repeated-edge", "unordered-dst", "stored-self-loop"):
+            # The last source with two stored edges; its first edge starts
+            # at `at` and the sum stays len(dst).
+            node = np.flatnonzero(out >= 2)[-1]
+            at = out[:node].sum()
+            if craft == "repeated-edge":
+                out[node] += 1
+                dst = np.insert(dst, at, dst[at])
+            elif craft == "unordered-dst":
+                dst[at], dst[at + 1] = dst[at + 1], dst[at]
+            else:
+                dst[at] = node
         else:
             dst[-1] = out.size  # one count per node
         arrays["graph.out_degree"], arrays["graph.dst"] = out, dst
