@@ -281,9 +281,10 @@ def token_attention(x_query, x_kv, wq, wk, wv, wo, heads: int) -> Tensor:
 
     ``x_query`` and ``x_kv`` are [N, d] batches, each row lifted into L
     tokens of width dt, where ``wq``, ``wk`` and ``wv`` are [dt, inner] and
-    ``wo`` is [inner, d].  Per row and head, the query tokens attend over the
-    row's L key/value tokens; the head outputs are mean-pooled over the
-    tokens and projected by ``wo``, [N, d].  The result and every gradient
+    ``wo`` is [inner, d]; other batch shapes raise ``ShapeError``.  Per row
+    and head, the query tokens attend over the row's L key/value tokens; the
+    head outputs are mean-pooled over the tokens and projected by ``wo``,
+    [N, d].  The result and every gradient
     are bitwise those of the chain of reshapes, transposes, matmuls, softmax
     and token mean that the op replaces: the forward makes the chain's numpy
     calls on the same layouts, except that the softmax's row max is L-1
@@ -298,6 +299,11 @@ def token_attention(x_query, x_kv, wq, wk, wv, wo, heads: int) -> Tensor:
     parents = tuple(as_tensor(t) for t in (x_kv, x_query, wq, wk, wv, wo))
     wq, wk, wv, wo = (t.data for t in parents[2:])
     x_shape, (dt, inner), d = parents[0].data.shape, wq.shape, wo.shape[1]
+    if len(x_shape) != 2 or parents[1].data.shape != x_shape or x_shape[1] != d:
+        raise ShapeError(
+            f"attention expects two matching [N, {d}] batches, "
+            f"got {parents[1].data.shape} and {x_shape}"
+        )
     n, L = x_shape[0], d // dt
     dh = inner // heads
     tkv, tq = (t.data.reshape(n * L, dt) for t in parents[:2])

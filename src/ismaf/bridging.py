@@ -51,32 +51,13 @@ def create_fusion_attention_params(store: ParamStore, d: int, heads: int, token_
     store.create("attn.F.wo", (inner, d))
 
 
-def attend(x_query, x_kv, wq, wk, wv, wo, heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention between token-lifted rows.
-
-    ``x_query`` and ``x_kv`` are matching [N, d] batches; row i of the
-    queries attends to the tokens of row i of ``x_kv`` only.  The token
-    width and the inner width are the shape of ``wq``, d is the width of
-    ``wo``, and the ``heads`` heads share the inner width equally.  Returns
-    [N, d]: per row, the token mean of the projected head outputs.
-    """
-    x_query, x_kv = ad.as_tensor(x_query), ad.as_tensor(x_kv)
-    d = wo.shape[1]
-    if x_query.ndim != 2 or x_query.shape != x_kv.shape or x_query.shape[1] != d:
-        raise ad.ShapeError(
-            f"attention expects two matching [N, {d}] batches, "
-            f"got {x_query.shape} and {x_kv.shape}"
-        )
-    return ad.token_attention(x_query, x_kv, wq, wk, wv, wo, heads)
-
-
 def self_attention(r_m, modality: str, params, heads: int) -> Tensor:
     """Augment a batch of unimodal features [N, d] with multi-head
     self-attention."""
     if modality not in ("T", "V"):
         raise ValueError(f"modality must be 'T' or 'V', got {modality!r}")
     p = f"attn.{modality}"
-    return attend(
+    return ad.token_attention(
         r_m, r_m, params[f"{p}.wq"], params[f"{p}.wk"], params[f"{p}.wv"],
         params[f"{p}.wo"], heads,
     )
@@ -86,11 +67,11 @@ def co_attention(z_t, z_v, params, heads: int) -> tuple[Tensor, Tensor]:
     """Paired cross-attention over two [N, d] batches: text queries against
     visual keys/values and vice versa, each with its own output
     projection."""
-    z_tv = attend(
+    z_tv = ad.token_attention(
         z_t, z_v, params["attn.T.wq"], params["attn.V.wk"],
         params["attn.V.wv"], params["attn.TV.wo"], heads,
     )
-    z_vt = attend(
+    z_vt = ad.token_attention(
         z_v, z_t, params["attn.V.wq"], params["attn.T.wk"],
         params["attn.T.wv"], params["attn.VT.wo"], heads,
     )

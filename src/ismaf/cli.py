@@ -88,7 +88,6 @@ def _cmd_eval(args) -> int:
     dataset = load_dataset(args.data)
     model = load_model(args.model, dataset)
     dataset = split_dataset(dataset, model.config.fractions, model.config.seed)
-    model.dataset = dataset
     report = evaluate(model, dataset, args.split, zero_social=args.zero_social)
     text = report.format()
     print(text, end="")

@@ -42,6 +42,7 @@ class PostRecord:
         self.visual_feat = np.asarray(self.visual_feat, dtype=np.float64)
         if self.label not in (0, 1):
             raise ValueError(f"post {self.id}: label must be 0 or 1, got {self.label!r}")
+        self.label = int(self.label)
         if self.visual_feat.ndim != 1 or self.visual_feat.size == 0:
             raise ValueError(
                 f"post {self.id}: visual features must be a non-empty 1-D vector, "
@@ -118,38 +119,16 @@ class DatasetBundle:
 
 
 def save_dataset(bundle: DatasetBundle, out_dir) -> None:
+    """One JSON object per line and record, of the record's fields in order,
+    to the three files that ``load_dataset`` reads."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "posts.jsonl", "w", encoding="utf-8") as fh:
-        for p in bundle.posts:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": p.id,
-                        "tokens": list(map(int, p.tokens)),
-                        "visual_feat": [float(x) for x in p.visual_feat],
-                        "user_id": p.user_id,
-                        "label": int(p.label),
-                    }
-                )
-                + "\n"
-            )
-    with open(out_dir / "comments.jsonl", "w", encoding="utf-8") as fh:
-        for c in bundle.comments:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": c.id,
-                        "tokens": list(map(int, c.tokens)),
-                        "user_id": c.user_id,
-                        "post_id": c.post_id,
-                    }
-                )
-                + "\n"
-            )
-    with open(out_dir / "users.jsonl", "w", encoding="utf-8") as fh:
-        for u in bundle.users:
-            fh.write(json.dumps({"id": u.id}) + "\n")
+    files = {"posts": bundle.posts, "comments": bundle.comments, "users": bundle.users}
+    for name, records in files.items():
+        with open(out_dir / f"{name}.jsonl", "w", encoding="utf-8") as fh:
+            for rec in records:
+                obj = {f.name: getattr(rec, f.name) for f in fields(rec)}
+                fh.write(json.dumps(obj, default=np.ndarray.tolist) + "\n")
 
 
 def _read_records(path: Path, record_type) -> list:

@@ -158,9 +158,11 @@ CONNECT_KINDS = ("all", "same-kind")
 
 
 def check_theta(theta: float) -> None:
-    """The similarity threshold lies in (-1, 1]: at -1 every pair is an edge."""
-    if not -1.0 < theta <= 1.0:
-        raise ValueError(f"theta must lie in (-1, 1], got {theta}")
+    """The similarity threshold lies in (-1, 1): at -1 every pair is an edge,
+    and at 1 even identical features join only by rounding, as the 1e-12 in
+    the join's unit rows keeps their dot below 1 unless the norm is ~1e4."""
+    if not -1.0 < theta < 1.0:
+        raise ValueError(f"theta must lie in (-1, 1), got {theta}")
 
 
 def _token_table(lengths, tokens, authors, n_nodes: int, vocab: int) -> np.ndarray:
@@ -210,7 +212,7 @@ def build_social_graph(
     similarity edges: its cosine is undefined, not 0.  Edges are ordered
     by source, then destination, with the self-loops last.
 
-    ``theta`` must lie in (-1, 1] (``check_theta``).
+    ``theta`` must lie in (-1, 1) (``check_theta``).
     ``connect_kinds`` is "all" (similarity edges may join any node kinds) or
     "same-kind" (similarity edges only within one kind).
 
@@ -234,15 +236,13 @@ def build_social_graph(
     is more than a few float64 ulps from theta gets a float64 join's
     verdict.  The few closer to theta are decided by how that dot rounds,
     where a float64 GEMM would decide them by how the GEMM rounds, and the
-    edges depend on neither the BLAS nor its thread count.  At theta = 1
-    every pair is in the band, and the 1e-12 keeps the dot of two identical
-    unit rows about 2e-12 / norm below 1: twins join only where the norm is
-    above ~1e4, and there as the dot rounds.  Each block's float32 product
-    is freed before the next is made, so the join holds one product at a
-    time beside the float64 unit rows and their float32 copy.  A product
-    kept alive across blocks moves glibc's dynamic mmap threshold, which
-    changes how the arrays made after it are served: it slowed a small
-    graph's whole setup by up to a fifth (ROADMAP, "Checked and rejected").
+    edges depend on neither the BLAS nor its thread count.  Each block's
+    float32 product is freed before the next is made, so the join holds one
+    product at a time beside the float64 unit rows and their float32 copy.
+    A product kept alive across blocks moves glibc's dynamic mmap
+    threshold, which changes how the arrays made after it are served: it
+    slowed a small graph's whole setup by up to a fifth (ROADMAP, "Checked
+    and rejected").
 
     ``edges``, a ``(src, dst)`` pair of a graph built before from the same
     records and inputs (a checkpoint stores it), replaces the structural

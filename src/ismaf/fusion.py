@@ -10,7 +10,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamStore, Tensor
-from .bridging import attend
 
 FUSION_KINDS = ("af", "is-concat", "is-att")
 
@@ -26,18 +25,6 @@ class LossBreakdown:
     af: float
     total: float
     lambdas: tuple[float, float, float, float]
-
-    def check(self):
-        parts = (self.ce, self.scl, self.cmca, self.ml, self.af, self.total)
-        if not all(np.isfinite(parts)):
-            raise ValueError(f"non-finite loss components: {parts}")
-        # Summed in overall_loss's order, so the two totals agree exactly.
-        weighted = self.ce
-        for weight, part in zip(self.lambdas, (self.scl, self.cmca, self.ml, self.af)):
-            weighted += part * weight
-        if abs(self.total - weighted) > 1e-9:
-            raise ValueError(f"total {self.total} != weighted sum {weighted}")
-        return self
 
     def as_dict(self):
         return {
@@ -96,7 +83,7 @@ def fuse_alternate(kind: str, z, r_g, params, heads: int) -> Tensor:
     if kind == "is-concat":
         joined = ad.concat([z, r_g], axis=1)
         return ad.linear(joined, params["fuse.cat_w"], params["fuse.cat_b"])
-    return attend(
+    return ad.token_attention(
         z, r_g, params["attn.F.wq"], params["attn.F.wk"],
         params["attn.F.wv"], params["attn.F.wo"], heads,
     )
@@ -145,18 +132,3 @@ def overall_loss(ce, scl, cmca, ml, af, lambdas) -> Tensor:
             total = ad.add(total, ad.scale(part, weight))
     return total
 
-
-def breakdown_from_parts(ce, scl, cmca, ml, af, total, lambdas) -> LossBreakdown:
-    """Collect scalar components; non-finite values pass through so callers
-    can report divergence instead of crashing mid-step."""
-
-    def val(t):
-        return float(t.data) if t is not None else 0.0
-
-    bd = LossBreakdown(
-        ce=val(ce), scl=val(scl), cmca=val(cmca), ml=val(ml), af=val(af),
-        total=val(total), lambdas=tuple(float(l) for l in lambdas),
-    )
-    if np.isfinite(bd.total):
-        bd.check()
-    return bd

@@ -173,7 +173,11 @@ class IsmafModel:
 
         lambdas = (cfg.lambda1, cfg.lambda2, cfg.lambda3, cfg.lambda4)
         total = fusion.overall_loss(l_ce, l_scl, l_cmca, l_ml, l_af, lambdas)
-        breakdown = fusion.breakdown_from_parts(l_ce, l_scl, l_cmca, l_ml, l_af, total, lambdas)
+        # A non-finite term passes through, so training can report it.
+        breakdown = fusion.LossBreakdown(
+            *(0.0 if t is None else float(t.data) for t in (l_ce, l_scl, l_cmca, l_ml, l_af, total)),
+            lambdas=tuple(float(l) for l in lambdas),
+        )
         return ForwardResult(probs=probs, total=total, breakdown=breakdown)
 
     def predict(self, post_ids, zero_social: bool = False) -> np.ndarray:

@@ -169,9 +169,9 @@ def _read(f, body: int, entry) -> np.ndarray:
 def _stored_edges(path, out_degree: np.ndarray, dst: np.ndarray, n: int):
     """The graph's ``(src, dst)`` from its stored non-loop edges, with one
     self-loop per node appended.  ``save_model`` stores each source's
-    destinations strictly increasing and never the source itself, so a
-    repeated, unordered or self edge is refused: it would run the model on
-    another graph."""
+    destinations strictly increasing, never the source itself, and every
+    edge with its reverse, so a repeated, unordered, self or one-way edge is
+    refused: it would run the model on another graph."""
     if out_degree.shape != (n,):
         raise ModelFileError(
             f"{path}: graph.out_degree has shape {out_degree.shape}, expected ({n},) for {n} nodes"
@@ -193,7 +193,11 @@ def _stored_edges(path, out_degree: np.ndarray, dst: np.ndarray, n: int):
         raise ModelFileError(f"{path}: graph.dst holds a self-loop, which is never stored")
     if ((np.diff(dst) <= 0) & (src[1:] == src[:-1])).any():
         raise ModelFileError(f"{path}: graph.dst is not strictly increasing within a source")
-    return np.concatenate([src, loop]), np.concatenate([dst.astype(np.int64), loop])
+    dst = dst.astype(np.int64)
+    # The keys src*n + dst increase, so the reversed edges' keys sort to them.
+    if not np.array_equal(np.sort(dst * n + src), src * n + dst):
+        raise ModelFileError(f"{path}: graph.dst holds a one-way edge; every edge is stored both ways")
+    return np.concatenate([src, loop]), np.concatenate([dst, loop])
 
 
 def _check_shape(path, name: str, have: tuple, want: tuple) -> None:

@@ -87,10 +87,12 @@ class TrainResult:
 
 
 ADAM_SLICE = 65_536  # elements per slice of an Adam update, so its temporaries stay in cache
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Adam with bias correction; the learning rate is supplied per step so
+    """Adam with bias correction and the ``ADAM_BETA1``, ``ADAM_BETA2`` and
+    ``ADAM_EPS`` constants; the learning rate is supplied per step so
     epoch-level decay stays outside the optimizer.
 
     A step updates the moments in place, over slices of at most
@@ -99,10 +101,8 @@ class Adam:
     Each parameter's new value is a fresh array, so an array that
     ``store.value`` returned earlier is never changed."""
 
-    def __init__(self, store: ParamStore, betas=(0.9, 0.999), eps=1e-8):
+    def __init__(self, store: ParamStore):
         self.store = store
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.t = 0
         # C-contiguous, so their flat views below are views, not copies.
         self._m = {name: np.zeros(val.shape) for name, val in store.items()}
@@ -110,7 +110,7 @@ class Adam:
 
     def step(self, grads: dict[str, np.ndarray], lr: float):
         self.t += 1
-        b1, b2, eps = self.beta1, self.beta2, self.eps
+        b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
         correct1 = 1.0 - b1**self.t
         correct2 = 1.0 - b2**self.t
         buf = np.empty((2, min(ADAM_SLICE, max((g.size for g in grads.values()), default=0))))
@@ -154,15 +154,8 @@ def _epoch_batches(ids, batch_size, rng):
 
 def _mean_breakdown(parts: list[LossBreakdown]) -> LossBreakdown:
     n = len(parts)
-    return LossBreakdown(
-        ce=sum(p.ce for p in parts) / n,
-        scl=sum(p.scl for p in parts) / n,
-        cmca=sum(p.cmca for p in parts) / n,
-        ml=sum(p.ml for p in parts) / n,
-        af=sum(p.af for p in parts) / n,
-        total=sum(p.total for p in parts) / n,
-        lambdas=parts[0].lambdas,
-    )
+    means = {key: sum(getattr(p, key) for p in parts) / n for key in parts[0].as_dict()}
+    return LossBreakdown(**means, lambdas=parts[0].lambdas)
 
 
 def train(config: TrainConfig, dataset: DatasetBundle) -> TrainResult:

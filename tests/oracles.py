@@ -28,9 +28,9 @@ from typing import NamedTuple
 import numpy as np
 
 from ismaf import autodiff as ad
-from ismaf.bridging import attend, co_attention, self_attention
+from ismaf.bridging import co_attention, self_attention
 from ismaf.encoders import EdgeBlock
-from ismaf.training import Adam
+from ismaf.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Adam
 
 
 def matmul_triple_loop(a, b):
@@ -743,7 +743,7 @@ def attention_per_post(params, r_t, r_v, heads):
 def is_att_per_post(z, r_g, params, heads):
     """What ``fuse_alternate("is-att")`` computes, one [1, d] row at a time."""
     rows = [
-        attend(
+        ad.token_attention(
             ad.gather_rows(z, [i]), ad.gather_rows(r_g, [i]), params["attn.F.wq"],
             params["attn.F.wk"], params["attn.F.wv"], params["attn.F.wo"], heads,
         )
@@ -759,7 +759,7 @@ NEG_MASK = -1e30
 
 
 def attend_masked(x_query, x_kv, wq, wk, wv, wo, heads):
-    """What ``bridging.attend`` computes, the plain way: all heads of a post
+    """What ``ad.token_attention`` computes, the plain way: all heads of a post
     as one [L*H, L*H] softmax, with a block-diagonal mask that keeps each
     head's slots, and the output projection applied per token before the
     token mean."""
@@ -839,10 +839,11 @@ class AdamAllocating(Adam):
 
     def step(self, grads, lr):
         self.t += 1
-        correct1 = 1.0 - self.beta1**self.t
-        correct2 = 1.0 - self.beta2**self.t
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
+        correct1 = 1.0 - b1**self.t
+        correct2 = 1.0 - b2**self.t
         for name, g in grads.items():
-            m = self._m[name] = self.beta1 * self._m[name] + (1 - self.beta1) * g
-            v = self._v[name] = self.beta2 * self._v[name] + (1 - self.beta2) * (g * g)
-            update = (m / correct1) / (np.sqrt(v / correct2) + self.eps)
+            m = self._m[name] = b1 * self._m[name] + (1 - b1) * g
+            v = self._v[name] = b2 * self._v[name] + (1 - b2) * (g * g)
+            update = (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
             self.store.assign(name, self.store.value(name) - lr * update)

@@ -181,6 +181,21 @@ class TestJsonlRoundTrip:
         assert loaded.comments == bundle.comments
         assert [u.id for u in loaded.users] == [u.id for u in bundle.users]
 
+    # The bytes themselves: key order, separators and number format.  A
+    # label given as True or 1.0 is stored, and written, as the int 1.
+    @pytest.mark.parametrize("label", [True, 1.0, 1])
+    def test_written_lines(self, tmp_path, label):
+        post = PostRecord("p1", [3, 1], [0.1, 1e-17], "u1", label)
+        assert type(post.label) is int
+        save_dataset(DatasetBundle([post], [CommentRecord("c1", [2], "u1", "p1")], [UserRecord("u1")]), tmp_path)
+        assert (tmp_path / "posts.jsonl").read_bytes() == (
+            b'{"id": "p1", "tokens": [3, 1], "visual_feat": [0.1, 1e-17], "user_id": "u1", "label": 1}\n'
+        )
+        assert (tmp_path / "comments.jsonl").read_bytes() == (
+            b'{"id": "c1", "tokens": [2], "user_id": "u1", "post_id": "p1"}\n'
+        )
+        assert (tmp_path / "users.jsonl").read_bytes() == b'{"id": "u1"}\n'
+
     def test_posts_with_comment_ids_still_load(self, tmp_path):
         bundle = generate_synthetic(n=20, d=3, separation=0.0, seed=9)
         save_dataset(bundle, tmp_path)

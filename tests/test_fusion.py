@@ -6,10 +6,10 @@ import pytest
 from ismaf import autodiff as ad
 from ismaf.autodiff import ParamStore, Tape, Tensor
 from ismaf.bridging import create_attention_params, create_fusion_attention_params, self_attention
+from ismaf.config import TrainConfig
+from ismaf.data import generate_synthetic
 from ismaf.fusion import (
-    LossBreakdown,
     adaptive_fuse,
-    breakdown_from_parts,
     ce_loss,
     classify,
     create_classifier_params,
@@ -19,12 +19,20 @@ from ismaf.fusion import (
     overall_loss,
     predict_labels,
 )
+from ismaf.model import IsmafModel
 
 import oracles
 
 
 def _rng(seed):
     return np.random.default_rng(seed)
+
+
+def _summed_in_order(ce, scl, cmca, ml, af, lambdas):
+    """ce + l1*scl + l2*cmca + l3*ml + l4*af, added left to right as
+    ``overall_loss`` adds its terms."""
+    l1, l2, l3, l4 = lambdas
+    return (((ce + scl * l1) + cmca * l2) + ml * l3) + af * l4
 
 
 def _fusion_store(d=4, seed=0):
@@ -283,34 +291,33 @@ class TestOverallLoss:
         assert float(total.data) == 0.4
 
     def test_breakdown_invariant(self):
-        bd = breakdown_from_parts(
-            Tensor(0.5), Tensor(1.0), Tensor(2.0), Tensor(3.0), Tensor(4.0),
-            overall_loss(Tensor(0.5), Tensor(1.0), Tensor(2.0), Tensor(3.0), Tensor(4.0),
-                         lambdas=(0.3, 0.7, 0.4, 0.4)),
-            (0.3, 0.7, 0.4, 0.4),
-        )
-        assert bd.total == pytest.approx(0.5 + 0.3 + 1.4 + 1.2 + 1.6, abs=1e-12)
+        # A step's breakdown holds the terms of the total it reports, and
+        # that total is the weighted sum in overall_loss's order.
+        cfg = TrainConfig(d=8, heads=2, token_len=4, kernel_sizes=(2, 3), theta=0.6, gat_layers=1)
+        model = IsmafModel(cfg, generate_synthetic(n=24, d=6, separation=2.0, seed=4))
+        ids = [p.id for p in model.dataset.posts[:8]]
+        result = model.forward(model.store.constants(), ids, rng=_rng(5))
+        bd = result.breakdown
+        assert bd.total == float(result.total.data)
+        assert bd.lambdas == (0.3, 0.7, 0.4, 0.4)
+        assert min(bd.scl, bd.cmca, bd.ml, bd.af) > 0
+        assert bd.total == _summed_in_order(bd.ce, bd.scl, bd.cmca, bd.ml, bd.af, bd.lambdas)
 
-    def test_breakdown_accepts_a_large_finite_total(self):
+    def test_large_total_sums_in_order(self):
         # At 2e7 the weighted terms summed in another order than
         # overall_loss's differ from its total by more than 1e-9.
-        parts = [Tensor(v) for v in (0.1, 0.3, 1.1, 0.2, 5e7)]
+        vals = (0.1, 0.3, 1.1, 0.2, 5e7)
         lambdas = (0.3, 0.7, 0.4, 0.4)
-        total = overall_loss(*parts, lambdas=lambdas)
-        bd = breakdown_from_parts(*parts, total, lambdas)
-        assert bd.total == float(total.data)
+        total = float(overall_loss(*[Tensor(v) for v in vals], lambdas=lambdas).data)
+        assert total == _summed_in_order(*vals, lambdas)
 
-    def test_breakdown_check_sums_as_overall_loss_does(self):
+    def test_total_sums_in_order(self):
         rng = _rng(28)
         for _ in range(200):
-            parts = [Tensor(v) for v in 10.0 ** rng.uniform(-3, 9, size=5)]
+            vals = 10.0 ** rng.uniform(-3, 9, size=5)
             lambdas = tuple(rng.uniform(0, 1, size=4))
-            total = overall_loss(*parts, lambdas=lambdas)
-            breakdown_from_parts(*parts, total, lambdas)
-
-    def test_breakdown_rejects_inconsistent_total(self):
-        with pytest.raises(ValueError, match="weighted sum"):
-            LossBreakdown(1.0, 1.0, 1.0, 1.0, 1.0, 99.0, (0.3, 0.7, 0.4, 0.4)).check()
+            total = overall_loss(*[Tensor(v) for v in vals], lambdas=lambdas)
+            assert float(total.data) == _summed_in_order(*vals, lambdas)
 
 
 class TestFuseAlternate:

@@ -410,7 +410,7 @@ class TestSerialization:
         with pytest.raises(ModelFileError, match=r"version 1 .*re-run `ismaf train`"):
             load_model(path, tiny_data)
 
-    # theta lies in (-1, 1]; 0.999 stands for the top of the range: there
+    # theta lies in (-1, 1); 0.999 stands for the top of the range: there
     # the edges are the structural ones and the similarity pairs of equal
     # texts.
     @pytest.mark.parametrize("overrides", [
@@ -498,6 +498,15 @@ class TestSerialization:
         with pytest.raises(ModelFileError, match=re.escape("bad config: unknown config keys: ['ablate_af']")):
             load_model(path, tiny_data)
 
+    # theta = 1, which older versions took and saved.
+    def test_theta_one_config_rejected(self, saved, tiny_data):
+        path = saved
+        header, body = _checkpoint_parts(path)
+        header["config"]["theta"] = 1.0
+        _write_checkpoint(path, header, body)
+        with pytest.raises(ModelFileError, match=re.escape("bad config: theta must lie in (-1, 1), got 1.0")):
+            load_model(path, tiny_data)
+
     # JSON values that int() or Python's bool-is-int would let through.
     @pytest.mark.parametrize("key, value, message", [
         ("heads", True, "heads must be int, got True"),
@@ -535,6 +544,7 @@ class TestSerialization:
         ("repeated-edge", "not strictly increasing within a source"),
         ("unordered-dst", "not strictly increasing within a source"),
         ("stored-self-loop", "holds a self-loop"),
+        ("one-way-edge", "holds a one-way edge"),
     ])
     def test_crafted_edges_rejected(self, saved, tiny_data, craft, message):
         path = saved
@@ -550,7 +560,7 @@ class TestSerialization:
             out[0] += 1
         elif craft == "negative-dst":
             dst[0] = -1
-        elif craft in ("repeated-edge", "unordered-dst", "stored-self-loop"):
+        elif craft in ("repeated-edge", "unordered-dst", "stored-self-loop", "one-way-edge"):
             # The last source with two stored edges; its first edge starts
             # at `at` and the sum stays len(dst).
             node = np.flatnonzero(out >= 2)[-1]
@@ -560,6 +570,9 @@ class TestSerialization:
                 dst = np.insert(dst, at, dst[at])
             elif craft == "unordered-dst":
                 dst[at], dst[at + 1] = dst[at + 1], dst[at]
+            elif craft == "one-way-edge":  # its reverse stays stored
+                out[node] -= 1
+                dst = np.delete(dst, at)
             else:
                 dst[at] = node
         else:
