@@ -5,7 +5,10 @@ A ``Tape`` records every differentiable operation in execution order.  A
 or bound to the tape that produced it.  ``Tape.backward`` walks the record
 list in reverse, accumulating vector-Jacobian products into per-node gradient
 buffers keyed by node id, and consumes the records as it goes, so a tape
-runs backward once.  A record's vector-Jacobian product keeps only the arrays
+runs backward once.  It drops each node's gradient once the record that
+produced the node has run, so only the leaves (``Tape.watch``) keep
+gradients after the pass and a step holds no gradient it has finished
+with.  A record's vector-Jacobian product keeps only the arrays
 it reads (an input's shape, not its values, where the shape is enough), since
 the tape holds every record until backward.  ``matmul`` and ``mul`` compute
 no gradient for a constant operand (known when the op is recorded) and
@@ -88,6 +91,7 @@ class Tape:
     def __init__(self):
         self._records = []  # (out_id, parent_ids, vjp)
         self._grads: dict[int, np.ndarray] = {}
+        self._leaves: set[int] = set()
         self._next_id = 0
 
     def _new_id(self) -> int:
@@ -97,7 +101,9 @@ class Tape:
 
     def watch(self, value) -> Tensor:
         """Register a leaf (trainable input) on this tape."""
-        return Tensor(value, tape=self, node_id=self._new_id())
+        leaf = Tensor(value, tape=self, node_id=self._new_id())
+        self._leaves.add(leaf.node_id)
+        return leaf
 
     def emit(self, data, parents, vjp) -> Tensor:
         """Record one op over its parent Tensors (a constant's node_id is
@@ -110,9 +116,14 @@ class Tape:
         return out
 
     def backward(self, loss: Tensor) -> dict[int, np.ndarray]:
-        """Accumulate gradients of a scalar loss w.r.t. every reachable node.
+        """Accumulate gradients of a scalar loss w.r.t. every reachable leaf,
+        returned by node id.
 
-        A tape runs backward once: its records are dropped by the pass.
+        A tape runs backward once: its records are dropped by the pass, and
+        so is each node's gradient once the record that produced the node
+        has run, as autograd frees a graph's buffers and its non-leaf
+        gradients (``retain_graph=False``).  Only the leaves (``watch``)
+        keep their gradients.
         """
         if loss.tape is not self:
             raise ValueError("loss tensor was not recorded on this tape")
@@ -134,7 +145,9 @@ class Tape:
         borrowed: set[int] = set()
         while records:
             out_id, parent_ids, vjp = records.pop()
-            g = grads.get(out_id)
+            # Every record that reads this node ran before the one that
+            # produced it, so its gradient is complete and read only here.
+            g = grads.pop(out_id, None)
             if g is None:
                 continue
             for pid, pg in zip(parent_ids, vjp(g)):
@@ -154,12 +167,18 @@ class Tape:
         return grads
 
     def grad(self, t: Tensor) -> np.ndarray:
-        """Gradient buffer for a tensor; zeros if the loss never reached it.
+        """Gradient buffer for a leaf; zeros if the loss never reached it.
+        ``backward`` keeps no other node's gradient, so any other tensor
+        raises ``ValueError``.
 
         Buffers may share memory with one another; treat them as read-only.
         """
         if t.tape is not self:
             raise ValueError("tensor does not belong to this tape")
+        if t.node_id not in self._leaves:
+            raise ValueError(
+                f"node {t.node_id} is not a leaf of this tape; only watched leaves keep gradients"
+            )
         g = self._grads.get(t.node_id)
         return np.zeros_like(t.data) if g is None else g
 

@@ -138,6 +138,9 @@ class SocialGraph:
         return len(self.node_ids)
 
     def validate(self):
+        """The invariants the GAT relies on, whichever way the edges came
+        (the join, ``edges=`` or a checkpoint): endpoints name nodes, every
+        node carries a self-loop, and every edge has its reverse."""
         n = self.n_nodes
         if self.src.shape != self.dst.shape or self.src.ndim != 1:
             raise ValueError(
@@ -151,6 +154,18 @@ class SocialGraph:
         loops = set(self.src[self.src == self.dst].tolist())
         if loops != set(range(n)):
             raise ValueError("every node must carry a self-loop")
+        # The keys src*n + dst sort to those of the reversed edges; at the
+        # first difference the smaller key is an edge without its reverse.
+        src, dst = np.asarray(self.src, dtype=np.int64), np.asarray(self.dst, dtype=np.int64)
+        keys, reverse = np.sort(src * n + dst), np.sort(dst * n + src)
+        if not np.array_equal(keys, reverse):
+            at = np.argmax(keys != reverse)
+            a, b = divmod(int(min(keys[at], reverse[at])), n)
+            s, d = (a, b) if keys[at] < reverse[at] else (b, a)
+            raise ValueError(
+                f"the graph holds a one-way edge {s} -> {d} ({self.node_ids[s]} -> "
+                f"{self.node_ids[d]}); every edge must have its reverse"
+            )
 
 
 SIM_TILE = 512  # rows per block of build_social_graph's similarity join

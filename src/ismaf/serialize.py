@@ -169,9 +169,9 @@ def _read(f, body: int, entry) -> np.ndarray:
 def _stored_edges(path, out_degree: np.ndarray, dst: np.ndarray, n: int):
     """The graph's ``(src, dst)`` from its stored non-loop edges, with one
     self-loop per node appended.  ``save_model`` stores each source's
-    destinations strictly increasing, never the source itself, and every
-    edge with its reverse, so a repeated, unordered, self or one-way edge is
-    refused: it would run the model on another graph."""
+    destinations strictly increasing and never the source itself, so a
+    repeated, unordered or self edge is refused: it would run the model on
+    another graph.  ``SocialGraph.validate`` refuses a one-way edge."""
     if out_degree.shape != (n,):
         raise ModelFileError(
             f"{path}: graph.out_degree has shape {out_degree.shape}, expected ({n},) for {n} nodes"
@@ -193,10 +193,6 @@ def _stored_edges(path, out_degree: np.ndarray, dst: np.ndarray, n: int):
         raise ModelFileError(f"{path}: graph.dst holds a self-loop, which is never stored")
     if ((np.diff(dst) <= 0) & (src[1:] == src[:-1])).any():
         raise ModelFileError(f"{path}: graph.dst is not strictly increasing within a source")
-    dst = dst.astype(np.int64)
-    # The keys src*n + dst increase, so the reversed edges' keys sort to them.
-    if not np.array_equal(np.sort(dst * n + src), src * n + dst):
-        raise ModelFileError(f"{path}: graph.dst holds a one-way edge; every edge is stored both ways")
     return np.concatenate([src, loop]), np.concatenate([dst, loop])
 
 
@@ -276,7 +272,10 @@ def _load(path, f, dataset: DatasetBundle) -> IsmafModel:
     out_degree, dst = [_read(f, body, stored.pop(name)) for name in EDGE_ARRAYS]
     n_nodes = len(dataset.posts) + len(dataset.comments) + len(dataset.users)
     edges = _stored_edges(path, out_degree, dst, n_nodes)
-    model = IsmafModel(config, dataset, edges=edges)
+    try:
+        model = IsmafModel(config, dataset, edges=edges)
+    except ValueError as exc:  # SocialGraph.validate refused the stored edges
+        raise ModelFileError(f"{path}: {exc}") from exc
     if set(stored) != set(model.store.names()):
         missing = set(stored) ^ set(model.store.names())
         raise ModelFileError(f"{path}: parameter set mismatch: {sorted(missing)}")

@@ -19,8 +19,10 @@ log = logging.getLogger(__name__)
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the loss leaves the finite range; carries the last finite
-    parameter snapshot and the loss history collected so far."""
+    """Raised when the loss or a gradient leaves the finite range; carries
+    the best parameter snapshot (before the first validation, the
+    parameters the diverging step started from) and the loss history
+    collected so far."""
 
     def __init__(self, message, checkpoint, history):
         super().__init__(message)
@@ -161,7 +163,15 @@ def _mean_breakdown(parts: list[LossBreakdown]) -> LossBreakdown:
 def train(config: TrainConfig, dataset: DatasetBundle) -> TrainResult:
     """Run the full objective for the configured number of epochs and return
     the parameter state with the best validation accuracy (ties keep the
-    earlier epoch).
+    earlier epoch); with ``epochs=0`` the initial parameters.
+
+    A step holds only what it still reads: its tape, leaves, gradients and
+    forward result are the locals of ``step`` and are freed on its return,
+    before the next step's forward, and ``Tape.backward`` keeps only the
+    leaves' gradients.  The parameters are copied only after a validation
+    that improves on the best so far.  A non-finite loss, or a non-finite
+    gradient before Adam sees it, raises ``TrainingDiverged`` with the best
+    snapshot, or with the current parameters before the first validation.
     """
     if dataset.split is None:
         dataset = split_dataset(dataset, config.fractions, config.seed)
@@ -171,10 +181,35 @@ def train(config: TrainConfig, dataset: DatasetBundle) -> TrainResult:
     model = IsmafModel(config, dataset)
 
     optimizer = Adam(model.store)
-    best_state = model.store.snapshot()
+    best_state = None
     best_val = -1.0
     best_epoch = -1
     history: list[EpochStats] = []
+
+    def diverged(message: str) -> TrainingDiverged:
+        checkpoint = model.store.snapshot() if best_state is None else best_state
+        return TrainingDiverged(message, checkpoint=checkpoint, history=history)
+
+    def step(batch, lr, rng, where: str) -> LossBreakdown:
+        tape = Tape()
+        params = model.store.watch(tape)
+        result = model.forward(params, batch, rng=rng)
+        if not np.isfinite(result.breakdown.total):
+            terms = result.breakdown.as_dict()
+            bad = [k for k, v in terms.items() if k != "total" and not np.isfinite(v)]
+            raise diverged(f"non-finite loss at {where} in {', '.join(bad) or 'the weighted total'}: {terms}")
+        tape.backward(result.total)
+        grads = {name: tape.grad(t) for name, t in params.items()}
+        for name, g in grads.items():
+            # A non-finite entry makes g.g non-finite, and the exact check
+            # tells apart a g.g that only overflows; the screen costs half
+            # of isfinite's pass over every gradient.
+            flat = g.ravel()
+            if not np.isfinite(np.dot(flat, flat)) and not np.isfinite(g).all():
+                raise diverged(f"non-finite gradient at {where} in parameter {name}")
+        optimizer.step(grads, lr)
+        model.pin_constants()
+        return result.breakdown
 
     for epoch in range(config.epochs):
         lr = config.lr * (config.lr_decay**epoch)
@@ -182,27 +217,11 @@ def train(config: TrainConfig, dataset: DatasetBundle) -> TrainResult:
             np.random.SeedSequence([config.seed & 0xFFFFFFFF, 101, epoch])
         )
         step_parts: list[LossBreakdown] = []
-        for step, batch in enumerate(_epoch_batches(train_ids, config.batch_size, shuffle_rng)):
+        for i, batch in enumerate(_epoch_batches(train_ids, config.batch_size, shuffle_rng)):
             dropout_rng = np.random.default_rng(
-                np.random.SeedSequence([config.seed & 0xFFFFFFFF, 202, epoch, step])
+                np.random.SeedSequence([config.seed & 0xFFFFFFFF, 202, epoch, i])
             )
-            tape = Tape()
-            params = model.store.watch(tape)
-            result = model.forward(params, batch, rng=dropout_rng)
-            if not np.isfinite(result.breakdown.total):
-                terms = result.breakdown.as_dict()
-                bad = [k for k, v in terms.items() if k != "total" and not np.isfinite(v)]
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch} step {step} in "
-                    f"{', '.join(bad) or 'the weighted total'}: {terms}",
-                    checkpoint=best_state if best_epoch >= 0 else model.store.snapshot(),
-                    history=history,
-                )
-            tape.backward(result.total)
-            grads = {name: tape.grad(t) for name, t in params.items()}
-            optimizer.step(grads, lr)
-            model.pin_constants()
-            step_parts.append(result.breakdown)
+            step_parts.append(step(batch, lr, dropout_rng, f"epoch {epoch} step {i}"))
 
         val_report = evaluate(model, dataset, "val")
         history.append(
@@ -217,7 +236,8 @@ def train(config: TrainConfig, dataset: DatasetBundle) -> TrainResult:
             history[-1].losses.total, val_report.accuracy,
         )
 
-    model.store.load_state(best_state)
+    if best_state is not None:
+        model.store.load_state(best_state)
     return TrainResult(
         model=model, history=history,
         best_epoch=best_epoch, best_val_accuracy=max(best_val, 0.0),

@@ -145,6 +145,33 @@ class TestBackward:
         tape.backward(ad.sum_(x))
         np.testing.assert_array_equal(tape.grad(y), np.zeros(2))
 
+    # backward drops each node's gradient once the record that produced the
+    # node has run, as autograd frees a graph's non-leaf gradients: only
+    # the leaves keep theirs.
+    def test_backward_keeps_only_leaf_gradients(self):
+        tape = Tape()
+        x = tape.watch(np.ones(3))
+        unreached = tape.watch(np.ones(2))
+        bufs = {}
+
+        def recording(name):  # a vjp that keeps a weakref to the buffer it returns
+            def vjp(g):
+                buf = np.full(3, 2.0) * g
+                bufs[name] = weakref.ref(buf)
+                return (buf,)
+            return vjp
+
+        inner = tape.emit(2.0 * x.data, (x,), recording("x"))
+        loss = tape.emit(inner.data.sum(), (inner,), recording("inner"))
+        tape.backward(loss)
+        assert bufs["inner"]() is None
+        assert bufs["x"]() is tape.grad(x)
+        np.testing.assert_array_equal(tape.grad(x), np.full(3, 4.0))
+        np.testing.assert_array_equal(tape.grad(unreached), np.zeros(2))
+        for t in (inner, loss):
+            with pytest.raises(ValueError, match="not a leaf"):
+                tape.grad(t)
+
     def test_shared_subexpression_accumulates(self):
         tape = Tape()
         x = tape.watch(np.array(2.0))

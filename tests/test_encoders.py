@@ -588,6 +588,18 @@ class TestBuildSocialGraph:
         with pytest.raises(ValueError, match="self-loop"):
             build_social_graph(**records, embed=embed, edges=(loop[1:], loop[1:]))
 
+    # The GAT assumes a symmetric graph, so a one-way edge is refused
+    # whichever way the edges come, here a model's ``edges=``.
+    def test_one_way_given_edge_rejected(self):
+        cfg = TrainConfig(d=16, token_len=4)
+        data = split_dataset(generate_synthetic(n=40, d=16, separation=2.0, seed=3), cfg.fractions, cfg.seed)
+        graph = IsmafModel(cfg, data).graph
+        src, dst = graph.src, graph.dst
+        drop = np.argmax(src != dst)  # the first non-loop edge; its reverse stays
+        s, t = src[drop], dst[drop]
+        with pytest.raises(ValueError, match=f"holds a one-way edge {t} -> {s} "):
+            IsmafModel(cfg, data, edges=(np.delete(src, drop), np.delete(dst, drop)))
+
     def test_unknown_user_reference_rejected(self):
         posts = [PostRecord("p0", [1], np.zeros(2), "ghost", 0)]
         with pytest.raises(ValueError, match="unknown user"):

@@ -3,12 +3,14 @@ import hashlib
 import json
 import re
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from ismaf import bridging, encoders, serialize
+from ismaf import autodiff as ad
+from ismaf import bridging, encoders, serialize, training
 from ismaf.config import TrainConfig, load_config, save_config
 from ismaf.data import CommentRecord, DatasetBundle, UserRecord, generate_synthetic, split_dataset
 from ismaf.model import IsmafModel
@@ -35,6 +37,27 @@ def _tiny_config(**overrides):
     )
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def _plant_in_visual_gradient(monkeypatch, value):
+    """Every step's gradient of the projected visual rows gets ``value`` in
+    its first cell that the relu passes; no forward changes."""
+    project = encoders.project_visual
+
+    def planted(*args):
+        out = project(*args)
+        if out.tape is None:  # evaluation
+            return out
+        cell = np.argmax(out.data > 0)
+
+        def vjp(g):
+            g = g.copy()
+            g.reshape(-1)[cell] = value
+            return (g,)
+
+        return out.tape.emit(out.data, (out,), vjp)
+
+    monkeypatch.setattr(encoders, "project_visual", planted)
 
 
 @pytest.fixture(scope="module")
@@ -124,11 +147,138 @@ class TestTrainLoop:
             train(cfg, tiny_data)
         assert isinstance(info.value.checkpoint, dict)
         assert "text.embed" in info.value.checkpoint
-        # The message names exactly the non-finite terms among those it lists.
+        # The first step's update makes the next step's gradient non-finite
+        # before its loss is, and Adam never takes that gradient.
+        assert re.fullmatch(
+            r"non-finite gradient at epoch 0 step \d+ in parameter [\w.]+", str(info.value)
+        ), str(info.value)
+
+    # A non-finite loss term at epoch 0 step 2: the checkpoint holds the
+    # parameters that step started from, and the message names exactly the
+    # non-finite terms among those it lists.
+    def test_epoch_zero_divergence_carries_the_pre_step_parameters(self, tiny_data, monkeypatch):
+        cmca, forward = bridging.cmca_loss, IsmafModel.forward
+        calls, starts = [], []
+
+        def planted_cmca(*args):
+            calls.append(1)
+            out = cmca(*args)
+            return ad.scale(out, np.nan) if len(calls) == 3 else out
+
+        def recording_forward(model, *args, **kwargs):
+            starts.append({name: value.copy() for name, value in model.store.items()})
+            return forward(model, *args, **kwargs)
+
+        monkeypatch.setattr(bridging, "cmca_loss", planted_cmca)
+        monkeypatch.setattr(IsmafModel, "forward", recording_forward)
+        with pytest.raises(TrainingDiverged) as info:
+            train(_tiny_config(), tiny_data)
+        assert len(starts) == 3 and info.value.history == []
+        checkpoint = info.value.checkpoint
+        assert {k: v.tobytes() for k, v in checkpoint.items()} == {k: v.tobytes() for k, v in starts[2].items()}
+        assert checkpoint["text.embed"].tobytes() != starts[0]["text.embed"].tobytes()
         head, terms = str(info.value).split(": ", 1)
         values = {k: float(v) for k, v in re.findall(r"'(\w+)': ([^,}]+)", terms)}
         bad = [k for k in ("ce", "scl", "cmca", "ml", "af") if not np.isfinite(values[k])]
-        assert bad and head.endswith(" in " + ", ".join(bad)), str(info.value)
+        assert bad == ["cmca"] and head == "non-finite loss at epoch 0 step 2 in cmca", str(info.value)
+
+    # An inf planted in one cell of the visual rows' gradient, under a finite
+    # loss: the run stops before Adam, naming the first parameter in store
+    # order whose gradient is non-finite, with the parameters untouched.
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_gradient_stops_before_adam(self, tiny_data, monkeypatch):
+        _plant_in_visual_gradient(monkeypatch, np.inf)
+        cfg = _tiny_config()
+        initial = IsmafModel(cfg, split_dataset(tiny_data, cfg.fractions, cfg.seed)).store
+        with pytest.raises(TrainingDiverged, match=r"^non-finite gradient at epoch 0 step 0 in parameter visual\.w$") as info:
+            train(cfg, tiny_data)
+        assert info.value.history == []
+        for name, value in info.value.checkpoint.items():
+            assert value.tobytes() == initial.value(name).tobytes(), name
+
+    # A finite gradient whose g.g overflows is not taken for a non-finite one.
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_huge_finite_gradient_trains_on(self, tiny_data, monkeypatch):
+        _plant_in_visual_gradient(monkeypatch, 1e200)
+        step, overflowed = Adam.step, []
+
+        def recording_step(optimizer, grads, lr):
+            g = grads["visual.w"].reshape(-1)
+            overflowed.append(np.isfinite(g).all() and not np.isfinite(g @ g))
+            return step(optimizer, grads, lr)
+
+        monkeypatch.setattr(Adam, "step", recording_step)
+        assert len(train(_tiny_config(), tiny_data).history) == 2
+        assert overflowed and all(overflowed)
+
+    # A step's tape, and with it its leaves and gradients, is freed before
+    # the next step's forward and before validation.
+    def test_no_tape_outlives_its_step(self, tiny_data, monkeypatch):
+        init, forward = Tape.__init__, IsmafModel.forward
+        tapes = []
+
+        def recording_init(tape):
+            init(tape)
+            tapes.append(weakref.ref(tape))
+
+        def checking_forward(model, params, *args, **kwargs):
+            own = next(iter(params.values())).tape
+            alive = sum(ref() is not None and ref() is not own for ref in tapes)
+            assert alive == 0, f"{alive} earlier tapes alive at a forward"
+            return forward(model, params, *args, **kwargs)
+
+        monkeypatch.setattr(Tape, "__init__", recording_init)
+        monkeypatch.setattr(IsmafModel, "forward", checking_forward)
+        train(_tiny_config(epochs=2), tiny_data)
+        assert len(tapes) >= 4
+
+    # Live memory at a step's start holds nothing of the step before: from
+    # one step's start to the next it rises by less than a quarter of the
+    # parameters' bytes, where the previous step's old parameters or its
+    # gradients, kept alive, would each add all of them.
+    def test_live_memory_at_each_step_start_is_flat(self, monkeypatch):
+        data = generate_synthetic(n=100, d=32, separation=2.0, seed=3)
+        cfg = TrainConfig(d=32, heads=2, token_len=4, batch_size=8, epochs=1, seed=5)
+        # The first run pays numpy's and Python's one-time set-up.
+        param_bytes = sum(value.nbytes for _, value in train(cfg, data).model.store.items())
+        forward = IsmafModel.forward
+        starts = []
+
+        def measuring_forward(model, params, *args, **kwargs):
+            if next(iter(params.values())).tape is not None:
+                starts.append(tracemalloc.get_traced_memory()[0])
+            return forward(model, params, *args, **kwargs)
+
+        monkeypatch.setattr(IsmafModel, "forward", measuring_forward)
+        tracemalloc.start()
+        try:
+            train(cfg, data)
+        finally:
+            tracemalloc.stop()
+        rises = np.diff(starts)
+        assert len(starts) >= 5 and rises.max() < param_bytes / 4, (rises, param_bytes)
+
+    # The parameters are copied after each validation that improves on the
+    # best so far, and never before the first one.
+    @pytest.mark.parametrize("epochs", [0, 4])
+    def test_snapshot_only_after_an_improving_validation(self, tiny_data, monkeypatch, epochs):
+        snapshot, validate = ParamStore.snapshot, training.evaluate
+        validations, snapshots = [], []
+
+        def counting_snapshot(store):
+            snapshots.append(len(validations))
+            return snapshot(store)
+
+        def counting_evaluate(*args, **kwargs):
+            validations.append(1)
+            return validate(*args, **kwargs)
+
+        monkeypatch.setattr(ParamStore, "snapshot", counting_snapshot)
+        monkeypatch.setattr(training, "evaluate", counting_evaluate)
+        result = train(_tiny_config(epochs=epochs), tiny_data)
+        accs = [s.val_accuracy for s in result.history]
+        improving = [e + 1 for e, acc in enumerate(accs) if acc > max(accs[:e], default=-1.0)]
+        assert snapshots == improving
 
     def test_model_selection_keeps_best_validation_epoch(self, tiny_data):
         cfg = _tiny_config(epochs=3)
