@@ -3,10 +3,9 @@ synthetic corpus generator used for desk-scale experiments."""
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +29,24 @@ def _check_tokens(record: str, tokens) -> None:
         raise ValueError(f"{record}: token id 0 is reserved for padding")
 
 
+def _visual_vector(record: str, feat) -> np.ndarray:
+    """``feat`` as float64 if numpy infers a numeric dtype for it.  Strings
+    and booleans are refused; an object array (numpy's dtype for an int
+    beyond int64, and for anything it cannot type) is checked entry by
+    entry, so a huge int still loads.  A boolean among numbers infers
+    float64 and reads as 0 or 1."""
+    feat = np.asarray(feat)
+    if feat.dtype.kind not in "iuf":
+        entries = feat.tolist() if feat.ndim == 1 else [feat.tolist()]
+        for v in entries:
+            if type(v) is bool or not isinstance(v, (int, float)):
+                raise ValueError(f"{record}: visual feature {v!r} is not a number")
+    try:
+        return feat.astype(np.float64, copy=False)
+    except OverflowError:
+        raise ValueError(f"{record}: visual features must be finite") from None
+
+
 @dataclass
 class PostRecord:
     id: str
@@ -39,8 +56,8 @@ class PostRecord:
     label: int
 
     def __post_init__(self):
-        self.visual_feat = np.asarray(self.visual_feat, dtype=np.float64)
-        if self.label not in (0, 1):
+        self.visual_feat = _visual_vector(f"post {self.id}", self.visual_feat)
+        if type(self.label) is bool or self.label not in (0, 1):
             raise ValueError(f"post {self.id}: label must be 0 or 1, got {self.label!r}")
         self.label = int(self.label)
         if self.visual_feat.ndim != 1 or self.visual_feat.size == 0:
@@ -79,12 +96,88 @@ def text_tokens(texts) -> tuple[np.ndarray, np.ndarray]:
     return lengths, tokens
 
 
+@dataclass(frozen=True, eq=False)
+class GraphInputs:
+    """What the social graph, the models and the checkpoint fingerprint read
+    of a record set, derived from it once (``from_records``).
+
+    Rows run over the posts, then the comments, then the users, in record
+    order; the texts (posts and comments) are the first ``n_texts`` rows.
+    ``problem`` is the message of the first repeated node id or bad
+    reference, in record order, and None when there is none.  The
+    derivation itself raises nothing, so reading the tokens never raises a
+    reference error; ``build_social_graph`` raises the problem.
+    """
+
+    node_ids: list[str]
+    node_kinds: list[str]
+    index: dict[str, int]  # node id -> row
+    n_posts: int
+    lengths: np.ndarray  # [n_texts] each text's token count
+    tokens: np.ndarray  # every text's tokens, in row order
+    authors: np.ndarray  # [n_texts] the row of each text's author, -1 if unknown
+    commented: np.ndarray  # [n_comments] the row of each comment's post, -1 if unknown
+    problem: str | None
+
+    @property
+    def n_texts(self) -> int:
+        return self.lengths.size
+
+    @classmethod
+    def from_records(cls, posts, comments, users) -> GraphInputs:
+        texts = [*posts, *comments]
+        node_ids = [rec.id for rec in texts] + [u.id for u in users]
+        node_kinds = ["post"] * len(posts) + ["comment"] * len(comments) + ["user"] * len(users)
+        index = dict(zip(node_ids, range(len(node_ids))))
+        lengths, tokens = text_tokens(texts)
+        authors = np.array([index.get(rec.user_id, -1) for rec in texts], dtype=np.int64)
+        commented = np.array([index.get(c.post_id, -1) for c in comments], dtype=np.int64)
+        for array in (lengths, tokens, authors, commented):
+            array.flags.writeable = False  # shared by every consumer
+        n_posts, n_texts = len(posts), len(texts)
+
+        problem = None
+        if len(index) != len(node_ids):
+            seen = set()
+            for nid in node_ids:
+                if nid in seen:
+                    break
+                seen.add(nid)
+            problem = f"node id {nid!r} is used by more than one post, comment or user"
+        else:
+            # Checked in record order: each post's user, then each comment's
+            # user and post; key 2 * text is a user check, key 2 * text + 1
+            # a post check.  Only the first failure is formatted.
+            bad = np.concatenate([
+                2 * np.flatnonzero(authors < n_texts),
+                2 * (n_posts + np.flatnonzero((commented < 0) | (commented >= n_posts))) + 1,
+            ])
+            if bad.size:
+                text, post_ref = divmod(int(bad.min()), 2)
+                rec = texts[text]
+                what = f"post {rec.id}" if text < n_posts else f"comment {rec.id}"
+                ref, kind = (rec.post_id, "post") if post_ref else (rec.user_id, "user")
+                problem = f"{what} references unknown {kind} {ref}"
+        return cls(node_ids, node_kinds, index, n_posts, lengths, tokens, authors, commented, problem)
+
+
 @dataclass
 class DatasetBundle:
+    """A corpus's records and, once split, its split assignment.
+
+    The records are fixed once the bundle is built: ``graph_inputs`` (and
+    through it ``vocab_size``, every model's graph and the checkpoint
+    fingerprint) is derived from them on first use and not again, and the
+    copies ``split_dataset`` makes share both the records and that one
+    derivation.
+    """
+
     posts: list[PostRecord]
     comments: list[CommentRecord]
     users: list[UserRecord]
     split: dict[str, str] | None = None
+    # One slot for the GraphInputs, shared with every split copy.
+    _graph_inputs: list[GraphInputs] = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len({p.id for p in self.posts}) != len(self.posts):
@@ -106,12 +199,18 @@ class DatasetBundle:
             raise ValueError(f"unknown split {name!r}")
         return [p.id for p in self.posts if self.split[p.id] == name]
 
-    @functools.cached_property
+    @property
+    def graph_inputs(self) -> GraphInputs:
+        """The records' ``GraphInputs``, derived on first use by this bundle
+        or any bundle that shares its records through ``split_dataset``."""
+        if not self._graph_inputs:
+            self._graph_inputs.append(GraphInputs.from_records(self.posts, self.comments, self.users))
+        return self._graph_inputs[0]
+
+    @property
     def vocab_size(self) -> int:
-        """One more than the largest token id, at least 2; the records are
-        fixed after construction, so the scan runs once."""
-        _, tokens = text_tokens(list(self.posts) + list(self.comments))
-        return max(int(tokens.max(initial=0)) + 1, 2)
+        """One more than the largest token id, at least 2."""
+        return max(int(self.graph_inputs.tokens.max(initial=0)) + 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +351,12 @@ def _stratified_quotas(counts, fractions, train_total, val_total):
 
 
 def split_dataset(bundle: DatasetBundle, fractions, seed: int) -> DatasetBundle:
-    """Return a copy of the bundle with a fresh stratified split assignment."""
+    """Return a copy of the bundle with a fresh stratified split assignment.
+    The copy shares the bundle's records and their ``graph_inputs``."""
     split = assign_splits(bundle.posts, fractions, seed)
-    return DatasetBundle(bundle.posts, bundle.comments, bundle.users, split=split)
+    copy = DatasetBundle(bundle.posts, bundle.comments, bundle.users, split=split)
+    copy._graph_inputs = bundle._graph_inputs
+    return copy
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ All encoders emit vectors of the shared feature dimension d.  Each takes
 only the ``TrainConfig`` values its parameters cannot carry (the kernel
 sizes, the head count, the leaky relu slope), checked once when the config
 is built, and reads every shape from its parameters and inputs.  Graph
-construction is a pure numpy function of the records and a token-embedding
-table; the graph keeps each node's token weights, so a node's feature under
+construction is a pure numpy function of a record set's ``GraphInputs``
+(node ids and rows, text tokens and links, derived once per dataset and
+shared by every model built on it) and a token-embedding table; the graph
+keeps each node's token weights, so a node's feature under
 any table is its row of ``token_weights @ embed``.  Similarity edges come
 from a row-tiled join that keeps only the pairs at or above the threshold,
 so building never holds an [n_nodes, n_nodes] matrix.  The join screens
@@ -31,7 +33,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamStore, ShapeError, Tensor
-from .data import text_tokens
+from .data import GraphInputs
 
 
 # ---------------------------------------------------------------------------
@@ -207,15 +209,19 @@ def _token_table(lengths, tokens, authors, n_nodes: int, vocab: int) -> np.ndarr
 
 
 def build_social_graph(
-    posts,
-    comments,
-    users,
+    inputs: GraphInputs,
     embed: np.ndarray,
     theta: float = 0.5,
     connect_kinds: str = "all",
     edges: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> SocialGraph:
-    """Build the interaction graph.
+    """Build the interaction graph of a record set from its ``GraphInputs``
+    (``DatasetBundle.graph_inputs``, or ``GraphInputs.from_records``):
+    node ids, kinds and rows, each text's tokens and author row and each
+    comment's post row.  The graph keeps the inputs' ``node_ids``,
+    ``node_kinds`` and ``index`` themselves, not copies.  A repeated node
+    id or a reference to an unknown user or post raises ``ValueError``
+    (``GraphInputs.problem``).
 
     Node features are ``token_weights @ embed`` (see ``SocialGraph``):
     post and comment nodes take the mean embedding of their tokens, user
@@ -267,28 +273,13 @@ def build_social_graph(
     check_theta(theta)
     if connect_kinds not in CONNECT_KINDS:
         raise ValueError(f"unknown connect_kinds {connect_kinds!r}")
-    node_ids = [p.id for p in posts] + [c.id for c in comments] + [u.id for u in users]
-    node_kinds = ["post"] * len(posts) + ["comment"] * len(comments) + ["user"] * len(users)
-    index: dict[str, int] = {}
-    for row, nid in enumerate(node_ids):
-        if index.setdefault(nid, row) != row:
-            raise ValueError(f"node id {nid!r} is used by more than one post, comment or user")
-
-    def check_ref(what: str, ref: str, kind: str):
-        if ref not in index or node_kinds[index[ref]] != kind:
-            raise ValueError(f"{what} references unknown {kind} {ref}")
-
-    for p in posts:
-        check_ref(f"post {p.id}", p.user_id, "user")
-    for c in comments:
-        check_ref(f"comment {c.id}", c.user_id, "user")
-        check_ref(f"comment {c.id}", c.post_id, "post")
+    if inputs.problem is not None:
+        raise ValueError(inputs.problem)
+    node_ids, node_kinds, index = inputs.node_ids, inputs.node_kinds, inputs.index
 
     # Texts fill the first rows (see _token_table).
-    texts = list(posts) + list(comments)
-    n, n_texts, vocab = len(node_ids), len(texts), embed.shape[0]
-    lengths, tokens = text_tokens(texts)
-    authors = np.array([index[rec.user_id] for rec in texts], dtype=np.int64)
+    n, n_posts, n_texts, vocab = len(node_ids), inputs.n_posts, inputs.n_texts, embed.shape[0]
+    lengths, tokens, authors = inputs.lengths, inputs.tokens, inputs.authors
     outside = (tokens < 0) | (tokens >= vocab)
     if outside.any():
         at = np.argmax(outside)
@@ -304,8 +295,8 @@ def build_social_graph(
         return graph
 
     # Structural pairs: each text with its author, each comment with its post.
-    rows = [np.arange(n_texts), np.arange(len(posts), n_texts)]
-    cols = [authors, np.array([index[c.post_id] for c in comments], dtype=np.int64)]
+    rows = [np.arange(n_texts), np.arange(n_posts, n_texts)]
+    cols = [authors, inputs.commented]
 
     # Similarity pairs i < j, one block of rows at a time against the
     # columns from the block's first row on.  The float32 cosines screen
@@ -316,7 +307,7 @@ def build_social_graph(
     unit32 = unit.astype(np.float32)
     zero = norms[:, 0] == 0
     if connect_kinds == "same-kind":
-        kinds = np.repeat(np.arange(3), [len(posts), len(comments), len(users)])
+        kinds = np.repeat(np.arange(3), [n_posts, n_texts - n_posts, n - n_texts])
     band = (embed.shape[1] + 4) * 2.0**-23
     low, high = np.float32(theta - band), np.float32(theta + band)
     for a in range(0, n, SIM_TILE):

@@ -22,7 +22,7 @@ from . import autodiff as ad
 from . import bridging, encoders, fusion
 from .autodiff import ParamStore, Tensor
 from .config import TrainConfig
-from .data import DatasetBundle, text_tokens
+from .data import DatasetBundle
 
 
 @dataclass
@@ -44,9 +44,11 @@ class IsmafModel:
             raise ValueError("dataset has no posts")
         self.config = config
         self.dataset = dataset
-        lengths, flat = text_tokens(dataset.posts)
+        # The posts are the first texts of the records' graph inputs.
+        inputs = dataset.graph_inputs
+        lengths = inputs.lengths[: len(dataset.posts)]
         self.tokens = np.zeros((lengths.size, max(lengths.max(), *config.kernel_sizes)), dtype=np.int64)
-        self.tokens[np.arange(self.tokens.shape[1]) < lengths[:, None]] = flat
+        self.tokens[np.arange(self.tokens.shape[1]) < lengths[:, None]] = inputs.tokens[: lengths.sum()]
         self.visual = np.stack([p.visual_feat for p in dataset.posts])
         self.labels = np.array([p.label for p in dataset.posts])
 
@@ -65,9 +67,7 @@ class IsmafModel:
             bridging.create_fusion_attention_params(self.store, config.d, config.heads, config.token_len)
 
         self.graph = encoders.build_social_graph(
-            dataset.posts,
-            dataset.comments,
-            dataset.users,
+            inputs,
             self.store.value("text.embed"),
             theta=config.theta,
             connect_kinds=config.connect_kinds,

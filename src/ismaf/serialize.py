@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import TrainConfig
-from .data import DatasetBundle, text_tokens
+from .data import DatasetBundle
 from .model import IsmafModel
 
 MAGIC = b"ISMAF checkpoint\n"
@@ -51,15 +51,17 @@ class ModelFileError(ValueError):
 def _record_fingerprint(dataset: DatasetBundle) -> dict[str, str]:
     """sha256 of each part of the records the social graph depends on:
     the node ids in row order (posts, comments, users), every text's
-    tokens, and the links (each text's author, each comment's post)."""
-    texts = list(dataset.posts) + list(dataset.comments)
-    lengths, tokens = text_tokens(texts)
-    kinds = (dataset.posts, dataset.comments, dataset.users)
-    ids = [[rec.id for rec in records] for records in kinds]
-    links = [[rec.user_id for rec in texts], [c.post_id for c in dataset.comments]]
+    tokens, and the links (each text's author, each comment's post), all
+    read from the records' ``graph_inputs``.  A link is hashed as the id
+    at its row; a reference to no node (row -1) reads as null, so records
+    with one never match a checkpoint, whose records had none."""
+    inputs = dataset.graph_inputs
+    ids, n_posts, n_texts = inputs.node_ids, inputs.n_posts, inputs.n_texts
+    linked = ids + [None]
+    links = [[linked[row] for row in rows.tolist()] for rows in (inputs.authors, inputs.commented)]
     parts = {
-        "ids": json.dumps(ids).encode("utf-8"),
-        "tokens": lengths.astype("<i8").tobytes() + tokens.astype("<i8").tobytes(),
+        "ids": json.dumps([ids[:n_posts], ids[n_posts:n_texts], ids[n_texts:]]).encode("utf-8"),
+        "tokens": inputs.lengths.astype("<i8").tobytes() + inputs.tokens.astype("<i8").tobytes(),
         "links": json.dumps(links).encode("utf-8"),
     }
     return {part: hashlib.sha256(data).hexdigest() for part, data in parts.items()}

@@ -2,7 +2,10 @@
 values.  Everything here is deliberately scalar-loop / direct-formula numpy,
 sharing no code with the package under test, except the plain versions of
 optimised paths (``text_cnn_per_offset``, ``text_cnn_chain``,
-``token_weights_at``, ``social_graph_dense``,
+``token_weights_at``, ``social_graph_dense``, the record derivations
+that ``data.GraphInputs`` replaced (``vocab_size_scan``,
+``post_token_rows``, ``graph_records_checked``,
+``record_fingerprint_scan``),
 ``signed_gat_layer_plain`` and ``social_batch_full_graph`` with ``whole_graph_block``,
 ``receptive_blocks_sorted``,
 ``attention_per_post``, ``is_att_per_post``,
@@ -22,6 +25,8 @@ it skips or batches; the tape ops that left the package for them
 ``segment_max``); and ``grad_check_entries``, ``ad.grad_check`` with
 every entry reported."""
 
+import hashlib
+import json
 import math
 from typing import NamedTuple
 
@@ -547,6 +552,79 @@ def node_features_direct(posts, comments, users, embed):
         own = [feats[rec.id] for rec in texts if rec.user_id == user.id]
         rows.append(sum(own) / len(own) if own else np.zeros(embed.shape[1]))
     return np.array(rows)
+
+
+def text_tokens_listed(texts):
+    """Each text's token count and all texts' tokens in order, as int64
+    arrays built from Python lists."""
+    lengths = np.array([len(rec.tokens) for rec in texts], dtype=np.int64)
+    tokens = np.array([tok for rec in texts for tok in rec.tokens], dtype=np.int64)
+    return lengths, tokens
+
+
+# What each consumer of a record set derived on its own before
+# ``data.GraphInputs`` held it for all of them: the vocabulary scan of
+# ``DatasetBundle.vocab_size``, ``IsmafModel``'s post-token rows,
+# ``build_social_graph``'s node table, checks and links, and the checkpoint
+# fingerprint's scan.
+
+
+def vocab_size_scan(posts, comments):
+    """One more than the largest token id of every text, at least 2."""
+    _, tokens = text_tokens_listed(list(posts) + list(comments))
+    return max(int(tokens.max(initial=0)) + 1, 2)
+
+
+def post_token_rows(posts, kernel_sizes):
+    """The posts' tokens padded with 0 to max(longest post, largest kernel)."""
+    lengths, flat = text_tokens_listed(posts)
+    tokens = np.zeros((lengths.size, max(lengths.max(), *kernel_sizes)), dtype=np.int64)
+    tokens[np.arange(tokens.shape[1]) < lengths[:, None]] = flat
+    return tokens
+
+
+def graph_records_checked(posts, comments, users):
+    """``(node_ids, node_kinds, index, authors, commented)`` in row order
+    (posts, comments, users): each text's author row and each comment's
+    post row.  A node id used twice, then a reference to an unknown user or
+    post (each post's user, then each comment's user and post), raises
+    ``ValueError``."""
+    node_ids = [p.id for p in posts] + [c.id for c in comments] + [u.id for u in users]
+    node_kinds = ["post"] * len(posts) + ["comment"] * len(comments) + ["user"] * len(users)
+    index = {}
+    for row, nid in enumerate(node_ids):
+        if index.setdefault(nid, row) != row:
+            raise ValueError(f"node id {nid!r} is used by more than one post, comment or user")
+
+    def check_ref(what, ref, kind):
+        if ref not in index or node_kinds[index[ref]] != kind:
+            raise ValueError(f"{what} references unknown {kind} {ref}")
+
+    for p in posts:
+        check_ref(f"post {p.id}", p.user_id, "user")
+    for c in comments:
+        check_ref(f"comment {c.id}", c.user_id, "user")
+        check_ref(f"comment {c.id}", c.post_id, "post")
+    texts = list(posts) + list(comments)
+    authors = np.array([index[rec.user_id] for rec in texts], dtype=np.int64)
+    commented = np.array([index[c.post_id] for c in comments], dtype=np.int64)
+    return node_ids, node_kinds, index, authors, commented
+
+
+def record_fingerprint_scan(posts, comments, users):
+    """The checkpoint's record fingerprint, from the records: sha256 of the
+    ids by kind, of every text's tokens and of the links (each text's
+    author id, each comment's post id)."""
+    texts = list(posts) + list(comments)
+    lengths, tokens = text_tokens_listed(texts)
+    ids = [[rec.id for rec in records] for records in (posts, comments, users)]
+    links = [[rec.user_id for rec in texts], [c.post_id for c in comments]]
+    parts = {
+        "ids": json.dumps(ids).encode("utf-8"),
+        "tokens": lengths.astype("<i8").tobytes() + tokens.astype("<i8").tobytes(),
+        "links": json.dumps(links).encode("utf-8"),
+    }
+    return {part: hashlib.sha256(data).hexdigest() for part, data in parts.items()}
 
 
 def token_weights_at(posts, comments, users, vocab):

@@ -1,13 +1,18 @@
 import json
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ismaf import serialize
 from ismaf.data import (
     COMMENTS_PER_POST,
     CommentRecord,
     DatasetBundle,
+    GraphInputs,
     PostRecord,
     UserRecord,
     assign_splits,
@@ -19,6 +24,8 @@ from ismaf.data import (
 )
 from ismaf.config import TrainConfig
 from ismaf.model import IsmafModel
+
+import oracles
 
 
 def _posts_with_labels(label_counts):
@@ -182,8 +189,9 @@ class TestJsonlRoundTrip:
         assert [u.id for u in loaded.users] == [u.id for u in bundle.users]
 
     # The bytes themselves: key order, separators and number format.  A
-    # label given as True or 1.0 is stored, and written, as the int 1.
-    @pytest.mark.parametrize("label", [True, 1.0, 1])
+    # label given as 1.0 is stored, and written, as the int 1 (True is
+    # refused: test_bad_label_rejected).
+    @pytest.mark.parametrize("label", [1.0, 1])
     def test_written_lines(self, tmp_path, label):
         post = PostRecord("p1", [3, 1], [0.1, 1e-17], "u1", label)
         assert type(post.label) is int
@@ -264,6 +272,34 @@ class TestJsonlRoundTrip:
         with pytest.raises(ValueError, match=rf"{name}\.jsonl:4: {record}: {message}$"):
             load_dataset(tmp_path)
 
+    # numpy would read strings and booleans as numbers, and a dict used to
+    # end in a TypeError that named no file.
+    @pytest.mark.parametrize("edit, message", [
+        ({"visual_feat": {"a": 1}}, "visual feature {'a': 1} is not a number"),
+        ({"visual_feat": ["0.5", "2", "1"]}, "visual feature '0.5' is not a number"),
+        ({"visual_feat": [True, False, True]}, "visual feature True is not a number"),
+        ({"visual_feat": [0.5, None, 1.0]}, "visual feature None is not a number"),
+        ({"visual_feat": "abc"}, "visual feature 'abc' is not a number"),
+        ({"visual_feat": [10**400, 1, 2]}, "visual features must be finite"),
+        ({"label": True}, "label must be 0 or 1, got True"),
+    ], ids=["object", "strings", "bools", "null", "string", "huge-int", "bool-label"])
+    def test_malformed_visual_or_label_named_by_file_and_line(self, tmp_path, edit, message):
+        self._edit_line(tmp_path, "posts", lambda row: json.dumps({**row, **edit}))
+        with pytest.raises(ValueError, match=rf"posts\.jsonl:4: post p00003: {re.escape(message)}$"):
+            load_dataset(tmp_path)
+
+    # An int beyond int64 gives numpy an object array, checked entry by
+    # entry; a boolean among numbers infers float64 and reads as 0 or 1.
+    @pytest.mark.parametrize("visual, expected", [
+        ([10**30, 1, 2], [1e30, 1.0, 2.0]),
+        ([0.5, True, 2], [0.5, 1.0, 2.0]),
+    ], ids=["huge-int", "bool-among-numbers"])
+    def test_numeric_visual_lists_load(self, tmp_path, visual, expected):
+        self._edit_line(tmp_path, "posts", lambda row: json.dumps({**row, "visual_feat": visual}))
+        loaded = load_dataset(tmp_path).posts[3].visual_feat
+        assert loaded.dtype == np.float64
+        np.testing.assert_array_equal(loaded, expected)
+
     def test_non_integer_tokens_rejected(self):
         with pytest.raises(ValueError, match="post p0: token id 1.0 is not an integer"):
             PostRecord("p0", [1.0], np.zeros(2), "u0", 0)
@@ -273,6 +309,8 @@ class TestJsonlRoundTrip:
     def test_bad_label_rejected(self):
         with pytest.raises(ValueError, match="label"):
             PostRecord("p0", [1], np.zeros(2), "u0", 2)
+        with pytest.raises(ValueError, match="post p0: label must be 0 or 1, got True"):
+            PostRecord("p0", [1], np.zeros(2), "u0", True)
 
     def test_non_finite_visual_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -380,3 +418,124 @@ class TestDatasetBundle:
         ]
         with pytest.raises(ValueError, match="duplicate"):
             DatasetBundle(posts, [], [UserRecord("u0")])
+
+
+@st.composite
+def _record_sets(draw):
+    """Posts (ids unique among posts, as ``DatasetBundle`` requires),
+    comments and users.  Texts may have no tokens, posts no comments and
+    users nothing written.  With ``clash`` the ids come from one pool, so an
+    id can repeat within and across kinds; with ``stray`` set to a kind,
+    references to that kind now and then name another kind or nothing."""
+    clash = draw(st.booleans())
+    stray = draw(st.sampled_from([None, "user", "post"]))
+    pool = ["p0", "p1", "c0", "u0", "u1"]
+    user_ids = draw(st.lists(st.sampled_from(pool if clash else ["u0", "u1", "u2"]), min_size=1, max_size=4, unique=not clash))
+    post_ids = draw(st.lists(st.sampled_from(pool if clash else ["p0", "p1", "p2", "p3"]), min_size=1, max_size=4, unique=True))
+    comment_ids = draw(st.lists(st.sampled_from(pool if clash else ["c0", "c1", "c2", "c3"]), max_size=4, unique=not clash))
+    tokens = st.lists(st.integers(1, 9), max_size=4)
+
+    def ref(kind, valid, others):
+        if stray == kind and not draw(st.integers(0, 3)):
+            return draw(st.sampled_from(["ghost", *others]))
+        return draw(st.sampled_from(valid))
+
+    users = [UserRecord(uid) for uid in user_ids]
+    posts = [
+        PostRecord(pid, draw(tokens), np.zeros(2), ref("user", user_ids, post_ids + comment_ids), 0)
+        for pid in post_ids
+    ]
+    comments = [
+        CommentRecord(
+            cid, draw(tokens), ref("user", user_ids, post_ids + comment_ids),
+            ref("post", post_ids, user_ids + comment_ids),
+        )
+        for cid in comment_ids
+    ]
+    return posts, comments, users
+
+
+class _CountedId(str):
+    """A str id that counts how often it is formatted into a message."""
+
+    formatted = 0
+
+    def __format__(self, spec):
+        _CountedId.formatted += 1
+        return str.__format__(self, spec)
+
+
+class TestGraphInputs:
+    @settings(max_examples=200, deadline=None)
+    @given(records=_record_sets())
+    def test_matches_the_per_consumer_derivations(self, records):
+        posts, comments, users = records
+        bundle = DatasetBundle(posts, comments, users)
+        inputs = bundle.graph_inputs
+        lengths, tokens = oracles.text_tokens_listed(posts + comments)
+        for got, want in ((inputs.lengths, lengths), (inputs.tokens, tokens)):
+            assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
+        assert bundle.vocab_size == oracles.vocab_size_scan(posts, comments)
+
+        cfg = TrainConfig(d=4, heads=2, token_len=2, kernel_sizes=(2, 3))
+        try:
+            node_ids, node_kinds, index, authors, commented = oracles.graph_records_checked(posts, comments, users)
+        except ValueError as exc:
+            assert inputs.problem == str(exc)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                IsmafModel(cfg, bundle)
+        else:
+            assert inputs.problem is None
+            assert (inputs.node_ids, inputs.node_kinds) == (node_ids, node_kinds)
+            assert list(inputs.index.items()) == list(index.items())
+            np.testing.assert_array_equal(inputs.authors, authors)
+            np.testing.assert_array_equal(inputs.commented, commented)
+            built = IsmafModel(cfg, bundle)
+            assert built.tokens.tobytes() == oracles.post_token_rows(posts, cfg.kernel_sizes).tobytes()
+            graph = built.graph
+            assert graph.node_ids is inputs.node_ids and graph.node_kinds is inputs.node_kinds
+            assert graph.index is inputs.index
+
+        fingerprint = serialize._record_fingerprint(bundle)
+        want = oracles.record_fingerprint_scan(posts, comments, users)
+        assert (fingerprint["ids"], fingerprint["tokens"]) == (want["ids"], want["tokens"])
+        # A reference to no node hashes as null, so it never matches.
+        resolved = (inputs.authors >= 0).all() and (inputs.commented >= 0).all()
+        assert (fingerprint["links"] == want["links"]) == resolved
+
+    # An unknown reference hashes as null, not as the id at row -1: here
+    # the last user's, which the clean records link to.
+    def test_unknown_reference_never_matches_the_fingerprint(self):
+        users = [UserRecord("u0"), UserRecord("u1")]
+        posts = [PostRecord("p0", [1], np.zeros(2), "u1", 0)]
+        clean = serialize._record_fingerprint(DatasetBundle(posts, [], users))
+        posts = [PostRecord("p0", [1], np.zeros(2), "ghost", 0)]
+        assert serialize._record_fingerprint(DatasetBundle(posts, [], users))["links"] != clean["links"]
+
+    def test_only_a_failing_reference_is_formatted(self):
+        users = [UserRecord(_CountedId(f"u{i}")) for i in range(3)]
+        posts = [PostRecord(_CountedId(f"p{i}"), [1], np.zeros(2), users[i].id, 0) for i in range(3)]
+        comments = [CommentRecord(_CountedId(f"c{i}"), [2], users[i].id, posts[i].id) for i in range(3)]
+        broken = comments[:1] + [CommentRecord(_CountedId("c1"), [2], users[1].id, _CountedId("ghost"))]
+        _CountedId.formatted = 0  # the record checks format ids as they are made
+        assert GraphInputs.from_records(posts, comments, users).problem is None
+        assert _CountedId.formatted == 0
+        inputs = GraphInputs.from_records(posts, broken, users)
+        assert inputs.problem == "comment c1 references unknown post ghost"
+        assert _CountedId.formatted == 2
+
+    def test_split_copies_share_one_derivation(self, token_scans):
+        corpus = generate_synthetic(n=40, d=3, separation=0.0, seed=11)
+        first = split_dataset(corpus, (0.6, 0.2, 0.2), seed=1)
+        second = split_dataset(first, (0.6, 0.2, 0.2), seed=2)
+        assert token_scans == []  # splitting derives nothing
+        assert second.vocab_size == oracles.vocab_size_scan(corpus.posts, corpus.comments)
+        assert token_scans == [len(corpus.posts) + len(corpus.comments)]
+        assert first.graph_inputs is second.graph_inputs is corpus.graph_inputs
+        assert split_dataset(corpus, (0.6, 0.2, 0.2), seed=3).graph_inputs is corpus.graph_inputs
+        assert len(token_scans) == 1
+
+    def test_shared_arrays_are_read_only(self):
+        inputs = generate_synthetic(n=20, d=3, separation=0.0, seed=11).graph_inputs
+        with pytest.raises(ValueError, match="read-only"):
+            inputs.tokens[0] = 5

@@ -16,6 +16,7 @@ from ismaf.config import TrainConfig
 from ismaf.data import (
     CommentRecord,
     DatasetBundle,
+    GraphInputs,
     PostRecord,
     UserRecord,
     generate_synthetic,
@@ -450,7 +451,7 @@ class TestBuildSocialGraph:
         emb = {"p0": np.array([1.0, 0.0]), "p1": np.array([1.0, 0.0]), "p2": np.array([0.0, 1.0]),
                "c0": np.array([0.3, 0.4]), "c1": np.array([-0.3, 0.4])}
         posts, comments, embed = _private_tokens(posts, comments, emb)
-        g = build_social_graph(posts, comments, users, embed, theta=0.5)
+        g = build_social_graph(GraphInputs.from_records(posts, comments, users), embed, theta=0.5)
         feats = g.token_weights @ embed
         i, j = g.index["p0"], g.index["p1"]
         mask = (g.src == i) & (g.dst == j)
@@ -465,7 +466,7 @@ class TestBuildSocialGraph:
         ]
         emb = {"p0": np.array([1.0, 0.0]), "p1": np.array([0.0, 1.0])}
         posts, _, embed = _private_tokens(posts, [], emb)
-        g = build_social_graph(posts, [], users, embed, theta=0.5)
+        g = build_social_graph(GraphInputs.from_records(posts, [], users), embed, theta=0.5)
         i, j = g.index["p0"], g.index["p1"]
         assert not ((g.src == i) & (g.dst == j)).any()
 
@@ -475,7 +476,7 @@ class TestBuildSocialGraph:
         emb = {nid: rng.normal(size=3) for nid in ["p0", "p1", "p2", "c0", "c1"]}
         theta = 0.3
         posts, comments, embed = _private_tokens(posts, comments, emb)
-        g = build_social_graph(posts, comments, users, embed, theta=theta)
+        g = build_social_graph(GraphInputs.from_records(posts, comments, users), embed, theta=theta)
 
         # Oracle: recompute user embeddings, all pairwise cosines, and the
         # expected undirected adjacency from scratch.
@@ -513,7 +514,7 @@ class TestBuildSocialGraph:
         rng = _rng(13)
         emb = {nid: rng.normal(size=4) for nid in ["p0", "p1", "p2", "c0", "c1"]}
         posts, comments, embed = _private_tokens(posts, comments, emb)
-        g = build_social_graph(posts, comments, users, embed, theta=0.4)
+        g = build_social_graph(GraphInputs.from_records(posts, comments, users), embed, theta=0.4)
         directed = set(zip(g.src.tolist(), g.dst.tolist()))
         for s, t in directed:
             assert (t, s) in directed
@@ -525,7 +526,7 @@ class TestBuildSocialGraph:
         rng = _rng(14)
         emb = {nid: rng.normal(size=4) for nid in ["p0", "p1", "p2", "c0", "c1"]}
         posts, comments, embed = _private_tokens(posts, comments, emb)
-        g = build_social_graph(posts, comments, users, embed, theta=0.4)
+        g = build_social_graph(GraphInputs.from_records(posts, comments, users), embed, theta=0.4)
         expected = (emb["p0"] + emb["p1"] + emb["c1"]) / 3.0
         row = g.index["u0"]
         assert np.abs((g.token_weights @ embed)[row] - expected).max() < 1e-12
@@ -536,7 +537,7 @@ class TestBuildSocialGraph:
         users = [UserRecord("u0"), UserRecord("lurker")]
         posts = [PostRecord("p0", [1], np.zeros(2), "u0", 0)]
         posts, _, embed = _private_tokens(posts, [], {"p0": np.array([1.0, 2.0])})
-        g = build_social_graph(posts, [], users, embed, theta=0.5)
+        g = build_social_graph(GraphInputs.from_records(posts, [], users), embed, theta=0.5)
         row = g.index["lurker"]
         np.testing.assert_array_equal((g.token_weights @ embed)[row], np.zeros(2))
         direct = oracles.node_features_direct(posts, [], users, embed)
@@ -548,7 +549,7 @@ class TestBuildSocialGraph:
         emb = {nid: rng.normal(size=3) for nid in ["p0", "p1", "p2", "c0", "c1"]}
         theta = 0.3
         posts, comments, embed = _private_tokens(posts, comments, emb)
-        g = build_social_graph(posts, comments, users, embed, theta=theta)
+        g = build_social_graph(GraphInputs.from_records(posts, comments, users), embed, theta=theta)
         feats = g.token_weights @ embed
         structural = {("p0", "u0"), ("p1", "u0"), ("p2", "u1"),
                       ("c0", "u1"), ("c1", "u0"), ("c0", "p0"), ("c1", "p1")}
@@ -570,8 +571,8 @@ class TestBuildSocialGraph:
         posts, comments, embed = _private_tokens(
             posts, comments, {"p0": np.array([1.0, 0.0]), "p1": np.array([1.0, 0.5])}
         )
-        g_all = build_social_graph(posts, comments, users, embed, theta=-0.5, connect_kinds="all")
-        g_same = build_social_graph(posts, comments, users, embed, theta=-0.5, connect_kinds="same-kind")
+        g_all = build_social_graph(GraphInputs.from_records(posts, comments, users), embed, theta=-0.5, connect_kinds="all")
+        g_same = build_social_graph(GraphInputs.from_records(posts, comments, users), embed, theta=-0.5, connect_kinds="same-kind")
         i, j = g_same.index["p0"], g_same.index["u1"]
         assert ((g_all.src == i) & (g_all.dst == j)).any()
         assert not ((g_same.src == i) & (g_same.dst == j)).any()
@@ -580,13 +581,13 @@ class TestBuildSocialGraph:
         data = generate_synthetic(n=20, d=4, separation=2.0, seed=3)
         records = dict(posts=data.posts, comments=data.comments, users=data.users)
         embed = _rng(3).normal(size=(data.vocab_size, 8))
-        built = build_social_graph(**records, embed=embed, theta=0.0)
+        built = build_social_graph(GraphInputs.from_records(**records), embed=embed, theta=0.0)
         loop = np.arange(built.n_nodes)
-        given = build_social_graph(**records, embed=embed, theta=0.0, edges=(loop, loop))
+        given = build_social_graph(GraphInputs.from_records(**records), embed=embed, theta=0.0, edges=(loop, loop))
         assert given.src is loop and given.dst is loop
         assert given.token_weights.tobytes() == built.token_weights.tobytes()
         with pytest.raises(ValueError, match="self-loop"):
-            build_social_graph(**records, embed=embed, edges=(loop[1:], loop[1:]))
+            build_social_graph(GraphInputs.from_records(**records), embed=embed, edges=(loop[1:], loop[1:]))
 
     # The GAT assumes a symmetric graph, so a one-way edge is refused
     # whichever way the edges come, here a model's ``edges=``.
@@ -603,7 +604,7 @@ class TestBuildSocialGraph:
     def test_unknown_user_reference_rejected(self):
         posts = [PostRecord("p0", [1], np.zeros(2), "ghost", 0)]
         with pytest.raises(ValueError, match="unknown user"):
-            build_social_graph(posts, [], [UserRecord("u0")], np.ones((2, 2)))
+            build_social_graph(GraphInputs.from_records(posts, [], [UserRecord("u0")]), np.ones((2, 2)))
 
     @pytest.mark.parametrize(
         "extra, repeated",
@@ -621,13 +622,13 @@ class TestBuildSocialGraph:
         for kind, more in extra.items():
             records[kind] = records[kind] + more
         with pytest.raises(ValueError, match=f"node id '{repeated}' is used by more than one"):
-            build_social_graph(**records, embed=np.ones((2, 2)))
+            build_social_graph(GraphInputs.from_records(**records), embed=np.ones((2, 2)))
 
     def test_token_weights_give_direct_node_features(self):
         data = generate_synthetic(n=60, d=8, separation=2.0, seed=32)
         users = data.users + [UserRecord("lurker")]
         embed = _rng(33).normal(size=(data.vocab_size, 8))
-        g = build_social_graph(data.posts, data.comments, users, embed, theta=0.5)
+        g = build_social_graph(GraphInputs.from_records(data.posts, data.comments, users), embed, theta=0.5)
         direct = oracles.node_features_direct(data.posts, data.comments, users, embed)
         assert np.abs(g.token_weights @ embed - direct).max() <= 1e-12
         assert not direct[g.index["lurker"]].any()
@@ -644,7 +645,7 @@ class TestBuildSocialGraph:
         ]
         comments = [CommentRecord("c0", [], "u0", "p1")]
         embed = np.array([[0.0, 0.0], [1.0, 0.2], [0.3, 1.0]])
-        g = build_social_graph(posts, comments, users, embed, theta=theta)
+        g = build_social_graph(GraphInputs.from_records(posts, comments, users), embed, theta=theta)
         pairs = {(g.node_ids[s], g.node_ids[t]) for s, t in zip(g.src, g.dst) if s != t}
         assert {t for s, t in pairs if s == "c0"} == {"u0", "p1"}
         assert not any("u2" in pair for pair in pairs)
@@ -657,7 +658,7 @@ class TestBuildSocialGraph:
     def test_theta_outside_open_unit_interval_rejected(self, theta):
         posts, comments, users = _fixture_records()
         with pytest.raises(ValueError, match=r"theta must lie in \(-1, 1\)"):
-            build_social_graph(posts, comments, users, np.ones((2, 2)), theta=theta)
+            build_social_graph(GraphInputs.from_records(posts, comments, users), np.ones((2, 2)), theta=theta)
         # TrainConfig checks finiteness first, so nan reads "must be finite".
         with pytest.raises(ValueError, match=r"theta must (lie in \(-1, 1\)|be finite)"):
             TrainConfig(theta=theta)
@@ -680,7 +681,7 @@ class TestBuildSocialGraph:
             monkeypatch.setattr(encoders, "SIM_TILE", exact)
         elif tile != "default":
             monkeypatch.setattr(encoders, "SIM_TILE", int(tile))
-        g = build_social_graph(posts, comments, users, embed, theta, connect_kinds)
+        g = build_social_graph(GraphInputs.from_records(posts, comments, users), embed, theta, connect_kinds)
         _assert_bytes_equal(g.token_weights, oracles.token_weights_at(posts, comments, users, embed.shape[0]))
         src, dst = oracles.social_graph_dense(g, posts, comments, embed, theta, connect_kinds)
         assert g.src.dtype == src.dtype and g.dst.dtype == dst.dtype
@@ -694,7 +695,7 @@ class TestBuildSocialGraph:
         comments = data.comments + [CommentRecord("silent", [], data.users[0].id, data.posts[0].id)]
         users = data.users + [UserRecord("lurker")]
         embed = _rng(32).normal(size=(data.vocab_size, 8))
-        g = build_social_graph(data.posts, comments, users, embed, theta=0.5)
+        g = build_social_graph(GraphInputs.from_records(data.posts, comments, users), embed, theta=0.5)
         _assert_bytes_equal(g.token_weights, oracles.token_weights_at(data.posts, comments, users, data.vocab_size))
         assert not g.token_weights[[g.index["silent"], g.index["lurker"]]].any()
 
@@ -708,7 +709,7 @@ class TestBuildSocialGraph:
     def test_small_record_sets_match_oracles(self, case, theta, connect_kinds, tile):
         posts, comments, users, embed = case
         with mock.patch.object(encoders, "SIM_TILE", tile):
-            g = build_social_graph(posts, comments, users, embed, theta, connect_kinds)
+            g = build_social_graph(GraphInputs.from_records(posts, comments, users), embed, theta, connect_kinds)
         _assert_bytes_equal(g.token_weights, oracles.token_weights_at(posts, comments, users, embed.shape[0]))
         if not any(rec.tokens for rec in posts + comments):
             assert not g.token_weights.any()
@@ -730,7 +731,7 @@ class TestBuildSocialGraph:
             at = next(i for i, rec in enumerate(texts) if tok in rec.tokens)
         kind = "post" if at < len(data.posts) else "comment"
         with pytest.raises(ValueError, match=rf"{kind} {texts[at].id}: token id {tok} outside the embedding table \[0, {vocab}\)"):
-            build_social_graph(data.posts, data.comments, data.users, np.ones((vocab, 8)))
+            build_social_graph(GraphInputs.from_records(data.posts, data.comments, data.users), np.ones((vocab, 8)))
 
     def test_build_holds_no_dense_node_by_node_matrix(self):
         data = generate_synthetic(n=1000, d=32, separation=2.0, seed=37)
@@ -738,7 +739,7 @@ class TestBuildSocialGraph:
         n_nodes = len(data.posts) + len(data.comments) + len(data.users)
         tracemalloc.start()
         try:
-            build_social_graph(data.posts, data.comments, data.users, embed, theta=0.5)
+            build_social_graph(GraphInputs.from_records(data.posts, data.comments, data.users), embed, theta=0.5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -751,7 +752,7 @@ class TestBuildSocialGraph:
         embed = _rng(38).normal(size=(data.vocab_size, 8))
         tracemalloc.start()
         try:
-            g = build_social_graph(data.posts, data.comments, data.users, embed, theta=0.5)
+            g = build_social_graph(GraphInputs.from_records(data.posts, data.comments, data.users), embed, theta=0.5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -796,7 +797,7 @@ class TestSimilarityBand:
             x, z = np.linalg.qr(rng.normal(size=(d, 2)))[0].T
             vectors += [x * rng.uniform(0.5, 2), (c * x + math.sqrt(1 - c * c) * z) * rng.uniform(0.5, 2)]
         posts, users, embed = _planted_records(np.array(vectors))
-        g = build_social_graph(posts, [], users, embed, theta)
+        g = build_social_graph(GraphInputs.from_records(posts, [], users), embed, theta)
         src, dst = oracles.social_graph_dense(g, posts, [], embed, theta, "all")
         np.testing.assert_array_equal(g.src, src)
         np.testing.assert_array_equal(g.dst, dst)
@@ -810,11 +811,11 @@ class TestSimilarityBand:
     def test_theta_one_refused(self):
         posts, users, embed = _planted_records(np.repeat(np.eye(4), 2, axis=0))
         with pytest.raises(ValueError, match=r"theta must lie in \(-1, 1\), got 1.0"):
-            build_social_graph(posts, [], users, embed, theta=1.0)
+            build_social_graph(GraphInputs.from_records(posts, [], users), embed, theta=1.0)
         with pytest.raises(ValueError, match=r"theta must lie in \(-1, 1\), got 1.0"):
             TrainConfig(theta=1.0)
         twins = {(2 * k, 2 * k + 1) for k in range(4)}
-        assert twins <= _similar_pairs(build_social_graph(posts, [], users, embed, theta=0.999))
+        assert twins <= _similar_pairs(build_social_graph(GraphInputs.from_records(posts, [], users), embed, theta=0.999))
 
     # The band holds twice the float32 error bound: a float32 dot of two
     # length-d rows, each component rounded to float32 once, is within
@@ -989,7 +990,7 @@ class TestSignedGat:
         data = generate_synthetic(n=60, d=16, separation=2.0, seed=3)
         embed = _rng(3).normal(size=(data.vocab_size, 4))
         graph = oracles.whole_graph_block(
-            build_social_graph(data.posts, data.comments, data.users, embed, theta=0.0)
+            build_social_graph(GraphInputs.from_records(data.posts, data.comments, data.users), embed, theta=0.0)
         )
         d, heads = 128, 4
         store = _gat_setup(d=d, heads=heads, seed=7)

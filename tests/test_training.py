@@ -12,7 +12,15 @@ import pytest
 from ismaf import autodiff as ad
 from ismaf import bridging, encoders, serialize, training
 from ismaf.config import TrainConfig, load_config, save_config
-from ismaf.data import CommentRecord, DatasetBundle, UserRecord, generate_synthetic, split_dataset
+from ismaf.data import (
+    CommentRecord,
+    DatasetBundle,
+    UserRecord,
+    generate_synthetic,
+    load_dataset,
+    save_dataset,
+    split_dataset,
+)
 from ismaf.model import IsmafModel
 from ismaf.serialize import ModelFileError, load_model, save_model
 from ismaf.training import (
@@ -618,6 +626,72 @@ class TestSerialization:
         other = DatasetBundle(posts, comments, users)
         with pytest.raises(ModelFileError, match=f"record {part} differ .*fingerprint"):
             load_model(path, other)
+
+    # A bad reference or a repeated node id: each public call that builds a
+    # graph raises the build's ValueError.  load_model checks the dataset's
+    # parameter shapes and then its fingerprint first, and wraps an error
+    # of the build in a ModelFileError.
+    @pytest.mark.parametrize("defect, part, message", [
+        ("unknown-user", "links", "post p00000 references unknown user ghost"),
+        ("unknown-post", "links", "comment c00000_0 references unknown post ghost"),
+        ("post-names-user", "links", "comment c00000_0 references unknown post u0000"),
+        ("id-twice", "ids", "node id 'u0000' is used by more than one post, comment or user"),
+    ])
+    def test_record_errors_keep_their_call_and_message(self, saved, tiny_data, defect, part, message):
+        posts, comments = list(tiny_data.posts), list(tiny_data.comments)
+        if defect == "unknown-user":
+            posts[0] = dataclasses.replace(posts[0], user_id="ghost")
+        elif defect == "unknown-post":
+            comments[0] = dataclasses.replace(comments[0], post_id="ghost")
+        elif defect == "post-names-user":
+            comments[0] = dataclasses.replace(comments[0], post_id="u0000")
+        else:
+            comments[0] = dataclasses.replace(comments[0], id="u0000")
+        broken = DatasetBundle(posts, comments, tiny_data.users)
+        cfg = _tiny_config(epochs=0)
+        split = split_dataset(broken, cfg.fractions, cfg.seed)
+        calls = {
+            "IsmafModel": lambda: IsmafModel(cfg, split),
+            "train": lambda: train(cfg, split),
+            "build_social_graph": lambda: encoders.build_social_graph(
+                split.graph_inputs, np.ones((split.vocab_size, 2))
+            ),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as raised:
+                call()
+            assert type(raised.value) is ValueError, name
+
+        with pytest.raises(ModelFileError, match=f"record {part} differ .*fingerprint"):
+            load_model(saved, broken)
+        wider = [dataclasses.replace(posts[1], tokens=posts[1].tokens + [500])]
+        with pytest.raises(ModelFileError, match="parameter 'text.embed' has shape"):
+            load_model(saved, DatasetBundle(posts[:1] + wider + posts[2:], comments, tiny_data.users))
+        header, body = _checkpoint_parts(saved)
+        header["records"] = serialize._record_fingerprint(broken)
+        _write_checkpoint(saved, header, body)
+        with pytest.raises(ModelFileError, match=f"^{re.escape(f'{saved}: {message}')}$"):
+            load_model(saved, broken)
+
+    # The records' token scan runs once per corpus: split copies share it,
+    # and every model, graph and checkpoint fingerprint reads its result.
+    def test_one_token_scan_per_corpus(self, tmp_path, token_scans):
+        corpus = generate_synthetic(n=40, d=6, separation=3.0, graph_noise=0.25, seed=21)
+        cfg = _tiny_config(epochs=1)
+        split = split_dataset(corpus, cfg.fractions, cfg.seed)
+        IsmafModel(cfg, split)
+        result = train(cfg, split)
+        evaluate(result.model, split, "test")
+        save_model(result.model, tmp_path / "model.json")
+        assert len(token_scans) == 1
+        again = split_dataset(corpus, cfg.fractions, cfg.seed + 1)
+        IsmafModel(cfg, again)
+        assert len(token_scans) == 1
+        save_dataset(corpus, tmp_path / "data")
+        fresh = load_dataset(tmp_path / "data")
+        token_scans.clear()
+        load_model(tmp_path / "model.json", fresh)
+        assert len(token_scans) == 1
 
     def test_truncated_file_rejected(self, saved, tiny_data):
         path = saved
