@@ -25,9 +25,13 @@ sorted by degree (``_jagged``) and runs no ``ufunc.at``; the messages are
 gathered in blocks sized by bytes (``EDGE_BLOCK_BYTES``), so a block's
 buffers stay in a core's L2 cache at any width.  ``_scatter`` runs the
 gradient of a row gather as one ``np.add.at`` over the flattened output.
-``conv_max_pool``'s forward pools with a plain max over the windows; only
-its vjp finds each row's first maximal window, and its gradient is one
-``np.add.at`` over that window's flat keys.
+``signed_gat``'s record keeps two [E, heads] float64 arrays and a mask;
+its forward holds at most one more (the weights), an un-taped call keeps
+only the weights, in the scores' buffer, through its message sum, and its
+vjp holds at most two beyond the record.  ``conv_max_pool``'s forward
+pools with a plain max over the windows; only its vjp finds each row's
+first maximal window, and its gradient is one ``np.add.at`` over that
+window's flat keys.
 
 Single-threaded by design: one tape per training context.  Tensors are safe
 to share read-only across threads; a tape must never be mutated concurrently.
@@ -530,12 +534,12 @@ def _plan_reduce(plan, vals, n: int, ufunc=np.add, start=0.0) -> np.ndarray:
     bitwise, for the edges keyed on ``idx`` whose ``_jagged`` plan is ``plan``:
     slot j reduces each row's j-th value into a prefix of the rows, in edge order."""
     rows, order, blocks = plan
-    listed = vals.take(order, axis=0)
     acc = np.full((rows.size,) + vals.shape[1:], start)
-    for a, spans in blocks:
+    for a, spans in blocks:  # a block's values are listed apart, so no copy of vals is made
+        listed = vals.take(order[a : a + spans[-1][1]], axis=0)
         for i, j, r in spans:
             cell = acc[r : r + j - i]
-            ufunc(cell, listed[a + i : a + j], out=cell)
+            ufunc(cell, listed[i:j], out=cell)
     out = np.full((n,) + vals.shape[1:], start)
     out[rows] = acc
     return out
@@ -619,9 +623,19 @@ def signed_gat(feats, w, a_src, a_dst, wo, src, dst, targets, heads: int, slope:
     blocks of listed edges that hold at most ``EDGE_BLOCK_BYTES`` (and at
     least one edge); the block size decides only which edges share a
     buffer, never the order of a cell's terms.  No [E, width] array is made: the backward reads ``rows
-    @ w`` once in source order and regathers each block.  The record keeps
-    the scores' exponentials, signs and leaky relu mask and the per-row
-    denominators, not the weights.
+    @ w`` once in source order and regathers each block.
+
+    Of the [E, heads] arrays, the record keeps the scores' exponentials, signs
+    and leaky relu mask (bool), and the divisors only per destination row.
+    A destination's score term, softmax shift and divisor reach its edges
+    through gathers of ``EDGE_BLOCK_BYTES`` at a time, bitwise the whole
+    gather.  So the forward holds at most
+    three [E, heads] float64 arrays and the mask at once: the record's two
+    and the weights.  Without a tape nothing reads them again, so the weights
+    take the exponentials' buffer, the signs and the mask are dropped before
+    the message sum, and the call holds at most two.  The vjp adds at most
+    two to the record's: the weights and their gradient, then that gradient
+    (which becomes the scores') and one work buffer.
     """
     pair = isinstance(feats, tuple)
     weights = as_tensor(feats[0]).data if pair else None
@@ -656,33 +670,58 @@ def signed_gat(feats, w, a_src, a_dst, wo, src, dst, targets, heads: int, slope:
 
     hw = rows_times(wd)  # [n_in, width]
     p_src, p_dst = ((wd * a).reshape(split).sum(axis=2) for a in (asrc, adst))  # [d, heads]
-    # Scores, magnitudes and exponentials share one [E, heads] buffer: the chain freed each in turn.
-    ex = rows_times(p_src)[src] + rows_times(p_dst)[targets[dst]]
-    pos = ex > 0
-    ex *= np.where(pos, 1.0, slope)
-    sign = np.sign(ex)
     block = max(1, EDGE_BLOCK_BYTES // (hw.itemsize * max(width, 1)))
-    plan = _jagged(dst, n_out, block)
+    plan = _jagged(dst, n_out, block)  # before the scores, so its [E] temporaries meet none of them
+    chunk = max(1, EDGE_BLOCK_BYTES // (hw.itemsize * heads))
+
+    def per_dst(op, vals, rows):  # op(vals, rows[dst]) into vals, gathering EDGE_BLOCK_BYTES at a time
+        for a in range(0, dst.size, chunk):
+            cell = vals[a : a + chunk]
+            op(cell, rows.take(dst[a : a + chunk], axis=0), out=cell)
+        return vals
+
+    # Scores, magnitudes and exponentials share one [E, heads] buffer: the chain freed each in turn.
+    ex = per_dst(np.add, rows_times(p_src)[src], rows_times(p_dst)[targets])
+    pos = ex > 0
+    np.multiply(ex, slope, out=ex, where=~pos)  # the chain's ex * where(pos, 1, slope): x * 1.0 is x
+    sign = np.sign(ex)
     np.abs(ex, out=ex)
-    ex -= _plan_reduce(plan, ex, n_out, np.maximum, -np.inf)[dst]
+    per_dst(np.subtract, ex, _plan_reduce(plan, ex, n_out, np.maximum, -np.inf))
     np.exp(ex, out=ex)
-    denom = _plan_reduce(plan, ex, n_out)
+    bsafe = _plan_reduce(plan, ex, n_out) + EPS  # each row's guarded divisor; an edge's is bsafe[dst]
 
-    def alpha():  # the guarded divisors and the weights, [E, heads] each
-        bsafe = denom[dst] + EPS
-        return bsafe, ex / bsafe * sign
+    def alpha(al):  # the weights ex / bsafe[dst] * sign, [E, heads], into al, a copy of ex
+        per_dst(np.divide, al, bsafe)
+        al *= sign
+        return al
 
-    agg = _message_sum(hw, alpha()[1], src, plan, block, n_out)
-    out = np.tanh(agg @ wod)
+    tape = _tape_of(*parents)
+    # Without a tape nothing reads ex, sign or pos again: the weights take ex's buffer.
+    al = alpha(ex if tape is None else ex.copy())
+    if tape is None:
+        del ex, sign, pos
+    agg = _message_sum(hw, al, src, plan, block, n_out)
+    del al
+    out = agg @ wod
+    np.tanh(out, out=out)
 
     def vjp(g):
         g = g * (1.0 - out * out)
-        bsafe, al = alpha()
         src_plan = _jagged(src, n_in, block)
-        dh, dalpha = _message_sum_grad(g @ wod.T, hw, al, src, dst, src_plan, block)
-        gq = dalpha * sign
-        g_denom = _plan_reduce(plan, -gq * ex / (bsafe * bsafe), n_out)
-        g_pre = (gq / bsafe + g_denom[dst]) * ex * sign * np.where(pos, 1.0, slope)
+        al = alpha(ex.copy())
+        dh, gq = _message_sum_grad(g @ wod.T, hw, al, src, dst, src_plan, block)
+        del al
+        gq *= sign  # the gradient of the quotients ex / bsafe[dst]
+        # -gq * ex / (bsafe * bsafe) in one work buffer, then g_pre = (gq /
+        # bsafe + g_denom[dst]) * ex * sign * where(pos, 1, slope) in gq's.
+        work = np.negative(gq)
+        work *= ex
+        g_denom = _plan_reduce(plan, per_dst(np.divide, work, bsafe * bsafe), n_out)
+        del work
+        g_pre = per_dst(np.add, per_dst(np.divide, gq, bsafe), g_denom)
+        g_pre *= ex
+        g_pre *= sign
+        np.multiply(g_pre, slope, out=g_pre, where=~pos)
         g_s_dst = np.zeros((n_in, heads))
         g_s_dst[targets] = _plan_reduce(plan, g_pre, n_out)
         g_x, g_p_dst = rows_times_grad(g_s_dst, p_dst)
@@ -696,7 +735,7 @@ def signed_gat(feats, w, a_src, a_dst, wo, src, dst, targets, heads: int, slope:
         g_w += g_w_hw
         return g_x, g_w, g_a_src, g_a_dst, agg.T @ g
 
-    return _emit(_tape_of(*parents), out, parents, vjp)
+    return _emit(tape, out, parents, vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -110,9 +110,9 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    values = parse_sweep_range(args.range)
     config = load_config(args.config)
     dataset = split_dataset(load_dataset(args.data), config.fractions, config.seed)
-    values = parse_sweep_range(args.range)
     rows = sweep_lambda(config, dataset, args.lambda_index, values, epochs=args.epochs)
     print(f"lambda{args.lambda_index}\tacc\tf1")
     for row in rows:

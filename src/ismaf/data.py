@@ -29,6 +29,17 @@ def _check_tokens(record: str, tokens) -> None:
         raise ValueError(f"{record}: token id 0 is reserved for padding")
 
 
+def _check_ids(kind: str, rec_id, **refs) -> None:
+    """Ids are JSON strings.  A list or an object would end as an unhashable
+    key far from its line, and a number need not survive JSON exactly (past
+    2**53)."""
+    if not isinstance(rec_id, str):
+        raise ValueError(f"{kind} id {rec_id!r} is not a string")
+    for name, value in refs.items():
+        if not isinstance(value, str):
+            raise ValueError(f"{kind} {rec_id}: {name} {value!r} is not a string")
+
+
 def _visual_vector(record: str, feat) -> np.ndarray:
     """``feat`` as float64 if numpy infers a numeric dtype for it.  Strings
     and booleans are refused; an object array (numpy's dtype for an int
@@ -56,6 +67,7 @@ class PostRecord:
     label: int
 
     def __post_init__(self):
+        _check_ids("post", self.id, user_id=self.user_id)
         self.visual_feat = _visual_vector(f"post {self.id}", self.visual_feat)
         if type(self.label) is bool or self.label not in (0, 1):
             raise ValueError(f"post {self.id}: label must be 0 or 1, got {self.label!r}")
@@ -78,12 +90,16 @@ class CommentRecord:
     post_id: str
 
     def __post_init__(self):
+        _check_ids("comment", self.id, user_id=self.user_id, post_id=self.post_id)
         _check_tokens(f"comment {self.id}", self.tokens)
 
 
 @dataclass
 class UserRecord:
     id: str
+
+    def __post_init__(self):
+        _check_ids("user", self.id)
 
 
 def text_tokens(texts) -> tuple[np.ndarray, np.ndarray]:

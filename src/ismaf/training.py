@@ -5,6 +5,7 @@ reports, and the lambda sweep driver."""
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -89,6 +90,7 @@ class TrainResult:
 
 
 ADAM_SLICE = 65_536  # elements per slice of an Adam update, so its temporaries stay in cache
+MAX_SWEEP_POINTS = 1_000  # values per sweep range; each one trains a model
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
@@ -293,14 +295,24 @@ def sweep_lambda(
 
 
 def parse_sweep_range(text: str) -> list[float]:
-    """Parse ``start:stop:step`` into an inclusive list of values."""
+    """Parse ``start:stop:step`` into an inclusive list of values, refusing
+    a non-finite bound or step and a range of more than ``MAX_SWEEP_POINTS``
+    values before it builds the list."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"range must look like start:stop:step, got {text!r}")
     start, stop, step = (float(p) for p in parts)
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError(f"range {text!r}: start, stop and step must be finite")
     if step <= 0 or stop < start:
         raise ValueError(f"bad range {text!r}")
-    count = int(round((stop - start) / step))
+    span = (stop - start) / step  # inf if it overflows
+    if not span < MAX_SWEEP_POINTS - 0.5:
+        raise ValueError(
+            f"range {text!r} has {span + 1:.0f} values; a sweep trains one model per value, "
+            f"at most {MAX_SWEEP_POINTS}"
+        )
+    count = int(round(span))
     values = [round(start + i * step, 10) for i in range(count + 1)]
     if values[-1] > stop + 1e-9:
         values.pop()

@@ -733,6 +733,62 @@ class TestSignedSegmentSoftmax:
         assert out.tape is None
         assert out.data.tobytes() == _gat_chain(consts, *edges).data.tobytes()
 
+    # Zero scores, single-edge and empty segments: an un-taped call forms
+    # the weights in the exponentials' buffer, a taped one in a copy.
+    @pytest.mark.parametrize("seed", range(3))
+    def test_untaped_rows_match_taped_rows(self, seed):
+        values, edges = self._case(seed)
+        taped = self._rows_and_grads(_gat_op, values, edges)[0]
+        untaped = _gat_op([Tensor(v) for v in values], *edges)
+        assert untaped.tape is None
+        assert untaped.data.tobytes() == taped.tobytes()
+
+    def _big_case(self):
+        """80,000 edges into 500 rows of width 8, so the [E, heads] float64
+        arrays (5.1 MB each) outweigh everything else the op makes; the
+        inputs, the edges and the bytes of one such array."""
+        rng = _rng(4)
+        dst = np.repeat(np.arange(500), 160)
+        edges = (rng.integers(0, 500, dst.size), dst, np.arange(500), self.HEADS)
+        values = [rng.normal(size=s) for s in ((500, 2), (2, 8), (8,), (8,), (8, 2))]
+        _gat_op(values, *edges)  # numpy's one-time set-up is not the op's
+        return values, edges, dst.size * self.HEADS * 8
+
+    def test_untaped_forward_peak_under_three_edge_arrays(self):
+        # Without a tape the call holds the exponentials (then the weights,
+        # in their buffer), the signs, the 1/8-sized leaky relu mask and
+        # plan, and gathered chunks: 2.5 [E, heads] arrays.  Keeping one
+        # more array, such as the divisors or a weights copy, reads 3.5 and
+        # fails, as does a forward that holds the scores' three arrays, the
+        # divisors and the weights at once (4.3).
+        values, edges, unit = self._big_case()
+        tracemalloc.start()
+        try:
+            _gat_op(values, *edges)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / unit < 3.0, peak / unit
+
+    def test_vjp_peak_under_three_edge_arrays_beyond_record(self):
+        # Beyond what the record holds, the vjp makes the weights and their
+        # gradient, then frees the weights for one work buffer: 2.5 [E,
+        # heads] arrays with the src plan and the block buffers.  Keeping one
+        # more array, such as the divisors, reads 3.5 and fails, as does a
+        # vjp that holds the divisors, the weights and each temporary of its
+        # softmax gradient whole (6.2 beyond the record).
+        values, edges, unit = self._big_case()
+        tape = Tape()
+        out = _gat_op([tape.watch(v) for v in values], *edges)
+        loss = ad.sum_(out)
+        tracemalloc.start()
+        try:
+            tape.backward(loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / unit < 3.0, peak / unit
+
     def test_record_holds_under_three_edge_arrays(self):
         # 20,000 edges into 500 rows, whose [500, 8] arrays are each 1/40
         # of an [E, heads] array.  The chain's records keep over six

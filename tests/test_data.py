@@ -257,6 +257,20 @@ class TestJsonlRoundTrip:
         with pytest.raises(ValueError, match=r"posts\.jsonl:4: post p00003: label must be 0 or 1"):
             load_dataset(tmp_path)
 
+    # Ids are strings: a list or an object used to load and end in an
+    # unhashable-key TypeError that named no file, and a number past 2**53
+    # does not survive JSON exactly.
+    @pytest.mark.parametrize("name, edit, message", [
+        ("posts", {"id": ["p00003"]}, "post id ['p00003'] is not a string"),
+        ("posts", {"user_id": 7}, "post p00003: user_id 7 is not a string"),
+        ("comments", {"post_id": {"id": "p00001"}}, "comment c00001_0: post_id {'id': 'p00001'} is not a string"),
+        ("users", {"id": ["u0003"]}, "user id ['u0003'] is not a string"),
+    ], ids=["post-list-id", "post-number-user", "comment-object-post", "user-list-id"])
+    def test_non_string_id_named_by_file_and_line(self, tmp_path, name, edit, message):
+        self._edit_line(tmp_path, name, lambda row: json.dumps({**row, **edit}))
+        with pytest.raises(ValueError, match=rf"{name}\.jsonl:4: {re.escape(message)}$"):
+            load_dataset(tmp_path)
+
     # A fractional id would run as its integer part; a string fails with a
     # TypeError that names no file.  JSON true is a Python bool, not an id.
     @pytest.mark.parametrize("name, record, tokens, message", [

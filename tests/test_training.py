@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ismaf import autodiff as ad
-from ismaf import bridging, encoders, serialize, training
+from ismaf import bridging, encoders, fusion, serialize, training
 from ismaf.config import TrainConfig, load_config, save_config
 from ismaf.data import (
     CommentRecord,
@@ -444,6 +444,27 @@ class TestEvaluate:
         ds = result.model.dataset
         with pytest.raises(ValueError, match="unknown split"):
             evaluate(result.model, ds, "nope")
+
+    def test_predict_probabilities_match_taped_forward(self, monkeypatch, tiny_data):
+        # predict runs the GAT without a tape, which forms its weights in
+        # the scores' buffer; a training forward keeps the scores.
+        cfg = _tiny_config(gat_layers=2)
+        ds = split_dataset(tiny_data, cfg.fractions, cfg.seed)
+        model = IsmafModel(cfg, ds)
+        ids = ds.split_ids("test") + ds.split_ids("train")
+        seen = []
+        plain_labels = fusion.predict_labels
+
+        def spy(probs):
+            seen.append(probs)
+            return plain_labels(probs)
+
+        monkeypatch.setattr(fusion, "predict_labels", spy)
+        predicted = model.predict(ids)
+        taped = model.forward(model.store.watch(Tape()), ids, with_losses=False).probs
+        assert len(seen) == 1
+        assert seen[0].tobytes() == taped.tobytes()
+        assert predicted.tobytes() == plain_labels(taped).tobytes()
 
     def test_whole_split_in_one_predict_call(self, monkeypatch):
         data = generate_synthetic(n=320, d=6, separation=3.0, seed=22)
@@ -903,6 +924,23 @@ class TestSweep:
         assert parse_sweep_range("0:1:0.5") == [0.0, 0.5, 1.0]
         with pytest.raises(ValueError, match="start:stop:step"):
             parse_sweep_range("0:1")
+
+    # Each refusal comes before the list is built: "0:1:1e-9" would be 10^9 floats.
+    @pytest.mark.parametrize("text, message", [
+        ("0:1:1e-9", r"range '0:1:1e-9' has 1000000001 values; .* at most 1000"),
+        ("0:1000:1", r"has 1001 values"),
+        ("0:1e308:1e-308", r"has inf values"),
+        ("0:inf:0.1", r"range '0:inf:0.1': start, stop and step must be finite"),
+        ("nan:1:0.1", r"range 'nan:1:0.1': start, stop and step must be finite"),
+        ("0:1:nan", r"must be finite"),
+    ])
+    def test_range_refused_before_building(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_sweep_range(text)
+
+    def test_range_of_max_points_accepted(self):
+        values = parse_sweep_range(f"0:{training.MAX_SWEEP_POINTS - 1}:1")
+        assert len(values) == training.MAX_SWEEP_POINTS
 
     def test_bad_lambda_index_rejected(self, tiny_data):
         with pytest.raises(ValueError, match="1..4"):
