@@ -3,6 +3,7 @@ synthetic corpus generator used for desk-scale experiments."""
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 from dataclasses import dataclass, field, fields
@@ -119,10 +120,8 @@ class GraphInputs:
 
     Rows run over the posts, then the comments, then the users, in record
     order; the texts (posts and comments) are the first ``n_texts`` rows.
-    ``problem`` is the message of the first repeated node id or bad
-    reference, in record order, and None when there is none.  The
-    derivation itself raises nothing, so reading the tokens never raises a
-    reference error; ``build_social_graph`` raises the problem.
+    ``from_records`` refuses records whose graph would be ill-formed, so
+    every author row names a user and every commented row a post.
     """
 
     node_ids: list[str]
@@ -131,9 +130,8 @@ class GraphInputs:
     n_posts: int
     lengths: np.ndarray  # [n_texts] each text's token count
     tokens: np.ndarray  # every text's tokens, in row order
-    authors: np.ndarray  # [n_texts] the row of each text's author, -1 if unknown
-    commented: np.ndarray  # [n_comments] the row of each comment's post, -1 if unknown
-    problem: str | None
+    authors: np.ndarray  # [n_texts] the row of each text's author
+    commented: np.ndarray  # [n_comments] the row of each comment's post
 
     @property
     def n_texts(self) -> int:
@@ -141,6 +139,8 @@ class GraphInputs:
 
     @classmethod
     def from_records(cls, posts, comments, users) -> GraphInputs:
+        """The records' inputs.  A repeated node id, else a reference to no
+        user or post, raises ``ValueError`` naming the first in row order."""
         texts = [*posts, *comments]
         node_ids = [rec.id for rec in texts] + [u.id for u in users]
         node_kinds = ["post"] * len(posts) + ["comment"] * len(comments) + ["user"] * len(users)
@@ -152,39 +152,36 @@ class GraphInputs:
             array.flags.writeable = False  # shared by every consumer
         n_posts, n_texts = len(posts), len(texts)
 
-        problem = None
         if len(index) != len(node_ids):
             seen = set()
             for nid in node_ids:
                 if nid in seen:
-                    break
+                    raise ValueError(f"node id {nid!r} is used by more than one post, comment or user")
                 seen.add(nid)
-            problem = f"node id {nid!r} is used by more than one post, comment or user"
-        else:
-            # Checked in record order: each post's user, then each comment's
-            # user and post; key 2 * text is a user check, key 2 * text + 1
-            # a post check.  Only the first failure is formatted.
-            bad = np.concatenate([
-                2 * np.flatnonzero(authors < n_texts),
-                2 * (n_posts + np.flatnonzero((commented < 0) | (commented >= n_posts))) + 1,
-            ])
-            if bad.size:
-                text, post_ref = divmod(int(bad.min()), 2)
-                rec = texts[text]
-                what = f"post {rec.id}" if text < n_posts else f"comment {rec.id}"
-                ref, kind = (rec.post_id, "post") if post_ref else (rec.user_id, "user")
-                problem = f"{what} references unknown {kind} {ref}"
-        return cls(node_ids, node_kinds, index, n_posts, lengths, tokens, authors, commented, problem)
+        # Checked in record order: each post's user, then each comment's
+        # user and post; key 2 * text is a user check, key 2 * text + 1 a
+        # post check.  Only the first failure is formatted.
+        bad = np.concatenate([
+            2 * np.flatnonzero(authors < n_texts),
+            2 * (n_posts + np.flatnonzero((commented < 0) | (commented >= n_posts))) + 1,
+        ])
+        if bad.size:
+            text, post_ref = divmod(int(bad.min()), 2)
+            rec = texts[text]
+            what = f"post {rec.id}" if text < n_posts else f"comment {rec.id}"
+            ref, kind = (rec.post_id, "post") if post_ref else (rec.user_id, "user")
+            raise ValueError(f"{what} references unknown {kind} {ref}")
+        return cls(node_ids, node_kinds, index, n_posts, lengths, tokens, authors, commented)
 
 
 @dataclass
 class DatasetBundle:
     """A corpus's records and, once split, its split assignment.
 
-    The records are fixed once the bundle is built: ``graph_inputs`` (and
-    through it ``vocab_size``, every model's graph and the checkpoint
-    fingerprint) is derived from them on first use and not again, and the
-    copies ``split_dataset`` makes share both the records and that one
+    Building a bundle checks its records and derives their ``graph_inputs``
+    (``GraphInputs.from_records``), which ``vocab_size``, every model's graph
+    and the checkpoint fingerprint read.  The records are fixed from then
+    on, and the copies ``split_dataset`` makes share them and that one
     derivation.
     """
 
@@ -192,12 +189,9 @@ class DatasetBundle:
     comments: list[CommentRecord]
     users: list[UserRecord]
     split: dict[str, str] | None = None
-    # One slot for the GraphInputs, shared with every split copy.
-    _graph_inputs: list[GraphInputs] = field(default_factory=list, init=False, repr=False, compare=False)
+    graph_inputs: GraphInputs = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len({p.id for p in self.posts}) != len(self.posts):
-            raise ValueError("duplicate post ids")
         if self.posts:
             first = self.posts[0]
             dim = first.visual_feat.shape[0]
@@ -207,6 +201,7 @@ class DatasetBundle:
                         f"post {p.id}: {p.visual_feat.shape[0]} visual features, "
                         f"but post {first.id} has {dim}"
                     )
+        self.graph_inputs = GraphInputs.from_records(self.posts, self.comments, self.users)
 
     def split_ids(self, name: str) -> list[str]:
         if self.split is None:
@@ -214,14 +209,6 @@ class DatasetBundle:
         if name not in SPLITS:
             raise ValueError(f"unknown split {name!r}")
         return [p.id for p in self.posts if self.split[p.id] == name]
-
-    @property
-    def graph_inputs(self) -> GraphInputs:
-        """The records' ``GraphInputs``, derived on first use by this bundle
-        or any bundle that shares its records through ``split_dataset``."""
-        if not self._graph_inputs:
-            self._graph_inputs.append(GraphInputs.from_records(self.posts, self.comments, self.users))
-        return self._graph_inputs[0]
 
     @property
     def vocab_size(self) -> int:
@@ -367,12 +354,11 @@ def _stratified_quotas(counts, fractions, train_total, val_total):
 
 
 def split_dataset(bundle: DatasetBundle, fractions, seed: int) -> DatasetBundle:
-    """Return a copy of the bundle with a fresh stratified split assignment.
-    The copy shares the bundle's records and their ``graph_inputs``."""
-    split = assign_splits(bundle.posts, fractions, seed)
-    copy = DatasetBundle(bundle.posts, bundle.comments, bundle.users, split=split)
-    copy._graph_inputs = bundle._graph_inputs
-    return copy
+    """A shallow copy of the bundle with a fresh stratified split assignment,
+    sharing its records and their ``graph_inputs``."""
+    split_copy = copy.copy(bundle)
+    split_copy.split = assign_splits(bundle.posts, fractions, seed)
+    return split_copy
 
 
 # ---------------------------------------------------------------------------

@@ -113,9 +113,9 @@ def project_visual(visual_feat, w, b) -> Tensor:
 class SocialGraph:
     """Typed interaction graph over posts, comments and users.
 
-    Edges are stored directed (each undirected pair in both directions, plus
-    one self-loop per node).  The GAT layers run over ``EdgeBlock``s cut
-    from these edges by ``receptive_blocks``.
+    Edges are stored directed (each undirected pair both ways, by source,
+    then destination, then one self-loop per node; ``validate``).  The GAT
+    layers run over ``EdgeBlock``s cut from them by ``receptive_blocks``.
     ``token_weights`` defines the node features: a text's row holds its
     token counts over its length, a user's row is the mean of the rows of
     the texts it wrote (zero when it wrote nothing), and the features under
@@ -140,26 +140,39 @@ class SocialGraph:
         return len(self.node_ids)
 
     def validate(self):
-        """The invariants the GAT relies on, whichever way the edges came
-        (the join, ``edges=`` or a checkpoint): endpoints name nodes, every
-        node carries a self-loop, and every edge has its reverse."""
+        """The layout ``build_social_graph`` makes, however the edges came
+        (the join, ``edges=`` or a checkpoint): endpoints name nodes, the
+        non-loop edges are distinct and run by source, then destination, one
+        self-loop per node follows in node order, and each edge has its reverse."""
         n = self.n_nodes
         if self.src.shape != self.dst.shape or self.src.ndim != 1:
             raise ValueError(
                 f"edge sources {self.src.shape} and destinations {self.dst.shape} "
                 "must be 1-D arrays of one length"
             )
-        if self.src.size and (
-            min(self.src.min(), self.dst.min()) < 0 or max(self.src.max(), self.dst.max()) >= n
-        ):
-            raise ValueError("edge endpoint references a missing node")
-        loops = set(self.src[self.src == self.dst].tolist())
-        if loops != set(range(n)):
-            raise ValueError("every node must carry a self-loop")
-        # The keys src*n + dst sort to those of the reversed edges; at the
-        # first difference the smaller key is an edge without its reverse.
         src, dst = np.asarray(self.src, dtype=np.int64), np.asarray(self.dst, dtype=np.int64)
-        keys, reverse = np.sort(src * n + dst), np.sort(dst * n + src)
+        outside = (np.minimum(src, dst) < 0) | (np.maximum(src, dst) >= n)
+        if outside.any():
+            at = np.argmax(outside)
+            raise ValueError(f"edge {at} ({src[at]} -> {dst[at]}) references a missing node")
+        if src.size < n:
+            raise ValueError("every node must carry a self-loop")
+        looped = src.size - n
+        keys = src * n + dst
+        misplaced = np.concatenate([
+            (src[:looped] == dst[:looped]) | (np.diff(keys[:looped], prepend=-1) <= 0),
+            keys[looped:] != np.arange(n) * (n + 1),
+        ])
+        if misplaced.any():
+            at = np.argmax(misplaced)
+            s, d = src[at], dst[at]
+            raise ValueError(
+                f"edge {at} ({s} -> {d}, {self.node_ids[s]} -> {self.node_ids[d]}) is out of place: edges "
+                "run by source, then destination, with no repeat, then one self-loop per node"
+            )
+        # The keys are sorted: at the first difference from the sorted keys of
+        # the reversed edges, the smaller key is an edge without its reverse.
+        keys, reverse = keys[:looped], np.sort(dst[:looped] * n + src[:looped])
         if not np.array_equal(keys, reverse):
             at = np.argmax(keys != reverse)
             a, b = divmod(int(min(keys[at], reverse[at])), n)
@@ -218,10 +231,8 @@ def build_social_graph(
     """Build the interaction graph of a record set from its ``GraphInputs``
     (``DatasetBundle.graph_inputs``, or ``GraphInputs.from_records``):
     node ids, kinds and rows, each text's tokens and author row and each
-    comment's post row.  The graph keeps the inputs' ``node_ids``,
-    ``node_kinds`` and ``index`` themselves, not copies.  A repeated node
-    id or a reference to an unknown user or post raises ``ValueError``
-    (``GraphInputs.problem``).
+    comment's post row, which ``from_records`` has checked.  The graph keeps
+    the inputs' ``node_ids``, ``node_kinds`` and ``index``, not copies.
 
     Node features are ``token_weights @ embed`` (see ``SocialGraph``):
     post and comment nodes take the mean embedding of their tokens, user
@@ -267,14 +278,12 @@ def build_social_graph(
 
     ``edges``, a ``(src, dst)`` pair of a graph built before from the same
     records and inputs (a checkpoint stores it), replaces the structural
-    pairs and the similarity join; every record check, the token table and
-    ``SocialGraph.validate`` still run.
+    pairs and the similarity join; ``SocialGraph.validate`` refuses them
+    unless laid out as this build lays out its edges.  The token table runs.
     """
     check_theta(theta)
     if connect_kinds not in CONNECT_KINDS:
         raise ValueError(f"unknown connect_kinds {connect_kinds!r}")
-    if inputs.problem is not None:
-        raise ValueError(inputs.problem)
     node_ids, node_kinds, index = inputs.node_ids, inputs.node_kinds, inputs.index
 
     # Texts fill the first rows (see _token_table).

@@ -39,7 +39,8 @@ class IsmafModel:
 
     def __init__(self, config: TrainConfig, dataset: DatasetBundle, edges=None):
         """``edges``: the ``(src, dst)`` of a graph built before for this
-        config and these records, taken in place of the similarity join."""
+        config and these records, in the build's layout
+        (``SocialGraph.validate``), taken in place of the similarity join."""
         if not dataset.posts:
             raise ValueError("dataset has no posts")
         self.config = config

@@ -8,15 +8,15 @@ part: ``ids``, ``tokens`` and ``links``, see ``_record_fingerprint``), and
 an ``[name, dtype, shape]`` table of the arrays in file order: every
 parameter as float64, then the graph's non-loop edges as
 ``graph.out_degree`` (int32, one count per node) and ``graph.dst``
-(int32, ordered by source).  The n self-loops are not stored: they come
-last in every graph, so sources are sorted only over the other edges.
+(int32, ordered by source, then destination).  The n self-loops are not
+stored: they come last in every graph (``SocialGraph.validate``).
 
 Loading checks the magic, the checksum and the version, then the
 parameter shapes that depend on the dataset, then the record fingerprint,
 and builds the model on the stored edges: the similarity join does not
 run, and a checkpoint refuses records other than those its graph was
-built from.  Version-1 files (JSON with base64 parameters) are refused.
-The file is read in pieces, once for the checksum and once into the
+built from.  Version-1 files (JSON with base64 parameters) are refused
+by their first bytes.  The file is read in pieces, once for the checksum and once into the
 arrays, the parameters straight into the new model's, so loading holds
 no copy of the file and no second copy of the parameters, and frees no
 large block that would change how the heap serves the calls after it.
@@ -28,6 +28,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -53,12 +54,11 @@ def _record_fingerprint(dataset: DatasetBundle) -> dict[str, str]:
     the node ids in row order (posts, comments, users), every text's
     tokens, and the links (each text's author, each comment's post), all
     read from the records' ``graph_inputs``.  A link is hashed as the id
-    at its row; a reference to no node (row -1) reads as null, so records
-    with one never match a checkpoint, whose records had none."""
+    at its row, which ``GraphInputs.from_records`` has checked names a
+    node."""
     inputs = dataset.graph_inputs
     ids, n_posts, n_texts = inputs.node_ids, inputs.n_posts, inputs.n_texts
-    linked = ids + [None]
-    links = [[linked[row] for row in rows.tolist()] for rows in (inputs.authors, inputs.commented)]
+    links = [[ids[row] for row in rows.tolist()] for rows in (inputs.authors, inputs.commented)]
     parts = {
         "ids": json.dumps([ids[:n_posts], ids[n_posts:n_texts], ids[n_texts:]]).encode("utf-8"),
         "tokens": inputs.lengths.astype("<i8").tobytes() + inputs.tokens.astype("<i8").tobytes(),
@@ -113,15 +113,14 @@ def _version_error(path, version) -> ModelFileError:
     )
 
 
-def _not_version_2(path, raw: bytes) -> ModelFileError:
-    """The error for a file without the magic line: a version-1 checkpoint
-    is JSON that names its version."""
-    try:
-        payload = json.loads(raw)
-    except ValueError:
-        payload = None
-    if isinstance(payload, dict) and "format_version" in payload:
-        return _version_error(path, payload["format_version"])
+def _not_version_2(path, f) -> ModelFileError:
+    """The error for the open file ``f`` without the magic line: a version-1
+    checkpoint is a JSON object whose first key is its version, so only the
+    file's first bytes are read."""
+    f.seek(0)
+    version = re.match(rb'\s*\{\s*"format_version"\s*:\s*(-?\d+)', f.read(256))
+    if version:
+        return _version_error(path, int(version[1]))
     return ModelFileError(f"{path} is not a model file")
 
 
@@ -170,10 +169,9 @@ def _read(f, body: int, entry) -> np.ndarray:
 
 def _stored_edges(path, out_degree: np.ndarray, dst: np.ndarray, n: int):
     """The graph's ``(src, dst)`` from its stored non-loop edges, with one
-    self-loop per node appended.  ``save_model`` stores each source's
-    destinations strictly increasing and never the source itself, so a
-    repeated, unordered or self edge is refused: it would run the model on
-    another graph.  ``SocialGraph.validate`` refuses a one-way edge."""
+    self-loop per node appended.  Only what the rebuild needs is checked:
+    shapes, and non-negative counts that sum to the stored edges; the
+    edges themselves are ``SocialGraph.validate``'s to check."""
     if out_degree.shape != (n,):
         raise ModelFileError(
             f"{path}: graph.out_degree has shape {out_degree.shape}, expected ({n},) for {n} nodes"
@@ -187,15 +185,8 @@ def _stored_edges(path, out_degree: np.ndarray, dst: np.ndarray, n: int):
             f"{path}: graph.out_degree sums to {out_degree.sum()} "
             f"but graph.dst holds {dst.size} edges"
         )
-    if dst.size and (dst.min() < 0 or dst.max() >= n):
-        raise ModelFileError(f"{path}: graph.dst holds a node outside [0, {n})")
     loop = np.arange(n)
-    src = np.repeat(loop, out_degree)
-    if (dst == src).any():
-        raise ModelFileError(f"{path}: graph.dst holds a self-loop, which is never stored")
-    if ((np.diff(dst) <= 0) & (src[1:] == src[:-1])).any():
-        raise ModelFileError(f"{path}: graph.dst is not strictly increasing within a source")
-    return np.concatenate([src, loop]), np.concatenate([dst, loop])
+    return np.concatenate([np.repeat(loop, out_degree), loop]), np.concatenate([dst, loop])
 
 
 def _check_shape(path, name: str, have: tuple, want: tuple) -> None:
@@ -228,8 +219,7 @@ def _load(path, f, dataset: DatasetBundle) -> IsmafModel:
     """``load_model`` on the open file: the file is read in chunks for its
     checksum, then each array straight into its final place."""
     if f.read(len(MAGIC)) != MAGIC:
-        f.seek(0)
-        raise _not_version_2(path, f.read())
+        raise _not_version_2(path, f)
     if f.read(65) != _body_digest(f):  # 64 hex digits and a newline
         raise ModelFileError(f"{path}: checksum mismatch, file is corrupt or tampered")
     f.seek(len(MAGIC) + 65)

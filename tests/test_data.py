@@ -430,14 +430,13 @@ class TestDatasetBundle:
             PostRecord("p0", [1], np.zeros(2), "u0", 0),
             PostRecord("p0", [2], np.zeros(2), "u0", 1),
         ]
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(ValueError, match="^node id 'p0' is used by more than one post, comment or user$"):
             DatasetBundle(posts, [], [UserRecord("u0")])
 
 
 @st.composite
 def _record_sets(draw):
-    """Posts (ids unique among posts, as ``DatasetBundle`` requires),
-    comments and users.  Texts may have no tokens, posts no comments and
+    """Posts (ids unique among posts), comments and users.  Texts may have no tokens, posts no comments and
     users nothing written.  With ``clash`` the ids come from one pool, so an
     id can repeat within and across kinds; with ``stray`` set to a kind,
     references to that kind now and then name another kind or nothing."""
@@ -484,47 +483,31 @@ class TestGraphInputs:
     @given(records=_record_sets())
     def test_matches_the_per_consumer_derivations(self, records):
         posts, comments, users = records
+        try:
+            node_ids, node_kinds, index, authors, commented = oracles.graph_records_checked(posts, comments, users)
+        except ValueError as exc:
+            # No bundle holds such records: building one raises the first problem.
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                DatasetBundle(posts, comments, users)
+            return
         bundle = DatasetBundle(posts, comments, users)
         inputs = bundle.graph_inputs
         lengths, tokens = oracles.text_tokens_listed(posts + comments)
         for got, want in ((inputs.lengths, lengths), (inputs.tokens, tokens)):
             assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
         assert bundle.vocab_size == oracles.vocab_size_scan(posts, comments)
+        assert (inputs.node_ids, inputs.node_kinds) == (node_ids, node_kinds)
+        assert list(inputs.index.items()) == list(index.items())
+        np.testing.assert_array_equal(inputs.authors, authors)
+        np.testing.assert_array_equal(inputs.commented, commented)
 
         cfg = TrainConfig(d=4, heads=2, token_len=2, kernel_sizes=(2, 3))
-        try:
-            node_ids, node_kinds, index, authors, commented = oracles.graph_records_checked(posts, comments, users)
-        except ValueError as exc:
-            assert inputs.problem == str(exc)
-            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-                IsmafModel(cfg, bundle)
-        else:
-            assert inputs.problem is None
-            assert (inputs.node_ids, inputs.node_kinds) == (node_ids, node_kinds)
-            assert list(inputs.index.items()) == list(index.items())
-            np.testing.assert_array_equal(inputs.authors, authors)
-            np.testing.assert_array_equal(inputs.commented, commented)
-            built = IsmafModel(cfg, bundle)
-            assert built.tokens.tobytes() == oracles.post_token_rows(posts, cfg.kernel_sizes).tobytes()
-            graph = built.graph
-            assert graph.node_ids is inputs.node_ids and graph.node_kinds is inputs.node_kinds
-            assert graph.index is inputs.index
-
-        fingerprint = serialize._record_fingerprint(bundle)
-        want = oracles.record_fingerprint_scan(posts, comments, users)
-        assert (fingerprint["ids"], fingerprint["tokens"]) == (want["ids"], want["tokens"])
-        # A reference to no node hashes as null, so it never matches.
-        resolved = (inputs.authors >= 0).all() and (inputs.commented >= 0).all()
-        assert (fingerprint["links"] == want["links"]) == resolved
-
-    # An unknown reference hashes as null, not as the id at row -1: here
-    # the last user's, which the clean records link to.
-    def test_unknown_reference_never_matches_the_fingerprint(self):
-        users = [UserRecord("u0"), UserRecord("u1")]
-        posts = [PostRecord("p0", [1], np.zeros(2), "u1", 0)]
-        clean = serialize._record_fingerprint(DatasetBundle(posts, [], users))
-        posts = [PostRecord("p0", [1], np.zeros(2), "ghost", 0)]
-        assert serialize._record_fingerprint(DatasetBundle(posts, [], users))["links"] != clean["links"]
+        built = IsmafModel(cfg, bundle)
+        assert built.tokens.tobytes() == oracles.post_token_rows(posts, cfg.kernel_sizes).tobytes()
+        graph = built.graph
+        assert graph.node_ids is inputs.node_ids and graph.node_kinds is inputs.node_kinds
+        assert graph.index is inputs.index
+        assert serialize._record_fingerprint(bundle) == oracles.record_fingerprint_scan(posts, comments, users)
 
     def test_only_a_failing_reference_is_formatted(self):
         users = [UserRecord(_CountedId(f"u{i}")) for i in range(3)]
@@ -532,22 +515,23 @@ class TestGraphInputs:
         comments = [CommentRecord(_CountedId(f"c{i}"), [2], users[i].id, posts[i].id) for i in range(3)]
         broken = comments[:1] + [CommentRecord(_CountedId("c1"), [2], users[1].id, _CountedId("ghost"))]
         _CountedId.formatted = 0  # the record checks format ids as they are made
-        assert GraphInputs.from_records(posts, comments, users).problem is None
+        GraphInputs.from_records(posts, comments, users)
         assert _CountedId.formatted == 0
-        inputs = GraphInputs.from_records(posts, broken, users)
-        assert inputs.problem == "comment c1 references unknown post ghost"
+        with pytest.raises(ValueError, match="^comment c1 references unknown post ghost$"):
+            GraphInputs.from_records(posts, broken, users)
         assert _CountedId.formatted == 2
 
     def test_split_copies_share_one_derivation(self, token_scans):
         corpus = generate_synthetic(n=40, d=3, separation=0.0, seed=11)
+        assert token_scans == [len(corpus.posts) + len(corpus.comments)]  # built with the bundle
         first = split_dataset(corpus, (0.6, 0.2, 0.2), seed=1)
         second = split_dataset(first, (0.6, 0.2, 0.2), seed=2)
-        assert token_scans == []  # splitting derives nothing
+        third = split_dataset(corpus, (0.6, 0.2, 0.2), seed=3)
+        assert first.graph_inputs is second.graph_inputs is third.graph_inputs is corpus.graph_inputs
         assert second.vocab_size == oracles.vocab_size_scan(corpus.posts, corpus.comments)
-        assert token_scans == [len(corpus.posts) + len(corpus.comments)]
-        assert first.graph_inputs is second.graph_inputs is corpus.graph_inputs
-        assert split_dataset(corpus, (0.6, 0.2, 0.2), seed=3).graph_inputs is corpus.graph_inputs
-        assert len(token_scans) == 1
+        assert len(token_scans) == 1  # splitting derives nothing
+        assert all(getattr(first, name) is getattr(corpus, name) for name in ("posts", "comments", "users"))
+        assert corpus.split is None and first.split == assign_splits(corpus.posts, (0.6, 0.2, 0.2), 1)
 
     def test_shared_arrays_are_read_only(self):
         inputs = generate_synthetic(n=20, d=3, separation=0.0, seed=11).graph_inputs

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -589,22 +590,35 @@ class TestBuildSocialGraph:
         with pytest.raises(ValueError, match="self-loop"):
             build_social_graph(GraphInputs.from_records(**records), embed=embed, edges=(loop[1:], loop[1:]))
 
-    # The GAT assumes a symmetric graph, so a one-way edge is refused
-    # whichever way the edges come, here a model's ``edges=``.
-    def test_one_way_given_edge_rejected(self):
+    # Edges that the GAT cannot run on, or that a checkpoint would store
+    # otherwise than given, are refused when a model is built on them,
+    # naming the first edge out of place (the GAT assumes a symmetric graph).
+    @pytest.mark.parametrize("order", ["reversed", "destination-major", "repeated-edge", "one-way"])
+    def test_given_edges_out_of_the_build_layout_rejected(self, order):
         cfg = TrainConfig(d=16, token_len=4)
         data = split_dataset(generate_synthetic(n=40, d=16, separation=2.0, seed=3), cfg.fractions, cfg.seed)
         graph = IsmafModel(cfg, data).graph
-        src, dst = graph.src, graph.dst
-        drop = np.argmax(src != dst)  # the first non-loop edge; its reverse stays
-        s, t = src[drop], dst[drop]
-        with pytest.raises(ValueError, match=f"holds a one-way edge {t} -> {s} "):
-            IsmafModel(cfg, data, edges=(np.delete(src, drop), np.delete(dst, drop)))
+        src, dst, ids, n = graph.src, graph.dst, graph.node_ids, graph.n_nodes
+        if order == "one-way":  # the first non-loop edge goes; its reverse stays
+            src, dst, message = src[1:], dst[1:], f"holds a one-way edge {dst[0]} -> {src[0]} "
+        else:
+            if order == "reversed":  # a self-loop comes first
+                src, dst, at = src[::-1], dst[::-1], 0
+            elif order == "destination-major":  # the self-loops stay last
+                edge = np.r_[np.lexsort((src[:-n], dst[:-n])), np.arange(src.size - n, src.size)]
+                src, dst = src[edge], dst[edge]
+                at = int(np.argmax(np.diff(src[:-n] * n + dst[:-n]) < 0)) + 1
+            else:  # edge 5 twice
+                src, dst, at = np.insert(src, 5, src[5]), np.insert(dst, 5, dst[5]), 6
+            s, d = src[at], dst[at]
+            message = f"^{re.escape(f'edge {at} ({s} -> {d}, {ids[s]} -> {ids[d]}) is out of place: ')}"
+        with pytest.raises(ValueError, match=message):
+            IsmafModel(cfg, data, edges=(src, dst))
 
     def test_unknown_user_reference_rejected(self):
         posts = [PostRecord("p0", [1], np.zeros(2), "ghost", 0)]
         with pytest.raises(ValueError, match="unknown user"):
-            build_social_graph(GraphInputs.from_records(posts, [], [UserRecord("u0")]), np.ones((2, 2)))
+            GraphInputs.from_records(posts, [], [UserRecord("u0")])
 
     @pytest.mark.parametrize(
         "extra, repeated",
@@ -622,7 +636,7 @@ class TestBuildSocialGraph:
         for kind, more in extra.items():
             records[kind] = records[kind] + more
         with pytest.raises(ValueError, match=f"node id '{repeated}' is used by more than one"):
-            build_social_graph(GraphInputs.from_records(**records), embed=np.ones((2, 2)))
+            GraphInputs.from_records(**records)
 
     def test_token_weights_give_direct_node_features(self):
         data = generate_synthetic(n=60, d=8, separation=2.0, seed=32)
@@ -860,10 +874,13 @@ def _gat_setup(d=4, heads=2, layers=1, seed=0):
 
 
 def _manual_graph(n, undirected_pairs):
-    """The block of every edge of an n-node graph: both directions of each
-    pair, then one self-loop per node; output row i is input row i."""
-    src = [i for i, _ in undirected_pairs] + [j for _, j in undirected_pairs] + list(range(n))
-    dst = [j for _, j in undirected_pairs] + [i for i, _ in undirected_pairs] + list(range(n))
+    """The block of every edge of an n-node graph in the layout that
+    ``build_social_graph`` makes: both directions of each pair, ordered by
+    source, then destination, then one self-loop per node; output row i is
+    input row i."""
+    pairs = sorted({(i, j) for i, j in undirected_pairs} | {(j, i) for i, j in undirected_pairs})
+    src = [i for i, _ in pairs] + list(range(n))
+    dst = [j for _, j in pairs] + list(range(n))
     return EdgeBlock(np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64), np.arange(n))
 
 
@@ -956,19 +973,30 @@ class TestSignedGat:
         with pytest.raises(ad.ShapeError, match="expects an EdgeBlock .*got SocialGraph"):
             signed_gat_layer(Tensor(np.zeros((2, 4))), graph, store.constants(), 2, SLOPE)
 
-    @pytest.mark.parametrize("edit, message", [
+    # The valid graph is 0 -> 1, 1 -> 0, 1 -> 2, 2 -> 1, then the loops
+    # 0 -> 0, 1 -> 1, 2 -> 2; each case lists its edited edges.
+    @pytest.mark.parametrize("src, dst, message", [
         # A negative endpoint would index from the end of a node array.
-        (lambda g: g.src.__setitem__(0, -3), "missing node"),
-        (lambda g: g.dst.__setitem__(0, -1), "missing node"),
-        (lambda g: g.dst.__setitem__(0, 3), "missing node"),
-        (lambda g: setattr(g, "dst", g.dst[1:]), "one length"),
-    ], ids=["negative-src", "negative-dst", "dst-past-end", "length-mismatch"])
-    def test_validate_rejects_bad_endpoints(self, edit, message):
+        ([-3, 1, 1, 2, 0, 1, 2], [1, 0, 2, 1, 0, 1, 2], "edge 0 (-3 -> 1) references a missing node"),
+        ([0, 1, 1, 2, 0, 1, 2], [-1, 0, 2, 1, 0, 1, 2], "edge 0 (0 -> -1) references a missing node"),
+        ([0, 1, 1, 2, 0, 1, 2], [3, 0, 2, 1, 0, 1, 2], "edge 0 (0 -> 3) references a missing node"),
+        ([0, 1, 1, 2, 0, 1, 2], [0, 2, 1, 0, 1, 2], "must be 1-D arrays of one length"),
+        ([0, 1], [0, 1], "every node must carry a self-loop"),
+        ([0, 1, 1, 2, 0, 1, 2], [1, 2, 0, 1, 0, 1, 2], "edge 2 (1 -> 0, p1 -> p0) is out of place: "),
+        ([0, 1, 1, 1, 2, 0, 1, 2], [1, 0, 0, 2, 1, 0, 1, 2], "edge 2 (1 -> 0, p1 -> p0) is out of place: "),
+        ([0, 1, 2, 0, 1, 1, 2], [0, 1, 2, 1, 0, 2, 1], "edge 0 (0 -> 0, p0 -> p0) is out of place: "),
+        ([0, 1, 1, 2, 0, 2, 1], [1, 0, 2, 1, 0, 2, 1], "edge 5 (2 -> 2, p2 -> p2) is out of place: "),
+        ([1, 1, 2, 0, 1, 2], [0, 2, 1, 0, 1, 2], "the graph holds a one-way edge 1 -> 0 (p1 -> p0); "),
+    ], ids=[
+        "negative-src", "negative-dst", "dst-past-end", "length-mismatch", "too-few-edges",
+        "unordered", "repeated", "loop-first", "loops-unordered", "one-way",
+    ])
+    def test_validate_rejects_bad_endpoints(self, src, dst, message):
         block = _manual_graph(3, [(0, 1), (1, 2)])
         graph = SocialGraph(["p0", "p1", "p2"], ["post"] * 3, np.zeros((3, 4)), block.src, block.dst)
         graph.validate()
-        edit(graph)
-        with pytest.raises(ValueError, match=message):
+        graph.src, graph.dst = np.array(src), np.array(dst)
+        with pytest.raises(ValueError, match=re.escape(message)):
             graph.validate()
 
     def test_grad_check(self):

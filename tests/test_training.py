@@ -4,6 +4,7 @@ import json
 import re
 import tracemalloc
 import weakref
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -580,6 +581,22 @@ class TestSerialization:
         save_model(train(_tiny_config(epochs=0), tiny_data).model, path)
         return path
 
+    # A file without the magic line is told apart from a version-1
+    # checkpoint by its first bytes: at most a few hundred are read, here
+    # of an 8 MB file of dataset lines.
+    def test_large_file_without_magic_read_in_part(self, tmp_path, tiny_data):
+        path = tmp_path / "posts.jsonl"
+        line = b'{"id": "p0", "tokens": [1, 2, 3]}\n'
+        path.write_bytes(line * ((8 << 20) // len(line)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelFileError, match="is not a model file"):
+                load_model(path, tiny_data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
     def test_version_1_file_rejected(self, tmp_path, tiny_data):
         path = tmp_path / "model.json"
         path.write_text(json.dumps({
@@ -648,17 +665,16 @@ class TestSerialization:
         with pytest.raises(ModelFileError, match=f"record {part} differ .*fingerprint"):
             load_model(path, other)
 
-    # A bad reference or a repeated node id: each public call that builds a
-    # graph raises the build's ValueError.  load_model checks the dataset's
-    # parameter shapes and then its fingerprint first, and wraps an error
-    # of the build in a ModelFileError.
-    @pytest.mark.parametrize("defect, part, message", [
-        ("unknown-user", "links", "post p00000 references unknown user ghost"),
-        ("unknown-post", "links", "comment c00000_0 references unknown post ghost"),
-        ("post-names-user", "links", "comment c00000_0 references unknown post u0000"),
-        ("id-twice", "ids", "node id 'u0000' is used by more than one post, comment or user"),
+    # A bad reference or a repeated node id is refused where the records
+    # become a bundle, built directly or loaded from files, with one
+    # message; no model, graph or checkpoint ever sees such records.
+    @pytest.mark.parametrize("defect, message", [
+        ("unknown-user", "post p00000 references unknown user ghost"),
+        ("unknown-post", "comment c00000_0 references unknown post ghost"),
+        ("post-names-user", "comment c00000_0 references unknown post u0000"),
+        ("id-twice", "node id 'u0000' is used by more than one post, comment or user"),
     ])
-    def test_record_errors_keep_their_call_and_message(self, saved, tiny_data, defect, part, message):
+    def test_record_errors_keep_their_call_and_message(self, saved, tmp_path, tiny_data, defect, message):
         posts, comments = list(tiny_data.posts), list(tiny_data.comments)
         if defect == "unknown-user":
             posts[0] = dataclasses.replace(posts[0], user_id="ghost")
@@ -668,34 +684,24 @@ class TestSerialization:
             comments[0] = dataclasses.replace(comments[0], post_id="u0000")
         else:
             comments[0] = dataclasses.replace(comments[0], id="u0000")
-        broken = DatasetBundle(posts, comments, tiny_data.users)
-        cfg = _tiny_config(epochs=0)
-        split = split_dataset(broken, cfg.fractions, cfg.seed)
+        records = SimpleNamespace(posts=posts, comments=comments, users=tiny_data.users)
+        save_dataset(records, tmp_path / "data")  # it writes any records' fields
         calls = {
-            "IsmafModel": lambda: IsmafModel(cfg, split),
-            "train": lambda: train(cfg, split),
-            "build_social_graph": lambda: encoders.build_social_graph(
-                split.graph_inputs, np.ones((split.vocab_size, 2))
-            ),
+            "DatasetBundle": lambda: DatasetBundle(posts, comments, tiny_data.users),
+            "load_dataset": lambda: load_dataset(tmp_path / "data"),
         }
         for name, call in calls.items():
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as raised:
                 call()
             assert type(raised.value) is ValueError, name
 
-        with pytest.raises(ModelFileError, match=f"record {part} differ .*fingerprint"):
-            load_model(saved, broken)
-        wider = [dataclasses.replace(posts[1], tokens=posts[1].tokens + [500])]
+        wider = [dataclasses.replace(tiny_data.posts[1], tokens=tiny_data.posts[1].tokens + [500])]
         with pytest.raises(ModelFileError, match="parameter 'text.embed' has shape"):
-            load_model(saved, DatasetBundle(posts[:1] + wider + posts[2:], comments, tiny_data.users))
-        header, body = _checkpoint_parts(saved)
-        header["records"] = serialize._record_fingerprint(broken)
-        _write_checkpoint(saved, header, body)
-        with pytest.raises(ModelFileError, match=f"^{re.escape(f'{saved}: {message}')}$"):
-            load_model(saved, broken)
+            load_model(saved, DatasetBundle(tiny_data.posts[:1] + wider + tiny_data.posts[2:], tiny_data.comments, tiny_data.users))
 
-    # The records' token scan runs once per corpus: split copies share it,
-    # and every model, graph and checkpoint fingerprint reads its result.
+    # The records' token scan runs once per corpus, when its bundle is
+    # built: split copies share it, and every model, graph and checkpoint
+    # fingerprint reads its result.
     def test_one_token_scan_per_corpus(self, tmp_path, token_scans):
         corpus = generate_synthetic(n=40, d=6, separation=3.0, graph_noise=0.25, seed=21)
         cfg = _tiny_config(epochs=1)
@@ -709,8 +715,8 @@ class TestSerialization:
         IsmafModel(cfg, again)
         assert len(token_scans) == 1
         save_dataset(corpus, tmp_path / "data")
-        fresh = load_dataset(tmp_path / "data")
         token_scans.clear()
+        fresh = load_dataset(tmp_path / "data")
         load_model(tmp_path / "model.json", fresh)
         assert len(token_scans) == 1
 
@@ -784,11 +790,11 @@ class TestSerialization:
         ("short-out-degree", r"out_degree has shape \(\d+,\), expected"),
         ("negative-count", "negative count"),
         ("sum-mismatch", "sums to"),
-        ("negative-dst", "outside"),
-        ("dst-past-end", "outside"),
-        ("repeated-edge", "not strictly increasing within a source"),
-        ("unordered-dst", "not strictly increasing within a source"),
-        ("stored-self-loop", "holds a self-loop"),
+        ("negative-dst", r"-> -1\) references a missing node"),
+        ("dst-past-end", r"-> \d+\) references a missing node"),
+        ("repeated-edge", "is out of place"),
+        ("unordered-dst", "is out of place"),
+        ("stored-self-loop", "is out of place"),
         ("one-way-edge", "holds a one-way edge"),
     ])
     def test_crafted_edges_rejected(self, saved, tiny_data, craft, message):
@@ -825,8 +831,43 @@ class TestSerialization:
         arrays["graph.out_degree"], arrays["graph.dst"] = out, dst
         header["arrays"] = [[name, value.dtype.str, list(value.shape)] for name, value in arrays.items()]
         _write_checkpoint(path, header, b"".join(value.tobytes() for value in arrays.values()))
-        with pytest.raises(ModelFileError, match=message):
+        with pytest.raises(ModelFileError, match=f"^{re.escape(str(path))}: .*{message}"):
             load_model(path, tiny_data)
+
+    # Whatever edges the graph accepts, a checkpoint stores and gives back
+    # as they were; the others are refused when the model is built.  The
+    # edge sets are symmetric and carry every self-loop, over the tiny
+    # corpus's nodes, in the build's layout and in others.
+    @pytest.mark.parametrize("layout", ["build", "shuffled", "reversed", "destination-major", "loops-first"])
+    @pytest.mark.parametrize("density", [0.0, 0.1, 1.0])
+    def test_accepted_edges_load_back_bitwise(self, tmp_path, tiny_data, layout, density):
+        cfg = _tiny_config(epochs=0)
+        inputs = tiny_data.graph_inputs
+        n = len(inputs.node_ids)
+        rng = np.random.default_rng(7)
+        pairs = np.triu(rng.random((n, n)) < density, k=1)
+        src, dst = np.nonzero(pairs | pairs.T)  # by source, then destination
+        loop = np.arange(n)
+        src, dst = np.r_[src, loop], np.r_[dst, loop]
+        order = {
+            "build": np.arange(src.size),
+            "shuffled": rng.permutation(src.size),
+            "reversed": np.arange(src.size)[::-1],
+            "destination-major": np.lexsort((src, dst)),
+            "loops-first": np.roll(np.arange(src.size), n),
+        }[layout]
+        src, dst = src[order], dst[order]
+        try:
+            encoders.SocialGraph(inputs.node_ids, inputs.node_kinds, np.zeros((n, 1)), src, dst).validate()
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                IsmafModel(cfg, tiny_data, edges=(src, dst))
+            return
+        path = tmp_path / "model.json"
+        save_model(IsmafModel(cfg, tiny_data, edges=(src, dst)), path)
+        loaded = load_model(path, tiny_data).graph
+        for got, want in ((loaded.src, src), (loaded.dst, dst)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_failed_save_keeps_the_old_file(self, tmp_path, tiny_data, monkeypatch):
         old = train(_tiny_config(epochs=0), tiny_data).model
